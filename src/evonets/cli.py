@@ -16,7 +16,8 @@ import numpy as np
 from .baseline import FnnConfig, train_fnn
 from .cascade import FitConfig, cascade_to_dot, describe_cascade, train_ecnn
 from .dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg, gen_xor,
-                      load_csv, normalize_zscore, save_csv, split)
+                      load_csv, normalize_zscore, parse_rows, read_csv_rows, save_csv,
+                      split)
 from .errors import DataError, TrainingError, UsageError
 from .gmdh import GmdhConfig, gmdh_to_dot, to_polynomial_text, train_gmdh_layered, \
     train_gmdh_roulette
@@ -252,14 +253,7 @@ def _load_for_model(path, bundle, group_by=None):
     and, optionally, the group column); labels map through the stored
     label order.
     """
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"missing file: {path}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file, no header row")
-    header = [h.strip() for h in rows[0]]
+    header, rows = read_csv_rows(path)
     label_column = bundle.label_column
     if label_column not in header:
         raise DataError(f"{path}: label column '{label_column}' not found")
@@ -275,33 +269,12 @@ def _load_for_model(path, bundle, group_by=None):
 
     col_of = {h: i for i, h in enumerate(header)}
     label_index = {s: k for k, s in enumerate(bundle.label_names)}
-    feats, labels, groups = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {lineno}: expected {len(header)} cells")
-        vals = []
-        for name in bundle.feature_names:
-            cell = row[col_of[name]]
-            try:
-                value = float(cell)
-                if not np.isfinite(value):
-                    raise ValueError
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}, column '{name}': "
-                                f"non-numeric value '{cell.strip()}'") from None
-            vals.append(value)
-        feats.append(vals)
-        lab = row[col_of[label_column]].strip()
-        if lab not in label_index:
-            raise DataError(f"{path}: line {lineno}: label '{lab}' not in the stored mapping")
-        labels.append(label_index[lab])
-        if group_by is not None:
-            groups.append(row[col_of[group_by]].strip())
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    ds = Dataset(np.array(feats), np.array(labels), bundle.feature_names,
+    X, labels = parse_rows(path, header, rows, [col_of[n] for n in bundle.feature_names],
+                           col_of[label_column], label_index)
+    groups = []
+    if group_by is not None:
+        groups = [row[col_of[group_by]].strip() for row in rows if row]
+    ds = Dataset(X, np.array(labels), bundle.feature_names,
                  len(bundle.label_names), bundle.label_names)
     return ds, groups
 
@@ -313,9 +286,7 @@ def cmd_evaluate(args):
     preds = np.asarray(bundle.predict_classes(X), dtype=int)
     r = len(bundle.label_names)
     error = float(np.mean(preds != ds.labels))
-    confusion = np.zeros((r, r), dtype=int)
-    for t, q in zip(ds.labels, preds):
-        confusion[t, q] += 1
+    confusion = np.bincount(ds.labels * r + preds, minlength=r * r).reshape(r, r)
 
     print(f"rows={ds.n_rows}")
     print(f"error={error!r}")
@@ -324,8 +295,9 @@ def cmd_evaluate(args):
         counts = " ".join(str(c) for c in confusion[t])
         print(f"  {bundle.label_names[t]}: {counts}")
     if args.group_by is not None:
-        for g in sorted(set(groups)):
-            mask = np.array([v == g for v in groups])
+        names, group_of = np.unique(np.array(groups, dtype=object), return_inverse=True)
+        for k, g in enumerate(names):
+            mask = group_of == k
             dist = aggregate_segments(preds[mask], r)
             top = int(np.argmax(dist))
             text = ",".join(f"{p:.4f}" for p in dist)

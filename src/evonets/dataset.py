@@ -4,7 +4,9 @@ splits, and synthetic generators used throughout the package and its tests."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,77 @@ class SplitSpec:
             raise DataError("split fractions must sum to 1")
 
 
+def read_csv_rows(path):
+    """Stripped header and data rows of a UTF-8 CSV file with unique column names.
+
+    A leading byte-order mark is dropped, so it never joins the first name.
+    """
+    if not Path(path).exists():
+        raise DataError(f"missing file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}: "
+                        f"{exc.reason}); save the file as UTF-8") from None
+    if not rows:
+        raise DataError(f"{path}: empty file, no header row")
+    header = [h.strip() for h in rows[0]]
+    for k, h in enumerate(header):
+        if h in header[:k]:
+            raise DataError(f"{path}: column '{h}' appears more than once in the header")
+    return header, rows[1:]
+
+
+def parse_rows(path, header, rows, columns, label_at, label_index=None):
+    """Feature matrix of cells `columns` (in that order) and labels of cell
+    `label_at` (stripped, or mapped through `label_index`) of the non-blank rows,
+    of which there must be at least one.
+
+    On any failure of the bulk parse the rows are scanned again in order for
+    the first bad one: its cell count, then its cells in order, then its label.
+    """
+    if not any(rows):
+        raise DataError(f"{path}: no data rows")
+    take = itemgetter(*columns, label_at)
+    flat, labels = [], []
+    try:
+        for row in rows:
+            if row:
+                if len(row) != len(header):
+                    raise ValueError
+                cells = take(row)
+                flat.extend(map(float, cells[:-1]))
+                labels.append(cells[-1].strip())
+        X = np.array(flat, dtype=float).reshape(len(labels), len(columns))
+        if not np.isfinite(X).all():
+            raise ValueError
+        if label_index is not None:
+            labels = [label_index[s] for s in labels]
+        return X, labels
+    except (ValueError, KeyError):
+        pass
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            # evaluate and extract-rules name only the expected count
+            got = "" if label_index is not None else f", got {len(row)}"
+            raise DataError(f"{path}: line {lineno}: expected {len(header)} cells{got}")
+        for i in columns:
+            try:
+                finite = math.isfinite(float(row[i]))
+            except ValueError:
+                finite = False
+            if not finite:
+                raise DataError(f"{path}: line {lineno}, column '{header[i]}': "
+                                f"non-numeric value '{row[i].strip()}'")
+        label = row[label_at].strip()
+        if label_index is not None and label not in label_index:
+            raise DataError(f"{path}: line {lineno}: label '{label}' not in the stored mapping")
+    raise AssertionError("the bulk parse failed on rows that all parse")
+
+
 def load_csv(path, label_column, label_order=None):
     """Read a comma-separated file with a header row into a Dataset.
 
@@ -117,62 +190,27 @@ def load_csv(path, label_column, label_order=None):
     `label_order` pins an existing mapping (used when evaluating against a
     stored model); an unknown label is then an error.
     """
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"missing file: {path}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty file, no header row")
-    header = [h.strip() for h in rows[0]]
+    header, rows = read_csv_rows(path)
     if label_column not in header:
         raise DataError(f"{path}: label column '{label_column}' not found in header")
     li = header.index(label_column)
-    names = [h for i, h in enumerate(header) if i != li]
-    if not names:
+    columns = [i for i in range(len(header)) if i != li]
+    if not columns:
         raise DataError(f"{path}: no feature columns besides the label")
 
-    feats, raw_labels = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}")
-        vals = []
-        for i, cell in enumerate(row):
-            if i == li:
-                raw_labels.append(cell.strip())
-                continue
-            try:
-                value = float(cell)
-                if not np.isfinite(value):
-                    raise ValueError
-                vals.append(value)
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}, column '{header[i]}': non-numeric value '{cell.strip()}'"
-                ) from None
-        feats.append(vals)
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-
+    X, raw_labels = parse_rows(path, header, rows, columns, li)
     if label_order is None:
-        order, index = [], {}
-        for s in raw_labels:
-            if s not in index:
-                index[s] = len(order)
-                order.append(s)
+        order = list(dict.fromkeys(raw_labels))
         if len(order) < 2:
             raise DataError(f"{path}: fewer than 2 classes in column '{label_column}'")
     else:
         order = [str(s) for s in label_order]
-        index = {s: k for k, s in enumerate(order)}
-        for s in raw_labels:
-            if s not in index:
-                raise DataError(f"{path}: label '{s}' not present in the stored label mapping")
-
+    index = {s: k for k, s in enumerate(order)}
+    for s in raw_labels:
+        if s not in index:
+            raise DataError(f"{path}: label '{s}' not present in the stored label mapping")
     labels = np.array([index[s] for s in raw_labels], dtype=int)
-    return Dataset(np.array(feats, dtype=float), labels, tuple(names), len(order), tuple(order))
+    return Dataset(X, labels, tuple(header[i] for i in columns), len(order), tuple(order))
 
 
 def save_csv(ds: Dataset, path, label_column="y"):

@@ -309,6 +309,68 @@ class TestExtractRules:
                    "--out", str(tmp_path / "r.json")) == 2
 
 
+
+class TestCsvInput:
+    """CSV faults exit 2 with a one-line message; a byte-order mark is no name."""
+
+    @pytest.fixture
+    def model(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert run("train", "--method", "lm", "--epochs", "40", "--data", str(xor_csv),
+                   "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    def verb_argv(self, verb, data, model, tmp_path):
+        out = str(tmp_path / "out.json")
+        if verb == "train":
+            return ("train", "--method", "ruletree", "--data", str(data), "--out", out)
+        if verb == "evaluate":
+            return ("evaluate", "--model", str(model), "--data", str(data))
+        return ("extract-rules", "--model", str(model), "--data", str(data), "--out", out)
+
+    @staticmethod
+    def assert_one_line_data_error(capsys, *fragments):
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        for fragment in fragments:
+            assert fragment in err
+
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "extract-rules"])
+    def test_non_utf8_file_exits_2(self, verb, model, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"x1,x2,y\n0.5,0.25,1\n-0.5,0.25,0\n0.1,0.2,caf\xe9\n")
+        assert run(*self.verb_argv(verb, data, model, tmp_path)) == 2
+        self.assert_one_line_data_error(capsys, "latin1.csv: not valid UTF-8", "0xe9")
+
+    @pytest.mark.parametrize("verb,header", [
+        ("evaluate", "x1,x1,x2,y"),
+        ("extract-rules", "x1,x1,x2,y"),
+        ("train", "x1,x2,y,y"),
+    ])
+    def test_duplicate_column_exits_2(self, verb, header, model, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text(header + "\n999,0.5,0.5,1\n0.5,-0.5,-0.5,0\n")
+        assert run(*self.verb_argv(verb, data, model, tmp_path)) == 2
+        self.assert_one_line_data_error(capsys, "appears more than once")
+
+    def test_byte_order_mark_is_not_part_of_a_name(self, xor_csv, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + xor_csv.read_bytes())
+        models = {}
+        for name, data in (("plain", xor_csv), ("bom", bom)):
+            models[name] = tmp_path / f"{name}.json"
+            assert run("train", "--method", "gmdh-layered", "--data", str(data),
+                       "--out", str(models[name]), "--seed", "2") == 0
+        assert run("evaluate", "--model", str(models["plain"]), "--data", str(bom)) == 0
+        assert run("evaluate", "--model", str(models["bom"]), "--data", str(xor_csv)) == 0
+        outputs = capsys.readouterr().out.split("rows=")
+        assert outputs[-1] == outputs[-2]
+        docs = [json.loads(models[name].read_text()) for name in ("plain", "bom")]
+        for doc in docs:
+            del doc["provenance"]["dataset_sha256"]
+        assert docs[0] == docs[1]
+
 class TestModelFile:
     def test_unknown_format_version_rejected(self, xor_csv, tmp_path):
         model = tmp_path / "m.json"
