@@ -134,6 +134,20 @@ def read_csv_rows(path):
     return header, rows[1:]
 
 
+def _record_lines(path):
+    """Physical line on which each data record of the CSV file starts; a
+    quoted cell may span several lines."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        starts = []
+        end = reader.line_num
+        for _ in reader:
+            starts.append(end + 1)
+            end = reader.line_num
+    return starts
+
+
 def parse_rows(path, header, rows, columns, label_at, label_index=None):
     """Feature matrix of cells `columns` (in that order) and labels of cell
     `label_at` (stripped, or mapped through `label_index`) of the non-blank rows,
@@ -141,6 +155,7 @@ def parse_rows(path, header, rows, columns, label_at, label_index=None):
 
     On any failure of the bulk parse the rows are scanned again in order for
     the first bad one: its cell count, then its cells in order, then its label.
+    The error names the physical line of the file on which that row starts.
     """
     if not any(rows):
         raise DataError(f"{path}: no data rows")
@@ -162,7 +177,7 @@ def parse_rows(path, header, rows, columns, label_at, label_index=None):
         return X, labels
     except (ValueError, KeyError):
         pass
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(_record_lines(path), rows):
         if not row:
             continue
         if len(row) != len(header):

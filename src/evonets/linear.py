@@ -212,10 +212,15 @@ def error_correct(lm: LinearMachine, x, true_class, predicted, c):
     prediction's away by the same amount; the vector sum is conserved."""
     if true_class == predicted:
         raise DataError("error correction applies only to misclassified examples")
-    xa = np.concatenate([[1.0], np.asarray(x, dtype=float)])
-    lm.weights[true_class] += c * xa
-    lm.weights[predicted] -= c * xa
+    _correct(lm.weights, np.concatenate([[1.0], np.asarray(x, dtype=float)]),
+             true_class, predicted, c)
     return lm
+
+
+def _correct(W, xa, true_class, predicted, amount):
+    """The error-correction step on the augmented input xa, in place."""
+    W[true_class] += amount * xa
+    W[predicted] -= amount * xa
 
 
 def thermal_c(beta, k):
@@ -230,9 +235,13 @@ def thermal_correction(sched: ThermalSchedule, w_true, w_pred, x):
     predicted class on the augmented input, offset by epsilon; large gaps
     yield small corrections so distant outliers stop destabilizing training.
     """
-    xa = np.concatenate([[1.0], np.asarray(x, dtype=float)])
-    k = float((np.asarray(w_true) - np.asarray(w_pred)) @ xa) / (2.0 * float(xa @ xa)) \
-        + sched.epsilon
+    return _thermal_amount(sched, np.asarray(w_true), np.asarray(w_pred),
+                           np.concatenate([[1.0], np.asarray(x, dtype=float)]))
+
+
+def _thermal_amount(sched, w_true, w_pred, xa):
+    """thermal_correction on the augmented input xa."""
+    k = float((w_true - w_pred) @ xa) / (2.0 * float(xa @ xa)) + sched.epsilon
     return thermal_c(sched.beta, k)
 
 
@@ -245,10 +254,12 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
     Each epoch draws n random examples. A misclassification applies the
     correction rule and resets the run; a correct classification extends it,
     and once the run beats the pocketed one the full training accuracy is
-    measured. With the ratchet the pocket is replaced only when that
-    accuracy strictly improves (so the pocketed accuracy never decreases,
-    and training can stop early once it reaches 1); without it, any longer
-    run replaces the pocket.
+    measured. It is measured once per weight change: the weights change only
+    on a correction, so every later draw under the same weights reuses it.
+    With the ratchet the pocket is replaced only when that accuracy strictly
+    improves (so the pocketed accuracy never decreases, and training can
+    stop early once it reaches 1); without it, any longer run replaces the
+    pocket.
 
     Returns (pocketed machine, PocketState).
     """
@@ -277,24 +288,24 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
     prev_mag = float(np.abs(W).sum())
     prev_delta = 0.0
 
+    labels = y.tolist()
+    A = Ap  # full accuracy of W; None once a correction has changed W
     for epoch in range(epochs):
-        for i in rng.integers(0, n, size=n):
+        for i in rng.integers(0, n, size=n).tolist():
             xa = X[i]
-            pred = int(np.argmax(W @ xa))
-            q = int(y[i])
+            pred = int((W @ xa).argmax())
+            q = labels[i]
             if pred != q:
-                if correction == "thermal":
-                    k = float((W[q] - W[pred]) @ xa) / (2.0 * float(xa @ xa)) + sched.epsilon
-                    amount = thermal_c(sched.beta, k)
-                else:
-                    amount = c
-                W[q] += amount * xa
-                W[pred] -= amount * xa
+                amount = _thermal_amount(sched, W[q], W[pred], xa) \
+                    if correction == "thermal" else c
+                _correct(W, xa, q, pred, amount)
                 L = 0
+                A = None
             else:
                 L += 1
                 if L > state.run_length:
-                    A = full_accuracy(W)
+                    if A is None:
+                        A = full_accuracy(W)
                     if (not use_ratchet) or A > state.accuracy:
                         state.weights = W.copy()
                         state.run_length = L

@@ -32,11 +32,10 @@ def sigmoid(z):
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # e = exp(-|z|), so z >= 0 gets 1 / (1 + exp(-z)) and z < 0 gets
+    # exp(z) / (1 + exp(z)); minimum keeps a nan's sign where -abs would not
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     out = np.clip(out, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     return float(out[0]) if scalar else out
 

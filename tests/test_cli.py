@@ -371,6 +371,17 @@ class TestCsvInput:
             del doc["provenance"]["dataset_sha256"]
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "extract-rules"])
+    def test_error_names_the_physical_line(self, verb, newline, model, tmp_path, capsys):
+        # the quoted label spans lines 2-3, so the bad cell sits on line 6
+        data = tmp_path / "multiline.csv"
+        data.write_bytes(newline.join(["x1,x2,y", '0.5,0.25,"1', '"', "-0.5,0.25,0", "",
+                                       "oops,0.2,1", ""]).encode())
+        assert run(*self.verb_argv(verb, data, model, tmp_path)) == 2
+        self.assert_one_line_data_error(capsys, "line 6, column 'x1': non-numeric value 'oops'")
+
+
 class TestModelFile:
     def test_unknown_format_version_rejected(self, xor_csv, tmp_path):
         model = tmp_path / "m.json"
