@@ -26,7 +26,7 @@ from .linear import (LinearMachine, LinearTest, LmdtConfig, PairwiseTree,
                      train_pocket_ratchet, wta_classify)
 from .modelio import ModelBundle, load_model, save_model
 from .neuron import (CandidateScore, FitConfig, SigmoidNeuron,
-                     classification_error, error_fraction, exterior_criterion,
+                     classification_error, exterior_criterion,
                      fit_gradient, fit_loss, fit_neuron, least_squares_fit,
                      sigmoid, sigmoid_out)
 from .ruletree import (RuleNode, RuleTree, classify_rule, extract_rules,

@@ -15,11 +15,6 @@ def derive_seed(seed, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def spawn_rng(seed, *key):
-    """Generator seeded deterministically from (seed, *key)."""
-    return np.random.default_rng(derive_seed(seed, *key))
-
-
 def augment(X):
     """Prepend the constant input x0 = 1 to each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -13,7 +13,7 @@ from .errors import DataError, TrainingError
 from .neuron import sigmoid
 
 __all__ = ["PcaTransform", "FnnModel", "FnnConfig", "TrainingCurve",
-           "pca_fit", "train_fnn", "predict_fnn"]
+           "pca_fit", "train_fnn", "predict_fnn", "describe_fnn"]
 
 
 @dataclass(eq=False)
@@ -216,3 +216,12 @@ def predict_fnn(model: FnnModel, x):
         return int(out[0] >= model.threshold), float(out[0])
     k = int(np.argmax(out))
     return k, float(out[k])
+
+
+def describe_fnn(model: FnnModel) -> str:
+    """Plain weight dump, one line per unit: there is no compact closed form."""
+    lines = [f"hidden[{k}]: " + " ".join(f"{v!r}" for v in row)
+             for k, row in enumerate(model.hidden_weights)]
+    lines += [f"output[{k}]: " + " ".join(f"{v!r}" for v in row)
+              for k, row in enumerate(model.output_weights)]
+    return "\n".join(lines)

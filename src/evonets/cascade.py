@@ -79,17 +79,19 @@ class CascadeNetwork:
 
 
 def _fit_single_features(train, val, cfg, seed):
-    """Fit one-input neurons for every column; return per-column
-    (validation error, fitted neuron)."""
-    out = []
+    """Fit a one-input neuron on every column and rank the columns by its
+    validation error, ties to the lower index. Returns (feature order,
+    errors in that order, per-column (validation error, fitted neuron))."""
+    singles = []
     for j in range(train.n_features):
         nrn = SigmoidNeuron((("x", j),))
         fitted = fit_neuron(nrn, train.features[:, [j]], train.labels,
                             replace(cfg, seed=derive_seed(seed, 0, j)))
         sv = sigmoid(fitted.weights[0] + val.features[:, j] * fitted.weights[1])
         err = float(np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels))
-        out.append((err, fitted))
-    return out
+        singles.append((err, fitted))
+    order = tuple(sorted(range(train.n_features), key=lambda j: (singles[j][0], j)))
+    return order, tuple(singles[j][0] for j in order), singles
 
 
 def rank_single_features(train, val, cfg: FitConfig):
@@ -100,10 +102,8 @@ def rank_single_features(train, val, cfg: FitConfig):
     """
     if train.n_features < 2:
         raise DataError("need at least 2 features to rank")
-    singles = _fit_single_features(train, val, cfg, cfg.seed)
-    order = sorted(range(train.n_features), key=lambda j: (singles[j][0], j))
-    errors = tuple(singles[j][0] for j in order)
-    return tuple(order), errors, errors[0]
+    order, errors, _ = _fit_single_features(train, val, cfg, cfg.seed)
+    return order, errors, errors[0]
 
 
 def relevance_check(candidate_score, incumbent_score):
@@ -127,14 +127,12 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig(), seed=None) -> CascadeNe
     if seed is None:
         seed = cfg.seed
 
-    singles = _fit_single_features(train, val, cfg, seed)
-    order = sorted(range(train.n_features), key=lambda j: (singles[j][0], j))
-    errors = tuple(singles[j][0] for j in order)
+    order, errors, singles = _fit_single_features(train, val, cfg, seed)
     anchor = order[0]
     base_err, base_neuron = singles[anchor]
 
     net = CascadeNetwork(
-        anchor=anchor, feature_order=tuple(order), single_errors=errors,
+        anchor=anchor, feature_order=order, single_errors=errors,
         base_neuron=base_neuron, base_score=base_err,
         threshold=cfg.decision_threshold, feature_names=train.feature_names,
     )

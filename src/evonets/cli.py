@@ -14,20 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import FnnConfig, train_fnn
-from .cascade import FitConfig, cascade_to_dot, describe_cascade, train_ecnn
+from .cascade import FitConfig, train_ecnn
 from .dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg, gen_xor,
                       load_csv, normalize_zscore, parse_rows, read_csv_rows, save_csv,
                       split)
 from .errors import DataError, TrainingError, UsageError
-from .gmdh import GmdhConfig, gmdh_to_dot, to_polynomial_text, train_gmdh_layered, \
-    train_gmdh_roulette
-from .linear import (LinearMachine, LmdtConfig, aggregate_segments,
+from .gmdh import GmdhConfig, train_gmdh_layered, train_gmdh_roulette
+from .linear import (LinearMachine, LmdtConfig, PairwiseTree, aggregate_segments,
                      train_pairwise_tree, train_pocket_ratchet)
-from .modelio import ModelBundle, load_model, save_model
-from .ruletree import extract_rules, ruletree_to_dot, to_text
-
-TRAIN_METHODS = ("ecnn", "gmdh-layered", "gmdh-roulette", "lm", "pairwise-dt",
-                 "ruletree", "fnn")
+from .modelio import METHODS, ModelBundle, load_model, save_model
+from .ruletree import extract_rules, to_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,7 +50,7 @@ def _build_parser():
     g.add_argument("--separation", type=float, default=2.0)
 
     t = sub.add_parser("train", help="train a model and save it as JSON")
-    t.add_argument("--method", required=True, choices=list(TRAIN_METHODS))
+    t.add_argument("--method", required=True, choices=list(METHODS))
     t.add_argument("--data", required=True)
     t.add_argument("--label", default="y")
     t.add_argument("--out", required=True, help="model file to write")
@@ -145,6 +141,95 @@ def _error_of(bundle, ds):
     return float(np.mean(bundle.predict_classes(ds.features) != ds.labels))
 
 
+def _flag(value, default):
+    return default if value is None else value
+
+
+def _train_ecnn(args, tr, va, ds):
+    cfg = FitConfig(learning_rate=_flag(args.learning_rate, 0.1),
+                    epochs=_flag(args.epochs, 200), restarts=_flag(args.restarts, 5),
+                    seed=args.seed, decision_threshold=args.threshold)
+    return train_ecnn(tr, va, cfg), {
+        "learning_rate": cfg.learning_rate, "epochs": cfg.epochs,
+        "restarts": cfg.restarts, "threshold": cfg.decision_threshold}
+
+
+def _gmdh_config(args):
+    cfg = GmdhConfig(kind=args.kind, survivors=args.survivors,
+                     max_layers=args.max_layers, attempts=_flag(args.attempts, 500),
+                     method=args.fit_method.replace("-", "_"),
+                     learning_rate=_flag(args.learning_rate, 0.1),
+                     epochs=_flag(args.epochs, 200),
+                     restarts=_flag(args.restarts, 5), seed=args.seed)
+    return cfg, {"kind": cfg.kind, "survivors": cfg.survivors,
+                 "max_layers": cfg.max_layers, "attempts": cfg.attempts,
+                 "fit_method": cfg.method, "learning_rate": cfg.learning_rate,
+                 "epochs": cfg.epochs, "restarts": cfg.restarts}
+
+
+def _train_gmdh_layered(args, tr, va, ds):
+    cfg, config = _gmdh_config(args)
+    return train_gmdh_layered(tr, va, cfg), config
+
+
+def _train_gmdh_roulette(args, tr, va, ds):
+    cfg, config = _gmdh_config(args)
+    return train_gmdh_roulette(tr, va, cfg), config
+
+
+def _train_lm(args, tr, va, ds):
+    model, _ = train_pocket_ratchet(
+        LinearMachine.zeros(ds.class_count, ds.n_features), tr,
+        epochs=args.epochs, c=args.c, seed=args.seed,
+        use_ratchet=not args.no_ratchet, correction=args.correction)
+    return model, {"epochs": args.epochs, "c": args.c,
+                   "use_ratchet": not args.no_ratchet, "correction": args.correction}
+
+
+def _train_pairwise(args, tr, va, ds):
+    cfg = LmdtConfig(c=args.c, use_ratchet=not args.no_ratchet,
+                     test_epochs=args.test_epochs, correction=args.correction,
+                     pair_trainer=args.pair_trainer,
+                     max_features=args.max_features,
+                     attempts=_flag(args.attempts, 10), seed=args.seed)
+    return train_pairwise_tree(tr, va, ds.class_count, cfg), {
+        "c": cfg.c, "use_ratchet": cfg.use_ratchet,
+        "test_epochs": cfg.test_epochs, "correction": cfg.correction,
+        "pair_trainer": cfg.pair_trainer, "max_features": cfg.max_features,
+        "attempts": cfg.attempts}
+
+
+def _train_ruletree(args, tr, va, ds):  # fitted directly on the training rows
+    if ds.class_count != 2:
+        raise DataError("ruletree training requires binary labels")
+    return extract_rules(tr.features[tr.labels == 0], tr.features[tr.labels == 1],
+                         range(ds.n_features), ds.feature_names), {}
+
+
+def _train_fnn(args, tr, va, ds):
+    cfg = FnnConfig(learning_rate=_flag(args.learning_rate, 0.5),
+                    max_epochs=_flag(args.epochs, 2000), patience=args.patience,
+                    restarts=_flag(args.restarts, 10), seed=args.seed)
+    model, _ = train_fnn(tr, va, args.hidden, cfg)
+    return model, {"hidden": args.hidden, "learning_rate": cfg.learning_rate,
+                   "max_epochs": cfg.max_epochs, "patience": cfg.patience,
+                   "restarts": cfg.restarts}
+
+
+# method -> fn(args, fit rows, validation rows, full dataset) -> (model, provenance
+# config). Each trainer calls its learner through this module's global name at call
+# time, so a wrapper installed on that name (as perfbench's tracer does) sees it.
+TRAINERS = {
+    "ecnn": _train_ecnn,
+    "gmdh-layered": _train_gmdh_layered,
+    "gmdh-roulette": _train_gmdh_roulette,
+    "lm": _train_lm,
+    "pairwise-dt": _train_pairwise,
+    "ruletree": _train_ruletree,
+    "fnn": _train_fnn,
+}
+
+
 def cmd_train(args):
     ds = load_csv(args.data, args.label)
     fractions = _parse_fractions(args.split)
@@ -157,71 +242,14 @@ def cmd_train(args):
     full = norm.apply_dataset(ds)
 
     method = args.method
-    seed = args.seed
-    pair_lines = []
-
-    def flag(value, default):
-        return default if value is None else value
-
-    if method == "ecnn":
-        cfg = FitConfig(learning_rate=flag(args.learning_rate, 0.1),
-                        epochs=flag(args.epochs, 200), restarts=flag(args.restarts, 5),
-                        seed=seed, decision_threshold=args.threshold)
-        model = train_ecnn(tr, va, cfg)
-        config = {"learning_rate": cfg.learning_rate, "epochs": cfg.epochs,
-                  "restarts": cfg.restarts, "threshold": cfg.decision_threshold}
-    elif method in ("gmdh-layered", "gmdh-roulette"):
-        cfg = GmdhConfig(kind=args.kind, survivors=args.survivors,
-                         max_layers=args.max_layers, attempts=flag(args.attempts, 500),
-                         method=args.fit_method.replace("-", "_"),
-                         learning_rate=flag(args.learning_rate, 0.1),
-                         epochs=flag(args.epochs, 200),
-                         restarts=flag(args.restarts, 5), seed=seed)
-        model = train_gmdh_layered(tr, va, cfg) if method == "gmdh-layered" \
-            else train_gmdh_roulette(tr, va, cfg)
-        config = {"kind": cfg.kind, "survivors": cfg.survivors,
-                  "max_layers": cfg.max_layers, "attempts": cfg.attempts,
-                  "fit_method": cfg.method, "learning_rate": cfg.learning_rate,
-                  "epochs": cfg.epochs, "restarts": cfg.restarts}
-    elif method == "lm":
-        model, _ = train_pocket_ratchet(
-            LinearMachine.zeros(ds.class_count, ds.n_features), tr,
-            epochs=args.epochs, c=args.c, seed=seed,
-            use_ratchet=not args.no_ratchet, correction=args.correction)
-        config = {"epochs": args.epochs, "c": args.c,
-                  "use_ratchet": not args.no_ratchet, "correction": args.correction}
-    elif method == "pairwise-dt":
-        cfg = LmdtConfig(c=args.c, use_ratchet=not args.no_ratchet,
-                         test_epochs=args.test_epochs, correction=args.correction,
-                         pair_trainer=args.pair_trainer,
-                         max_features=args.max_features,
-                         attempts=flag(args.attempts, 10), seed=seed)
-        model = train_pairwise_tree(tr, va, ds.class_count, cfg)
-        for (i, j) in sorted(model.tlus):
-            t = model.tlus[(i, j)]
-            pair_lines.append((i, j, 1.0 - t.accuracy, len(t.features)))
-        config = {"c": cfg.c, "use_ratchet": cfg.use_ratchet,
-                  "test_epochs": cfg.test_epochs, "correction": cfg.correction,
-                  "pair_trainer": cfg.pair_trainer, "max_features": cfg.max_features,
-                  "attempts": cfg.attempts}
-    elif method == "fnn":
-        cfg = FnnConfig(learning_rate=flag(args.learning_rate, 0.5),
-                        max_epochs=flag(args.epochs, 2000), patience=args.patience,
-                        restarts=flag(args.restarts, 10), seed=seed)
-        model, _ = train_fnn(tr, va, args.hidden, cfg)
-        config = {"hidden": args.hidden, "learning_rate": cfg.learning_rate,
-                  "max_epochs": cfg.max_epochs, "patience": cfg.patience,
-                  "restarts": cfg.restarts}
-    else:  # ruletree fitted directly on the training rows
-        if ds.class_count != 2:
-            raise DataError("ruletree training requires binary labels")
-        model = extract_rules(tr.features[tr.labels == 0], tr.features[tr.labels == 1],
-                              range(ds.n_features), ds.feature_names)
-        config = {}
+    model, config = TRAINERS[method](args, tr, va, ds)
+    pair_lines = [(i, j, 1.0 - t.accuracy, len(t.features))
+                  for (i, j), t in sorted(model.tlus.items())] \
+        if isinstance(model, PairwiseTree) else []
 
     bundle = ModelBundle(method, model, norm, ds.feature_names, ds.label_names,
                          args.label, provenance={
-                             "seed": seed, "config": config,
+                             "seed": args.seed, "config": config,
                              "split": list(fractions),
                              "stratified": not args.no_stratify,
                              "dataset_sha256": _sha256(args.data),
@@ -314,68 +342,12 @@ def cmd_evaluate(args):
 
 def cmd_export(args):
     bundle = load_model(args.model)
-    model, method = bundle.model, bundle.method
-    if args.format == "text":
-        if method == "ecnn":
-            out = describe_cascade(model)
-        elif method in ("gmdh-layered", "gmdh-roulette"):
-            out = to_polynomial_text(model)
-        elif method == "lm":
-            lines = []
-            for k, w in enumerate(model.weights):
-                terms = ", ".join([f"bias={w[0]:.4f}"] +
-                                  [f"{bundle.feature_names[i]}={w[i + 1]:.4f}"
-                                   for i in range(len(w) - 1)])
-                lines.append(f"g_{bundle.label_names[k]}: {terms}")
-            out = "\n".join(lines)
-        elif method == "pairwise-dt":
-            lines = []
-            for (i, j) in sorted(model.tlus):
-                t = model.tlus[(i, j)]
-                feats = ", ".join(bundle.feature_names[f] for f in t.features)
-                ws = ", ".join(f"{v:.4f}" for v in t.weights)
-                lines.append(f"f_{bundle.label_names[i]}/{bundle.label_names[j]}: "
-                             f"features [{feats}] weights [{ws}] "
-                             f"accuracy {t.accuracy:.4f}")
-            out = "\n".join(lines)
-        elif method == "ruletree":
-            out = to_text(model, bundle.label_names)
-        else:  # fnn: plain weight dump, there is no compact closed form
-            lines = [f"hidden[{k}]: " + " ".join(f"{v!r}" for v in row)
-                     for k, row in enumerate(model.hidden_weights)]
-            lines += [f"output[{k}]: " + " ".join(f"{v!r}" for v in row)
-                      for k, row in enumerate(model.output_weights)]
-            out = "\n".join(lines)
-    else:
-        if method == "ecnn":
-            out = cascade_to_dot(model)
-        elif method in ("gmdh-layered", "gmdh-roulette"):
-            out = gmdh_to_dot(model)
-        elif method == "ruletree":
-            out = ruletree_to_dot(model, bundle.label_names)
-        elif method == "lm":
-            lines = ["digraph linmachine {", "  rankdir=LR;"]
-            for i, name in enumerate(bundle.feature_names):
-                lines.append(f'  "x{i}" [label="{name}", shape=box];')
-            for k in range(model.class_count):
-                lines.append(f'  "g{k}" [label="g_{bundle.label_names[k]}"];')
-                for i in range(len(bundle.feature_names)):
-                    lines.append(f'  "x{i}" -> "g{k}";')
-            lines.append("}")
-            out = "\n".join(lines)
-        elif method == "pairwise-dt":
-            lines = ["digraph pairwise {", "  rankdir=LR;"]
-            for (i, j) in sorted(model.tlus):
-                lines.append(f'  "f{i}_{j}" [label="f_{i}/{j}", shape=box];')
-            for k in range(model.class_count):
-                lines.append(f'  "g{k}" [label="g_{bundle.label_names[k]}"];')
-            for (i, j) in sorted(model.tlus):
-                lines.append(f'  "f{i}_{j}" -> "g{i}" [label="+1"];')
-                lines.append(f'  "f{i}_{j}" -> "g{j}" [label="-1"];')
-            lines.append("}")
-            out = "\n".join(lines)
-        else:
-            raise UsageError(f"format 'dot' is not supported for method '{method}'")
+    method = METHODS[bundle.method]
+    render = method.to_text if args.format == "text" else method.to_dot
+    if render is None:
+        raise UsageError(f"format '{args.format}' is not supported for method "
+                         f"'{bundle.method}'")
+    out = render(bundle)
     if args.out:
         Path(args.out).write_text(out + "\n", encoding="utf-8")
     else:
@@ -394,14 +366,8 @@ def cmd_extract_rules(args):
     preds = np.asarray(bundle.predict_classes(X), dtype=int)
     correct = preds == ds.labels
 
-    if bundle.method == "ecnn":
-        pool = list(bundle.model.selected_features)
-    elif bundle.method in ("gmdh-layered", "gmdh-roulette"):
-        pool = list(bundle.model.referenced_features())
-    elif bundle.method == "pairwise-dt":
-        pool = sorted({f for t in bundle.model.tlus.values() for f in t.features})
-    else:
-        pool = list(range(ds.n_features))
+    pool_of = METHODS[bundle.method].feature_pool
+    pool = list(range(ds.n_features)) if pool_of is None else pool_of(bundle.model)
 
     X0 = X[correct & (ds.labels == 0)]
     X1 = X[correct & (ds.labels == 1)]

@@ -30,6 +30,8 @@ __all__ = [
     "LmdtConfig", "wta_classify", "error_correct", "train_pocket_ratchet",
     "thermal_c", "thermal_correction", "sfs_select", "induce_dt",
     "train_pairwise_tree", "combine_pairwise", "aggregate_segments",
+    "describe_linear_machine", "linear_machine_to_dot", "describe_pairwise_tree",
+    "pairwise_tree_to_dot",
 ]
 
 
@@ -500,3 +502,52 @@ def aggregate_segments(predictions, class_count):
         raise DataError("no predictions to aggregate")
     dist = np.bincount(preds, minlength=class_count).astype(float) / preds.size
     return dist
+
+
+def describe_linear_machine(lm: LinearMachine, feature_names, class_names) -> str:
+    """One line per class: its discriminant's bias and feature weights."""
+    lines = []
+    for k, w in enumerate(lm.weights):
+        terms = ", ".join([f"bias={w[0]:.4f}"] +
+                          [f"{feature_names[i]}={w[i + 1]:.4f}" for i in range(len(w) - 1)])
+        lines.append(f"g_{class_names[k]}: {terms}")
+    return "\n".join(lines)
+
+
+def linear_machine_to_dot(lm: LinearMachine, feature_names, class_names) -> str:
+    """Graphviz rendering: every feature box feeds every class discriminant."""
+    lines = ["digraph linmachine {", "  rankdir=LR;"]
+    for i, name in enumerate(feature_names):
+        lines.append(f'  "x{i}" [label="{name}", shape=box];')
+    for k in range(lm.class_count):
+        lines.append(f'  "g{k}" [label="g_{class_names[k]}"];')
+        for i in range(len(feature_names)):
+            lines.append(f'  "x{i}" -> "g{k}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def describe_pairwise_tree(tree: PairwiseTree, feature_names, class_names) -> str:
+    """One line per class pair: the unit's features, weights and accuracy."""
+    lines = []
+    for (i, j) in sorted(tree.tlus):
+        t = tree.tlus[(i, j)]
+        feats = ", ".join(feature_names[f] for f in t.features)
+        ws = ", ".join(f"{v:.4f}" for v in t.weights)
+        lines.append(f"f_{class_names[i]}/{class_names[j]}: "
+                     f"features [{feats}] weights [{ws}] accuracy {t.accuracy:.4f}")
+    return "\n".join(lines)
+
+
+def pairwise_tree_to_dot(tree: PairwiseTree, class_names) -> str:
+    """Graphviz rendering: each pair unit votes +1 for class i, -1 for class j."""
+    lines = ["digraph pairwise {", "  rankdir=LR;"]
+    for (i, j) in sorted(tree.tlus):
+        lines.append(f'  "f{i}_{j}" [label="f_{i}/{j}", shape=box];')
+    for k in range(tree.class_count):
+        lines.append(f'  "g{k}" [label="g_{class_names[k]}"];')
+    for (i, j) in sorted(tree.tlus):
+        lines.append(f'  "f{i}_{j}" -> "g{i}" [label="+1"];')
+        lines.append(f'  "f{i}_{j}" -> "g{j}" [label="-1"];')
+    lines.append("}")
+    return "\n".join(lines)

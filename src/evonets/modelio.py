@@ -11,22 +11,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .baseline import FnnModel
-from .cascade import CascadeNetwork
+from .baseline import FnnModel, describe_fnn
+from .cascade import CascadeNetwork, cascade_to_dot, describe_cascade
 from .dataset import NormParams
 from .errors import DataError
-from .gmdh import PolyNetwork, SupportingNeuron
-from .linear import LinearMachine, LinearTest, PairwiseTree
+from .gmdh import PolyNetwork, SupportingNeuron, gmdh_to_dot, to_polynomial_text
+from .linear import (LinearMachine, LinearTest, PairwiseTree, describe_linear_machine,
+                     describe_pairwise_tree, linear_machine_to_dot, pairwise_tree_to_dot)
 from .neuron import SigmoidNeuron
-from .ruletree import RuleNode, RuleTree
+from .ruletree import RuleNode, RuleTree, ruletree_to_dot, to_text
 
 FORMAT_VERSION = 1
-
-METHODS = ("ecnn", "gmdh-layered", "gmdh-roulette", "lm", "pairwise-dt",
-           "ruletree", "fnn")
 
 
 def _floats(a):
@@ -87,92 +86,136 @@ def _decode_rule_node(d):
     return node
 
 
-def _payload(method, model):
-    if method == "ecnn":
-        return {
-            "anchor": model.anchor,
-            "feature_order": list(model.feature_order),
-            "single_errors": _floats(model.single_errors),
-            "base_neuron": _encode_sigmoid_neuron(model.base_neuron),
-            "base_score": float(model.base_score),
-            "neurons": [_encode_sigmoid_neuron(n) for n in model.neurons],
-            "accepted_features": list(model.accepted_features),
-            "accepted_scores": _floats(model.accepted_scores),
-            "threshold": float(model.threshold),
-        }
-    if method in ("gmdh-layered", "gmdh-roulette"):
-        return {
-            "neurons": [{
-                "kind": n.kind,
-                "inputs": [[t, r] for t, r in n.inputs],
-                "weights": _floats(n.weights),
-                "layer": n.layer,
-                "survivor": bool(n.survivor),
-            } for n in model.neurons],
-            "output": model.output,
-            "layer_scores": _floats(model.layer_scores),
-        }
-    if method == "lm":
-        return {"weights": _matrix(model.weights)}
-    if method == "pairwise-dt":
-        return {
-            "classes": model.class_count,
-            "tests": [{
-                "i": i, "j": j,
-                "features": list(model.tlus[(i, j)].features),
-                "weights": _floats(model.tlus[(i, j)].weights),
-                "accuracy": float(model.tlus[(i, j)].accuracy),
-            } for (i, j) in sorted(model.tlus)],
-        }
-    if method == "ruletree":
-        return {"root": _encode_rule_node(model.root)}
-    if method == "fnn":
-        return {
-            "hidden_weights": _matrix(model.hidden_weights),
-            "output_weights": _matrix(model.output_weights),
-            "classes": model.class_count,
-            "threshold": float(model.threshold),
-        }
-    raise DataError(f"unknown method '{method}'")
+def _encode_cascade(net):
+    return {
+        "anchor": net.anchor,
+        "feature_order": list(net.feature_order),
+        "single_errors": _floats(net.single_errors),
+        "base_neuron": _encode_sigmoid_neuron(net.base_neuron),
+        "base_score": float(net.base_score),
+        "neurons": [_encode_sigmoid_neuron(n) for n in net.neurons],
+        "accepted_features": list(net.accepted_features),
+        "accepted_scores": _floats(net.accepted_scores),
+        "threshold": float(net.threshold),
+    }
 
 
-def _restore(method, payload, feature_names):
-    if method == "ecnn":
-        return CascadeNetwork(
-            anchor=int(payload["anchor"]),
-            feature_order=tuple(payload["feature_order"]),
-            single_errors=tuple(payload["single_errors"]),
-            base_neuron=_decode_sigmoid_neuron(payload["base_neuron"]),
-            base_score=float(payload["base_score"]),
-            neurons=[_decode_sigmoid_neuron(d) for d in payload["neurons"]],
-            accepted_features=[int(f) for f in payload["accepted_features"]],
-            accepted_scores=[float(s) for s in payload["accepted_scores"]],
-            threshold=float(payload["threshold"]),
-            feature_names=feature_names,
-        )
-    if method in ("gmdh-layered", "gmdh-roulette"):
-        neurons = []
-        for d in payload["neurons"]:
-            neurons.append(SupportingNeuron(
-                d["kind"], tuple((t, r) for t, r in d["inputs"]),
-                np.array(d["weights"]), int(d["layer"]), bool(d["survivor"])))
-        return PolyNetwork(neurons, int(payload["output"]),
-                           [float(s) for s in payload["layer_scores"]], feature_names)
-    if method == "lm":
-        return LinearMachine(np.array(payload["weights"]))
-    if method == "pairwise-dt":
-        tlus = {}
-        for t in payload["tests"]:
-            tlus[(int(t["i"]), int(t["j"]))] = LinearTest(
-                tuple(t["features"]), np.array(t["weights"]), float(t["accuracy"]))
-        return PairwiseTree(int(payload["classes"]), tlus, feature_names)
-    if method == "ruletree":
-        return RuleTree(_decode_rule_node(payload["root"]), feature_names)
-    if method == "fnn":
-        return FnnModel(np.array(payload["hidden_weights"]),
-                        np.array(payload["output_weights"]),
-                        int(payload["classes"]), float(payload["threshold"]))
-    raise DataError(f"unknown method '{method}'")
+def _decode_cascade(payload, feature_names):
+    return CascadeNetwork(
+        anchor=int(payload["anchor"]),
+        feature_order=tuple(payload["feature_order"]),
+        single_errors=tuple(payload["single_errors"]),
+        base_neuron=_decode_sigmoid_neuron(payload["base_neuron"]),
+        base_score=float(payload["base_score"]),
+        neurons=[_decode_sigmoid_neuron(d) for d in payload["neurons"]],
+        accepted_features=[int(f) for f in payload["accepted_features"]],
+        accepted_scores=[float(s) for s in payload["accepted_scores"]],
+        threshold=float(payload["threshold"]),
+        feature_names=feature_names,
+    )
+
+
+def _encode_poly(net):
+    return {
+        "neurons": [{
+            "kind": n.kind,
+            "inputs": [[t, r] for t, r in n.inputs],
+            "weights": _floats(n.weights),
+            "layer": n.layer,
+            "survivor": bool(n.survivor),
+        } for n in net.neurons],
+        "output": net.output,
+        "layer_scores": _floats(net.layer_scores),
+    }
+
+
+def _decode_poly(payload, feature_names):
+    neurons = [SupportingNeuron(d["kind"], tuple((t, r) for t, r in d["inputs"]),
+                                np.array(d["weights"]), int(d["layer"]), bool(d["survivor"]))
+               for d in payload["neurons"]]
+    return PolyNetwork(neurons, int(payload["output"]),
+                       [float(s) for s in payload["layer_scores"]], feature_names)
+
+
+def _encode_pairwise(tree):
+    return {
+        "classes": tree.class_count,
+        "tests": [{
+            "i": i, "j": j,
+            "features": list(tree.tlus[(i, j)].features),
+            "weights": _floats(tree.tlus[(i, j)].weights),
+            "accuracy": float(tree.tlus[(i, j)].accuracy),
+        } for (i, j) in sorted(tree.tlus)],
+    }
+
+
+def _decode_pairwise(payload, feature_names):
+    tlus = {(int(t["i"]), int(t["j"])): LinearTest(tuple(t["features"]), np.array(t["weights"]),
+                                                   float(t["accuracy"]))
+            for t in payload["tests"]}
+    return PairwiseTree(int(payload["classes"]), tlus, feature_names)
+
+
+def _encode_fnn(model):
+    return {
+        "hidden_weights": _matrix(model.hidden_weights),
+        "output_weights": _matrix(model.output_weights),
+        "classes": model.class_count,
+        "threshold": float(model.threshold),
+    }
+
+
+def _decode_fnn(payload, feature_names):
+    return FnnModel(np.array(payload["hidden_weights"]), np.array(payload["output_weights"]),
+                    int(payload["classes"]), float(payload["threshold"]))
+
+
+class Method(NamedTuple):
+    """Everything done with a saved model of one method.
+
+    encode maps the model to its JSON payload and decode(payload,
+    feature_names) rebuilds it. to_text and to_dot render a ModelBundle for
+    `export`; to_dot is None where the method has no graph form.
+    feature_pool gives the columns a rule tree distilled from the model may
+    split on; None means every column.
+    """
+
+    encode: Callable
+    decode: Callable
+    to_text: Callable
+    to_dot: Callable | None
+    feature_pool: Callable | None
+
+
+_GMDH = Method(_encode_poly, _decode_poly,
+               lambda b: to_polynomial_text(b.model), lambda b: gmdh_to_dot(b.model),
+               lambda net: list(net.referenced_features()))
+
+# Adding a method means one row here and one trainer in `cli.TRAINERS`.
+METHODS = {
+    "ecnn": Method(_encode_cascade, _decode_cascade,
+                   lambda b: describe_cascade(b.model), lambda b: cascade_to_dot(b.model),
+                   lambda net: list(net.selected_features)),
+    "gmdh-layered": _GMDH,
+    "gmdh-roulette": _GMDH,
+    "lm": Method(lambda lm: {"weights": _matrix(lm.weights)},
+                 lambda payload, _: LinearMachine(np.array(payload["weights"])),
+                 lambda b: describe_linear_machine(b.model, b.feature_names, b.label_names),
+                 lambda b: linear_machine_to_dot(b.model, b.feature_names, b.label_names),
+                 None),
+    "pairwise-dt": Method(
+        _encode_pairwise, _decode_pairwise,
+        lambda b: describe_pairwise_tree(b.model, b.feature_names, b.label_names),
+        lambda b: pairwise_tree_to_dot(b.model, b.label_names),
+        lambda tree: sorted({f for t in tree.tlus.values() for f in t.features})),
+    "ruletree": Method(lambda tree: {"root": _encode_rule_node(tree.root)},
+                       lambda payload, names: RuleTree(_decode_rule_node(payload["root"]),
+                                                       names),
+                       lambda b: to_text(b.model, b.label_names),
+                       lambda b: ruletree_to_dot(b.model, b.label_names),
+                       None),
+    "fnn": Method(_encode_fnn, _decode_fnn, lambda b: describe_fnn(b.model), None, None),
+}
 
 
 def save_model(path, bundle: ModelBundle):
@@ -186,11 +229,15 @@ def save_model(path, bundle: ModelBundle):
         "label_names": list(bundle.label_names),
         "label_column": bundle.label_column,
         "normalization": {"mean": _floats(bundle.norm.mean), "sd": _floats(bundle.norm.sd)},
-        "payload": _payload(bundle.method, bundle.model),
+        "payload": METHODS[bundle.method].encode(bundle.model),
         "provenance": bundle.provenance or {},
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _list_of(value, types):
+    return isinstance(value, list) and all(type(v) in types for v in value)
 
 
 def load_model(path) -> ModelBundle:
@@ -199,18 +246,31 @@ def load_model(path) -> ModelBundle:
         raise DataError(f"missing model file: {path}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a model file holds a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format_version {version!r}")
     method = doc.get("method")
     if method not in METHODS:
         raise DataError(f"{path}: unknown method '{method}'")
+    for key in ("feature_names", "label_names"):
+        if not _list_of(doc.get(key), (str,)):
+            raise DataError(f"{path}: {key} is missing or not a list of strings")
     feature_names = tuple(doc["feature_names"])
-    norm = NormParams(np.array(doc["normalization"]["mean"]),
-                      np.array(doc["normalization"]["sd"]))
-    model = _restore(method, doc["payload"], feature_names)
+    normalization = doc.get("normalization")
+    if not (isinstance(normalization, dict) and _list_of(normalization.get("mean"), (int, float))
+            and _list_of(normalization.get("sd"), (int, float))):
+        raise DataError(f"{path}: normalization needs 'mean' and 'sd' lists of numbers")
+    if not len(normalization["mean"]) == len(normalization["sd"]) == len(feature_names):
+        raise DataError(f"{path}: normalization needs one mean and one sd for each of the "
+                        f"{len(feature_names)} features")
+    if not isinstance(doc.get("payload"), dict):
+        raise DataError(f"{path}: payload is missing or not a JSON object")
+    norm = NormParams(np.array(normalization["mean"]), np.array(normalization["sd"]))
+    model = METHODS[method].decode(doc["payload"], feature_names)
     return ModelBundle(method, model, norm, feature_names,
                        tuple(doc["label_names"]), doc.get("label_column", "y"),
                        doc.get("provenance") or {})

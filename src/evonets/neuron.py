@@ -184,15 +184,6 @@ def classification_error(predict, data):
     return float(np.mean(pred != data.labels))
 
 
-def error_fraction(predicted, labels):
-    """Plain misclassification fraction between two class-index vectors."""
-    predicted = np.asarray(predicted, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if predicted.size == 0:
-        raise DataError("empty data")
-    return float(np.mean(predicted != labels))
-
-
 def least_squares_fit(design, targets):
     """Solve min_w ||design @ w - targets||^2 via the normal equations.
 

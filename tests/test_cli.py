@@ -111,6 +111,7 @@ class TestTrain:
         before = bundle.predict_csv_features(X)
         resaved = tmp_path / "resaved.json"
         save_model(resaved, bundle)
+        assert resaved.read_bytes() == model_path.read_bytes()
         again = load_model(resaved)
         np.testing.assert_array_equal(before, again.predict_csv_features(X))
 
@@ -401,3 +402,63 @@ class TestModelFile:
         assert doc["provenance"]["seed"] == 21
         assert len(doc["provenance"]["dataset_sha256"]) == 64
         assert doc["label_column"] == "y"
+
+
+def _set_norm(doc, key, value):
+    doc["normalization"][key] = value
+    return doc
+
+
+# Each turns a valid model document into one whose envelope is malformed.
+MALFORMED_ENVELOPES = {
+    "document is a list": lambda doc: [doc],
+    "feature_names missing": lambda doc: {k: v for k, v in doc.items()
+                                          if k != "feature_names"},
+    "label_names missing": lambda doc: {k: v for k, v in doc.items() if k != "label_names"},
+    "normalization missing": lambda doc: {k: v for k, v in doc.items()
+                                          if k != "normalization"},
+    "sd not numbers": lambda doc: _set_norm(doc, "sd", ["1", "1"]),
+    "mean and sd shorter than features": lambda doc: _set_norm(
+        _set_norm(doc, "mean", [0.0]), "sd", [1.0]),
+    "mean longer than features": lambda doc: _set_norm(doc, "mean", [0.0, 0.0, 0.0]),
+    "payload a list": lambda doc: {**doc, "payload": []},
+}
+
+
+class TestMalformedModelFile:
+    """A model file whose envelope cannot be read exits 2 with one line."""
+
+    @pytest.fixture
+    def model(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert run("train", "--method", "lm", "--epochs", "40", "--data", str(xor_csv),
+                   "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def verb_argv(verb, model, data, tmp_path):
+        if verb == "evaluate":
+            return ("evaluate", "--model", str(model), "--data", str(data))
+        if verb == "export":
+            return ("export", "--model", str(model), "--format", "text")
+        return ("extract-rules", "--model", str(model), "--data", str(data),
+                "--out", str(tmp_path / "rules.json"))
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_ENVELOPES))
+    def test_malformed_envelope_exits_2(self, fault, verb, model, xor_csv, tmp_path,
+                                        capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED_ENVELOPES[fault](json.loads(model.read_text()))))
+        assert run(*self.verb_argv(verb, bad, xor_csv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    def test_non_utf8_model_exits_2(self, verb, model, xor_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(model.read_bytes().replace(b'"y"', b'"\xe9"'))
+        assert run(*self.verb_argv(verb, bad, xor_csv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: not valid JSON") and err.count("\n") == 1
