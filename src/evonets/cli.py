@@ -362,7 +362,8 @@ def cmd_extract_rules(args):
     if bundle.method == "ruletree":
         raise DataError("model is already a rule tree")
     ds, _ = _load_for_model(args.data, bundle)
-    X = bundle.norm.apply(ds.features)
+    with np.errstate(over="ignore"):  # the threshold search rejects what overflows
+        X = bundle.norm.apply(ds.features)
     preds = np.asarray(bundle.predict_classes(X), dtype=int)
     correct = preds == ds.labels
 

@@ -9,6 +9,7 @@ label mapping, and provenance needed to evaluate raw CSV data later.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -34,6 +35,10 @@ def _floats(a):
 
 def _matrix(a):
     return [[float(v) for v in row] for row in np.asarray(a, dtype=float)]
+
+
+def _list_of(value, types):
+    return isinstance(value, list) and all(type(v) in types for v in value)
 
 
 @dataclass(eq=False)
@@ -73,17 +78,47 @@ def _encode_rule_node(node: RuleNode):
     }
 
 
-def _decode_rule_node(d):
-    node = RuleNode(int(d["feature"]), float(d["threshold"]), bool(d["high_is_one"]))
-    if "class" in d["low"]:
-        node.low_label = int(d["low"]["class"])
-    else:
-        node.low_child = _decode_rule_node(d["low"])
-    if "class" in d["high"]:
-        node.high_label = int(d["high"]["class"])
-    else:
-        node.high_child = _decode_rule_node(d["high"])
+def _decode_rule_node(d, n_features):
+    """A test node whose 'low' and 'high' sides are test nodes or
+    {"class": 0|1} leaves; anything else raises DataError."""
+    if not isinstance(d, dict):
+        raise DataError("ruletree node is missing or not a JSON object")
+    feature, threshold, high_is_one = d.get("feature"), d.get("threshold"), d.get("high_is_one")
+    if type(feature) is not int or not 0 <= feature < n_features:
+        raise DataError(f"ruletree node feature {feature!r} is not a column index below "
+                        f"{n_features}")
+    # abs() <= max also turns away nan and integers too large for a float
+    if type(threshold) not in (int, float) or not abs(threshold) <= sys.float_info.max:
+        raise DataError(f"ruletree node threshold {threshold!r} is not a finite number")
+    if type(high_is_one) is not bool:
+        raise DataError(f"ruletree node high_is_one {high_is_one!r} is not true or false")
+    node = RuleNode(feature, float(threshold), high_is_one)
+    for side in ("low", "high"):
+        child = d.get(side)
+        if isinstance(child, dict) and "class" in child:
+            label = child["class"]
+            if type(label) is not int or label not in (0, 1):
+                raise DataError(f"ruletree leaf class {label!r} is not 0 or 1")
+            setattr(node, f"{side}_label", label)
+        else:
+            setattr(node, f"{side}_child", _decode_rule_node(child, n_features))
     return node
+
+
+def _decode_ruletree(payload, feature_names, label_names):
+    if len(label_names) != 2:
+        raise DataError(f"a ruletree needs exactly 2 label_names, not {len(label_names)}")
+    return RuleTree(_decode_rule_node(payload.get("root"), len(feature_names)), feature_names)
+
+
+def _decode_lm(payload, feature_names, label_names):
+    weights = payload.get("weights")
+    rows, cols = len(label_names), len(feature_names) + 1
+    if not (rows and isinstance(weights, list) and len(weights) == rows
+            and all(_list_of(row, (int, float)) and len(row) == cols for row in weights)):
+        raise DataError(f"lm weights must be a {rows} x {cols} matrix of numbers: one row "
+                        f"per label, one column per feature plus the bias")
+    return LinearMachine(np.array(weights))
 
 
 def _encode_cascade(net):
@@ -100,7 +135,7 @@ def _encode_cascade(net):
     }
 
 
-def _decode_cascade(payload, feature_names):
+def _decode_cascade(payload, feature_names, label_names):
     return CascadeNetwork(
         anchor=int(payload["anchor"]),
         feature_order=tuple(payload["feature_order"]),
@@ -129,7 +164,7 @@ def _encode_poly(net):
     }
 
 
-def _decode_poly(payload, feature_names):
+def _decode_poly(payload, feature_names, label_names):
     neurons = [SupportingNeuron(d["kind"], tuple((t, r) for t, r in d["inputs"]),
                                 np.array(d["weights"]), int(d["layer"]), bool(d["survivor"]))
                for d in payload["neurons"]]
@@ -149,7 +184,7 @@ def _encode_pairwise(tree):
     }
 
 
-def _decode_pairwise(payload, feature_names):
+def _decode_pairwise(payload, feature_names, label_names):
     tlus = {(int(t["i"]), int(t["j"])): LinearTest(tuple(t["features"]), np.array(t["weights"]),
                                                    float(t["accuracy"]))
             for t in payload["tests"]}
@@ -165,7 +200,7 @@ def _encode_fnn(model):
     }
 
 
-def _decode_fnn(payload, feature_names):
+def _decode_fnn(payload, feature_names, label_names):
     return FnnModel(np.array(payload["hidden_weights"]), np.array(payload["output_weights"]),
                     int(payload["classes"]), float(payload["threshold"]))
 
@@ -174,8 +209,10 @@ class Method(NamedTuple):
     """Everything done with a saved model of one method.
 
     encode maps the model to its JSON payload and decode(payload,
-    feature_names) rebuilds it. to_text and to_dot render a ModelBundle for
-    `export`; to_dot is None where the method has no graph form.
+    feature_names, label_names) rebuilds it; the lm and ruletree decoders
+    raise DataError for a payload that does not fit the envelope. to_text
+    and to_dot render a ModelBundle for `export`; to_dot is None where the
+    method has no graph form.
     feature_pool gives the columns a rule tree distilled from the model may
     split on; None means every column.
     """
@@ -198,8 +235,7 @@ METHODS = {
                    lambda net: list(net.selected_features)),
     "gmdh-layered": _GMDH,
     "gmdh-roulette": _GMDH,
-    "lm": Method(lambda lm: {"weights": _matrix(lm.weights)},
-                 lambda payload, _: LinearMachine(np.array(payload["weights"])),
+    "lm": Method(lambda lm: {"weights": _matrix(lm.weights)}, _decode_lm,
                  lambda b: describe_linear_machine(b.model, b.feature_names, b.label_names),
                  lambda b: linear_machine_to_dot(b.model, b.feature_names, b.label_names),
                  None),
@@ -208,9 +244,7 @@ METHODS = {
         lambda b: describe_pairwise_tree(b.model, b.feature_names, b.label_names),
         lambda b: pairwise_tree_to_dot(b.model, b.label_names),
         lambda tree: sorted({f for t in tree.tlus.values() for f in t.features})),
-    "ruletree": Method(lambda tree: {"root": _encode_rule_node(tree.root)},
-                       lambda payload, names: RuleTree(_decode_rule_node(payload["root"]),
-                                                       names),
+    "ruletree": Method(lambda tree: {"root": _encode_rule_node(tree.root)}, _decode_ruletree,
                        lambda b: to_text(b.model, b.label_names),
                        lambda b: ruletree_to_dot(b.model, b.label_names),
                        None),
@@ -234,10 +268,6 @@ def save_model(path, bundle: ModelBundle):
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def _list_of(value, types):
-    return isinstance(value, list) and all(type(v) in types for v in value)
 
 
 def load_model(path) -> ModelBundle:
@@ -270,7 +300,10 @@ def load_model(path) -> ModelBundle:
     if not isinstance(doc.get("payload"), dict):
         raise DataError(f"{path}: payload is missing or not a JSON object")
     norm = NormParams(np.array(normalization["mean"]), np.array(normalization["sd"]))
-    model = METHODS[method].decode(doc["payload"], feature_names)
-    return ModelBundle(method, model, norm, feature_names,
-                       tuple(doc["label_names"]), doc.get("label_column", "y"),
-                       doc.get("provenance") or {})
+    label_names = tuple(doc["label_names"])
+    try:
+        model = METHODS[method].decode(doc["payload"], feature_names, label_names)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return ModelBundle(method, model, norm, feature_names, label_names,
+                       doc.get("label_column", "y"), doc.get("provenance") or {})

@@ -44,8 +44,23 @@ class RuleTree:
     feature_names: tuple = ()
 
     def predict_classes(self, X):
+        """Labels for every row: the rows reaching a node split on one
+        boolean mask, x[feature] > threshold going high, as in classify_rule."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([classify_rule(self, row) for row in X], dtype=int)
+        if self.root is None:
+            raise TrainingError("untrained rule tree")
+        labels = np.empty(X.shape[0], dtype=int)
+        stack = [(self.root, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            high = X[rows, node.feature] > node.threshold
+            for child, label, side in ((node.high_child, node.high_label, rows[high]),
+                                       (node.low_child, node.low_label, rows[~high])):
+                if child is None:
+                    labels[side] = label
+                else:
+                    stack.append((child, side))
+        return labels
 
 
 def search_threshold(values0, values1):
@@ -54,30 +69,33 @@ def search_threshold(values0, values1):
     Candidate thresholds are the midpoints between consecutive distinct
     pooled values. Returns (threshold, high_is_one, misclassified_count),
     minimizing errors with ties broken toward the smaller threshold and
-    then toward 'high side is class 1'.
+    then toward 'high side is class 1'. The result is exact for finite
+    input; a NaN or infinite value raises DataError.
     """
     v0 = np.asarray(values0, dtype=float)
     v1 = np.asarray(values1, dtype=float)
     if v0.size == 0 or v1.size == 0:
         raise DataError("both sides need at least one value")
+    if not (np.isfinite(v0).all() and np.isfinite(v1).all()):
+        raise DataError("threshold search needs finite values, not NaN or infinity")
     pooled = np.unique(np.concatenate([v0, v1]))
     if pooled.size > 1:
         candidates = (pooled[:-1] + pooled[1:]) / 2.0
     else:
         candidates = pooled  # all values identical; the split is degenerate
 
-    s0 = np.sort(v0)
-    s1 = np.sort(v1)
-    best = None
-    for q in candidates:
-        n0_high = s0.size - np.searchsorted(s0, q, side="right")
-        n1_high = s1.size - np.searchsorted(s1, q, side="right")
-        for high_is_one, errors in ((True, n0_high + (s1.size - n1_high)),
-                                    (False, (s0.size - n0_high) + n1_high)):
-            key = (int(errors), float(q), 0 if high_is_one else 1)
-            if best is None or key < best[0]:
-                best = (key, float(q), high_is_one, int(errors))
-    return best[1], best[2], best[3]
+    # Rows of each class at or below each candidate, i.e. on its low side.
+    c0 = np.searchsorted(np.sort(v0), candidates, side="right")
+    c1 = np.searchsorted(np.sort(v1), candidates, side="right")
+    errors_high_one = (v0.size - c0) + c1
+    errors_low_one = c0 + (v1.size - c1)
+    # Candidates ascend, so each polarity's first minimum has its smallest
+    # threshold. Equal (errors, threshold) on both means the same candidate,
+    # where 'high side is class 1' wins.
+    i, j = int(errors_high_one.argmin()), int(errors_low_one.argmin())
+    if (errors_high_one[i], candidates[i]) <= (errors_low_one[j], candidates[j]):
+        return float(candidates[i]), True, int(errors_high_one[i])
+    return float(candidates[j]), False, int(errors_low_one[j])
 
 
 def _majority_label(zeros, ones, side_polarity):

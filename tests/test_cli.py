@@ -1,6 +1,7 @@
 """Command-line surface: generation, training, evaluation, export, rules."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -425,8 +426,46 @@ MALFORMED_ENVELOPES = {
 }
 
 
+def _set_root(doc, **changes):
+    doc["payload"]["root"].update(changes)
+    return doc
+
+
+# Each turns a valid 2-feature, 2-class ruletree document into one whose
+# payload does not fit its envelope.
+MALFORMED_RULETREES = {
+    "feature out of range": lambda doc: _set_root(doc, feature=9),
+    "feature negative": lambda doc: _set_root(doc, feature=-1),
+    "feature a float": lambda doc: _set_root(doc, feature=0.0),
+    "threshold nan": lambda doc: _set_root(doc, threshold=float("nan")),
+    "threshold a string": lambda doc: _set_root(doc, threshold="0.5"),
+    "threshold beyond a float": lambda doc: _set_root(doc, threshold=10**400),
+    "high_is_one a string": lambda doc: _set_root(doc, high_is_one="yes"),
+    "leaf class 5": lambda doc: _set_root(doc, low={"class": 5}),
+    "leaf class true": lambda doc: _set_root(doc, high={"class": True}),
+    "child empty": lambda doc: _set_root(doc, high={}),
+    "child missing": lambda doc: {**doc, "payload": {"root": {
+        k: v for k, v in doc["payload"]["root"].items() if k != "low"}}},
+    "root missing": lambda doc: {**doc, "payload": {}},
+    "three label_names": lambda doc: {**doc, "label_names": ["0", "1", "2"]},
+}
+
+# Each turns a valid 2-feature, 2-class lm document into one whose payload
+# does not fit its envelope.
+MALFORMED_LMS = {
+    "weights missing": lambda doc: {**doc, "payload": {}},
+    "one label name": lambda doc: {**doc, "label_names": ["0"]},
+    "weights 2 x 2": lambda doc: {**doc, "payload": {"weights": [[1.0, 0.0], [0.0, 1.0]]}},
+    "weights ragged": lambda doc: {**doc, "payload": {"weights": [[1.0, 0.0, 0.0], [0.0]]}},
+    "weights not numbers": lambda doc: {**doc, "payload": {
+        "weights": [["1", 0.0, 0.0], [0.0, 1.0, 0.0]]}},
+    "weights a number": lambda doc: {**doc, "payload": {"weights": 1.0}},
+}
+
+
 class TestMalformedModelFile:
-    """A model file whose envelope cannot be read exits 2 with one line."""
+    """A model file whose envelope or payload cannot be read exits 2 with one
+    line."""
 
     @pytest.fixture
     def model(self, xor_csv, tmp_path, capsys):
@@ -435,6 +474,21 @@ class TestMalformedModelFile:
                    "--out", str(path)) == 0
         capsys.readouterr()
         return path
+
+    @pytest.fixture
+    def ruletree(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "rules.json"
+        assert run("train", "--method", "ruletree", "--data", str(xor_csv),
+                   "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    def assert_rejected(self, verb, doc, data, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(*self.verb_argv(verb, bad, data, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: ") and err.count("\n") == 1, err
 
     @staticmethod
     def verb_argv(verb, model, data, tmp_path):
@@ -454,6 +508,35 @@ class TestMalformedModelFile:
         assert run(*self.verb_argv(verb, bad, xor_csv, tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {bad}: ") and err.count("\n") == 1, err
+
+    # extract-rules refuses a ruletree whatever its payload, so it is not a case here
+    @pytest.mark.parametrize("verb", ["evaluate", "export"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_RULETREES))
+    def test_malformed_ruletree_payload_exits_2(self, fault, verb, ruletree, xor_csv,
+                                                tmp_path, capsys):
+        doc = MALFORMED_RULETREES[fault](json.loads(ruletree.read_text()))
+        self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_LMS))
+    def test_malformed_lm_payload_exits_2(self, fault, verb, model, xor_csv, tmp_path,
+                                          capsys):
+        doc = MALFORMED_LMS[fault](json.loads(model.read_text()))
+        self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
+
+    def test_normalization_overflow_rejected_by_extract_rules(self, model, xor_csv,
+                                                              tmp_path, capsys):
+        # a tiny sd scales every nonzero x1 to +-inf, which reaches the threshold search
+        doc = _set_norm(json.loads(model.read_text()), "sd", [1e-320, 1.0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*self.verb_argv("extract-rules", bad, xor_csv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: threshold search needs finite values")
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "rules.json").exists()
 
     @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
     def test_non_utf8_model_exits_2(self, verb, model, xor_csv, tmp_path, capsys):

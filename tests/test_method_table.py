@@ -4,8 +4,10 @@
 are the former `modelio._payload`, `modelio._restore`, the text and dot
 chains of `cli.cmd_export` and the feature-pool chain of
 `cli.cmd_extract_rules`, kept verbatim as the reference (apart from their
-names and the function wrapped around each chain). The table only moves
-that code, so payloads, renderings and pools must be equal.
+names and the function wrapped around each chain). `_decode_rule_node` is
+the rule-node decoder `oracle_restore` called, from before the decoders
+checked their payloads. The table only moves that code, so payloads,
+renderings and pools must be equal.
 
 The second half guards the trainer table: every method has one trainer, and
 each trainer calls its learner through the name bound in `evonets.cli`, so a
@@ -24,10 +26,9 @@ from evonets.cli import main
 from evonets.errors import DataError, UsageError
 from evonets.gmdh import PolyNetwork, SupportingNeuron, gmdh_to_dot, to_polynomial_text
 from evonets.linear import LinearMachine, LinearTest, PairwiseTree
-from evonets.modelio import (METHODS, _decode_rule_node, _decode_sigmoid_neuron,
-                             _encode_rule_node, _encode_sigmoid_neuron, _floats, _matrix,
-                             load_model)
-from evonets.ruletree import RuleTree, ruletree_to_dot, to_text
+from evonets.modelio import (METHODS, _decode_sigmoid_neuron, _encode_rule_node,
+                             _encode_sigmoid_neuron, _floats, _matrix, load_model)
+from evonets.ruletree import RuleNode, RuleTree, ruletree_to_dot, to_text
 
 
 def oracle_payload(method, model):
@@ -77,6 +78,19 @@ def oracle_payload(method, model):
             "threshold": float(model.threshold),
         }
     raise DataError(f"unknown method '{method}'")
+
+
+def _decode_rule_node(d):
+    node = RuleNode(int(d["feature"]), float(d["threshold"]), bool(d["high_is_one"]))
+    if "class" in d["low"]:
+        node.low_label = int(d["low"]["class"])
+    else:
+        node.low_child = _decode_rule_node(d["low"])
+    if "class" in d["high"]:
+        node.high_label = int(d["high"]["class"])
+    else:
+        node.high_child = _decode_rule_node(d["high"])
+    return node
 
 
 def oracle_restore(method, payload, feature_names):
@@ -255,7 +269,7 @@ class TestAgainstOracle:
         encoded = as_json(spec.encode(bundle.model))
         assert encoded == as_json(oracle_payload(method, bundle.model))
         assert encoded == as_json(doc["payload"])
-        decoded = spec.decode(doc["payload"], bundle.feature_names)
+        decoded = spec.decode(doc["payload"], bundle.feature_names, bundle.label_names)
         restored = oracle_restore(method, doc["payload"], bundle.feature_names)
         assert type(decoded) is type(restored)
         assert as_json(spec.encode(decoded)) == as_json(oracle_payload(method, restored))

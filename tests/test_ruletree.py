@@ -46,6 +46,16 @@ class TestSearchThreshold:
         with pytest.raises(DataError):
             search_threshold([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            search_threshold([1.0, bad, 2.0], [3.0, 0.5])
+        with pytest.raises(DataError, match="finite"):
+            search_threshold([1.0, 2.0], [bad])
+        X1 = np.array([[3.0, 0.0], [4.0, bad]])
+        with pytest.raises(DataError, match="finite"):
+            extract_rules([[1.0, 0.0], [2.0, 1.0]], X1, [0, 1])
+
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=12),
            st.lists(st.integers(-20, 20), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
