@@ -8,17 +8,16 @@ single-feature threshold rule trees distilled from any of the above.
 """
 
 from .baseline import (FnnConfig, FnnModel, PcaTransform, TrainingCurve,
-                       pca_fit, predict_fnn, train_fnn)
+                       pca_fit, train_fnn)
 from .cascade import (CascadeNetwork, cascade_to_dot, describe_cascade,
-                      predict_cascade, rank_single_features, relevance_check,
-                      train_ecnn)
+                      rank_single_features, relevance_check, train_ecnn)
 from .dataset import (Dataset, NormParams, SplitSpec, gen_blobs,
                       gen_surrogate_eeg, gen_xor, load_csv, normalize_zscore,
                       save_csv, split, xor_label)
 from .errors import DataError, TrainingError, UsageError
 from .gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron, count_candidates,
-                   eval_supporting_neuron, gmdh_to_dot, predict_poly,
-                   to_polynomial_text, train_gmdh_layered, train_gmdh_roulette)
+                   gmdh_to_dot, to_polynomial_text, train_gmdh_layered,
+                   train_gmdh_roulette)
 from .linear import (LinearMachine, LinearTest, LmdtConfig, PairwiseTree,
                      PocketState, ThermalSchedule, aggregate_segments,
                      combine_pairwise, error_correct, induce_dt, sfs_select,
@@ -28,7 +27,7 @@ from .modelio import ModelBundle, load_model, save_model
 from .neuron import (CandidateScore, FitConfig, SigmoidNeuron,
                      classification_error, exterior_criterion,
                      fit_gradient, fit_loss, fit_neuron, least_squares_fit,
-                     sigmoid, sigmoid_out)
+                     sigmoid)
 from .ruletree import (RuleNode, RuleTree, classify_rule, extract_rules,
                        ruletree_to_dot, search_threshold, to_text)
 

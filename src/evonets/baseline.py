@@ -13,7 +13,7 @@ from .errors import DataError, TrainingError
 from .neuron import sigmoid
 
 __all__ = ["PcaTransform", "FnnModel", "FnnConfig", "TrainingCurve",
-           "pca_fit", "train_fnn", "predict_fnn", "describe_fnn"]
+           "pca_fit", "train_fnn", "describe_fnn"]
 
 
 @dataclass(eq=False)
@@ -202,20 +202,6 @@ def train_fnn(train, val, hidden, cfg: FnnConfig = FnnConfig()):
         raise TrainingError("every restart diverged to non-finite loss")
     _, _, (w_hid, w_out), curve = best
     return FnnModel(w_hid, w_out, r), curve
-
-
-def predict_fnn(model: FnnModel, x):
-    """Classify one example; returns (class, score).
-
-    The score is the sigmoid output for binary models, and the winning
-    unit's output for multi-class ones.
-    """
-    x = np.asarray(x, dtype=float)
-    out = model.forward(x[None, :])[0]
-    if out.shape[0] == 1:
-        return int(out[0] >= model.threshold), float(out[0])
-    k = int(np.argmax(out))
-    return k, float(out[k])
 
 
 def describe_fnn(model: FnnModel) -> str:

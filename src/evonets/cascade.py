@@ -21,7 +21,7 @@ from .neuron import FitConfig, SigmoidNeuron, fit_neuron, sigmoid
 
 __all__ = [
     "CascadeNetwork", "rank_single_features", "relevance_check",
-    "train_ecnn", "predict_cascade", "describe_cascade", "cascade_to_dot",
+    "train_ecnn", "describe_cascade", "cascade_to_dot",
 ]
 
 
@@ -64,6 +64,9 @@ class CascadeNetwork:
     def scores(self, X):
         """Network output in (0, 1) for each row of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        needed = max(self.selected_features)
+        if X.shape[1] <= needed:
+            raise DataError(f"input must provide at least {needed + 1} feature values")
         zs = []
         for nrn in self.neurons:
             cols = [X[:, ref] if kind == "x" else zs[ref] for kind, ref in nrn.bindings]
@@ -157,16 +160,6 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig(), seed=None) -> CascadeNe
             zva.append(out_va)
             incumbent = c1
     return net
-
-
-def predict_cascade(net: CascadeNetwork, x):
-    """Classify a single example; returns (class, score)."""
-    x = np.asarray(x, dtype=float)
-    needed = max(net.selected_features)
-    if x.ndim != 1 or x.shape[0] <= needed:
-        raise DataError(f"input must provide at least {needed + 1} feature values")
-    score = float(net.scores(x[None, :])[0])
-    return int(score >= net.threshold), score
 
 
 def describe_cascade(net: CascadeNetwork) -> str:

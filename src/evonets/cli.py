@@ -310,7 +310,10 @@ def _load_for_model(path, bundle, group_by=None):
 def cmd_evaluate(args):
     bundle = load_model(args.model)
     ds, groups = _load_for_model(args.data, bundle, args.group_by)
-    X = bundle.norm.apply(ds.features)
+    with np.errstate(over="ignore"):
+        X = bundle.norm.apply(ds.features)
+    if not np.isfinite(X).all():
+        raise DataError(f"{args.model}: its normalization overflows on {args.data}")
     preds = np.asarray(bundle.predict_classes(X), dtype=int)
     r = len(bundle.label_names)
     error = float(np.mean(preds != ds.labels))

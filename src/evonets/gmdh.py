@@ -15,7 +15,7 @@ polynomial equations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -26,8 +26,7 @@ from .neuron import exterior_criterion, least_squares_fit
 
 __all__ = [
     "SupportingNeuron", "PolyNetwork", "GmdhConfig", "count_candidates",
-    "eval_supporting_neuron", "train_gmdh_layered", "train_gmdh_roulette",
-    "predict_poly", "to_polynomial_text", "gmdh_to_dot",
+    "train_gmdh_layered", "train_gmdh_roulette", "to_polynomial_text", "gmdh_to_dot",
 ]
 
 
@@ -98,8 +97,7 @@ class PolyNetwork:
             raise DataError(f"input must provide at least {needed + 1} feature values")
         outs = []
         for nrn in self.neurons:
-            cols = [X[:, r] if t == "x" else outs[r] for t, r in nrn.inputs]
-            outs.append(_poly_eval(nrn, cols))
+            outs.append(_basis(nrn.kind, _columns(nrn.inputs, X, outs)) @ nrn.weights)
         return outs[self.output]
 
     def predict_classes(self, X):
@@ -155,18 +153,9 @@ def _basis(kind, cols):
     return np.column_stack([np.ones(n)] + list(cols))
 
 
-def _poly_eval(nrn, cols):
-    return _basis(nrn.kind, [np.asarray(c, dtype=float) for c in cols]) @ nrn.weights
-
-
-def eval_supporting_neuron(neuron: SupportingNeuron, v1, v2=None):
-    """Raw polynomial value for scalar inputs (no squashing)."""
-    cols = [np.atleast_1d(float(v1))]
-    if len(neuron.inputs) == 2:
-        if v2 is None:
-            raise DataError("two-input neuron needs v2")
-        cols.append(np.atleast_1d(float(v2)))
-    return float(_poly_eval(neuron, cols)[0])
+def _columns(refs, X, outs):
+    """Input columns of a neuron: ("x", j) is column j of X, ("n", k) is outs[k]."""
+    return [X[:, r] if t == "x" else outs[r] for t, r in refs]
 
 
 def _fit_weights(kind, cols, targets, cfg: GmdhConfig, seed):
@@ -188,6 +177,15 @@ def _fit_weights(kind, cols, targets, cfg: GmdhConfig, seed):
         if best is None or sse < best[0]:
             best = (sse, restart, w)
     return best[2]
+
+
+def _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, seed, layer):
+    """Fit one neuron on the fitting subset A; returns (neuron, its output on A,
+    its output on B). outsA/outsB hold the outputs of the neurons "n" refers to."""
+    colsA = _columns(refs, XA, outsA)
+    w = _fit_weights(kind, colsA, yA, cfg, seed)
+    return (SupportingNeuron(kind, refs, w, layer=layer), _basis(kind, colsA) @ w,
+            _basis(kind, _columns(refs, XB, outsB)) @ w)
 
 
 def _binary_targets(ds):
@@ -218,50 +216,35 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
                       stacklevel=2)
 
     XA, XB = train.features, val.features
-    kept = []            # retained neurons across layers, creation order
-    colsA, colsB = [], []  # per retained neuron: outputs on both subsets
+    kept, outsA, outsB = [], [], []   # retained neurons and their outputs on A and B
     layer_scores = []
-    prev_layer = None    # indices into kept of the previous layer's survivors
     n_keep = cfg.survivors if cfg.survivors is not None \
         else max(1, min(64, round(0.4 * count_candidates(m))))
+    pairs = [(("x", a), ("x", b)) for a, b in combinations(range(m), 2)]
 
     for layer in range(1, cfg.max_layers + 1):
-        if layer == 1:
-            pair_cols = [(("x", a), ("x", b)) for a, b in combinations(range(m), 2)]
-        else:
-            if len(prev_layer) < 2:
-                break
-            pair_cols = [(("n", a), ("n", b)) for a, b in combinations(prev_layer, 2)]
-
+        if not pairs:
+            break
         candidates = []
-        for ci, (ra, rb) in enumerate(pair_cols):
-            inA = [XA[:, ra[1]] if ra[0] == "x" else colsA[ra[1]],
-                   XA[:, rb[1]] if rb[0] == "x" else colsA[rb[1]]]
-            inB = [XB[:, ra[1]] if ra[0] == "x" else colsB[ra[1]],
-                   XB[:, rb[1]] if rb[0] == "x" else colsB[rb[1]]]
-            w = _fit_weights(cfg.kind, inA, yA, cfg, derive_seed(cfg.seed, layer, ci))
-            nrn = SupportingNeuron(cfg.kind, (ra, rb), w, layer=layer)
-            outB = _basis(cfg.kind, inB) @ w
-            nrn.criterion = exterior_criterion(lambda _x, o=outB: o, XB, yB).value
-            candidates.append((ci, nrn, _basis(cfg.kind, inA) @ w, outB))
+        for ci, refs in enumerate(pairs):
+            nrn, outA, outB = _candidate(cfg.kind, refs, XA, XB, outsA, outsB, yA, cfg,
+                                         derive_seed(cfg.seed, layer, ci), layer)
+            nrn.criterion = exterior_criterion(lambda _x: outB, XB, yB).value
+            candidates.append((ci, nrn, outA, outB))
 
         order = sorted(candidates, key=lambda c: (c[1].criterion, c[0]))
         best_cr = order[0][1].criterion
         if layer_scores and best_cr >= layer_scores[-1]:
             break
         layer_scores.append(best_cr)
-        this_layer = []
+        output = len(kept)   # survivors are sorted best-first
         for ci, nrn, outA, outB in order[:n_keep]:
             nrn.survivor = True
             kept.append(nrn)
-            colsA.append(outA)
-            colsB.append(outB)
-            this_layer.append(len(kept) - 1)
-        prev_layer = this_layer
+            outsA.append(outA)
+            outsB.append(outB)
+        pairs = [(("n", a), ("n", b)) for a, b in combinations(range(output, len(kept)), 2)]
 
-    if not kept:
-        raise TrainingError("no layer could be grown")
-    output = prev_layer[0]   # survivors are sorted best-first
     net = PolyNetwork(kept, output, layer_scores, train.feature_names)
     return _pruned(net)
 
@@ -287,57 +270,39 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None) -
         seed = cfg.seed
 
     XA, XB = train.features, val.features
-    neurons, colsA, colsB = [], [], []
-
-    def add(nrn, outA, outB):
-        nrn.accuracy = float(np.mean((outB >= 0.5).astype(int) == val.labels))
-        neurons.append(nrn)
-        colsA.append(outA)
-        colsB.append(outB)
-        return nrn.accuracy
-
+    neurons, outsA, outsB = [], [], []
     pool = []  # accuracy per pool member; member k is neurons[k], and
     #            members below m stand in for the raw features themselves
-    for i in range(m):
-        w = _fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
-        nrn = SupportingNeuron("linear", (("x", i),), w, layer=1)
-        acc = add(nrn, _basis("linear", [XA[:, i]]) @ w, _basis("linear", [XB[:, i]]) @ w)
-        pool.append(acc)
+
+    def offer(kind, refs, fit_seed, layer, survivor, to_beat):
+        """Fit a candidate and add it to the pool if its accuracy beats to_beat."""
+        nrn, outA, outB = _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, fit_seed,
+                                     layer)
+        acc = float(np.mean((outB >= 0.5).astype(int) == val.labels))
+        if acc > to_beat:
+            nrn.survivor, nrn.accuracy = survivor, acc
+            neurons.append(nrn)
+            outsA.append(outA)
+            outsB.append(outB)
+            pool.append(acc)
+
+    for i in range(m):   # every accuracy beats -1, so each feature joins the pool
+        offer("linear", (("x", i),), derive_seed(seed, 0, i), 1, False, -1.0)
 
     rng = np.random.default_rng(derive_seed(seed, 1))
 
     for attempt in range(cfg.attempts):
         a = np.asarray(pool, dtype=float)
         probs = a / a.sum() if a.sum() > 0 else np.full(len(pool), 1.0 / len(pool))
-        pair = None
         for _ in range(10):
             i = int(rng.choice(len(pool), p=probs))
             j = int(rng.choice(len(pool), p=probs))
             if i != j:
-                pair = (i, j)
+                offer(cfg.kind, tuple(("x", p) if p < m else ("n", p) for p in (i, j)),
+                      derive_seed(seed, 2, attempt),
+                      1 + max(neurons[i].layer, neurons[j].layer), True,
+                      max(pool[i], pool[j]))
                 break
-        if pair is None:
-            continue
-        i, j = pair
-        refs, inA, inB = [], [], []
-        for p in (i, j):
-            if p < m:
-                refs.append(("x", p))
-                inA.append(XA[:, p])
-                inB.append(XB[:, p])
-            else:
-                refs.append(("n", p))
-                inA.append(colsA[p])
-                inB.append(colsB[p])
-        w = _fit_weights(cfg.kind, inA, yA, cfg, derive_seed(seed, 2, attempt))
-        nrn = SupportingNeuron(cfg.kind, tuple(refs), w,
-                               layer=1 + max(neurons[p].layer for p in (i, j)),
-                               survivor=True)
-        outB = _basis(cfg.kind, inB) @ w
-        ac = float(np.mean((outB >= 0.5).astype(int) == val.labels))
-        if ac > max(pool[i], pool[j]):
-            add(nrn, _basis(cfg.kind, inA) @ w, outB)
-            pool.append(ac)
 
     output = int(np.argmax(pool))
     net = PolyNetwork(neurons, output, [], train.feature_names)
@@ -360,17 +325,8 @@ def _pruned(net: PolyNetwork) -> PolyNetwork:
     for old in keep:
         nrn = net.neurons[old]
         inputs = tuple((t, r if t == "x" else remap[r]) for t, r in nrn.inputs)
-        copy = SupportingNeuron(nrn.kind, inputs, nrn.weights, nrn.layer, nrn.survivor)
-        copy.criterion, copy.accuracy = nrn.criterion, nrn.accuracy
-        pruned.append(copy)
+        pruned.append(replace(nrn, inputs=inputs))
     return PolyNetwork(pruned, remap[net.output], list(net.layer_scores), net.feature_names)
-
-
-def predict_poly(net: PolyNetwork, x):
-    """Classify a single example; returns (class, raw polynomial output)."""
-    x = np.asarray(x, dtype=float)
-    raw = float(net.raw_outputs(x[None, :])[0])
-    return int(raw >= 0.5), raw
 
 
 def _neuron_names(net):

@@ -165,16 +165,14 @@ class PairwiseTree:
 class LmdtConfig:
     """Training knobs for linear machines and pairwise trees.
 
-    epochs None means one epoch per training example (the thorough setting;
-    quadratic in n). test_epochs bounds the cheaper fits of candidate
-    feature-subset tests. pair_trainer picks how each pairwise TLU finds
-    its features: "induce-dt" (randomized scan), "sfs" (greedy forward
-    selection), or "all-features".
+    test_epochs bounds the pocket fits of candidate feature-subset tests.
+    pair_trainer picks how each pairwise TLU finds its features:
+    "induce-dt" (randomized scan), "sfs" (greedy forward selection), or
+    "all-features".
     """
 
     c: float = 1.0
     use_ratchet: bool = True
-    epochs: int | None = None
     test_epochs: int = 25
     correction: str = "fixed"
     thermal: ThermalSchedule = field(default_factory=ThermalSchedule)
@@ -186,8 +184,6 @@ class LmdtConfig:
     def __post_init__(self):
         if self.c <= 0:
             raise DataError("correction amount c must be positive")
-        if self.epochs is not None and self.epochs < 1:
-            raise DataError("epochs must be at least 1")
         if self.test_epochs < 1:
             raise DataError("test_epochs must be at least 1")
         if self.correction not in ("fixed", "thermal"):
@@ -455,8 +451,7 @@ def train_pairwise_tree(train: Dataset, val: Dataset, r=None,
                              train.feature_names, 2)
         pair_val = Dataset(val.features[va_mask],
                            (val.labels[va_mask] == i).astype(int),
-                           val.feature_names, 2) if va_mask.any() else \
-            Dataset(pair_train.features[:0], pair_train.labels[:0], train.feature_names, 2)
+                           val.feature_names, 2)
         pair_seed = derive_seed(cfg.seed, i, j)
         if cfg.pair_trainer == "induce-dt":
             tlus[(i, j)] = induce_dt(pair_train, pair_val, cfg.max_features,

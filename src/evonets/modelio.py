@@ -294,12 +294,16 @@ def load_model(path) -> ModelBundle:
     if not (isinstance(normalization, dict) and _list_of(normalization.get("mean"), (int, float))
             and _list_of(normalization.get("sd"), (int, float))):
         raise DataError(f"{path}: normalization needs 'mean' and 'sd' lists of numbers")
-    if not len(normalization["mean"]) == len(normalization["sd"]) == len(feature_names):
+    mean, sd = normalization["mean"], normalization["sd"]
+    if not len(mean) == len(sd) == len(feature_names):
         raise DataError(f"{path}: normalization needs one mean and one sd for each of the "
                         f"{len(feature_names)} features")
+    # abs() <= max also turns away nan and integers too large for a float
+    if not (all(abs(v) <= sys.float_info.max for v in mean + sd) and all(v > 0 for v in sd)):
+        raise DataError(f"{path}: normalization needs finite means and finite, positive sds")
     if not isinstance(doc.get("payload"), dict):
         raise DataError(f"{path}: payload is missing or not a JSON object")
-    norm = NormParams(np.array(normalization["mean"]), np.array(normalization["sd"]))
+    norm = NormParams(np.array(mean), np.array(sd))
     label_names = tuple(doc["label_names"])
     try:
         model = METHODS[method].decode(doc["payload"], feature_names, label_names)

@@ -42,13 +42,8 @@ def sigmoid(z):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for fitting a single neuron.
+    """Knobs for fitting a single neuron by batch gradient descent."""
 
-    method: "gradient" (batch descent on squared error of the sigmoid
-    output) or "least_squares" (linear-in-weights neurons only).
-    """
-
-    method: str = "gradient"
     learning_rate: float = 0.1
     epochs: int = 200
     restarts: int = 5
@@ -56,8 +51,6 @@ class FitConfig:
     decision_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.method not in ("gradient", "least_squares"):
-            raise DataError(f"unknown fit method '{self.method}'")
         if self.learning_rate <= 0:
             raise DataError("learning_rate must be positive")
         if self.epochs < 1:
@@ -106,15 +99,6 @@ class SigmoidNeuron:
         return len(self.bindings)
 
 
-def sigmoid_out(neuron: SigmoidNeuron, inputs):
-    """Output of a fitted neuron for one resolved input vector."""
-    u = np.asarray(inputs, dtype=float)
-    if u.shape != (neuron.p,):
-        raise DataError(f"expected {neuron.p} inputs, got {u.shape}")
-    w = neuron.weights
-    return float(sigmoid(w[0] + u @ w[1:]))
-
-
 def fit_loss(weights, inputs, targets):
     """Mean squared error of the sigmoid output over the rows of `inputs`."""
     out = sigmoid(weights[0] + inputs @ weights[1:])
@@ -150,9 +134,6 @@ def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> Sigmoi
         raise TrainingError("non-finite values in training data")
     if np.unique(y).size < 2:
         raise TrainingError("targets are single-class; nothing to separate")
-    if cfg.method != "gradient":
-        raise DataError("fit_neuron is the gradient fitter; use least_squares_fit "
-                        "for linear-in-weights neurons")
 
     rng = np.random.default_rng(cfg.seed)
     best = None

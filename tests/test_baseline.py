@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evonets.baseline import (FnnConfig, FnnModel, fnn_gradients, fnn_loss,
-                              pca_fit, predict_fnn, train_fnn)
+                              pca_fit, train_fnn)
 from evonets.dataset import SplitSpec, gen_blobs, gen_xor, split
 from evonets.errors import DataError
 
@@ -134,22 +134,22 @@ class TestTraining:
 class TestPrediction:
     def test_zero_weights_score_half(self):
         model = FnnModel(np.zeros((2, 3)), np.zeros((1, 3)), 2)
-        cls, score = predict_fnn(model, np.array([1.0, -1.0]))
-        assert score == 0.5
-        assert cls == 1  # 0.5 >= threshold
+        x = np.array([[1.0, -1.0]])
+        assert model.forward(x)[0, 0] == 0.5
+        assert model.predict_classes(x)[0] == 1  # 0.5 >= threshold
 
     def test_single_input_scalar_case(self):
         # one hidden unit passing the input through steep weights, output
         # replicating the single-neuron arithmetic: w0=0, w=1 on the hidden value
         model = FnnModel(np.array([[0.0, 1000.0]]), np.array([[0.0, 1.0]]), 2)
-        _, score = predict_fnn(model, np.array([1.0]))
+        score = model.forward(np.array([[1.0]]))[0, 0]
         # hidden saturates to 1, output = sigmoid(1)
         assert score == pytest.approx(0.7310585786300049, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         model = FnnModel(np.zeros((2, 3)), np.zeros((1, 3)), 2)
         with pytest.raises(DataError, match="expected 2 features"):
-            predict_fnn(model, np.array([1.0]))
+            model.forward(np.array([[1.0]]))
 
     def test_matches_forward_oracle(self):
         rng = np.random.default_rng(19)
@@ -160,6 +160,6 @@ class TestPrediction:
                                        + model.hidden_weights[:, 1:] @ x)))
             out = 1 / (1 + np.exp(-(model.output_weights[:, 0]
                                     + model.output_weights[:, 1:] @ hidden)))
-            cls, score = predict_fnn(model, x)
+            cls = model.predict_classes(x[None, :])[0]
             assert cls == int(np.argmax(out))
-            assert score == pytest.approx(out.max(), abs=1e-12)
+            assert model.forward(x[None, :])[0, cls] == pytest.approx(out.max(), abs=1e-12)

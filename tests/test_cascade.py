@@ -5,9 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evonets.cascade import (CascadeNetwork, describe_cascade, predict_cascade,
-                             rank_single_features, relevance_check, train_ecnn,
-                             cascade_to_dot)
+from evonets.cascade import (CascadeNetwork, describe_cascade, rank_single_features,
+                             relevance_check, train_ecnn, cascade_to_dot)
 from evonets.dataset import Dataset, SplitSpec, gen_surrogate_eeg, split
 from evonets.errors import DataError
 from evonets.neuron import FitConfig, SigmoidNeuron
@@ -147,15 +146,14 @@ class TestPrediction:
         base = SigmoidNeuron((("x", 0),), [0.0, 0.0])
         n1 = SigmoidNeuron((("x", 0), ("x", 1)), [0.0, 0.0, 0.0])
         net = CascadeNetwork(0, (0, 1), (0.5, 0.5), base, 0.5, [n1], [1], [0.4])
-        _, score = predict_cascade(net, np.array([3.0, -2.0]))
-        assert score == 0.5
+        assert net.scores(np.array([[3.0, -2.0]]))[0] == 0.5
 
     def test_hand_computed_single_neuron(self):
         base = SigmoidNeuron((("x", 0),), [0.0, 2.0])
         net = CascadeNetwork(0, (0,), (0.1,), base, 0.1)
-        cls, score = predict_cascade(net, np.array([1.0]))
-        assert score == pytest.approx(0.8807970779778823, abs=1e-15)
-        assert cls == 1
+        assert net.scores(np.array([[1.0]]))[0] == pytest.approx(0.8807970779778823,
+                                                                 abs=1e-15)
+        assert net.predict_classes(np.array([[1.0]]))[0] == 1
 
     def test_matches_stepwise_interpreter(self):
         net = two_neuron_fixture()
@@ -170,13 +168,13 @@ class TestPrediction:
                     acc += w * (x[ref] if kind == "x" else z[ref])
                 z[t] = 1.0 / (1.0 + np.exp(-acc))
             expected = z[len(net.neurons) - 1]
-            _, got = predict_cascade(net, x)
+            got = net.scores(x[None, :])[0]
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_missing_feature_rejected(self):
         net = two_neuron_fixture()
-        with pytest.raises(DataError):
-            predict_cascade(net, np.array([1.0]))
+        with pytest.raises(DataError, match="at least 3 feature values"):
+            net.scores(np.array([[1.0]]))
 
 
 class TestDescription:

@@ -422,6 +422,11 @@ MALFORMED_ENVELOPES = {
     "mean and sd shorter than features": lambda doc: _set_norm(
         _set_norm(doc, "mean", [0.0]), "sd", [1.0]),
     "mean longer than features": lambda doc: _set_norm(doc, "mean", [0.0, 0.0, 0.0]),
+    "mean NaN": lambda doc: _set_norm(doc, "mean", [float("nan"), 0.0]),
+    "mean too large for a float": lambda doc: _set_norm(doc, "mean", [10**400, 0.0]),
+    "sd Infinity": lambda doc: _set_norm(doc, "sd", [float("inf"), 1.0]),
+    "sd zero": lambda doc: _set_norm(doc, "sd", [0.0, 1.0]),
+    "sd negative": lambda doc: _set_norm(doc, "sd", [1.0, -2.0]),
     "payload a list": lambda doc: {**doc, "payload": []},
 }
 
@@ -537,6 +542,20 @@ class TestMalformedModelFile:
         assert err.startswith("data error: threshold search needs finite values")
         assert err.count("\n") == 1, err
         assert not (tmp_path / "rules.json").exists()
+
+    def test_normalization_overflow_rejected_by_evaluate(self, model, xor_csv, tmp_path,
+                                                         capsys):
+        # the file loads (the sd is positive and finite), but z-scoring overflows
+        doc = _set_norm(json.loads(model.read_text()), "sd", [1e-320, 1.0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert load_model(bad).norm.sd[0] == 1e-320
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*self.verb_argv("evaluate", bad, xor_csv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: its normalization overflows on {xor_csv}")
+        assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
     def test_non_utf8_model_exits_2(self, verb, model, xor_csv, tmp_path, capsys):

@@ -1,26 +1,36 @@
 """Rewritten kernels against the code they replaced.
 
-`oracle_train_pocket_ratchet`, `oracle_sigmoid`, `oracle_search_threshold`
-and `oracle_predict_classes` are the former bodies of
-`linear.train_pocket_ratchet`, `neuron.sigmoid`, `ruletree.search_threshold`
-and `ruletree.RuleTree.predict_classes`, kept verbatim as the reference
-(apart from their names). The rewrites only drop repeated work, so they must
-give bit-identical results: the same pocketed weights and traces, the same
-sigmoid bytes, nan and signed zero included, the same threshold bytes,
-polarity and error count, and the same rule-tree labels.
+`oracle_train_pocket_ratchet`, `oracle_sigmoid`, `oracle_search_threshold`,
+`oracle_predict_classes`, `oracle_train_gmdh_layered`,
+`oracle_train_gmdh_roulette` and `oracle_pruned` are the former bodies of
+`linear.train_pocket_ratchet`, `neuron.sigmoid`, `ruletree.search_threshold`,
+`ruletree.RuleTree.predict_classes`, `gmdh.train_gmdh_layered`,
+`gmdh.train_gmdh_roulette` and `gmdh._pruned`, kept verbatim as the reference
+(apart from their names). The rewrites only drop repeated work or repeated
+code, so they must give bit-identical results: the same pocketed weights and
+traces, the same sigmoid bytes, nan and signed zero included, the same
+threshold bytes, polarity and error count, the same rule-tree labels, and the
+same saved polynomial-network model files.
 """
+
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evonets._util import augment
-from evonets.dataset import Dataset, gen_blobs
-from evonets.errors import DataError
+from evonets._util import augment, derive_seed
+from evonets.dataset import Dataset, NormParams, gen_blobs, gen_surrogate_eeg
+from evonets.errors import DataError, TrainingError
+from evonets.gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
+                          _binary_targets, _fit_weights, count_candidates,
+                          train_gmdh_layered, train_gmdh_roulette)
 from evonets.linear import (LinearMachine, PocketState, ThermalSchedule, thermal_c,
                             train_pocket_ratchet)
-from evonets.neuron import SIGMOID_CLAMP, sigmoid
+from evonets.modelio import ModelBundle, save_model
+from evonets.neuron import SIGMOID_CLAMP, exterior_criterion, sigmoid
 from evonets.ruletree import RuleNode, RuleTree, classify_rule, extract_rules, search_threshold
 
 
@@ -356,3 +366,235 @@ class TestPredictClassesOracle:
         got = tree.predict_classes(np.empty((0, 1)))
         want = oracle_predict_classes(tree, np.empty((0, 1)))
         assert got.dtype == want.dtype and got.shape == want.shape == (0,)
+
+
+def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwork:
+    """Layer-wise exhaustive growth with exterior-criterion selection.
+
+    Layer 1 fits every pairing of input features on the fitting subset and
+    keeps the `survivors` best by held-out sum-squared error; later layers
+    pair the survivors. Growth stops when a new layer's best candidate no
+    longer improves, and the best neuron of the last retained layer becomes
+    the output. Neurons the output never references are pruned.
+    """
+    m = train.n_features
+    if m < 2:
+        raise DataError("need at least 2 features")
+    yA = _binary_targets(train)
+    yB = _binary_targets(val)
+    if val.n_rows == 0:
+        raise DataError("empty validation set")
+    if not 0.4 <= train.n_rows / max(val.n_rows, 1) <= 2.5:
+        warnings.warn("fitting and validation subsets differ a lot in size; "
+                      "the selection criterion works best when they are comparable",
+                      stacklevel=2)
+
+    XA, XB = train.features, val.features
+    kept = []            # retained neurons across layers, creation order
+    colsA, colsB = [], []  # per retained neuron: outputs on both subsets
+    layer_scores = []
+    prev_layer = None    # indices into kept of the previous layer's survivors
+    n_keep = cfg.survivors if cfg.survivors is not None \
+        else max(1, min(64, round(0.4 * count_candidates(m))))
+
+    for layer in range(1, cfg.max_layers + 1):
+        if layer == 1:
+            pair_cols = [(("x", a), ("x", b)) for a, b in combinations(range(m), 2)]
+        else:
+            if len(prev_layer) < 2:
+                break
+            pair_cols = [(("n", a), ("n", b)) for a, b in combinations(prev_layer, 2)]
+
+        candidates = []
+        for ci, (ra, rb) in enumerate(pair_cols):
+            inA = [XA[:, ra[1]] if ra[0] == "x" else colsA[ra[1]],
+                   XA[:, rb[1]] if rb[0] == "x" else colsA[rb[1]]]
+            inB = [XB[:, ra[1]] if ra[0] == "x" else colsB[ra[1]],
+                   XB[:, rb[1]] if rb[0] == "x" else colsB[rb[1]]]
+            w = _fit_weights(cfg.kind, inA, yA, cfg, derive_seed(cfg.seed, layer, ci))
+            nrn = SupportingNeuron(cfg.kind, (ra, rb), w, layer=layer)
+            outB = _basis(cfg.kind, inB) @ w
+            nrn.criterion = exterior_criterion(lambda _x, o=outB: o, XB, yB).value
+            candidates.append((ci, nrn, _basis(cfg.kind, inA) @ w, outB))
+
+        order = sorted(candidates, key=lambda c: (c[1].criterion, c[0]))
+        best_cr = order[0][1].criterion
+        if layer_scores and best_cr >= layer_scores[-1]:
+            break
+        layer_scores.append(best_cr)
+        this_layer = []
+        for ci, nrn, outA, outB in order[:n_keep]:
+            nrn.survivor = True
+            kept.append(nrn)
+            colsA.append(outA)
+            colsB.append(outB)
+            this_layer.append(len(kept) - 1)
+        prev_layer = this_layer
+
+    if not kept:
+        raise TrainingError("no layer could be grown")
+    output = prev_layer[0]   # survivors are sorted best-first
+    net = PolyNetwork(kept, output, layer_scores, train.feature_names)
+    return oracle_pruned(net)
+
+
+def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None) -> PolyNetwork:
+    """Randomized growth: accepted neurons join the selectable pool.
+
+    Every feature first gets a one-input neuron whose validation accuracy
+    seeds the roulette pool. Each attempt draws a pair of distinct pool
+    members with probability proportional to accuracy, fits a two-input
+    candidate on them, and accepts it only when it beats both parents; an
+    accepted neuron's output becomes selectable for later pairings. The
+    final model is the pool member with the best validation accuracy.
+    """
+    m = train.n_features
+    if m < 2:
+        raise DataError("need at least 2 features")
+    yA = _binary_targets(train)
+    yB = _binary_targets(val)
+    if val.n_rows == 0:
+        raise DataError("empty validation set")
+    if seed is None:
+        seed = cfg.seed
+
+    XA, XB = train.features, val.features
+    neurons, colsA, colsB = [], [], []
+
+    def add(nrn, outA, outB):
+        nrn.accuracy = float(np.mean((outB >= 0.5).astype(int) == val.labels))
+        neurons.append(nrn)
+        colsA.append(outA)
+        colsB.append(outB)
+        return nrn.accuracy
+
+    pool = []  # accuracy per pool member; member k is neurons[k], and
+    #            members below m stand in for the raw features themselves
+    for i in range(m):
+        w = _fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
+        nrn = SupportingNeuron("linear", (("x", i),), w, layer=1)
+        acc = add(nrn, _basis("linear", [XA[:, i]]) @ w, _basis("linear", [XB[:, i]]) @ w)
+        pool.append(acc)
+
+    rng = np.random.default_rng(derive_seed(seed, 1))
+
+    for attempt in range(cfg.attempts):
+        a = np.asarray(pool, dtype=float)
+        probs = a / a.sum() if a.sum() > 0 else np.full(len(pool), 1.0 / len(pool))
+        pair = None
+        for _ in range(10):
+            i = int(rng.choice(len(pool), p=probs))
+            j = int(rng.choice(len(pool), p=probs))
+            if i != j:
+                pair = (i, j)
+                break
+        if pair is None:
+            continue
+        i, j = pair
+        refs, inA, inB = [], [], []
+        for p in (i, j):
+            if p < m:
+                refs.append(("x", p))
+                inA.append(XA[:, p])
+                inB.append(XB[:, p])
+            else:
+                refs.append(("n", p))
+                inA.append(colsA[p])
+                inB.append(colsB[p])
+        w = _fit_weights(cfg.kind, inA, yA, cfg, derive_seed(seed, 2, attempt))
+        nrn = SupportingNeuron(cfg.kind, tuple(refs), w,
+                               layer=1 + max(neurons[p].layer for p in (i, j)),
+                               survivor=True)
+        outB = _basis(cfg.kind, inB) @ w
+        ac = float(np.mean((outB >= 0.5).astype(int) == val.labels))
+        if ac > max(pool[i], pool[j]):
+            add(nrn, _basis(cfg.kind, inA) @ w, outB)
+            pool.append(ac)
+
+    output = int(np.argmax(pool))
+    net = PolyNetwork(neurons, output, [], train.feature_names)
+    return oracle_pruned(net)
+
+
+def oracle_pruned(net: PolyNetwork) -> PolyNetwork:
+    """Drop neurons the output never references; predictions are unchanged."""
+    needed = set()
+    stack = [net.output]
+    while stack:
+        k = stack.pop()
+        if k in needed:
+            continue
+        needed.add(k)
+        stack.extend(r for t, r in net.neurons[k].inputs if t == "n")
+    keep = sorted(needed)
+    remap = {old: new for new, old in enumerate(keep)}
+    pruned = []
+    for old in keep:
+        nrn = net.neurons[old]
+        inputs = tuple((t, r if t == "x" else remap[r]) for t, r in nrn.inputs)
+        copy = SupportingNeuron(nrn.kind, inputs, nrn.weights, nrn.layer, nrn.survivor)
+        copy.criterion, copy.accuracy = nrn.criterion, nrn.accuracy
+        pruned.append(copy)
+    return PolyNetwork(pruned, remap[net.output], list(net.layer_scores), net.feature_names)
+
+
+def gmdh_data(seed, n=90, features=5):
+    """Fitting and validation halves of a small surrogate-EEG problem."""
+    ds, _ = gen_surrogate_eeg(n, relevant=2, irrelevant=features - 2, seed=seed,
+                              separation=1.0)
+    half = n // 2
+    names = ds.feature_names
+    return (Dataset(ds.features[:half], ds.labels[:half], names, 2),
+            Dataset(ds.features[half:], ds.labels[half:], names, 2))
+
+
+def model_bytes(net, method, tmp_path):
+    """The model file `save_model` writes for a polynomial network."""
+    m = len(net.feature_names)
+    path = tmp_path / f"{method}.json"
+    save_model(path, ModelBundle(method, net, NormParams(np.zeros(m), np.ones(m)),
+                                 net.feature_names, ("0", "1")))
+    return path.read_bytes()
+
+
+GMDH_CONFIGS = [
+    dict(kind=kind, method=method, survivors=survivors)
+    for kind in ("bilinear", "linear")
+    for method in ("gradient", "least_squares")
+    for survivors in (None, 3)
+]
+
+
+class TestGmdhOracle:
+    @pytest.mark.parametrize("config", GMDH_CONFIGS,
+                             ids=lambda c: "-".join(str(v) for v in c.values()))
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_layered_matches_oracle(self, config, seed, tmp_path):
+        train, val = gmdh_data(seed)
+        cfg = GmdhConfig(epochs=40, restarts=2, seed=seed, **config)
+        got = train_gmdh_layered(train, val, cfg)
+        want = oracle_train_gmdh_layered(train, val, cfg)
+        assert [n.criterion for n in got.neurons] == [n.criterion for n in want.neurons]
+        assert model_bytes(got, "gmdh-layered", tmp_path) == \
+            model_bytes(want, "gmdh-layered", tmp_path)
+
+    @pytest.mark.parametrize("config", GMDH_CONFIGS[::2],
+                             ids=lambda c: "-".join(str(v) for v in c.values()))
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_roulette_matches_oracle(self, config, seed, tmp_path):
+        train, val = gmdh_data(seed)
+        cfg = GmdhConfig(attempts=40, epochs=40, restarts=2, seed=seed, **config)
+        got = train_gmdh_roulette(train, val, cfg)
+        want = oracle_train_gmdh_roulette(train, val, cfg)
+        assert [n.accuracy for n in got.neurons] == [n.accuracy for n in want.neurons]
+        assert model_bytes(got, "gmdh-roulette", tmp_path) == \
+            model_bytes(want, "gmdh-roulette", tmp_path)
+
+    def test_cases_grow_past_the_first_layer(self):
+        # the oracle comparisons above only cover neuron-to-neuron inputs if
+        # some of their networks reach a second layer
+        layered = [len(train_gmdh_layered(*gmdh_data(seed), GmdhConfig(
+            method="least_squares", seed=seed)).layer_scores) for seed in (0, 3, 8)]
+        roulette = [max(n.layer for n in train_gmdh_roulette(*gmdh_data(seed), GmdhConfig(
+            attempts=40, method="least_squares", seed=seed)).neurons) for seed in (0, 3, 8)]
+        assert max(layered) >= 2 and max(roulette) >= 3, (layered, roulette)

@@ -6,9 +6,8 @@ import pytest
 from evonets.dataset import Dataset, SplitSpec, gen_surrogate_eeg, gen_xor, split
 from evonets.errors import DataError, TrainingError
 from evonets.gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron,
-                          count_candidates, eval_supporting_neuron, gmdh_to_dot,
-                          predict_poly, to_polynomial_text, train_gmdh_layered,
-                          train_gmdh_roulette)
+                          count_candidates, gmdh_to_dot, to_polynomial_text,
+                          train_gmdh_layered, train_gmdh_roulette)
 
 # Reference coefficient sets for a three-neuron artifact-classification network.
 CHAIN = [
@@ -23,6 +22,16 @@ def chain_network(features=76):
                for k, (inputs, weights) in enumerate(CHAIN)]
     names = tuple(f"x{j + 1}" for j in range(features))
     return PolyNetwork(neurons, 2, [], names)
+
+
+def neuron_value(nrn, *values):
+    """Raw output of a lone neuron whose inputs are the given feature values."""
+    return float(PolyNetwork([nrn], 0).raw_outputs(np.array([values]))[0])
+
+
+def raw_output(net, x):
+    """Raw network output for one example."""
+    return float(net.raw_outputs(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def interpret(net, x):
@@ -81,22 +90,22 @@ class TestCounting:
 class TestEvaluation:
     def test_zero_input_exposes_bias(self):
         nrn = SupportingNeuron("bilinear", (("x", 0), ("x", 1)), CHAIN[0][1])
-        assert eval_supporting_neuron(nrn, 0.0, 0.0) == pytest.approx(0.6965, abs=1e-15)
+        assert neuron_value(nrn, 0.0, 0.0) == pytest.approx(0.6965, abs=1e-15)
 
     def test_unit_input_sums_coefficients(self):
         nrn = SupportingNeuron("bilinear", (("x", 0), ("x", 1)), CHAIN[0][1])
-        assert eval_supporting_neuron(nrn, 1.0, 1.0) == pytest.approx(1.1053, abs=1e-12)
+        assert neuron_value(nrn, 1.0, 1.0) == pytest.approx(1.1053, abs=1e-12)
 
     def test_linear_kind(self):
         nrn = SupportingNeuron("linear", (("x", 0), ("x", 1)), [0.0, 1.0, 1.0])
-        assert eval_supporting_neuron(nrn, 2.0, 3.0) == 5.0
+        assert neuron_value(nrn, 2.0, 3.0) == 5.0
 
     def test_bilinear_is_affine_in_v1_for_fixed_v2(self):
         nrn = SupportingNeuron("bilinear", (("x", 0), ("x", 1)), [0.3, -1.2, 0.7, 2.1])
         v2 = 0.8
-        y0 = eval_supporting_neuron(nrn, -1.0, v2)
-        y1 = eval_supporting_neuron(nrn, 0.0, v2)
-        y2 = eval_supporting_neuron(nrn, 1.0, v2)
+        y0 = neuron_value(nrn, -1.0, v2)
+        y1 = neuron_value(nrn, 0.0, v2)
+        y2 = neuron_value(nrn, 1.0, v2)
         assert y1 == pytest.approx((y0 + y2) / 2, abs=1e-12)
 
 
@@ -209,59 +218,55 @@ class TestRouletteGrowth:
 class TestPrediction:
     def test_chain_network_at_zero_input(self):
         net = chain_network()
-        cls, raw = predict_poly(net, np.zeros(76))
+        raw = raw_output(net, np.zeros(76))
         assert raw == pytest.approx(0.79666806816, abs=1e-12)
-        assert cls == 1
+        assert net.predict_classes(np.zeros((1, 76)))[0] == 1
 
     def test_first_neuron_bias_at_zero_input(self):
         net = chain_network()
-        outs = []
-        x = np.zeros(76)
-        for nrn in net.neurons:
-            ins = [x[r] if t == "x" else outs[r] for t, r in nrn.inputs]
-            outs.append(eval_supporting_neuron(nrn, *ins))
-        assert outs[0] == pytest.approx(0.6965, abs=1e-15)
+        first = PolyNetwork(net.neurons, 0, [], net.feature_names)
+        assert raw_output(first, np.zeros(76)) == pytest.approx(0.6965, abs=1e-15)
 
     def test_single_reference_neuron_at_zero_input(self):
         nrn = SupportingNeuron("bilinear", (("x", 0), ("x", 1)), CHAIN[0][1],
                                survivor=True)
         net = PolyNetwork([nrn], 0, [], ("a", "b"))
-        cls, raw = predict_poly(net, np.zeros(2))
+        raw = raw_output(net, np.zeros(2))
         assert raw == pytest.approx(0.6965, abs=1e-15)
-        assert cls == 1
+        assert net.predict_classes(np.zeros((1, 2)))[0] == 1
 
     def test_matches_brute_force_interpreter(self):
         net = chain_network()
         rng = np.random.default_rng(15)
         for _ in range(50):
             x = rng.uniform(-1, 1, size=76)
-            _, raw = predict_poly(net, x)
+            raw = raw_output(net, x)
             assert raw == pytest.approx(interpret(net, x), abs=1e-12)
 
     def test_deep_fixture_zero_input_chain(self):
         # frozen by feeding the bias chain forward with plain arithmetic
         net = deep_network()
-        cls, raw = predict_poly(net, np.zeros(72))
+        raw = raw_output(net, np.zeros(72))
         assert raw == pytest.approx(0.9012671384984285, abs=1e-12)
-        assert cls == 1
+        assert net.predict_classes(np.zeros((1, 72)))[0] == 1
 
     def test_deep_fixture_matches_interpreter(self):
         net = deep_network()
         rng = np.random.default_rng(16)
         for _ in range(50):
             x = rng.uniform(-1, 1, size=72)
-            _, raw = predict_poly(net, x)
+            raw = raw_output(net, x)
             assert raw == pytest.approx(interpret(net, x), abs=1e-12)
 
     def test_empty_network_rejected(self):
         net = PolyNetwork([], 0, [])
         with pytest.raises(TrainingError, match="untrained"):
-            predict_poly(net, np.zeros(3))
+            net.raw_outputs(np.zeros((1, 3)))
 
     def test_missing_feature_rejected(self):
         net = chain_network()
         with pytest.raises(DataError, match="at least 76"):
-            predict_poly(net, np.zeros(10))
+            net.raw_outputs(np.zeros((1, 10)))
 
 
 class TestPruning:

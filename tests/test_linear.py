@@ -1,13 +1,16 @@
 """Linear machines, pocket training, feature search, pairwise combination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evonets._util import derive_seed
 from evonets.dataset import Dataset, SplitSpec, gen_blobs, split
 from evonets.errors import DataError
-from evonets.linear import (LinearMachine, LmdtConfig,
+from evonets.linear import (LinearMachine, LmdtConfig, _fit_test,
                             ThermalSchedule, aggregate_segments,
                             combine_pairwise, error_correct, induce_dt,
                             sfs_select, thermal_c, thermal_correction,
@@ -254,6 +257,30 @@ class TestPairwiseTree:
         # +1 output means class 0 (the positive side of pair (0, 1))
         tlu_pred = np.where(tlu.outputs(X) > 0, 0, 1)
         np.testing.assert_array_equal(tree.predict_classes(X), tlu_pred)
+
+    @pytest.mark.parametrize("trainer", ["induce-dt", "sfs", "all-features"])
+    def test_pair_without_validation_rows_is_scored_on_its_training_rows(self, trainer):
+        ds = gen_blobs(160, classes=4, seed=21, spread=1.0)
+        tr, va = split(ds, SplitSpec((0.5, 0.5), seed=22))
+        keep = va.labels < 2   # classes 2 and 3 have no validation rows
+        va = Dataset(va.features[keep], va.labels[keep], va.feature_names, 4)
+        cfg = replace(QUICK, pair_trainer=trainer)
+        got = train_pairwise_tree(tr, va, cfg=cfg).tlus[(2, 3)]
+
+        mask = (tr.labels == 2) | (tr.labels == 3)
+        pair = Dataset(tr.features[mask], (tr.labels[mask] == 2).astype(int),
+                       tr.feature_names, 2)
+        no_rows = Dataset(pair.features[:0], pair.labels[:0], tr.feature_names, 2)
+        seed = derive_seed(cfg.seed, 2, 3)
+        want = {
+            "induce-dt": lambda: induce_dt(pair, no_rows, None, cfg.attempts, seed, cfg),
+            "sfs": lambda: sfs_select(pair, no_rows, 2, replace(cfg, seed=seed)),
+            "all-features": lambda: _fit_test(pair, no_rows, (0, 1), cfg, seed),
+        }[trainer]()
+        assert got.features == want.features
+        assert got.weights.tobytes() == want.weights.tobytes()
+        on_train = np.mean((got.outputs(pair.features) > 0).astype(int) == pair.labels)
+        assert got.accuracy == want.accuracy == on_train
 
     def test_empty_pair_side_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))

@@ -3,38 +3,47 @@
 import numpy as np
 import pytest
 
+from evonets.cascade import CascadeNetwork
 from evonets.dataset import Dataset
 from evonets.errors import DataError, TrainingError
 from evonets.neuron import (CandidateScore, FitConfig, SigmoidNeuron,
                             classification_error, exterior_criterion,
                             fit_gradient, fit_loss, fit_neuron,
-                            least_squares_fit, sigmoid, sigmoid_out)
+                            least_squares_fit, sigmoid)
 
 
 def make_neuron(p, weights=None):
     return SigmoidNeuron(tuple(("x", j) for j in range(p)), weights)
 
 
+def neuron_output(neuron, inputs):
+    """Output of a neuron bound to features 0..p-1 for one input row, read
+    through a cascade network made of that neuron alone."""
+    net = CascadeNetwork(0, tuple(range(neuron.p)), (), neuron, 0.0, [neuron],
+                         list(range(1, neuron.p)))
+    return float(net.scores(np.asarray(inputs, dtype=float)[None, :])[0])
+
+
 class TestSigmoid:
     def test_zero_weights_give_half(self):
         n = make_neuron(3, [0.0, 0.0, 0.0, 0.0])
-        assert sigmoid_out(n, [1.0, -2.0, 7.0]) == 0.5
+        assert neuron_output(n, [1.0, -2.0, 7.0]) == 0.5
 
     def test_unit_case(self):
         n = make_neuron(1, [0.0, 1.0])
-        assert sigmoid_out(n, [1.0]) == pytest.approx(0.7310585786300049, abs=1e-15)
+        assert neuron_output(n, [1.0]) == pytest.approx(0.7310585786300049, abs=1e-15)
 
     def test_saturation_is_clamped(self):
         n = make_neuron(1, [50.0, 0.0])
-        out = sigmoid_out(n, [0.0])
+        out = neuron_output(n, [0.0])
         assert out <= 1 - 1e-12
         low = make_neuron(1, [-50.0, 0.0])
-        assert sigmoid_out(low, [0.0]) >= 1e-12
+        assert neuron_output(low, [0.0]) >= 1e-12
 
     def test_length_mismatch(self):
         n = make_neuron(2, [0.0, 1.0, 1.0])
         with pytest.raises(DataError):
-            sigmoid_out(n, [1.0])
+            neuron_output(n, [1.0])
 
     def test_symmetry(self):
         # sigma(z) + sigma(-z) = 1 away from the clamp region
@@ -48,11 +57,11 @@ class TestSigmoid:
             w = rng.uniform(-2, 2, size=4)
             u = rng.uniform(-2, 2, size=3)
             n0 = make_neuron(3, w)
-            base = sigmoid_out(n0, u)
+            base = neuron_output(n0, u)
             for i in range(4):
                 w2 = w.copy()
                 w2[i] += 1e-6
-                delta = sigmoid_out(make_neuron(3, w2), u) - base
+                delta = neuron_output(make_neuron(3, w2), u) - base
                 driver = 1.0 if i == 0 else u[i - 1]
                 if abs(driver) > 1e-9:
                     assert np.sign(delta) == np.sign(driver)
