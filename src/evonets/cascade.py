@@ -81,7 +81,7 @@ class CascadeNetwork:
         return (self.scores(X) >= self.threshold).astype(int)
 
 
-def _fit_single_features(train, val, cfg, seed):
+def _fit_single_features(train, val, cfg):
     """Fit a one-input neuron on every column and rank the columns by its
     validation error, ties to the lower index. Returns (feature order,
     errors in that order, per-column (validation error, fitted neuron))."""
@@ -89,7 +89,7 @@ def _fit_single_features(train, val, cfg, seed):
     for j in range(train.n_features):
         nrn = SigmoidNeuron((("x", j),))
         fitted = fit_neuron(nrn, train.features[:, [j]], train.labels,
-                            replace(cfg, seed=derive_seed(seed, 0, j)))
+                            replace(cfg, seed=derive_seed(cfg.seed, 0, j)))
         sv = sigmoid(fitted.weights[0] + val.features[:, j] * fitted.weights[1])
         err = float(np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels))
         singles.append((err, fitted))
@@ -105,7 +105,7 @@ def rank_single_features(train, val, cfg: FitConfig):
     """
     if train.n_features < 2:
         raise DataError("need at least 2 features to rank")
-    order, errors, _ = _fit_single_features(train, val, cfg, cfg.seed)
+    order, errors, _ = _fit_single_features(train, val, cfg)
     return order, errors, errors[0]
 
 
@@ -114,12 +114,12 @@ def relevance_check(candidate_score, incumbent_score):
     return candidate_score < incumbent_score
 
 
-def train_ecnn(train, val, cfg: FitConfig = FitConfig(), seed=None) -> CascadeNetwork:
+def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
     """Grow a cascade network while validation error strictly decreases.
 
     Walks the ranked feature pool once; each candidate neuron sees the
     anchor, the next-ranked feature, and all previously accepted outputs.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed cfg.seed.
     """
     if train.class_count != 2:
         raise DataError("cascade training requires binary labels")
@@ -127,10 +127,8 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig(), seed=None) -> CascadeNe
         raise DataError("need at least 2 features")
     if val.n_rows == 0:
         raise DataError("empty validation set")
-    if seed is None:
-        seed = cfg.seed
 
-    order, errors, singles = _fit_single_features(train, val, cfg, seed)
+    order, errors, singles = _fit_single_features(train, val, cfg)
     anchor = order[0]
     base_err, base_neuron = singles[anchor]
 
@@ -148,7 +146,7 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig(), seed=None) -> CascadeNe
         bindings = [("x", anchor), ("x", feat)] + [("z", t) for t in range(len(net.neurons))]
         U_tr = np.column_stack([Xtr[:, anchor], Xtr[:, feat]] + ztr)
         candidate = fit_neuron(SigmoidNeuron(tuple(bindings)), U_tr, train.labels,
-                               replace(cfg, seed=derive_seed(seed, 1, h)))
+                               replace(cfg, seed=derive_seed(cfg.seed, 1, h)))
         U_va = np.column_stack([Xva[:, anchor], Xva[:, feat]] + zva)
         out_va = sigmoid(candidate.weights[0] + U_va @ candidate.weights[1:])
         c1 = float(np.mean((out_va >= cfg.decision_threshold).astype(int) != val.labels))

@@ -19,9 +19,9 @@ from .dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg, gen_xor,
                       load_csv, normalize_zscore, parse_rows, read_csv_rows, save_csv,
                       split)
 from .errors import DataError, TrainingError, UsageError
-from .gmdh import GmdhConfig, train_gmdh_layered, train_gmdh_roulette
-from .linear import (LinearMachine, LmdtConfig, PairwiseTree, aggregate_segments,
-                     train_pairwise_tree, train_pocket_ratchet)
+from .gmdh import KINDS, GmdhConfig, train_gmdh_layered, train_gmdh_roulette
+from .linear import (CORRECTIONS, PAIR_TRAINERS, LinearMachine, LmdtConfig, PairwiseTree,
+                     aggregate_segments, train_pairwise_tree, train_pocket_ratchet)
 from .modelio import METHODS, ModelBundle, load_model, save_model
 from .ruletree import extract_rules, to_text
 
@@ -59,7 +59,7 @@ def _build_parser():
                    help="fit/validation fractions, e.g. 2/3:1/3")
     t.add_argument("--no-stratify", action="store_true")
     t.add_argument("--report", default=None, help="per-pair CSV report (pairwise-dt)")
-    t.add_argument("--kind", choices=["linear", "bilinear"], default="bilinear")
+    t.add_argument("--kind", choices=KINDS, default="bilinear")
     t.add_argument("--fit-method", choices=["gradient", "least-squares"],
                    default="gradient")
     t.add_argument("--survivors", type=int, default=None)
@@ -74,9 +74,8 @@ def _build_parser():
     t.add_argument("--patience", type=int, default=100)
     t.add_argument("--c", type=float, default=1.0)
     t.add_argument("--no-ratchet", action="store_true")
-    t.add_argument("--correction", choices=["fixed", "thermal"], default="fixed")
-    t.add_argument("--pair-trainer", choices=["induce-dt", "sfs", "all-features"],
-                   default="induce-dt")
+    t.add_argument("--correction", choices=CORRECTIONS, default="fixed")
+    t.add_argument("--pair-trainer", choices=PAIR_TRAINERS, default="induce-dt")
     t.add_argument("--test-epochs", type=int, default=25)
     t.add_argument("--max-features", type=int, default=None)
 
@@ -192,7 +191,7 @@ def _train_pairwise(args, tr, va, ds):
                      pair_trainer=args.pair_trainer,
                      max_features=args.max_features,
                      attempts=_flag(args.attempts, 10), seed=args.seed)
-    return train_pairwise_tree(tr, va, ds.class_count, cfg), {
+    return train_pairwise_tree(tr, va, cfg), {
         "c": cfg.c, "use_ratchet": cfg.use_ratchet,
         "test_epochs": cfg.test_epochs, "correction": cfg.correction,
         "pair_trainer": cfg.pair_trainer, "max_features": cfg.max_features,

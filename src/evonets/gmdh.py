@@ -22,12 +22,14 @@ import numpy as np
 
 from ._util import derive_seed
 from .errors import DataError, TrainingError
-from .neuron import exterior_criterion, least_squares_fit
+from .neuron import check_descent, exterior_criterion, least_squares_fit
 
 __all__ = [
-    "SupportingNeuron", "PolyNetwork", "GmdhConfig", "count_candidates",
+    "KINDS", "SupportingNeuron", "PolyNetwork", "GmdhConfig", "count_candidates",
     "train_gmdh_layered", "train_gmdh_roulette", "to_polynomial_text", "gmdh_to_dot",
 ]
+
+KINDS = ("linear", "bilinear")   # supporting-neuron transfer functions
 
 
 @dataclass(eq=False)
@@ -48,7 +50,7 @@ class SupportingNeuron:
     accuracy: float = float("nan")
 
     def __post_init__(self):
-        if self.kind not in ("linear", "bilinear"):
+        if self.kind not in KINDS:
             raise DataError(f"unknown neuron kind '{self.kind}'")
         self.inputs = tuple((str(t), int(r)) for t, r in self.inputs)
         if len(self.inputs) not in (1, 2):
@@ -127,7 +129,7 @@ class GmdhConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "bilinear"):
+        if self.kind not in KINDS:
             raise DataError(f"unknown neuron kind '{self.kind}'")
         if self.survivors is not None and self.survivors < 1:
             raise DataError("survivors must be at least 1")
@@ -137,6 +139,7 @@ class GmdhConfig:
             raise DataError("attempts must be non-negative")
         if self.method not in ("gradient", "least_squares"):
             raise DataError(f"unknown fit method '{self.method}'")
+        check_descent(self.learning_rate, self.epochs, self.restarts)
 
 
 def count_candidates(m):
@@ -249,7 +252,7 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
     return _pruned(net)
 
 
-def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None) -> PolyNetwork:
+def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwork:
     """Randomized growth: accepted neurons join the selectable pool.
 
     Every feature first gets a one-input neuron whose validation accuracy
@@ -266,17 +269,15 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None) -
     yB = _binary_targets(val)
     if val.n_rows == 0:
         raise DataError("empty validation set")
-    if seed is None:
-        seed = cfg.seed
 
     XA, XB = train.features, val.features
     neurons, outsA, outsB = [], [], []
     pool = []  # accuracy per pool member; member k is neurons[k], and
     #            members below m stand in for the raw features themselves
 
-    def offer(kind, refs, fit_seed, layer, survivor, to_beat):
+    def offer(kind, refs, seed, layer, survivor, to_beat):
         """Fit a candidate and add it to the pool if its accuracy beats to_beat."""
-        nrn, outA, outB = _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, fit_seed,
+        nrn, outA, outB = _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, seed,
                                      layer)
         acc = float(np.mean((outB >= 0.5).astype(int) == val.labels))
         if acc > to_beat:
@@ -287,9 +288,9 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None) -
             pool.append(acc)
 
     for i in range(m):   # every accuracy beats -1, so each feature joins the pool
-        offer("linear", (("x", i),), derive_seed(seed, 0, i), 1, False, -1.0)
+        offer("linear", (("x", i),), derive_seed(cfg.seed, 0, i), 1, False, -1.0)
 
-    rng = np.random.default_rng(derive_seed(seed, 1))
+    rng = np.random.default_rng(derive_seed(cfg.seed, 1))
 
     for attempt in range(cfg.attempts):
         a = np.asarray(pool, dtype=float)
@@ -299,7 +300,7 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None) -
             j = int(rng.choice(len(pool), p=probs))
             if i != j:
                 offer(cfg.kind, tuple(("x", p) if p < m else ("n", p) for p in (i, j)),
-                      derive_seed(seed, 2, attempt),
+                      derive_seed(cfg.seed, 2, attempt),
                       1 + max(neurons[i].layer, neurons[j].layer), True,
                       max(pool[i], pool[j]))
                 break

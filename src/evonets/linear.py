@@ -26,13 +26,16 @@ from .dataset import Dataset
 from .errors import DataError, TrainingError
 
 __all__ = [
-    "LinearMachine", "PocketState", "ThermalSchedule", "LinearTest", "PairwiseTree",
-    "LmdtConfig", "wta_classify", "error_correct", "train_pocket_ratchet",
-    "thermal_c", "thermal_correction", "sfs_select", "induce_dt",
-    "train_pairwise_tree", "combine_pairwise", "aggregate_segments",
-    "describe_linear_machine", "linear_machine_to_dot", "describe_pairwise_tree",
-    "pairwise_tree_to_dot",
+    "CORRECTIONS", "PAIR_TRAINERS", "LinearMachine", "PocketState", "ThermalSchedule",
+    "LinearTest", "PairwiseTree", "LmdtConfig", "check_correction", "wta_classify",
+    "error_correct", "train_pocket_ratchet", "thermal_c", "thermal_correction",
+    "sfs_select", "induce_dt", "train_pairwise_tree", "combine_pairwise",
+    "aggregate_segments", "describe_linear_machine", "linear_machine_to_dot",
+    "describe_pairwise_tree", "pairwise_tree_to_dot",
 ]
+
+CORRECTIONS = ("fixed", "thermal")   # pocket correction sizes
+PAIR_TRAINERS = ("induce-dt", "sfs", "all-features")   # how a pair unit picks features
 
 
 @dataclass(eq=False)
@@ -112,6 +115,8 @@ class LinearTest:
 
     def __post_init__(self):
         self.features = tuple(int(f) for f in self.features)
+        if not self.features:
+            raise DataError("a linear test needs at least one feature")
         if len(set(self.features)) != len(self.features):
             raise DataError("feature subset indices must be unique")
         self.weights = np.asarray(self.weights, dtype=float)
@@ -182,18 +187,24 @@ class LmdtConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise DataError("correction amount c must be positive")
+        check_correction(self.c, self.correction)
         if self.test_epochs < 1:
             raise DataError("test_epochs must be at least 1")
-        if self.correction not in ("fixed", "thermal"):
-            raise DataError(f"unknown correction '{self.correction}'")
-        if self.pair_trainer not in ("induce-dt", "sfs", "all-features"):
+        if self.pair_trainer not in PAIR_TRAINERS:
             raise DataError(f"unknown pair trainer '{self.pair_trainer}'")
         if self.max_features is not None and self.max_features < 1:
             raise DataError("max_features must be at least 1")
         if self.attempts < 1:
             raise DataError("attempts must be at least 1")
+
+
+def check_correction(c, correction):
+    """Reject a correction size or kind the pocket cannot use; LmdtConfig and
+    train_pocket_ratchet both call this."""
+    if not c > 0:   # also refuses NaN
+        raise DataError("correction amount c must be positive")
+    if correction not in CORRECTIONS:
+        raise DataError(f"unknown correction '{correction}'")
 
 
 def wta_classify(lm: LinearMachine, x):
@@ -261,6 +272,7 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
 
     Returns (pocketed machine, PocketState).
     """
+    check_correction(c, correction)
     n = train.n_rows
     if n == 0:
         raise DataError("empty training data")
@@ -340,7 +352,15 @@ def _fit_test(train: Dataset, val: Dataset, features, cfg: LmdtConfig, seed) -> 
     return test
 
 
-def sfs_select(train: Dataset, val: Dataset, r=2, cfg: LmdtConfig = LmdtConfig()) -> LinearTest:
+def _single_tests(train: Dataset, val: Dataset, cfg: LmdtConfig):
+    """One test per feature alone, in column order: where both searches start."""
+    if train.class_count != 2:
+        raise DataError("binary labels required")
+    return [_fit_test(train, val, (j,), cfg, derive_seed(cfg.seed, 0, j))
+            for j in range(train.n_features)]
+
+
+def sfs_select(train: Dataset, val: Dataset, cfg: LmdtConfig = LmdtConfig()) -> LinearTest:
     """Greedy forward feature selection for a binary linear test.
 
     Starts from the best single feature and keeps adding whichever feature
@@ -350,15 +370,9 @@ def sfs_select(train: Dataset, val: Dataset, r=2, cfg: LmdtConfig = LmdtConfig()
     which also has the fewest features among ties (later equal-accuracy
     tests never replace it).
     """
-    if r != 2:
-        raise DataError("feature selection operates on binary tests")
-    if train.class_count != 2:
-        raise DataError("binary labels required")
     m = train.n_features
-    singles = [_fit_test(train, val, (j,), cfg, derive_seed(cfg.seed, 0, j))
-               for j in range(m)]
-    current = max(range(m), key=lambda j: (singles[j].accuracy, -j))
-    current_test = singles[current]
+    current_test = max(_single_tests(train, val, cfg),
+                       key=lambda t: (t.accuracy, -t.features[0]))
     best = current_test
 
     while len(current_test.features) < m:
@@ -379,37 +393,30 @@ def sfs_select(train: Dataset, val: Dataset, r=2, cfg: LmdtConfig = LmdtConfig()
     return best
 
 
-def induce_dt(train: Dataset, val: Dataset, max_features=None, attempts=10,
-              seed=0, cfg: LmdtConfig = LmdtConfig()) -> LinearTest:
+def induce_dt(train: Dataset, val: Dataset, cfg: LmdtConfig = LmdtConfig()) -> LinearTest:
     """Randomized feature-subset search for a binary linear test.
 
     Single-feature accuracies, normalized by their maximum, become
     acceptance probabilities over the accuracy-sorted feature pool. Each
-    attempt scans the pool, flips a coin against each feature's
-    probability, retrains the test with the feature added, and keeps the
-    growth only when accuracy improves; a scan stops at max_features. The
-    best test across attempts wins. Because accepted subsets can differ by
-    several features between attempts, this escapes the one-feature-at-a-
-    time local minima of plain forward selection.
+    of cfg.attempts attempts scans the pool, flips a coin against each
+    feature's probability, retrains the test with the feature added, and
+    keeps the growth only when accuracy improves; a scan stops at
+    cfg.max_features. The best test across attempts wins. Because accepted
+    subsets can differ by several features between attempts, this escapes
+    the one-feature-at-a-time local minima of plain forward selection.
     """
-    if attempts < 1:
-        raise DataError("need at least 1 attempt")
-    if train.class_count != 2:
-        raise DataError("binary labels required")
     m = train.n_features
-    cap = m if max_features is None else min(max_features, m)
+    cap = m if cfg.max_features is None else min(cfg.max_features, m)
 
-    singles = [_fit_test(train, val, (j,), cfg, derive_seed(seed, 0, j))
-               for j in range(m)]
-    acc = np.array([t.accuracy for t in singles])
+    acc = np.array([t.accuracy for t in _single_tests(train, val, cfg)])
     if acc.max() <= 0:
         raise TrainingError("every single-feature test has zero accuracy")
     probs = acc / acc.max()
     pool = sorted(range(m), key=lambda j: (-probs[j], j))
 
-    rng = np.random.default_rng(derive_seed(seed, 1))
+    rng = np.random.default_rng(derive_seed(cfg.seed, 1))
     best = None
-    for attempt in range(attempts):
+    for attempt in range(cfg.attempts):
         test = None
         accuracy = 0.0
         for rank, j in enumerate(pool):
@@ -418,7 +425,7 @@ def induce_dt(train: Dataset, val: Dataset, max_features=None, attempts=10,
             if probs[j] > rng.random():
                 feats = (test.features if test is not None else ()) + (j,)
                 cand = _fit_test(train, val, feats, cfg,
-                                 derive_seed(seed, 2, attempt, rank))
+                                 derive_seed(cfg.seed, 2, attempt, rank))
                 if cand.accuracy > accuracy:
                     test, accuracy = cand, cand.accuracy
         if test is not None and (best is None or accuracy > best.accuracy):
@@ -428,7 +435,12 @@ def induce_dt(train: Dataset, val: Dataset, max_features=None, attempts=10,
     return best
 
 
-def train_pairwise_tree(train: Dataset, val: Dataset, r=None,
+def _all_features(train: Dataset, val: Dataset, cfg: LmdtConfig) -> LinearTest:
+    """One test on every feature at once."""
+    return _fit_test(train, val, tuple(range(train.n_features)), cfg, cfg.seed)
+
+
+def train_pairwise_tree(train: Dataset, val: Dataset,
                         cfg: LmdtConfig = LmdtConfig()) -> PairwiseTree:
     """Train one TLU per class pair on the rows of those two classes.
 
@@ -436,12 +448,12 @@ def train_pairwise_tree(train: Dataset, val: Dataset, r=None,
     its own deterministic seed, so the units are independent and could be
     trained in parallel.
     """
-    if r is None:
-        r = train.class_count
-    if r < 2:
-        raise DataError("need at least 2 classes")
+    # the pair trainers are looked up when called, so a wrapper installed on
+    # a module name (as a tracer does) sees every pair
+    fit = dict(zip(PAIR_TRAINERS,
+                   (induce_dt, sfs_select, _all_features)))[cfg.pair_trainer]
     tlus = {}
-    for i, j in combinations(range(r), 2):
+    for i, j in combinations(range(train.class_count), 2):
         tr_mask = (train.labels == i) | (train.labels == j)
         va_mask = (val.labels == i) | (val.labels == j)
         if not ((train.labels == i).any() and (train.labels == j).any()):
@@ -452,17 +464,9 @@ def train_pairwise_tree(train: Dataset, val: Dataset, r=None,
         pair_val = Dataset(val.features[va_mask],
                            (val.labels[va_mask] == i).astype(int),
                            val.feature_names, 2)
-        pair_seed = derive_seed(cfg.seed, i, j)
-        if cfg.pair_trainer == "induce-dt":
-            tlus[(i, j)] = induce_dt(pair_train, pair_val, cfg.max_features,
-                                     cfg.attempts, pair_seed, cfg)
-        elif cfg.pair_trainer == "sfs":
-            tlus[(i, j)] = sfs_select(pair_train, pair_val, 2,
-                                      replace(cfg, seed=pair_seed))
-        else:
-            tlus[(i, j)] = _fit_test(pair_train, pair_val,
-                                     tuple(range(train.n_features)), cfg, pair_seed)
-    return PairwiseTree(r, tlus, train.feature_names)
+        tlus[(i, j)] = fit(pair_train, pair_val,
+                           replace(cfg, seed=derive_seed(cfg.seed, i, j)))
+    return PairwiseTree(train.class_count, tlus, train.feature_names)
 
 
 def combine_pairwise(f_outputs, class_count=None):

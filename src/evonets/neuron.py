@@ -40,6 +40,17 @@ def sigmoid(z):
     return float(out[0]) if scalar else out
 
 
+def check_descent(learning_rate, epochs, restarts):
+    """Reject restarted-descent settings that cannot train; FitConfig and
+    GmdhConfig both call this."""
+    if not learning_rate > 0:   # also refuses NaN
+        raise DataError("learning_rate must be positive")
+    if epochs < 1:
+        raise DataError("epochs must be at least 1")
+    if restarts < 1:
+        raise DataError("restarts must be at least 1")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for fitting a single neuron by batch gradient descent."""
@@ -51,12 +62,7 @@ class FitConfig:
     decision_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise DataError("epochs must be at least 1")
-        if self.restarts < 1:
-            raise DataError("restarts must be at least 1")
+        check_descent(self.learning_rate, self.epochs, self.restarts)
         if not 0.0 < self.decision_threshold < 1.0:
             raise DataError("decision_threshold must lie in (0, 1)")
 

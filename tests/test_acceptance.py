@@ -6,6 +6,7 @@ number asserted here is reproducible bit for bit.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ class TestC04CascadeFeatureSelection:
             test_n = norm.apply_dataset(test)
             A, B = split(train_n, SplitSpec((2 / 3, 1 / 3), seed=s + 1,
                                             stratified=True))
-            net = train_ecnn(A, B, cfg, seed=s)
+            net = train_ecnn(A, B, replace(cfg, seed=s))
             if len(set(net.selected_features) & set(informative)) >= 3:
                 hits += 1
             err = float(np.mean(net.predict_classes(test_n.features) != test_n.labels))

@@ -88,8 +88,8 @@ class TestTraining:
     def test_deterministic(self):
         ds, _ = gen_surrogate_eeg(300, relevant=2, irrelevant=4, seed=2)
         tr, va = split(ds, SplitSpec((0.5, 0.5), seed=3))
-        a = train_ecnn(tr, va, CFG, seed=42)
-        b = train_ecnn(tr, va, CFG, seed=42)
+        a = train_ecnn(tr, va, replace(CFG, seed=42))
+        b = train_ecnn(tr, va, replace(CFG, seed=42))
         assert describe_cascade(a) == describe_cascade(b)
         for na, nb in zip(a.neurons, b.neurons):
             np.testing.assert_array_equal(na.weights, nb.weights)
@@ -101,18 +101,15 @@ class TestTraining:
         calls = []
         fit = cascade._fit_single_features
 
-        def counted(*args):
-            calls.append(args[-1])
-            return fit(*args)
+        def counted(train, val, cfg):
+            calls.append(cfg.seed)
+            return fit(train, val, cfg)
 
         monkeypatch.setattr(cascade, "_fit_single_features", counted)
-        net = train_ecnn(tr, va, CFG, seed=42)
+        net = train_ecnn(tr, va, replace(CFG, seed=42))
         assert calls == [42]
         ranked = rank_single_features(tr, va, replace(CFG, seed=42))
         assert (net.feature_order, net.single_errors, net.base_score) == ranked
-        again = train_ecnn(tr, va, replace(CFG, seed=42))
-        assert describe_cascade(again) == describe_cascade(net)
-        assert again.base_neuron.weights.tobytes() == net.base_neuron.weights.tobytes()
 
     def test_structural_invariants(self):
         ds, _ = gen_surrogate_eeg(600, relevant=3, irrelevant=6, seed=4)

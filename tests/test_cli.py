@@ -117,6 +117,33 @@ class TestTrain:
         np.testing.assert_array_equal(before, again.predict_csv_features(X))
 
 
+class TestRejectedSettings:
+    """A setting no learner can train with exits 2 with one line, whichever
+    method receives it, and writes no model."""
+
+    @pytest.mark.parametrize("method", ["gmdh-layered", "gmdh-roulette"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--restarts=0", "restarts must be at least 1"),
+        ("--epochs=0", "epochs must be at least 1"),
+        ("--learning-rate=-1", "learning_rate must be positive"),
+    ])
+    def test_descent_setting_rejected_by_gmdh(self, method, flag, message, xor_csv,
+                                              tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run("train", "--method", method, flag, "--data", str(xor_csv),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["0", "-1", "nan"])
+    def test_c_not_positive_rejected_by_lm(self, c, blob_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run("train", "--method", "lm", f"--c={c}", "--data", str(blob_csv),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "data error: correction amount c must be positive\n"
+        assert not out.exists()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("method,extra", [
         ("ecnn", ("--epochs", "60", "--restarts", "1")),
@@ -455,6 +482,13 @@ MALFORMED_RULETREES = {
     "three label_names": lambda doc: {**doc, "label_names": ["0", "1", "2"]},
 }
 
+# Each turns a valid 2-feature, 2-class pairwise-dt document into one whose
+# payload does not fit its envelope.
+MALFORMED_PAIRWISE = {
+    "test without features": lambda doc: {**doc, "payload": {"classes": 2, "tests": [
+        {"i": 0, "j": 1, "features": [], "weights": [0.5], "accuracy": 1.0}]}},
+}
+
 # Each turns a valid 2-feature, 2-class lm document into one whose payload
 # does not fit its envelope.
 MALFORMED_LMS = {
@@ -485,6 +519,14 @@ class TestMalformedModelFile:
         path = tmp_path / "rules.json"
         assert run("train", "--method", "ruletree", "--data", str(xor_csv),
                    "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.fixture
+    def pairwise(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "pairwise.json"
+        assert run("train", "--method", "pairwise-dt", "--attempts", "3", "--test-epochs",
+                   "8", "--data", str(xor_csv), "--out", str(path)) == 0
         capsys.readouterr()
         return path
 
@@ -527,6 +569,13 @@ class TestMalformedModelFile:
     def test_malformed_lm_payload_exits_2(self, fault, verb, model, xor_csv, tmp_path,
                                           capsys):
         doc = MALFORMED_LMS[fault](json.loads(model.read_text()))
+        self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_PAIRWISE))
+    def test_malformed_pairwise_payload_exits_2(self, fault, verb, pairwise, xor_csv,
+                                                tmp_path, capsys):
+        doc = MALFORMED_PAIRWISE[fault](json.loads(pairwise.read_text()))
         self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
 
     def test_normalization_overflow_rejected_by_extract_rules(self, model, xor_csv,

@@ -8,6 +8,7 @@ from evonets.errors import DataError, TrainingError
 from evonets.gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron,
                           count_candidates, gmdh_to_dot, to_polynomial_text,
                           train_gmdh_layered, train_gmdh_roulette)
+from evonets.neuron import FitConfig
 
 # Reference coefficient sets for a three-neuron artifact-classification network.
 CHAIN = [
@@ -178,6 +179,18 @@ class TestLayeredGrowth:
         ds = Dataset(X, np.arange(30) % 3, ("a", "b", "c"), 3)
         with pytest.raises(DataError):
             train_gmdh_layered(ds, ds, GmdhConfig())
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"learning_rate": 0.0}, "learning_rate must be positive"),
+    ({"learning_rate": float("nan")}, "learning_rate must be positive"),
+    ({"epochs": 0}, "epochs must be at least 1"),
+    ({"restarts": 0}, "restarts must be at least 1"),
+])
+def test_descent_settings_checked_as_in_fit_config(setting, message):
+    for config in (GmdhConfig, FitConfig):
+        with pytest.raises(DataError, match=message):
+            config(**setting)
 
 
 class TestRouletteGrowth:

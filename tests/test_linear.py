@@ -119,6 +119,20 @@ class TestPocket:
                                          thermal=ThermalSchedule())
         assert state.accuracy >= 0.5
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"c": 0}, "c must be positive"),
+        ({"c": -1.0}, "c must be positive"),
+        ({"c": float("nan")}, "c must be positive"),
+        ({"correction": "thermall"}, "unknown correction 'thermall'"),
+    ])
+    def test_bad_correction_setting_rejected(self, setting, message):
+        # the same check LmdtConfig makes
+        ds = gen_blobs(60, classes=3, seed=0)
+        with pytest.raises(DataError, match=message):
+            train_pocket_ratchet(LinearMachine.zeros(3, 2), ds, epochs=2, **setting)
+        with pytest.raises(DataError, match=message):
+            LmdtConfig(**setting)
+
     def test_weight_sum_conserved_through_training(self):
         # every correction adds and subtracts the same vector, so starting
         # from zeros any weight snapshot keeps a (near-)zero column sum
@@ -184,7 +198,7 @@ class TestSfs:
         for seed in range(20):
             ds = informative_pair_dataset(seed, n=160, noise=6)
             tr, va = split(ds, SplitSpec((0.5, 0.5), seed=seed))
-            test = sfs_select(tr, va, 2, LmdtConfig(test_epochs=12, seed=seed))
+            test = sfs_select(tr, va, LmdtConfig(test_epochs=12, seed=seed))
             if {0, 1} <= set(test.features):
                 hits += 1
         assert hits >= 16
@@ -194,20 +208,20 @@ class TestSfs:
         X = rng.normal(size=(100, 1))
         y = (X[:, 0] > 0).astype(int)
         ds = Dataset(X, y, ("only",), 2)
-        test = sfs_select(ds, ds, 2, QUICK)
+        test = sfs_select(ds, ds, QUICK)
         assert test.features == (0,)
 
     def test_multiclass_rejected(self):
         ds = gen_blobs(60, classes=3, seed=0)
         with pytest.raises(DataError):
-            sfs_select(ds, ds, 2, QUICK)
+            sfs_select(ds, ds, QUICK)
 
 
 class TestInduceDt:
     def test_attempt_range_works(self):
         ds = informative_pair_dataset(3, n=120, noise=2)
         for attempts in (5, 25):
-            test = induce_dt(ds, ds, attempts=attempts, seed=1, cfg=QUICK)
+            test = induce_dt(ds, ds, replace(QUICK, attempts=attempts, seed=1))
             assert len(test.features) >= 1
 
     def test_all_noise_matches_majority_rate(self):
@@ -216,21 +230,21 @@ class TestInduceDt:
         y = rng.integers(0, 2, 300)
         ds = Dataset(X, y, tuple(f"f{j}" for j in range(5)), 2)
         tr, va = split(ds, SplitSpec((0.5, 0.5), seed=5))
-        test = induce_dt(tr, va, attempts=8, seed=6, cfg=QUICK)
+        test = induce_dt(tr, va, replace(QUICK, attempts=8, seed=6))
         assert len(test.features) >= 1
         majority = max(np.mean(va.labels), 1 - np.mean(va.labels))
         assert abs(test.accuracy - majority) < 0.12
 
     def test_deterministic(self):
         ds = informative_pair_dataset(7, n=150, noise=3)
-        a = induce_dt(ds, ds, attempts=6, seed=9, cfg=QUICK)
-        b = induce_dt(ds, ds, attempts=6, seed=9, cfg=QUICK)
+        a = induce_dt(ds, ds, replace(QUICK, attempts=6, seed=9))
+        b = induce_dt(ds, ds, replace(QUICK, attempts=6, seed=9))
         assert a.features == b.features
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_feature_cap_respected(self):
         ds = informative_pair_dataset(8, n=150, noise=6)
-        test = induce_dt(ds, ds, max_features=2, attempts=6, seed=10, cfg=QUICK)
+        test = induce_dt(ds, ds, replace(QUICK, max_features=2, attempts=6, seed=10))
         assert len(test.features) <= 2
 
 
@@ -273,14 +287,32 @@ class TestPairwiseTree:
         no_rows = Dataset(pair.features[:0], pair.labels[:0], tr.feature_names, 2)
         seed = derive_seed(cfg.seed, 2, 3)
         want = {
-            "induce-dt": lambda: induce_dt(pair, no_rows, None, cfg.attempts, seed, cfg),
-            "sfs": lambda: sfs_select(pair, no_rows, 2, replace(cfg, seed=seed)),
+            "induce-dt": lambda: induce_dt(pair, no_rows, replace(cfg, seed=seed)),
+            "sfs": lambda: sfs_select(pair, no_rows, replace(cfg, seed=seed)),
             "all-features": lambda: _fit_test(pair, no_rows, (0, 1), cfg, seed),
         }[trainer]()
         assert got.features == want.features
         assert got.weights.tobytes() == want.weights.tobytes()
         on_train = np.mean((got.outputs(pair.features) > 0).astype(int) == pair.labels)
         assert got.accuracy == want.accuracy == on_train
+
+    @pytest.mark.parametrize("trainer, name", [("induce-dt", "induce_dt"),
+                                               ("sfs", "sfs_select")])
+    def test_pair_trainer_is_called_through_its_module_name(self, trainer, name,
+                                                             monkeypatch):
+        # a wrapper installed on the module name (as a tracer does) sees every pair
+        import evonets.linear as linear
+        ds = gen_blobs(150, classes=3, seed=11, spread=1.0)
+        tr, va = split(ds, SplitSpec((0.5, 0.5), seed=12))
+        fit, seeds = getattr(linear, name), []
+
+        def counted(pair_train, pair_val, cfg):
+            seeds.append(cfg.seed)
+            return fit(pair_train, pair_val, cfg)
+
+        monkeypatch.setattr(linear, name, counted)
+        tree = train_pairwise_tree(tr, va, replace(QUICK, pair_trainer=trainer))
+        assert seeds == [derive_seed(QUICK.seed, i, j) for i, j in sorted(tree.tlus)]
 
     def test_empty_pair_side_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 2))

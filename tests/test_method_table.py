@@ -24,8 +24,10 @@ from evonets.baseline import FnnModel
 from evonets.cascade import CascadeNetwork, cascade_to_dot, describe_cascade
 from evonets.cli import main
 from evonets.errors import DataError, UsageError
-from evonets.gmdh import PolyNetwork, SupportingNeuron, gmdh_to_dot, to_polynomial_text
-from evonets.linear import LinearMachine, LinearTest, PairwiseTree
+from evonets.gmdh import (KINDS, PolyNetwork, SupportingNeuron, gmdh_to_dot,
+                          to_polynomial_text)
+from evonets.linear import (CORRECTIONS, PAIR_TRAINERS, LinearMachine, LinearTest,
+                            PairwiseTree)
 from evonets.modelio import (METHODS, _decode_sigmoid_neuron, _encode_rule_node,
                              _encode_sigmoid_neuron, _floats, _matrix, load_model)
 from evonets.ruletree import RuleNode, RuleTree, ruletree_to_dot, to_text
@@ -325,14 +327,18 @@ LEARNER = {
 }
 
 
-def method_choices():
+def train_choices(dest):
     train = cli._build_parser()._subparsers._group_actions[0].choices["train"]
-    return next(a.choices for a in train._actions if a.dest == "method")
+    return next(a.choices for a in train._actions if a.dest == dest)
 
 
 def test_one_trainer_per_method():
     assert set(cli.TRAINERS) == set(METHODS) == set(LEARNER)
-    assert list(method_choices()) == list(METHODS)
+    assert list(train_choices("method")) == list(METHODS)
+    # every other choice set is its module's one tuple, which the configs validate against
+    assert tuple(train_choices("pair_trainer")) == PAIR_TRAINERS
+    assert tuple(train_choices("correction")) == CORRECTIONS
+    assert tuple(train_choices("kind")) == KINDS
 
 
 class Intercepted(Exception):
