@@ -1,4 +1,5 @@
-"""Small shared helpers: deterministic seed derivation and input augmentation."""
+"""Small shared helpers: deterministic seed derivation, input augmentation and
+the restart pick."""
 
 import numpy as np
 
@@ -19,3 +20,14 @@ def augment(X):
     """Prepend the constant input x0 = 1 to each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return np.column_stack([np.ones(X.shape[0]), X])
+
+
+def first_lowest(values):
+    """Index of the first strictly lowest value, as a running `v < best` scan
+    keeps it: a later tie never wins, a NaN never does, and a NaN in first
+    place is never displaced."""
+    best = 0
+    for i in range(1, len(values)):
+        if values[i] < values[best]:
+            best = i
+    return best

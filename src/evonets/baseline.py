@@ -10,7 +10,7 @@ import numpy as np
 
 from ._util import augment, derive_seed
 from .errors import DataError, TrainingError
-from .neuron import sigmoid
+from .neuron import check_descent, sigmoid
 
 __all__ = ["PcaTransform", "FnnModel", "FnnConfig", "TrainingCurve",
            "pca_fit", "train_fnn", "describe_fnn"]
@@ -68,10 +68,10 @@ class FnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
-        if self.max_epochs < 1 or self.patience < 1 or self.restarts < 1:
-            raise DataError("max_epochs, patience and restarts must be at least 1")
+        # max_epochs is what --epochs sets, so it is reported as epochs
+        check_descent(self.learning_rate, self.max_epochs, self.restarts)
+        if self.patience < 1:
+            raise DataError("patience must be at least 1")
 
 
 @dataclass(eq=False)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, first_lowest
 from .errors import DataError
-from .neuron import FitConfig, SigmoidNeuron, fit_neuron, sigmoid
+from .neuron import FitConfig, SigmoidNeuron, descend, fit_data, fit_neuron, sigmoid
 
 __all__ = [
     "CascadeNetwork", "rank_single_features", "relevance_check",
@@ -84,16 +84,26 @@ class CascadeNetwork:
 def _fit_single_features(train, val, cfg):
     """Fit a one-input neuron on every column and rank the columns by its
     validation error, ties to the lower index. Returns (feature order,
-    errors in that order, per-column (validation error, fitted neuron))."""
-    singles = []
-    for j in range(train.n_features):
-        nrn = SigmoidNeuron((("x", j),))
-        fitted = fit_neuron(nrn, train.features[:, [j]], train.labels,
-                            replace(cfg, seed=derive_seed(cfg.seed, 0, j)))
-        sv = sigmoid(fitted.weights[0] + val.features[:, j] * fitted.weights[1])
-        err = float(np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels))
-        singles.append((err, fitted))
-    order = tuple(sorted(range(train.n_features), key=lambda j: (singles[j][0], j)))
+    errors in that order, per-column (validation error, fitted neuron)).
+
+    Column j's neuron is the one fit_neuron gives with seed
+    derive_seed(cfg.seed, 0, j), but all columns and their restarts are
+    descended together as one (columns, restarts) stack.
+    """
+    m = train.n_features
+    # the checks the per-column fit_neuron calls made, in their order: column 0
+    # goes through all of them, and a later column can only add non-finite values
+    fit_data(train.features[:, :1], train.labels, 1)
+    X, y = fit_data(train.features, train.labels, m)
+    XT = np.ascontiguousarray(X.T)
+    W = np.stack([np.random.default_rng(derive_seed(cfg.seed, 0, j))
+                  .uniform(-0.5, 0.5, size=(cfg.restarts, 2)) for j in range(m)])
+    sse = descend(W, XT[:, None, :, None], y, cfg)
+    W = W[np.arange(m), [first_lowest(s) for s in sse]]
+    sv = sigmoid(W[:, :1] + val.features.T * W[:, 1:])
+    errs = np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels, axis=1)
+    singles = [(float(errs[j]), SigmoidNeuron((("x", j),), W[j])) for j in range(m)]
+    order = tuple(sorted(range(m), key=lambda j: (singles[j][0], j)))
     return order, tuple(singles[j][0] for j in order), singles
 
 

@@ -309,6 +309,10 @@ def gen_blobs(n, classes=3, seed=0, spread=1.0, radius=3.0):
         raise DataError("need at least 2 classes")
     if n < classes:
         raise DataError("need at least one row per class")
+    if not 0.0 <= spread < np.inf:   # also refuses NaN
+        raise DataError("spread must be finite and non-negative")
+    if not np.isfinite(radius):
+        raise DataError("radius must be finite")
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % classes)
     angles = 2.0 * np.pi * labels / classes
@@ -331,6 +335,8 @@ def gen_surrogate_eeg(n, relevant=4, irrelevant=68, classes=2, seed=0, separatio
         raise DataError("need at least 1 informative column")
     if classes < 2:
         raise DataError("need at least 2 classes")
+    if not np.isfinite(separation):
+        raise DataError("separation must be finite")
     m = relevant + irrelevant
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=n)

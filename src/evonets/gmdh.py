@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, first_lowest
 from .errors import DataError, TrainingError
 from .neuron import check_descent, exterior_criterion, least_squares_fit
 
@@ -161,33 +161,42 @@ def _columns(refs, X, outs):
     return [X[:, r] if t == "x" else outs[r] for t, r in refs]
 
 
-def _fit_weights(kind, cols, targets, cfg: GmdhConfig, seed):
-    """Fit polynomial weights on the fitting subset by the configured method."""
-    B = _basis(kind, cols)
-    y = np.asarray(targets, dtype=float)
+def _fit_weights(B, y, cfg: GmdhConfig, keys):
+    """Fit polynomial weights on design B by the configured method, one fit
+    per key. B is (n, q), one design shared by every key, or (len(keys), n, q).
+    Returns (len(keys), q).
+
+    Gradient descent starts cfg.restarts times per key from the rng seeded
+    with derive_seed(cfg.seed, *key) and keeps each key's first restart with
+    the strictly lowest sum-squared error. All keys and restarts descend
+    together as one stack; a stacked matmul runs the same BLAS call on each
+    element as `B @ w` does, so each fit is bit-identical to one made alone.
+    Least squares has no starts and derives no seed.
+    """
     if cfg.method == "least_squares":
-        return least_squares_fit(B, y)
-    n = y.shape[0]
-    rng = np.random.default_rng(seed)
-    best = None
-    for restart in range(cfg.restarts):
-        w = rng.uniform(-0.5, 0.5, size=B.shape[1])
-        for _ in range(cfg.epochs):
-            w -= cfg.learning_rate * (2.0 / n) * (B.T @ (B @ w - y))
-        if not np.isfinite(w).all():
-            raise TrainingError("polynomial weights diverged; lower the learning rate")
-        sse = float(np.sum((B @ w - y) ** 2))
-        if best is None or sse < best[0]:
-            best = (sse, restart, w)
-    return best[2]
+        designs = B if B.ndim == 3 else [B] * len(keys)
+        return np.stack([least_squares_fit(b, y) for b in designs])
+    W = np.stack([np.random.default_rng(derive_seed(cfg.seed, *key))
+                  .uniform(-0.5, 0.5, size=(cfg.restarts, B.shape[-1])) for key in keys])
+    if B.ndim == 3:
+        B = B[:, None]   # one design per key, shared by its restarts
+    Bt = np.swapaxes(B, -1, -2)
+    step = cfg.learning_rate * (2.0 / y.shape[0])
+    for _ in range(cfg.epochs):
+        W -= step * (Bt @ ((B @ W[..., None])[..., 0] - y)[..., None])[..., 0]
+    if not np.isfinite(W).all():
+        raise TrainingError("polynomial weights diverged; lower the learning rate")
+    sse = np.sum(((B @ W[..., None])[..., 0] - y) ** 2, axis=-1)
+    return W[np.arange(len(keys)), [first_lowest(s) for s in sse]]
 
 
-def _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, seed, layer):
-    """Fit one neuron on the fitting subset A; returns (neuron, its output on A,
-    its output on B). outsA/outsB hold the outputs of the neurons "n" refers to."""
-    colsA = _columns(refs, XA, outsA)
-    w = _fit_weights(kind, colsA, yA, cfg, seed)
-    return (SupportingNeuron(kind, refs, w, layer=layer), _basis(kind, colsA) @ w,
+def _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, key, layer):
+    """Fit one neuron on the fitting subset A (key as for _fit_weights);
+    returns (neuron, its output on A, its output on B). outsA/outsB hold the
+    outputs of the neurons "n" refers to."""
+    BA = _basis(kind, _columns(refs, XA, outsA))
+    w = _fit_weights(BA, yA, cfg, [key])[0]
+    return (SupportingNeuron(kind, refs, w, layer=layer), BA @ w,
             _basis(kind, _columns(refs, XB, outsB)) @ w)
 
 
@@ -231,7 +240,7 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
         candidates = []
         for ci, refs in enumerate(pairs):
             nrn, outA, outB = _candidate(cfg.kind, refs, XA, XB, outsA, outsB, yA, cfg,
-                                         derive_seed(cfg.seed, layer, ci), layer)
+                                         (layer, ci), layer)
             nrn.criterion = exterior_criterion(lambda _x: outB, XB, yB).value
             candidates.append((ci, nrn, outA, outB))
 
@@ -275,20 +284,23 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
     pool = []  # accuracy per pool member; member k is neurons[k], and
     #            members below m stand in for the raw features themselves
 
-    def offer(kind, refs, seed, layer, survivor, to_beat):
-        """Fit a candidate and add it to the pool if its accuracy beats to_beat."""
-        nrn, outA, outB = _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, seed,
-                                     layer)
+    def offer(nrn, outA, outB, to_beat):
+        """Add a fitted candidate to the pool if its accuracy beats to_beat."""
         acc = float(np.mean((outB >= 0.5).astype(int) == val.labels))
         if acc > to_beat:
-            nrn.survivor, nrn.accuracy = survivor, acc
+            nrn.accuracy = acc
             neurons.append(nrn)
             outsA.append(outA)
             outsB.append(outB)
             pool.append(acc)
 
-    for i in range(m):   # every accuracy beats -1, so each feature joins the pool
-        offer("linear", (("x", i),), derive_seed(cfg.seed, 0, i), 1, False, -1.0)
+    # one-input neurons on every feature, fitted as one stack; every accuracy
+    # beats -1, so each feature joins the pool
+    BA = np.stack([_basis("linear", [XA[:, i]]) for i in range(m)])
+    W = _fit_weights(BA, yA, cfg, [(0, i) for i in range(m)])
+    for i in range(m):
+        offer(SupportingNeuron("linear", (("x", i),), W[i], layer=1), BA[i] @ W[i],
+              _basis("linear", [XB[:, i]]) @ W[i], -1.0)
 
     rng = np.random.default_rng(derive_seed(cfg.seed, 1))
 
@@ -299,10 +311,12 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
             i = int(rng.choice(len(pool), p=probs))
             j = int(rng.choice(len(pool), p=probs))
             if i != j:
-                offer(cfg.kind, tuple(("x", p) if p < m else ("n", p) for p in (i, j)),
-                      derive_seed(cfg.seed, 2, attempt),
-                      1 + max(neurons[i].layer, neurons[j].layer), True,
-                      max(pool[i], pool[j]))
+                nrn, outA, outB = _candidate(
+                    cfg.kind, tuple(("x", p) if p < m else ("n", p) for p in (i, j)),
+                    XA, XB, outsA, outsB, yA, cfg, (2, attempt),
+                    1 + max(neurons[i].layer, neurons[j].layer))
+                nrn.survivor = True
+                offer(nrn, outA, outB, max(pool[i], pool[j]))
                 break
 
     output = int(np.argmax(pool))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import first_lowest
 from .errors import DataError, TrainingError
 
 SIGMOID_CLAMP = 1e-12
@@ -41,8 +42,8 @@ def sigmoid(z):
 
 
 def check_descent(learning_rate, epochs, restarts):
-    """Reject restarted-descent settings that cannot train; FitConfig and
-    GmdhConfig both call this."""
+    """Reject restarted-descent settings that cannot train; FitConfig,
+    GmdhConfig and FnnConfig all call this."""
     if not learning_rate > 0:   # also refuses NaN
         raise DataError("learning_rate must be positive")
     if epochs < 1:
@@ -106,32 +107,47 @@ class SigmoidNeuron:
 
 
 def fit_loss(weights, inputs, targets):
-    """Mean squared error of the sigmoid output over the rows of `inputs`."""
-    out = sigmoid(weights[0] + inputs @ weights[1:])
-    return float(np.mean((out - targets) ** 2))
+    """Mean squared error of the sigmoid output over the rows of `inputs`.
+
+    weights is (p+1,) for one neuron, or (k, p+1) for a stack of k neurons
+    descended together; inputs is (n, p), shared by the whole stack, or
+    (k, n, p) with one input matrix per stack element. More leading stack
+    axes work the same way, with the inputs' broadcasting against the
+    weights'. A stack gives one loss per element, 1-D weights a float.
+    """
+    loss = np.mean((_outputs(np.asarray(weights, dtype=float), inputs) - targets) ** 2,
+                   axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def fit_gradient(weights, inputs, targets):
-    """Analytic gradient of fit_loss with respect to the weights."""
-    out = sigmoid(weights[0] + inputs @ weights[1:])
+    """Analytic gradient of fit_loss with respect to the weights, in the
+    weights' shape: (p+1,) or (k, p+1), with inputs as for fit_loss.
+
+    A stacked np.matmul runs the same BLAS call on each stack element as a
+    single `inputs @ w` does, and the sums run along the last, contiguous
+    axis, so every element of a stack is bit-identical to its own 1-D call.
+    """
+    weights = np.asarray(weights, dtype=float)
+    out = _outputs(weights, inputs)
     common = 2.0 * (out - targets) * out * (1.0 - out) / targets.shape[0]
-    g = np.empty_like(np.asarray(weights, dtype=float))
-    g[0] = common.sum()
-    g[1:] = inputs.T @ common
+    g = np.empty_like(weights)
+    g[..., 0] = common.sum(axis=-1)
+    g[..., 1:] = (np.swapaxes(inputs, -1, -2) @ common[..., None])[..., 0]
     return g
 
 
-def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> SigmoidNeuron:
-    """Fit the neuron's weights by batch gradient descent.
+def _outputs(weights, inputs):
+    return sigmoid(weights[..., :1] + (inputs @ weights[..., 1:, None])[..., 0])
 
-    Runs cfg.restarts descents from weights drawn uniformly in [-0.5, 0.5]
-    and keeps the restart with the lowest training sum-squared error;
-    deterministic for a fixed cfg.seed.
-    """
+
+def fit_data(inputs, targets, p):
+    """fit_neuron's checks on its training data, in their order; returns the
+    inputs as an (n, p) float matrix and the targets as floats."""
     U = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float)
-    if U.shape[1] != neuron.p:
-        raise DataError(f"expected {neuron.p} input columns, got {U.shape[1]}")
+    if U.shape[1] != p:
+        raise DataError(f"expected {p} input columns, got {U.shape[1]}")
     if U.shape[0] != y.shape[0]:
         raise DataError("inputs and targets disagree on row count")
     if U.shape[0] < 2:
@@ -140,19 +156,35 @@ def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> Sigmoi
         raise TrainingError("non-finite values in training data")
     if np.unique(y).size < 2:
         raise TrainingError("targets are single-class; nothing to separate")
+    return U, y
 
+
+def descend(weights, inputs, targets, cfg: FitConfig):
+    """Run cfg.epochs of batch gradient descent on every neuron of a stack at
+    once, in place (shapes as for fit_loss, weights with one leading axis or
+    more). Returns each element's training sum-squared error; raises when any
+    element diverged."""
+    for _ in range(cfg.epochs):
+        weights -= cfg.learning_rate * fit_gradient(weights, inputs, targets)
+    if not np.isfinite(weights).all():
+        raise TrainingError("weights diverged to non-finite values")
+    return fit_loss(weights, inputs, targets) * targets.shape[0]
+
+
+def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> SigmoidNeuron:
+    """Fit the neuron's weights by batch gradient descent.
+
+    Runs cfg.restarts descents from weights drawn uniformly in [-0.5, 0.5]
+    and keeps the first restart with the strictly lowest training
+    sum-squared error; deterministic for a fixed cfg.seed. The restarts are
+    descended together as one (cfg.restarts, p+1) stack, each one
+    bit-identical to a descent of its own.
+    """
+    U, y = fit_data(inputs, targets, neuron.p)
     rng = np.random.default_rng(cfg.seed)
-    best = None
-    for restart in range(cfg.restarts):
-        w = rng.uniform(-0.5, 0.5, size=neuron.p + 1)
-        for _ in range(cfg.epochs):
-            w -= cfg.learning_rate * fit_gradient(w, U, y)
-        if not np.isfinite(w).all():
-            raise TrainingError("weights diverged to non-finite values")
-        sse = fit_loss(w, U, y) * y.shape[0]
-        if best is None or sse < best[0]:
-            best = (sse, restart, w)
-    return replace_weights(neuron, best[2])
+    W = rng.uniform(-0.5, 0.5, size=(cfg.restarts, neuron.p + 1))
+    sse = descend(W, U, y, cfg)
+    return replace_weights(neuron, W[first_lowest(sse)])
 
 
 def replace_weights(neuron: SigmoidNeuron, weights) -> SigmoidNeuron:

@@ -51,6 +51,22 @@ class TestGenerate:
         assert code == 1
         assert "usage" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("kind, flag, message", [
+        ("blobs", "--spread=-1", "spread must be finite and non-negative"),
+        ("blobs", "--spread=nan", "spread must be finite and non-negative"),
+        ("blobs", "--spread=inf", "spread must be finite and non-negative"),
+        ("blobs", "--radius=inf", "radius must be finite"),
+        ("blobs", "--radius=nan", "radius must be finite"),
+        ("surrogate-eeg", "--separation=nan", "separation must be finite"),
+        ("surrogate-eeg", "--separation=inf", "separation must be finite"),
+        ("surrogate-eeg", "--separation=-inf", "separation must be finite"),
+    ])
+    def test_bad_generator_setting_exits_2(self, kind, flag, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("generate", kind, flag, "--n", "30", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
     def test_unwritable_path_exits_2(self, tmp_path, capsys):
         code = run("generate", "xor", "--n", "10", "--seed", "0",
                    "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"))
@@ -131,6 +147,21 @@ class TestRejectedSettings:
                                               tmp_path, capsys):
         out = tmp_path / "m.json"
         assert run("train", "--method", method, flag, "--data", str(xor_csv),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--learning-rate=nan", "learning_rate must be positive"),
+        ("--learning-rate=0", "learning_rate must be positive"),
+        ("--epochs=0", "epochs must be at least 1"),
+        ("--restarts=0", "restarts must be at least 1"),
+        ("--patience=0", "patience must be at least 1"),
+    ])
+    def test_descent_setting_rejected_by_fnn(self, flag, message, xor_csv, tmp_path,
+                                             capsys):
+        out = tmp_path / "m.json"
+        assert run("train", "--method", "fnn", flag, "--data", str(xor_csv),
                    "--out", str(out)) == 2
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()

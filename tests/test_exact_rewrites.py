@@ -2,18 +2,25 @@
 
 `oracle_train_pocket_ratchet`, `oracle_sigmoid`, `oracle_search_threshold`,
 `oracle_predict_classes`, `oracle_train_gmdh_layered`,
-`oracle_train_gmdh_roulette` and `oracle_pruned` are the former bodies of
-`linear.train_pocket_ratchet`, `neuron.sigmoid`, `ruletree.search_threshold`,
+`oracle_train_gmdh_roulette`, `oracle_pruned`, `oracle_fit_loss`,
+`oracle_fit_gradient`, `oracle_fit_neuron`, `oracle_fit_single_features` and
+`oracle_fit_weights` are the former bodies of `linear.train_pocket_ratchet`,
+`neuron.sigmoid`, `ruletree.search_threshold`,
 `ruletree.RuleTree.predict_classes`, `gmdh.train_gmdh_layered`,
-`gmdh.train_gmdh_roulette` and `gmdh._pruned`, kept verbatim as the reference
-(apart from their names). The rewrites only drop repeated work or repeated
-code, so they must give bit-identical results: the same pocketed weights and
-traces, the same sigmoid bytes, nan and signed zero included, the same
-threshold bytes, polarity and error count, the same rule-tree labels, and the
-same saved polynomial-network model files.
+`gmdh.train_gmdh_roulette`, `gmdh._pruned`, `neuron.fit_loss`,
+`neuron.fit_gradient`, `neuron.fit_neuron`, `cascade._fit_single_features` and
+`gmdh._fit_weights`, kept verbatim as the reference (apart from their names
+and the oracles they call). The rewrites only drop repeated work or repeated
+code, or descend independent fits as one stack, so they must give
+bit-identical results: the same pocketed weights and traces, the same sigmoid
+bytes, nan and signed zero included, the same threshold bytes, polarity and
+error count, the same rule-tree labels, the same fitted weights, feature
+rankings and errors, and the same saved cascade and polynomial-network model
+files.
 """
 
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evonets import cascade
 from evonets._util import augment, derive_seed
 from evonets.dataset import Dataset, NormParams, gen_blobs, gen_surrogate_eeg
 from evonets.errors import DataError, TrainingError
@@ -30,7 +38,9 @@ from evonets.gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
 from evonets.linear import (LinearMachine, PocketState, ThermalSchedule, thermal_c,
                             train_pocket_ratchet)
 from evonets.modelio import ModelBundle, save_model
-from evonets.neuron import SIGMOID_CLAMP, exterior_criterion, sigmoid
+from evonets.neuron import (SIGMOID_CLAMP, FitConfig, SigmoidNeuron, exterior_criterion,
+                            fit_gradient, fit_loss, fit_neuron, least_squares_fit,
+                            replace_weights, sigmoid)
 from evonets.ruletree import RuleNode, RuleTree, classify_rule, extract_rules, search_threshold
 
 
@@ -368,6 +378,27 @@ class TestPredictClassesOracle:
         assert got.dtype == want.dtype and got.shape == want.shape == (0,)
 
 
+def oracle_fit_weights(kind, cols, targets, cfg: GmdhConfig, seed):
+    """Fit polynomial weights on the fitting subset by the configured method."""
+    B = _basis(kind, cols)
+    y = np.asarray(targets, dtype=float)
+    if cfg.method == "least_squares":
+        return least_squares_fit(B, y)
+    n = y.shape[0]
+    rng = np.random.default_rng(seed)
+    best = None
+    for restart in range(cfg.restarts):
+        w = rng.uniform(-0.5, 0.5, size=B.shape[1])
+        for _ in range(cfg.epochs):
+            w -= cfg.learning_rate * (2.0 / n) * (B.T @ (B @ w - y))
+        if not np.isfinite(w).all():
+            raise TrainingError("polynomial weights diverged; lower the learning rate")
+        sse = float(np.sum((B @ w - y) ** 2))
+        if best is None or sse < best[0]:
+            best = (sse, restart, w)
+    return best[2]
+
+
 def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwork:
     """Layer-wise exhaustive growth with exterior-criterion selection.
 
@@ -411,7 +442,7 @@ def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> Pol
                    XA[:, rb[1]] if rb[0] == "x" else colsA[rb[1]]]
             inB = [XB[:, ra[1]] if ra[0] == "x" else colsB[ra[1]],
                    XB[:, rb[1]] if rb[0] == "x" else colsB[rb[1]]]
-            w = _fit_weights(cfg.kind, inA, yA, cfg, derive_seed(cfg.seed, layer, ci))
+            w = oracle_fit_weights(cfg.kind, inA, yA, cfg, derive_seed(cfg.seed, layer, ci))
             nrn = SupportingNeuron(cfg.kind, (ra, rb), w, layer=layer)
             outB = _basis(cfg.kind, inB) @ w
             nrn.criterion = exterior_criterion(lambda _x, o=outB: o, XB, yB).value
@@ -471,7 +502,7 @@ def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=
     pool = []  # accuracy per pool member; member k is neurons[k], and
     #            members below m stand in for the raw features themselves
     for i in range(m):
-        w = _fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
+        w = oracle_fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
         nrn = SupportingNeuron("linear", (("x", i),), w, layer=1)
         acc = add(nrn, _basis("linear", [XA[:, i]]) @ w, _basis("linear", [XB[:, i]]) @ w)
         pool.append(acc)
@@ -501,7 +532,7 @@ def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=
                 refs.append(("n", p))
                 inA.append(colsA[p])
                 inB.append(colsB[p])
-        w = _fit_weights(cfg.kind, inA, yA, cfg, derive_seed(seed, 2, attempt))
+        w = oracle_fit_weights(cfg.kind, inA, yA, cfg, derive_seed(seed, 2, attempt))
         nrn = SupportingNeuron(cfg.kind, tuple(refs), w,
                                layer=1 + max(neurons[p].layer for p in (i, j)),
                                survivor=True)
@@ -598,3 +629,299 @@ class TestGmdhOracle:
         roulette = [max(n.layer for n in train_gmdh_roulette(*gmdh_data(seed), GmdhConfig(
             attempts=40, method="least_squares", seed=seed)).neurons) for seed in (0, 3, 8)]
         assert max(layered) >= 2 and max(roulette) >= 3, (layered, roulette)
+
+
+def oracle_fit_loss(weights, inputs, targets):
+    """Mean squared error of the sigmoid output over the rows of `inputs`."""
+    out = sigmoid(weights[0] + inputs @ weights[1:])
+    return float(np.mean((out - targets) ** 2))
+
+
+def oracle_fit_gradient(weights, inputs, targets):
+    """Analytic gradient of fit_loss with respect to the weights."""
+    out = sigmoid(weights[0] + inputs @ weights[1:])
+    common = 2.0 * (out - targets) * out * (1.0 - out) / targets.shape[0]
+    g = np.empty_like(np.asarray(weights, dtype=float))
+    g[0] = common.sum()
+    g[1:] = inputs.T @ common
+    return g
+
+
+def oracle_fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> SigmoidNeuron:
+    """Fit the neuron's weights by batch gradient descent.
+
+    Runs cfg.restarts descents from weights drawn uniformly in [-0.5, 0.5]
+    and keeps the restart with the lowest training sum-squared error;
+    deterministic for a fixed cfg.seed.
+    """
+    U = np.atleast_2d(np.asarray(inputs, dtype=float))
+    y = np.asarray(targets, dtype=float)
+    if U.shape[1] != neuron.p:
+        raise DataError(f"expected {neuron.p} input columns, got {U.shape[1]}")
+    if U.shape[0] != y.shape[0]:
+        raise DataError("inputs and targets disagree on row count")
+    if U.shape[0] < 2:
+        raise DataError("need at least 2 training rows")
+    if not (np.isfinite(U).all() and np.isfinite(y).all()):
+        raise TrainingError("non-finite values in training data")
+    if np.unique(y).size < 2:
+        raise TrainingError("targets are single-class; nothing to separate")
+
+    rng = np.random.default_rng(cfg.seed)
+    best = None
+    for restart in range(cfg.restarts):
+        w = rng.uniform(-0.5, 0.5, size=neuron.p + 1)
+        for _ in range(cfg.epochs):
+            w -= cfg.learning_rate * oracle_fit_gradient(w, U, y)
+        if not np.isfinite(w).all():
+            raise TrainingError("weights diverged to non-finite values")
+        sse = oracle_fit_loss(w, U, y) * y.shape[0]
+        if best is None or sse < best[0]:
+            best = (sse, restart, w)
+    return replace_weights(neuron, best[2])
+
+
+def oracle_fit_single_features(train, val, cfg):
+    """Fit a one-input neuron on every column and rank the columns by its
+    validation error, ties to the lower index. Returns (feature order,
+    errors in that order, per-column (validation error, fitted neuron))."""
+    singles = []
+    for j in range(train.n_features):
+        nrn = SigmoidNeuron((("x", j),))
+        fitted = oracle_fit_neuron(nrn, train.features[:, [j]], train.labels,
+                                   replace(cfg, seed=derive_seed(cfg.seed, 0, j)))
+        sv = sigmoid(fitted.weights[0] + val.features[:, j] * fitted.weights[1])
+        err = float(np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels))
+        singles.append((err, fitted))
+    order = tuple(sorted(range(train.n_features), key=lambda j: (singles[j][0], j)))
+    return order, tuple(singles[j][0] for j in order), singles
+
+
+def outcome(fn, *args):
+    """What a call gives: ("ok", value) or ("raised", exception type, text)."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return "ok", fn(*args)
+    except (DataError, TrainingError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def neuron_key(nrn):
+    return nrn.bindings, nrn.weights.dtype, nrn.weights.tobytes()
+
+
+# Rows that matter: 7 keeps every sum short, 801 is the paper-width fitting
+# subset of eeg-grow. A rate of inf diverges on the first epoch.
+ROWS = st.sampled_from([7, 8, 31, 801])
+RATES = st.sampled_from([0.1, 2.0, 40.0, float("inf")])
+
+
+def descent_problem(data_seed, n, p, scale, single_class=False):
+    rng = np.random.default_rng(data_seed)
+    U = rng.normal(0.0, scale, size=(n, p))
+    y = (U.sum(axis=1) + rng.normal(0.0, 1.0, n) > 0).astype(float)
+    y[:2] = (0.0, 1.0)
+    if single_class:
+        y[:] = 1.0
+    return U, y
+
+
+class TestStackedDescentOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=ROWS, p=st.integers(1, 8),
+           restarts=st.integers(1, 5), epochs=st.integers(1, 25), rate=RATES,
+           scale=st.sampled_from([0.5, 3.0]), seed=st.integers(0, 2**32 - 1))
+    def test_fit_neuron_matches_oracle(self, data_seed, n, p, restarts, epochs, rate,
+                                       scale, seed):
+        U, y = descent_problem(data_seed, n, p, scale)
+        cfg = FitConfig(learning_rate=rate, epochs=epochs, restarts=restarts, seed=seed)
+        nrn = SigmoidNeuron(tuple(("x", j) for j in range(p)))
+        got = outcome(fit_neuron, nrn, U, y, cfg)
+        want = outcome(oracle_fit_neuron, nrn, U, y, cfg)
+        if want[0] == "ok":
+            assert got[0] == "ok" and neuron_key(got[1]) == neuron_key(want[1])
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("case, error", [
+        ("single_class", "targets are single-class; nothing to separate"),
+        ("nan_input", "non-finite values in training data"),
+        ("inf_input", "non-finite values in training data"),
+        ("diverges", "weights diverged to non-finite values"),
+        ("one_row", "need at least 2 training rows"),
+    ])
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_fit_neuron_errors_match_oracle(self, case, error, restarts):
+        U, y = descent_problem(4, 30, 3, 1.0, single_class=case == "single_class")
+        if case == "nan_input":
+            U[5, 1] = np.nan
+        if case == "inf_input":
+            U[7, 0] = -np.inf
+        if case == "one_row":
+            U, y = U[:1], y[:1]
+        rate = float("inf") if case == "diverges" else 0.1
+        cfg = FitConfig(learning_rate=rate, epochs=5, restarts=restarts, seed=1)
+        nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
+        got = outcome(fit_neuron, nrn, U, y, cfg)
+        assert got == outcome(oracle_fit_neuron, nrn, U, y, cfg)
+        assert got[1:] == ((DataError if case == "one_row" else TrainingError), error)
+
+    def test_gradient_and_loss_stack_matches_oracle(self):
+        U, y = descent_problem(9, 801, 4, 1.0)
+        W = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, 5))
+        G, L = fit_gradient(W, U, y), fit_loss(W, U, y)
+        assert G.shape == W.shape and L.shape == (6,)
+        for k in range(6):
+            assert G[k].tobytes() == oracle_fit_gradient(W[k].copy(), U, y).tobytes()
+            assert L[k] == oracle_fit_loss(W[k].copy(), U, y)
+            assert fit_gradient(W[k], U, y).tobytes() == G[k].tobytes()
+            assert type(fit_loss(W[k], U, y)) is float
+
+    @settings(max_examples=60, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=ROWS, n_val=st.sampled_from([3, 40]),
+           m=st.integers(1, 8), restarts=st.integers(1, 5), epochs=st.integers(1, 20),
+           rate=RATES, constant=st.booleans(), twin=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ranking_matches_oracle(self, data_seed, n, n_val, m, restarts, epochs, rate,
+                                    constant, twin, seed):
+        train, val = ranking_data(data_seed, n, n_val, m, constant, twin)
+        cfg = FitConfig(learning_rate=rate, epochs=epochs, restarts=restarts, seed=seed)
+        got = outcome(cascade._fit_single_features, train, val, cfg)
+        want = outcome(oracle_fit_single_features, train, val, cfg)
+        assert ranking_key(got) == ranking_key(want)
+
+    def test_ranking_with_a_constant_column_and_tied_errors(self):
+        train, val = ranking_data(5, 801, 40, 6, constant=True, twin=True)
+        for restarts in (1, 2, 5):
+            cfg = FitConfig(epochs=30, restarts=restarts, seed=2)
+            got = cascade._fit_single_features(train, val, cfg)
+            want = oracle_fit_single_features(train, val, cfg)
+            assert ranking_key(("ok", got)) == ranking_key(("ok", want))
+            errors = got[1]
+            assert len(set(errors)) < len(errors), errors   # some errors tie
+
+    @pytest.mark.parametrize("case, error", [
+        ("single_class", "targets are single-class; nothing to separate"),
+        ("single_class_and_nan_later", "targets are single-class; nothing to separate"),
+        ("nan_first_column", "non-finite values in training data"),
+        ("nan_later_column", "non-finite values in training data"),
+        ("diverges", "weights diverged to non-finite values"),
+        ("one_row", "need at least 2 training rows"),
+    ])
+    def test_ranking_errors_match_oracle(self, case, error):
+        train, val = ranking_data(6, 31, 10, 4, False, False)
+        X, y = train.features.copy(), train.labels.copy()
+        if case.startswith("single_class"):
+            y[:] = 1
+        if case == "nan_first_column":
+            X[3, 0] = np.nan
+        if case in ("nan_later_column", "single_class_and_nan_later"):
+            X[3, 2] = np.inf
+        if case == "one_row":
+            X, y = X[:1], y[:1]
+        train = Dataset(X, y, train.feature_names, 2)
+        rate = float("inf") if case == "diverges" else 0.1
+        cfg = FitConfig(learning_rate=rate, epochs=5, restarts=2, seed=0)
+        got = outcome(cascade._fit_single_features, train, val, cfg)
+        assert got == outcome(oracle_fit_single_features, train, val, cfg)
+        assert got[1:] == ((DataError if case == "one_row" else TrainingError), error)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=ROWS,
+           shape=st.sampled_from([("linear", 1), ("linear", 2), ("bilinear", 2)]),
+           method=st.sampled_from(["gradient", "gradient", "least_squares"]),
+           restarts=st.integers(1, 5), epochs=st.integers(1, 30),
+           rate=st.sampled_from([0.05, 0.5, 1e3]), seed=st.integers(0, 2**32 - 1),
+           key=st.tuples(st.integers(0, 10), st.integers(0, 3000)))
+    def test_fit_weights_matches_oracle(self, data_seed, n, shape, method, restarts, epochs,
+                                        rate, seed, key):
+        kind, inputs = shape
+        U, y = descent_problem(data_seed, n, inputs, 1.0)
+        cols = [U[:, i] for i in range(inputs)]
+        cfg = GmdhConfig(kind=kind, method=method, learning_rate=rate, epochs=epochs,
+                         restarts=restarts, seed=seed)
+        got = outcome(lambda: _fit_weights(_basis(kind, cols), y, cfg, [key])[0])
+        want = outcome(oracle_fit_weights, kind, cols, y, cfg, derive_seed(seed, *key))
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=ROWS, m=st.integers(1, 8),
+           restarts=st.integers(1, 5), epochs=st.integers(1, 30),
+           rate=st.sampled_from([0.05, 0.5, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_roulette_seeding_stack_matches_oracle(self, data_seed, n, m, restarts, epochs,
+                                                   rate, seed):
+        XA, yA = descent_problem(data_seed, n, m, 1.0)
+        cfg = GmdhConfig(learning_rate=rate, epochs=epochs, restarts=restarts, seed=seed)
+        BA = np.stack([_basis("linear", [XA[:, i]]) for i in range(m)])
+        got = outcome(lambda: _fit_weights(BA, yA, cfg, [(0, i) for i in range(m)]))
+        want = outcome(lambda: np.stack([
+            oracle_fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
+            for i in range(m)]))
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got == want
+
+
+def ranking_data(data_seed, n, n_val, m, constant, twin):
+    """Training and validation sets for the ranking; `constant` makes the
+    last column constant, `twin` copies column 0 into column 1."""
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(n + n_val, m))
+    y = (X[:, 0] + rng.normal(0.0, 1.5, n + n_val) > 0).astype(int)
+    y[:2] = (0, 1)
+    if constant:
+        X[:, -1] = 0.75
+    if twin and m > 1:
+        X[:, 1] = X[:, 0]
+    names = tuple(f"f{j}" for j in range(m))
+    return (Dataset(X[:n], y[:n], names, 2), Dataset(X[n:], y[n:], names, 2))
+
+
+def ranking_key(result):
+    if result[0] != "ok":
+        return result
+    order, errors, singles = result[1]
+    return order, errors, [(err, neuron_key(nrn)) for err, nrn in singles]
+
+
+def cascade_bytes(net, tmp_path):
+    """The model file `save_model` writes for a cascade network."""
+    m = len(net.feature_names)
+    path = tmp_path / "ecnn.json"
+    save_model(path, ModelBundle("ecnn", net, NormParams(np.zeros(m), np.ones(m)),
+                                 net.feature_names, ("0", "1")))
+    return path.read_bytes()
+
+
+class TestStackedModels:
+    """Whole models trained through the stacked fits against the same models
+    trained through the per-fit oracles."""
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_ecnn(self, restarts, tmp_path, monkeypatch):
+        train, val = gmdh_data(3, n=160, features=6)
+        cfg = FitConfig(learning_rate=2.0, epochs=40, restarts=restarts, seed=3)
+        got = cascade_bytes(cascade.train_ecnn(train, val, cfg), tmp_path)
+        monkeypatch.setattr(cascade, "_fit_single_features", oracle_fit_single_features)
+        monkeypatch.setattr(cascade, "fit_neuron", oracle_fit_neuron)
+        want_net = cascade.train_ecnn(train, val, cfg)
+        assert want_net.neurons   # the walk accepted a neuron, so it is covered too
+        assert got == cascade_bytes(want_net, tmp_path)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_gradient_gmdh_layered(self, restarts, tmp_path):
+        train, val = gmdh_data(3)
+        cfg = GmdhConfig(epochs=40, restarts=restarts, seed=3)
+        assert model_bytes(train_gmdh_layered(train, val, cfg), "gmdh-layered", tmp_path) == \
+            model_bytes(oracle_train_gmdh_layered(train, val, cfg), "gmdh-layered", tmp_path)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_gmdh_roulette(self, restarts, tmp_path):
+        train, val = gmdh_data(3)
+        cfg = GmdhConfig(attempts=40, epochs=40, restarts=restarts, seed=3)
+        assert model_bytes(train_gmdh_roulette(train, val, cfg), "gmdh-roulette", tmp_path) == \
+            model_bytes(oracle_train_gmdh_roulette(train, val, cfg), "gmdh-roulette", tmp_path)

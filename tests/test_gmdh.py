@@ -140,8 +140,8 @@ class TestLayeredGrowth:
         from evonets.gmdh import _basis, _fit_weights
         cfg = GmdhConfig(method="least_squares")
         cols = [tr.features[:, 0], tr.features[:, 1]]
-        w = _fit_weights("bilinear", cols, 0.2 + 0.4 * cols[0] + 0.3 * cols[1]
-                         - 0.7 * cols[0] * cols[1], cfg, seed=0)
+        w = _fit_weights(_basis("bilinear", cols), 0.2 + 0.4 * cols[0] + 0.3 * cols[1]
+                         - 0.7 * cols[0] * cols[1], cfg, [(0,)])[0]
         np.testing.assert_allclose(w, [0.2, 0.4, 0.3, -0.7], atol=1e-9)
 
     def test_max_layers_one(self):
@@ -168,7 +168,7 @@ class TestLayeredGrowth:
         crs = []
         for ci, (a, b) in enumerate(combinations(range(tr.n_features), 2)):
             cols = [tr.features[:, a], tr.features[:, b]]
-            w = _fit_weights("bilinear", cols, tr.labels.astype(float), cfg, seed=0)
+            w = _fit_weights(_basis("bilinear", cols), tr.labels.astype(float), cfg, [(0,)])[0]
             outB = _basis("bilinear", [va.features[:, a], va.features[:, b]]) @ w
             crs.append(float(np.sum((outB - va.labels) ** 2)))
         kept = sorted(n.criterion for n in net.neurons)
@@ -218,10 +218,9 @@ class TestRouletteGrowth:
 
         best_single = None
         from evonets.gmdh import _basis, _fit_weights
-        from evonets._util import derive_seed
         for i in range(tr.n_features):
-            w = _fit_weights("linear", [tr.features[:, i]], tr.labels.astype(float),
-                             cfg, derive_seed(14, 0, i))
+            w = _fit_weights(_basis("linear", [tr.features[:, i]]), tr.labels.astype(float),
+                             cfg, [(0, i)])[0]
             out = _basis("linear", [va.features[:, i]]) @ w
             err = np.mean((out >= 0.5).astype(int) != va.labels)
             best_single = err if best_single is None else min(best_single, err)

@@ -30,3 +30,45 @@ def test_every_wrap_target_resolves():
         assert t.missing == [], f"wrap targets missing from evonets: {t.missing}"
     finally:
         t.uninstall()
+
+
+def test_every_heavy_growth_layer_is_recorded(tmp_path):
+    # The traced benchmark fails when a layer it lists as heavy on eeg-grow
+    # reads 0 there. Train each eeg-grow learner small through cli.main with
+    # the tracer on, so that a change that stops calling one of the wrapped
+    # fitters (fit_neuron, fit_gradient, _fit_single_features,
+    # least_squares_fit, exterior_criterion, ...) fails here too.
+    import evonets
+    from evonets import cli
+
+    tracer = load_tracer()
+    data = tmp_path / "eeg.csv"
+    assert cli.main(["generate", "surrogate-eeg", "--n", "240", "--relevant", "3",
+                     "--irrelevant", "3", "--separation", "1.5", "--seed", "4",
+                     "--out", str(data)]) == 0
+    runs = {
+        "ecnn": ("--method", "ecnn", "--epochs", "60", "--restarts", "2",
+                 "--learning-rate", "2.0"),
+        "layered-gd": ("--method", "gmdh-layered", "--max-layers", "2", "--epochs", "20",
+                       "--restarts", "2"),
+        "layered-ls": ("--method", "gmdh-layered", "--fit-method", "least-squares"),
+        "roulette": ("--method", "gmdh-roulette", "--attempts", "10", "--epochs", "20",
+                     "--restarts", "2"),
+        "fnn": ("--method", "fnn", "--epochs", "30", "--restarts", "1"),
+    }
+    t = tracer.Tracer()
+    t.install(evonets.__name__)
+    try:
+        t.active = True
+        for op, (name, flags) in enumerate(runs.items()):
+            t.begin_op(op, f"train.{flags[1]}")
+            rc = cli.main(["train", *flags, "--data", str(data),
+                           "--out", str(tmp_path / f"{name}.json")])
+            t.end_op()
+            assert rc == 0, name
+    finally:
+        t.active = False
+        t.uninstall()
+    metrics = tracer.layer_metrics(t.spans, t.counts)
+    unrecorded = [k for k in tracer.HEAVY["eeg-grow"] if not metrics[k] > 0]
+    assert unrecorded == [], f"heavy eeg-grow layers never recorded: {unrecorded}"
