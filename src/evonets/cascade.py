@@ -115,6 +115,8 @@ def rank_single_features(train, val, cfg: FitConfig):
     """
     if train.n_features < 2:
         raise DataError("need at least 2 features to rank")
+    if val.n_rows == 0:
+        raise DataError("empty validation set")
     order, errors, _ = _fit_single_features(train, val, cfg)
     return order, errors, errors[0]
 

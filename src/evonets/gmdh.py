@@ -99,7 +99,7 @@ class PolyNetwork:
             raise DataError(f"input must provide at least {needed + 1} feature values")
         outs = []
         for nrn in self.neurons:
-            outs.append(_basis(nrn.kind, _columns(nrn.inputs, X, outs)) @ nrn.weights)
+            outs.append(_output(nrn, X, outs))
         return outs[self.output]
 
     def predict_classes(self, X):
@@ -114,8 +114,11 @@ class GmdhConfig:
     round(0.4 * first-layer size) is capped at 64 to keep layered growth
     polynomial when there are many features. attempts only applies to the
     roulette variant. method picks the weight fitter: "gradient" descends
-    the squared error like the sigmoid neurons do, "least_squares" solves
-    the normal equations directly.
+    the squared error from cfg.restarts random starts, with cfg.epochs steps
+    of cfg.learning_rate each, "least_squares" solves the normal equations
+    directly. Gradient descent runs in Gram form, on BᵀB and Bᵀy of a
+    candidate's design B on the fitting subset, so its epochs never pass
+    over the rows; see _fit_weights.
     """
 
     kind: str = "bilinear"
@@ -150,54 +153,93 @@ def count_candidates(m):
 
 
 def _basis(kind, cols):
-    n = cols[0].shape[0]
+    """Design matrix of a neuron's polynomial from its input columns: each
+    column (n,) gives (n, q), and a stack (k, n) per input gives (k, n, q)."""
+    B = np.empty(cols[0].shape + (len(cols) + 1 + (kind == "bilinear"),))
+    B[..., 0] = 1.0
+    for i, col in enumerate(cols, 1):
+        B[..., i] = col
     if kind == "bilinear":
-        return np.column_stack([np.ones(n), cols[0], cols[1], cols[0] * cols[1]])
-    return np.column_stack([np.ones(n)] + list(cols))
+        np.multiply(cols[0], cols[1], out=B[..., 3])
+    return B
 
 
 def _columns(refs, X, outs):
-    """Input columns of a neuron: ("x", j) is column j of X, ("n", k) is outs[k]."""
-    return [X[:, r] if t == "x" else outs[r] for t, r in refs]
+    """Input columns of a batch of neurons with inputs refs[0], refs[1], ...:
+    one (len(refs), rows) array per input position, where ("x", j) is column
+    j of X and ("n", k) is outs[k]."""
+    return [np.array([X[:, r] if t == "x" else outs[r] for t, r in col]) for col in zip(*refs)]
+
+
+def _output(nrn, X, outs):
+    """The neuron's output on the rows of X; outs holds the outputs of the
+    neurons "n" refers to."""
+    return _basis(nrn.kind, _columns([nrn.inputs], X, outs))[0] @ nrn.weights
 
 
 def _fit_weights(B, y, cfg: GmdhConfig, keys):
-    """Fit polynomial weights on design B by the configured method, one fit
-    per key. B is (n, q), one design shared by every key, or (len(keys), n, q).
-    Returns (len(keys), q).
+    """Fit polynomial weights by the configured method, one fit per key on
+    its design in the stack B, (len(keys), n, q). Returns (len(keys), q).
 
     Gradient descent starts cfg.restarts times per key from the rng seeded
     with derive_seed(cfg.seed, *key) and keeps each key's first restart with
-    the strictly lowest sum-squared error. All keys and restarts descend
-    together as one stack; a stacked matmul runs the same BLAS call on each
-    element as `B @ w` does, so each fit is bit-identical to one made alone.
-    Least squares has no starts and derives no seed.
+    the strictly lowest sum-squared error. The descent runs in Gram form:
+    the squared error of a polynomial that is linear in its weights has the
+    gradient (2/n)(G w - c) with G = BᵀB and c = Bᵀy, so G and c are formed
+    once and each epoch costs a q x q product instead of a pass over the
+    rows. That is the row-by-row descent in exact arithmetic, but it sums in
+    another order, so its weights differ from that descent's in the last
+    bits. All keys and restarts descend together as one stack; a stacked
+    matmul runs the same BLAS call on each element as `G @ w` does, so each
+    fit is bit-identical to one made alone. Least squares has no starts and
+    derives no seed.
     """
     if cfg.method == "least_squares":
-        designs = B if B.ndim == 3 else [B] * len(keys)
-        return np.stack([least_squares_fit(b, y) for b in designs])
+        return least_squares_fit(B, y)
     W = np.stack([np.random.default_rng(derive_seed(cfg.seed, *key))
                   .uniform(-0.5, 0.5, size=(cfg.restarts, B.shape[-1])) for key in keys])
-    if B.ndim == 3:
-        B = B[:, None]   # one design per key, shared by its restarts
     Bt = np.swapaxes(B, -1, -2)
+    G = (Bt @ B)[:, None]   # shared by a key's restarts
+    c = (Bt @ y)[:, None]
     step = cfg.learning_rate * (2.0 / y.shape[0])
     for _ in range(cfg.epochs):
-        W -= step * (Bt @ ((B @ W[..., None])[..., 0] - y)[..., None])[..., 0]
+        W -= step * ((G @ W[..., None])[..., 0] - c)
     if not np.isfinite(W).all():
         raise TrainingError("polynomial weights diverged; lower the learning rate")
-    sse = np.sum(((B @ W[..., None])[..., 0] - y) ** 2, axis=-1)
+    sse = np.sum(((B[:, None] @ W[..., None])[..., 0] - y) ** 2, axis=-1)
     return W[np.arange(len(keys)), [first_lowest(s) for s in sse]]
 
 
-def _candidate(kind, refs, XA, XB, outsA, outsB, yA, cfg, key, layer):
-    """Fit one neuron on the fitting subset A (key as for _fit_weights);
-    returns (neuron, its output on A, its output on B). outsA/outsB hold the
-    outputs of the neurons "n" refers to."""
+# Layered growth fits a layer's candidates this many at a time, as one
+# stack. Measured on a 72-feature first layer (2556 candidates, 801 fitting
+# rows): the time is flat from 64 to 512 and about 15% higher at 32, while
+# the stacked designs and outputs grow with the chunk (peak traced memory
+# 5, 9 and 29 MB at 64, 128 and 512).
+CHUNK = 128
+
+
+def _candidates(kind, refs, keys, layer, XA, XB, outsA, outsB, yA, cfg):
+    """Fit one neuron per entry of refs on the fitting subset A, keyed as
+    for _fit_weights, all as one stack; yields each (neuron, its output on
+    A, its output on B) in order. outsA/outsB hold the outputs of the
+    neurons "n" refers to.
+
+    A failed fit is raised where fitting one candidate at a time would raise
+    it: after every earlier candidate has been yielded.
+    """
     BA = _basis(kind, _columns(refs, XA, outsA))
-    w = _fit_weights(BA, yA, cfg, [key])[0]
-    return (SupportingNeuron(kind, refs, w, layer=layer), BA @ w,
-            _basis(kind, _columns(refs, XB, outsB)) @ w)
+    try:
+        W = _fit_weights(BA, yA, cfg, keys)
+    except (DataError, TrainingError):
+        if len(refs) == 1:
+            raise
+        for r, key in zip(refs, keys):
+            yield from _candidates(kind, [r], [key], layer, XA, XB, outsA, outsB, yA, cfg)
+        return
+    OA = (BA @ W[..., None])[..., 0]
+    OB = (_basis(kind, _columns(refs, XB, outsB)) @ W[..., None])[..., 0]
+    for r, w, outA, outB in zip(refs, W, OA, OB):
+        yield SupportingNeuron(kind, r, w, layer=layer), outA, outB
 
 
 def _binary_targets(ds):
@@ -238,11 +280,13 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
         if not pairs:
             break
         candidates = []
-        for ci, refs in enumerate(pairs):
-            nrn, outA, outB = _candidate(cfg.kind, refs, XA, XB, outsA, outsB, yA, cfg,
-                                         (layer, ci), layer)
-            nrn.criterion = exterior_criterion(lambda _x: outB, XB, yB).value
-            candidates.append((ci, nrn, outA, outB))
+        for start in range(0, len(pairs), CHUNK):
+            ids = range(start, min(start + CHUNK, len(pairs)))
+            fitted = _candidates(cfg.kind, pairs[start:ids.stop], [(layer, ci) for ci in ids],
+                                 layer, XA, XB, outsA, outsB, yA, cfg)
+            for ci, (nrn, _, outB) in zip(ids, fitted):
+                nrn.criterion = exterior_criterion(lambda _x: outB, XB, yB).value
+                candidates.append((ci, nrn))
 
         order = sorted(candidates, key=lambda c: (c[1].criterion, c[0]))
         best_cr = order[0][1].criterion
@@ -250,11 +294,13 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
             break
         layer_scores.append(best_cr)
         output = len(kept)   # survivors are sorted best-first
-        for ci, nrn, outA, outB in order[:n_keep]:
+        for ci, nrn in order[:n_keep]:
             nrn.survivor = True
+            # outputs are recomputed for the few survivors rather than kept
+            # for every candidate
+            outsA.append(_output(nrn, XA, outsA))
+            outsB.append(_output(nrn, XB, outsB))
             kept.append(nrn)
-            outsA.append(outA)
-            outsB.append(outB)
         pairs = [(("n", a), ("n", b)) for a, b in combinations(range(output, len(kept)), 2)]
 
     net = PolyNetwork(kept, output, layer_scores, train.feature_names)
@@ -296,11 +342,10 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
 
     # one-input neurons on every feature, fitted as one stack; every accuracy
     # beats -1, so each feature joins the pool
-    BA = np.stack([_basis("linear", [XA[:, i]]) for i in range(m)])
-    W = _fit_weights(BA, yA, cfg, [(0, i) for i in range(m)])
-    for i in range(m):
-        offer(SupportingNeuron("linear", (("x", i),), W[i], layer=1), BA[i] @ W[i],
-              _basis("linear", [XB[:, i]]) @ W[i], -1.0)
+    for nrn, outA, outB in _candidates("linear", [(("x", i),) for i in range(m)],
+                                       [(0, i) for i in range(m)], 1,
+                                       XA, XB, outsA, outsB, yA, cfg):
+        offer(nrn, outA, outB, -1.0)
 
     rng = np.random.default_rng(derive_seed(cfg.seed, 1))
 
@@ -311,10 +356,10 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
             i = int(rng.choice(len(pool), p=probs))
             j = int(rng.choice(len(pool), p=probs))
             if i != j:
-                nrn, outA, outB = _candidate(
-                    cfg.kind, tuple(("x", p) if p < m else ("n", p) for p in (i, j)),
-                    XA, XB, outsA, outsB, yA, cfg, (2, attempt),
-                    1 + max(neurons[i].layer, neurons[j].layer))
+                nrn, outA, outB = next(_candidates(
+                    cfg.kind, [tuple(("x", p) if p < m else ("n", p) for p in (i, j))],
+                    [(2, attempt)], 1 + max(neurons[i].layer, neurons[j].layer),
+                    XA, XB, outsA, outsB, yA, cfg))
                 nrn.survivor = True
                 offer(nrn, outA, outB, max(pool[i], pool[j]))
                 break

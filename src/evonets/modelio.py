@@ -164,12 +164,48 @@ def _encode_poly(net):
     }
 
 
+def _finite_numbers(value):
+    # abs() <= max also turns away nan and integers too large for a float
+    return _list_of(value, (int, float)) and all(abs(v) <= sys.float_info.max for v in value)
+
+
+def _poly_input(ref, k, n_features):
+    """Whether ref is ["x", feature index] or ["n", index of a neuron before k]."""
+    return (isinstance(ref, list) and len(ref) == 2 and ref[0] in ("x", "n")
+            and type(ref[1]) is int and 0 <= ref[1] < (n_features if ref[0] == "x" else k))
+
+
 def _decode_poly(payload, feature_names, label_names):
-    neurons = [SupportingNeuron(d["kind"], tuple((t, r) for t, r in d["inputs"]),
-                                np.array(d["weights"]), int(d["layer"]), bool(d["survivor"]))
-               for d in payload["neurons"]]
-    return PolyNetwork(neurons, int(payload["output"]),
-                       [float(s) for s in payload["layer_scores"]], feature_names)
+    """Neurons whose inputs name a feature or an earlier neuron, with finite
+    weights, an output among them and finite layer scores; anything else
+    raises DataError."""
+    docs = payload.get("neurons")
+    if not (isinstance(docs, list) and docs and all(isinstance(d, dict) for d in docs)):
+        raise DataError("gmdh neurons must be a non-empty list of objects")
+    m = len(feature_names)
+    neurons = []
+    for k, d in enumerate(docs):
+        inputs, weights, layer = d.get("inputs"), d.get("weights"), d.get("layer")
+        if not (isinstance(inputs, list) and all(_poly_input(r, k, m) for r in inputs)):
+            raise DataError(f"gmdh neuron {k} inputs must be [\"x\", feature below {m}] or "
+                            f"[\"n\", neuron below {k}] pairs")
+        if not _finite_numbers(weights):
+            raise DataError(f"gmdh neuron {k} weights must be a list of finite numbers")
+        if type(layer) is not int or layer < 1:
+            raise DataError(f"gmdh neuron {k} layer {layer!r} is not a positive integer")
+        if type(d.get("survivor")) is not bool:
+            raise DataError(f"gmdh neuron {k} survivor {d.get('survivor')!r} is not true or false")
+        try:
+            neurons.append(SupportingNeuron(d.get("kind"), tuple((t, r) for t, r in inputs),
+                                            np.array(weights, dtype=float), layer, d["survivor"]))
+        except DataError as exc:
+            raise DataError(f"gmdh neuron {k}: {exc}") from None
+    output, scores = payload.get("output"), payload.get("layer_scores")
+    if type(output) is not int or not 0 <= output < len(neurons):
+        raise DataError(f"gmdh output {output!r} is not a neuron index below {len(neurons)}")
+    if not _finite_numbers(scores):
+        raise DataError("gmdh layer_scores must be a list of finite numbers")
+    return PolyNetwork(neurons, output, [float(s) for s in scores], feature_names)
 
 
 def _encode_pairwise(tree):
@@ -209,10 +245,10 @@ class Method(NamedTuple):
     """Everything done with a saved model of one method.
 
     encode maps the model to its JSON payload and decode(payload,
-    feature_names, label_names) rebuilds it; the lm and ruletree decoders
-    raise DataError for a payload that does not fit the envelope. to_text
-    and to_dot render a ModelBundle for `export`; to_dot is None where the
-    method has no graph form.
+    feature_names, label_names) rebuilds it; the lm, ruletree and gmdh
+    decoders raise DataError for a payload that does not fit the envelope.
+    to_text and to_dot render a ModelBundle for `export`; to_dot is None
+    where the method has no graph form.
     feature_pool gives the columns a rule tree distilled from the model may
     split on; None means every column.
     """
@@ -298,8 +334,7 @@ def load_model(path) -> ModelBundle:
     if not len(mean) == len(sd) == len(feature_names):
         raise DataError(f"{path}: normalization needs one mean and one sd for each of the "
                         f"{len(feature_names)} features")
-    # abs() <= max also turns away nan and integers too large for a float
-    if not (all(abs(v) <= sys.float_info.max for v in mean + sd) and all(v > 0 for v in sd)):
+    if not (_finite_numbers(mean) and _finite_numbers(sd) and all(v > 0 for v in sd)):
         raise DataError(f"{path}: normalization needs finite means and finite, positive sds")
     if not isinstance(doc.get("payload"), dict):
         raise DataError(f"{path}: payload is missing or not a JSON object")

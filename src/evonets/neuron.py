@@ -206,16 +206,39 @@ def classification_error(predict, data):
 def least_squares_fit(design, targets):
     """Solve min_w ||design @ w - targets||^2 via the normal equations.
 
-    The caller supplies the full design matrix (constant column included).
-    A ridge jitter of 1e-10 is added to the diagonal when the system is
-    singular or badly conditioned; if that still fails, the fit errors out.
+    The caller supplies the full design matrix (constant column included):
+    (n, q) for one fit, giving (q,), or a stack (k, n, q) of designs sharing
+    the targets, giving (k, q). A ridge jitter of 1e-10 is added to the
+    diagonal of a system that is singular or badly conditioned; if that
+    still fails, the fit errors out. A stack is solved in one batched call
+    (the stacked products and LAPACK calls run the same kernels on each
+    element), and again element by element when some element is singular,
+    so every element is bit-identical to its own call.
     """
     B = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(targets, dtype=float)
-    if B.shape[0] < B.shape[1]:
-        raise DataError(f"need at least {B.shape[1]} rows to fit {B.shape[1]} basis terms")
-    A = B.T @ B
-    b = B.T @ y
+    q = B.shape[-1]
+    if B.shape[-2] < q:
+        raise DataError(f"need at least {q} rows to fit {q} basis terms")
+    Bt = np.swapaxes(B, -1, -2)
+    A = Bt @ B
+    b = Bt @ y
+    if A.ndim == 2:
+        return _solve_normal(A, b)
+    try:
+        jitter = np.linalg.cond(A) > 1e12
+        jittered = np.where(jitter[:, None, None], A + 1e-10 * np.eye(q), A) \
+            if jitter.any() else A
+        w = np.linalg.solve(jittered, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.stack([_solve_normal(a, v) for a, v in zip(A, b)])
+    if not np.isfinite(w).all():
+        raise TrainingError("least-squares weights are not finite")
+    return w
+
+
+def _solve_normal(A, b):
+    """One system of least_squares_fit's normal equations, jittered as it says."""
     try:
         if np.linalg.cond(A) > 1e12:
             raise np.linalg.LinAlgError("ill-conditioned")

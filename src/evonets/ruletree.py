@@ -80,7 +80,13 @@ def search_threshold(values0, values1):
         raise DataError("threshold search needs finite values, not NaN or infinity")
     pooled = np.unique(np.concatenate([v0, v1]))
     if pooled.size > 1:
-        candidates = (pooled[:-1] + pooled[1:]) / 2.0
+        lo, hi = pooled[:-1], pooled[1:]
+        # a sum of two values beyond half the float maximum can overflow;
+        # halving each first gives the same correctly rounded midpoint
+        with np.errstate(over="ignore"):
+            candidates = (lo + hi) / 2.0
+        big = np.isinf(candidates)
+        candidates[big] = lo[big] / 2.0 + hi[big] / 2.0
     else:
         candidates = pooled  # all values identical; the split is degenerate
 

@@ -51,6 +51,12 @@ class TestRanking:
         with pytest.raises(DataError, match="at least 2 features"):
             rank_single_features(ds, ds, CFG)
 
+    def test_empty_validation_set_rejected(self):
+        ds = separable_dataset(seed=1)
+        empty = Dataset(ds.features[:0], ds.labels[:0], ds.feature_names, 2)
+        with pytest.raises(DataError, match="empty validation set"):
+            rank_single_features(ds, empty, CFG)
+
     def test_tie_breaks_by_column_index(self):
         # identical duplicate columns give identical errors
         rng = np.random.default_rng(3)

@@ -520,6 +520,48 @@ MALFORMED_PAIRWISE = {
         {"i": 0, "j": 1, "features": [], "weights": [0.5], "accuracy": 1.0}]}},
 }
 
+def _set_neuron(doc, k, **changes):
+    doc["payload"]["neurons"][k].update(changes)
+    return doc
+
+
+def _set_poly(doc, **changes):
+    doc["payload"].update(changes)
+    return doc
+
+
+# Each turns a valid 2-feature gmdh-roulette document, whose third and output
+# neuron takes the first two as inputs, into one whose payload does not fit
+# its envelope.
+MALFORMED_GMDH = {
+    "neurons missing": lambda doc: {**doc, "payload": {"output": 0, "layer_scores": []}},
+    "neurons empty": lambda doc: _set_poly(doc, neurons=[]),
+    "neuron a list": lambda doc: _set_poly(doc, neurons=[[]]),
+    "output 999": lambda doc: _set_poly(doc, output=999),
+    "output negative": lambda doc: _set_poly(doc, output=-1),
+    "output a string": lambda doc: _set_poly(doc, output="2"),
+    "input to a later neuron": lambda doc: _set_neuron(doc, 1, inputs=[["n", 2], ["x", 0]]),
+    "input to itself": lambda doc: _set_neuron(doc, 2, inputs=[["n", 2], ["n", 0]]),
+    "x index 99": lambda doc: _set_neuron(doc, 0, inputs=[["x", 99], ["x", 1]]),
+    "x index negative": lambda doc: _set_neuron(doc, 0, inputs=[["x", -1], ["x", 1]]),
+    "x index a float": lambda doc: _set_neuron(doc, 0, inputs=[["x", 0.0], ["x", 1]]),
+    "input kind z": lambda doc: _set_neuron(doc, 0, inputs=[["z", 0], ["x", 1]]),
+    "input not a pair": lambda doc: _set_neuron(doc, 0, inputs=[["x", 0, 1], ["x", 1]]),
+    "inputs missing": lambda doc: _set_neuron(doc, 0, inputs=None),
+    "three inputs": lambda doc: _set_neuron(doc, 0, inputs=[["x", 0], ["x", 1], ["x", 1]]),
+    "kind unknown": lambda doc: _set_neuron(doc, 0, kind="cubic"),
+    "kind missing": lambda doc: _set_neuron(doc, 0, kind=None),
+    "three weights for bilinear": lambda doc: _set_neuron(doc, 0, weights=[0.5, 0.1, 0.2]),
+    "weights not numbers": lambda doc: _set_neuron(doc, 0, weights=["1", 0.0, 0.0, 0.0]),
+    "weight NaN": lambda doc: _set_neuron(doc, 0, weights=[float("nan"), 0.0, 0.0, 0.0]),
+    "layer a string": lambda doc: _set_neuron(doc, 0, layer="1"),
+    "layer zero": lambda doc: _set_neuron(doc, 0, layer=0),
+    "survivor a number": lambda doc: _set_neuron(doc, 0, survivor=1),
+    "layer_scores missing": lambda doc: {**doc, "payload": {
+        k: v for k, v in doc["payload"].items() if k != "layer_scores"}},
+    "layer score Infinity": lambda doc: _set_poly(doc, layer_scores=[float("inf")]),
+}
+
 # Each turns a valid 2-feature, 2-class lm document into one whose payload
 # does not fit its envelope.
 MALFORMED_LMS = {
@@ -559,6 +601,16 @@ class TestMalformedModelFile:
         assert run("train", "--method", "pairwise-dt", "--attempts", "3", "--test-epochs",
                    "8", "--data", str(xor_csv), "--out", str(path)) == 0
         capsys.readouterr()
+        return path
+
+    @pytest.fixture
+    def gmdh(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "gmdh.json"
+        assert run("train", "--method", "gmdh-roulette", "--fit-method", "least-squares",
+                   "--attempts", "20", "--data", str(xor_csv), "--out", str(path)) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text())["payload"]["neurons"][2]["inputs"] == \
+            [["n", 1], ["n", 0]]
         return path
 
     def assert_rejected(self, verb, doc, data, tmp_path, capsys):
@@ -607,6 +659,13 @@ class TestMalformedModelFile:
     def test_malformed_pairwise_payload_exits_2(self, fault, verb, pairwise, xor_csv,
                                                 tmp_path, capsys):
         doc = MALFORMED_PAIRWISE[fault](json.loads(pairwise.read_text()))
+        self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_GMDH))
+    def test_malformed_gmdh_payload_exits_2(self, fault, verb, gmdh, xor_csv, tmp_path,
+                                            capsys):
+        doc = MALFORMED_GMDH[fault](json.loads(gmdh.read_text()))
         self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
 
     def test_normalization_overflow_rejected_by_extract_rules(self, model, xor_csv,

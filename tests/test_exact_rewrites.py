@@ -3,36 +3,45 @@
 `oracle_train_pocket_ratchet`, `oracle_sigmoid`, `oracle_search_threshold`,
 `oracle_predict_classes`, `oracle_train_gmdh_layered`,
 `oracle_train_gmdh_roulette`, `oracle_pruned`, `oracle_fit_loss`,
-`oracle_fit_gradient`, `oracle_fit_neuron`, `oracle_fit_single_features` and
-`oracle_fit_weights` are the former bodies of `linear.train_pocket_ratchet`,
-`neuron.sigmoid`, `ruletree.search_threshold`,
+`oracle_fit_gradient`, `oracle_fit_neuron`, `oracle_fit_single_features`,
+`oracle_fit_weights` and `oracle_least_squares_fit` are the former bodies of
+`linear.train_pocket_ratchet`, `neuron.sigmoid`, `ruletree.search_threshold`,
 `ruletree.RuleTree.predict_classes`, `gmdh.train_gmdh_layered`,
 `gmdh.train_gmdh_roulette`, `gmdh._pruned`, `neuron.fit_loss`,
-`neuron.fit_gradient`, `neuron.fit_neuron`, `cascade._fit_single_features` and
-`gmdh._fit_weights`, kept verbatim as the reference (apart from their names
-and the oracles they call). The rewrites only drop repeated work or repeated
-code, or descend independent fits as one stack, so they must give
-bit-identical results: the same pocketed weights and traces, the same sigmoid
-bytes, nan and signed zero included, the same threshold bytes, polarity and
-error count, the same rule-tree labels, the same fitted weights, feature
-rankings and errors, and the same saved cascade and polynomial-network model
-files.
+`neuron.fit_gradient`, `neuron.fit_neuron`, `cascade._fit_single_features`,
+`gmdh._fit_weights` and `neuron.least_squares_fit`, kept verbatim as the
+reference (apart from their names, the oracles they call, and a parameter
+that swaps in one part: the GMDH trainers' weight fitter, the threshold
+search's midpoint rule). The rewrites only drop repeated work or repeated
+code, or fit independent problems as one stack, so they must give
+bit-identical results: the same pocketed weights and traces, the same sigmoid bytes, nan
+and signed zero included, the same threshold bytes, polarity and error count,
+the same rule-tree labels, the same fitted weights, feature rankings and
+errors, and the same saved cascade and polynomial-network model files.
+
+Two rewrites change results on purpose. Gradient-fitted polynomial networks
+descend in Gram form, which sums in another order: they must grow the same
+structure as the oracle with weights within a stated tolerance, and match
+`gram_fit_weights`, the same descent made one candidate at a time, bit for
+bit. `search_threshold` gives a finite midpoint where the oracle's overflows
+to inf, and matches the oracle everywhere else.
 """
 
 import warnings
 from dataclasses import replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evonets import cascade
+from evonets import cascade, gmdh
 from evonets._util import augment, derive_seed
 from evonets.dataset import Dataset, NormParams, gen_blobs, gen_surrogate_eeg
 from evonets.errors import DataError, TrainingError
-from evonets.gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
+from evonets.gmdh import (KINDS, GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
                           _binary_targets, _fit_weights, count_candidates,
                           train_gmdh_layered, train_gmdh_roulette)
 from evonets.linear import (LinearMachine, PocketState, ThermalSchedule, thermal_c,
@@ -230,7 +239,7 @@ class TestSigmoidOracle:
         assert sigmoid([-2.0, 3]).tobytes() == oracle_sigmoid([-2.0, 3]).tobytes()
 
 
-def oracle_search_threshold(values0, values1):
+def oracle_search_threshold(values0, values1, midpoints=lambda lo, hi: (lo + hi) / 2.0):
     """Best single threshold between two value lists.
 
     Candidate thresholds are the midpoints between consecutive distinct
@@ -244,7 +253,7 @@ def oracle_search_threshold(values0, values1):
         raise DataError("both sides need at least one value")
     pooled = np.unique(np.concatenate([v0, v1]))
     if pooled.size > 1:
-        candidates = (pooled[:-1] + pooled[1:]) / 2.0
+        candidates = midpoints(pooled[:-1], pooled[1:])
     else:
         candidates = pooled  # all values identical; the split is degenerate
 
@@ -276,7 +285,7 @@ def ulp_step(x, k):
 
 # Near 5e-324 and 1.7e308 consecutive doubles sit one ulp apart, so a
 # midpoint rounds onto a pooled value and neighbouring midpoints coincide;
-# two values near 1.7e308 overflow their midpoint to inf.
+# two values near 1.7e308 overflow the oracle's midpoint to inf.
 BASES = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, 1e-300, 1.7e308, -1.7e308]
 
 
@@ -290,10 +299,20 @@ def threshold_sides(draw):
             draw(st.lists(value, min_size=1, max_size=25)))
 
 
-def assert_same_threshold(values0, values1):
+def finite_midpoints(lo, hi):
+    """The oracle's midpoints, except that a pair whose sum overflows gets
+    lo/2 + hi/2 instead of inf: the one place search_threshold departs from
+    the oracle."""
     with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return np.where(np.isinf(mid), lo / 2.0 + hi / 2.0, mid)
+
+
+def assert_same_threshold(values0, values1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = search_threshold(values0, values1)
-        want = oracle_search_threshold(values0, values1)
+    want = oracle_search_threshold(values0, values1, finite_midpoints)
     assert type(got[0]) is float and type(got[2]) is int
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     assert got[1] is want[1]
@@ -320,6 +339,18 @@ class TestSearchThresholdOracle:
     ])
     def test_edge_cases(self, values0, values1):
         assert_same_threshold(values0, values1)
+
+    @pytest.mark.parametrize("values0,values1,threshold", [
+        ([1.7e308], [1.75e308], 1.725e308),
+        ([-1.75e308], [-1.7e308], -1.725e308),
+    ])
+    def test_overflowing_midpoint_stays_finite(self, values0, values1, threshold):
+        # the oracle's (a + b) / 2 overflows to inf here, and its inf
+        # threshold puts every value on the low side
+        with np.errstate(over="ignore"):
+            assert oracle_search_threshold(values0, values1)[0] in (np.inf, -np.inf)
+        assert_same_threshold(values0, values1)
+        assert search_threshold(values0, values1) == (threshold, True, 0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_oracle_on_large_rounded_samples(self, seed):
@@ -378,12 +409,40 @@ class TestPredictClassesOracle:
         assert got.dtype == want.dtype and got.shape == want.shape == (0,)
 
 
+def oracle_least_squares_fit(design, targets):
+    """Solve min_w ||design @ w - targets||^2 via the normal equations.
+
+    The caller supplies the full design matrix (constant column included).
+    A ridge jitter of 1e-10 is added to the diagonal when the system is
+    singular or badly conditioned; if that still fails, the fit errors out.
+    """
+    B = np.atleast_2d(np.asarray(design, dtype=float))
+    y = np.asarray(targets, dtype=float)
+    if B.shape[0] < B.shape[1]:
+        raise DataError(f"need at least {B.shape[1]} rows to fit {B.shape[1]} basis terms")
+    A = B.T @ B
+    b = B.T @ y
+    try:
+        if np.linalg.cond(A) > 1e12:
+            raise np.linalg.LinAlgError("ill-conditioned")
+        w = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        A = A + 1e-10 * np.eye(A.shape[0])
+        try:
+            w = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise TrainingError("design matrix is rank-deficient beyond jitter recovery") from exc
+    if not np.isfinite(w).all():
+        raise TrainingError("least-squares weights are not finite")
+    return w
+
+
 def oracle_fit_weights(kind, cols, targets, cfg: GmdhConfig, seed):
     """Fit polynomial weights on the fitting subset by the configured method."""
     B = _basis(kind, cols)
     y = np.asarray(targets, dtype=float)
     if cfg.method == "least_squares":
-        return least_squares_fit(B, y)
+        return oracle_least_squares_fit(B, y)
     n = y.shape[0]
     rng = np.random.default_rng(seed)
     best = None
@@ -399,7 +458,34 @@ def oracle_fit_weights(kind, cols, targets, cfg: GmdhConfig, seed):
     return best[2]
 
 
-def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwork:
+def gram_fit_weights(kind, cols, targets, cfg: GmdhConfig, seed):
+    """oracle_fit_weights with its descent in Gram form, one candidate at a
+    time: G = BᵀB and c = Bᵀy once, then w -= rate (2/n) (G w - c) per
+    epoch. The layer-batched `gmdh._fit_weights` must match it bit for bit;
+    it is not the code that was replaced, so it differs from
+    oracle_fit_weights in the last bits."""
+    B = _basis(kind, cols)
+    y = np.asarray(targets, dtype=float)
+    if cfg.method == "least_squares":
+        return oracle_least_squares_fit(B, y)
+    n = y.shape[0]
+    G, c = B.T @ B, B.T @ y
+    rng = np.random.default_rng(seed)
+    best = None
+    for restart in range(cfg.restarts):
+        w = rng.uniform(-0.5, 0.5, size=B.shape[1])
+        for _ in range(cfg.epochs):
+            w -= cfg.learning_rate * (2.0 / n) * (G @ w - c)
+        if not np.isfinite(w).all():
+            raise TrainingError("polynomial weights diverged; lower the learning rate")
+        sse = float(np.sum((B @ w - y) ** 2))
+        if best is None or sse < best[0]:
+            best = (sse, restart, w)
+    return best[2]
+
+
+def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig(),
+                              fit_weights=oracle_fit_weights) -> PolyNetwork:
     """Layer-wise exhaustive growth with exterior-criterion selection.
 
     Layer 1 fits every pairing of input features on the fitting subset and
@@ -442,7 +528,7 @@ def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> Pol
                    XA[:, rb[1]] if rb[0] == "x" else colsA[rb[1]]]
             inB = [XB[:, ra[1]] if ra[0] == "x" else colsB[ra[1]],
                    XB[:, rb[1]] if rb[0] == "x" else colsB[rb[1]]]
-            w = oracle_fit_weights(cfg.kind, inA, yA, cfg, derive_seed(cfg.seed, layer, ci))
+            w = fit_weights(cfg.kind, inA, yA, cfg, derive_seed(cfg.seed, layer, ci))
             nrn = SupportingNeuron(cfg.kind, (ra, rb), w, layer=layer)
             outB = _basis(cfg.kind, inB) @ w
             nrn.criterion = exterior_criterion(lambda _x, o=outB: o, XB, yB).value
@@ -469,7 +555,8 @@ def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> Pol
     return oracle_pruned(net)
 
 
-def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None) -> PolyNetwork:
+def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=None,
+                               fit_weights=oracle_fit_weights) -> PolyNetwork:
     """Randomized growth: accepted neurons join the selectable pool.
 
     Every feature first gets a one-input neuron whose validation accuracy
@@ -502,7 +589,7 @@ def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=
     pool = []  # accuracy per pool member; member k is neurons[k], and
     #            members below m stand in for the raw features themselves
     for i in range(m):
-        w = oracle_fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
+        w = fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
         nrn = SupportingNeuron("linear", (("x", i),), w, layer=1)
         acc = add(nrn, _basis("linear", [XA[:, i]]) @ w, _basis("linear", [XB[:, i]]) @ w)
         pool.append(acc)
@@ -532,7 +619,7 @@ def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=
                 refs.append(("n", p))
                 inA.append(colsA[p])
                 inB.append(colsB[p])
-        w = oracle_fit_weights(cfg.kind, inA, yA, cfg, derive_seed(seed, 2, attempt))
+        w = fit_weights(cfg.kind, inA, yA, cfg, derive_seed(seed, 2, attempt))
         nrn = SupportingNeuron(cfg.kind, tuple(refs), w,
                                layer=1 + max(neurons[p].layer for p in (i, j)),
                                survivor=True)
@@ -596,30 +683,99 @@ GMDH_CONFIGS = [
 ]
 
 
+# The Gram-form descent sums in another order than the row-by-row descent
+# it replaced, so gradient-fitted weights are compared with that descent
+# within a tolerance. Measured: below 1e-14 relative on the models here and
+# on the benchmark's seed-3 eeg-grow models, and up to 3e-8 on single fits at
+# rate 0.5, where the descent runs close to its stability limit and
+# amplifies rounding.
+MODEL_RTOL = 1e-9
+FIT_RTOL = 1e-6
+
+
+def assert_weights_close(got, want, rtol):
+    """Elementwise within rtol, and within rtol of the largest weight."""
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+
+
+class Grown(NamedTuple):
+    got: PolyNetwork           # production, unpruned
+    want: PolyNetwork          # oracle, unpruned
+    got_pruned: PolyNetwork    # gmdh._pruned(got), what production returns
+    want_pruned: PolyNetwork   # oracle_pruned(want), what the oracle returns
+
+
+def grow_both(monkeypatch, train, oracle, *args, **oracle_kwargs) -> Grown:
+    """A network grown by production and by the oracle, both left unpruned so
+    that every survivor and every accepted neuron is compared, and then each
+    pruned by its own side's pruning."""
+    prune, oracle_prune = gmdh._pruned, oracle_pruned
+    monkeypatch.setattr(gmdh, "_pruned", lambda net: net)
+    monkeypatch.setitem(globals(), "oracle_pruned", lambda net: net)
+    got, want = train(*args), oracle(*args, **oracle_kwargs)
+    return Grown(got, want, prune(got), oracle_prune(want))
+
+
+def assert_same_network(got, want, tmp_path, rtol=None):
+    """The same output, layer count, and neurons with the same kind, inputs,
+    layer, survivor flag and roulette accuracy, in the same order; weights,
+    criteria and layer scores bit-identical (rtol None, which also compares
+    the model files) or within rtol."""
+    assert got.output == want.output
+    assert len(got.layer_scores) == len(want.layer_scores)
+    assert [(n.kind, n.inputs, n.layer, n.survivor) for n in got.neurons] == \
+        [(n.kind, n.inputs, n.layer, n.survivor) for n in want.neurons]
+    np.testing.assert_array_equal([n.accuracy for n in got.neurons],
+                                  [n.accuracy for n in want.neurons])
+    if rtol is None:
+        np.testing.assert_array_equal([n.criterion for n in got.neurons],
+                                      [n.criterion for n in want.neurons])
+        assert model_bytes(got, "gmdh-layered", tmp_path) == \
+            model_bytes(want, "gmdh-layered", tmp_path)
+        return
+    np.testing.assert_allclose([n.criterion for n in got.neurons],
+                               [n.criterion for n in want.neurons], rtol=rtol)
+    np.testing.assert_allclose(got.layer_scores, want.layer_scores, rtol=rtol)
+    for g, w in zip(got.neurons, want.neurons):
+        assert_weights_close(g.weights, w.weights, rtol)
+
+
+def assert_same_growth(grown: Grown, tmp_path, rtol=None):
+    """assert_same_network on the unpruned networks and on the pruned ones,
+    the networks train_gmdh_* return and save_model writes."""
+    assert_same_network(grown.got, grown.want, tmp_path, rtol)
+    assert_same_network(grown.got_pruned, grown.want_pruned, tmp_path, rtol)
+
+
+def gradient_rtol(cfg):
+    return MODEL_RTOL if cfg.method == "gradient" else None
+
+
 class TestGmdhOracle:
+    """Production growth against the code it replaced: bit-identical with
+    least squares, the same structure and close weights with gradient
+    descent."""
+
     @pytest.mark.parametrize("config", GMDH_CONFIGS,
                              ids=lambda c: "-".join(str(v) for v in c.values()))
     @pytest.mark.parametrize("seed", [0, 3, 8])
-    def test_layered_matches_oracle(self, config, seed, tmp_path):
+    def test_layered_matches_oracle(self, config, seed, tmp_path, monkeypatch):
         train, val = gmdh_data(seed)
         cfg = GmdhConfig(epochs=40, restarts=2, seed=seed, **config)
-        got = train_gmdh_layered(train, val, cfg)
-        want = oracle_train_gmdh_layered(train, val, cfg)
-        assert [n.criterion for n in got.neurons] == [n.criterion for n in want.neurons]
-        assert model_bytes(got, "gmdh-layered", tmp_path) == \
-            model_bytes(want, "gmdh-layered", tmp_path)
+        grown = grow_both(monkeypatch, train_gmdh_layered, oracle_train_gmdh_layered,
+                              train, val, cfg)
+        assert_same_growth(grown, tmp_path, gradient_rtol(cfg))
 
     @pytest.mark.parametrize("config", GMDH_CONFIGS[::2],
                              ids=lambda c: "-".join(str(v) for v in c.values()))
     @pytest.mark.parametrize("seed", [0, 3, 8])
-    def test_roulette_matches_oracle(self, config, seed, tmp_path):
+    def test_roulette_matches_oracle(self, config, seed, tmp_path, monkeypatch):
         train, val = gmdh_data(seed)
         cfg = GmdhConfig(attempts=40, epochs=40, restarts=2, seed=seed, **config)
-        got = train_gmdh_roulette(train, val, cfg)
-        want = oracle_train_gmdh_roulette(train, val, cfg)
-        assert [n.accuracy for n in got.neurons] == [n.accuracy for n in want.neurons]
-        assert model_bytes(got, "gmdh-roulette", tmp_path) == \
-            model_bytes(want, "gmdh-roulette", tmp_path)
+        grown = grow_both(monkeypatch, train_gmdh_roulette, oracle_train_gmdh_roulette,
+                              train, val, cfg)
+        assert_same_growth(grown, tmp_path, gradient_rtol(cfg))
 
     def test_cases_grow_past_the_first_layer(self):
         # the oracle comparisons above only cover neuron-to-neuron inputs if
@@ -840,12 +996,10 @@ class TestStackedDescentOracle:
         cols = [U[:, i] for i in range(inputs)]
         cfg = GmdhConfig(kind=kind, method=method, learning_rate=rate, epochs=epochs,
                          restarts=restarts, seed=seed)
-        got = outcome(lambda: _fit_weights(_basis(kind, cols), y, cfg, [key])[0])
+        got = outcome(lambda: _fit_weights(_basis(kind, cols)[None], y, cfg, [key])[0])
         want = outcome(oracle_fit_weights, kind, cols, y, cfg, derive_seed(seed, *key))
-        if want[0] == "ok":
-            assert got[0] == "ok" and got[1].tobytes() == want[1].tobytes()
-        else:
-            assert got == want
+        gram = outcome(gram_fit_weights, kind, cols, y, cfg, derive_seed(seed, *key))
+        assert_same_fit(got, want, gram, method)
 
     @settings(max_examples=40, deadline=None)
     @given(data_seed=st.integers(0, 2**32 - 1), n=ROWS, m=st.integers(1, 8),
@@ -857,13 +1011,26 @@ class TestStackedDescentOracle:
         cfg = GmdhConfig(learning_rate=rate, epochs=epochs, restarts=restarts, seed=seed)
         BA = np.stack([_basis("linear", [XA[:, i]]) for i in range(m)])
         got = outcome(lambda: _fit_weights(BA, yA, cfg, [(0, i) for i in range(m)]))
-        want = outcome(lambda: np.stack([
-            oracle_fit_weights("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i))
-            for i in range(m)]))
-        if want[0] == "ok":
-            assert got[0] == "ok" and got[1].tobytes() == want[1].tobytes()
-        else:
-            assert got == want
+        want, gram = (outcome(lambda fit=fit: np.stack([
+            fit("linear", [XA[:, i]], yA, cfg, derive_seed(seed, 0, i)) for i in range(m)]))
+            for fit in (oracle_fit_weights, gram_fit_weights))
+        assert_same_fit(got, want, gram, cfg.method)
+
+
+def assert_same_fit(got, want, gram, method):
+    """got ends as the row-by-row oracle `want` does; on success its weights
+    are bit-identical to the one-candidate Gram descent `gram`, and to
+    `want` with least squares or within FIT_RTOL of it with gradient
+    descent."""
+    if want[0] != "ok":
+        assert got == want == gram
+        return
+    assert got[0] == gram[0] == "ok"
+    assert got[1].tobytes() == gram[1].tobytes()
+    if method == "least_squares":
+        assert got[1].tobytes() == want[1].tobytes()
+    else:
+        assert_weights_close(got[1], want[1], FIT_RTOL)
 
 
 def ranking_data(data_seed, n, n_val, m, constant, twin):
@@ -913,15 +1080,119 @@ class TestStackedModels:
         assert got == cascade_bytes(want_net, tmp_path)
 
     @pytest.mark.parametrize("restarts", [1, 2, 5])
-    def test_gradient_gmdh_layered(self, restarts, tmp_path):
+    def test_gradient_gmdh_layered(self, restarts, tmp_path, monkeypatch):
         train, val = gmdh_data(3)
         cfg = GmdhConfig(epochs=40, restarts=restarts, seed=3)
-        assert model_bytes(train_gmdh_layered(train, val, cfg), "gmdh-layered", tmp_path) == \
-            model_bytes(oracle_train_gmdh_layered(train, val, cfg), "gmdh-layered", tmp_path)
+        grown = grow_both(monkeypatch, train_gmdh_layered, oracle_train_gmdh_layered,
+                              train, val, cfg)
+        assert_same_growth(grown, tmp_path, MODEL_RTOL)
 
     @pytest.mark.parametrize("restarts", [1, 2, 5])
-    def test_gmdh_roulette(self, restarts, tmp_path):
+    def test_gmdh_roulette(self, restarts, tmp_path, monkeypatch):
         train, val = gmdh_data(3)
         cfg = GmdhConfig(attempts=40, epochs=40, restarts=restarts, seed=3)
-        assert model_bytes(train_gmdh_roulette(train, val, cfg), "gmdh-roulette", tmp_path) == \
-            model_bytes(oracle_train_gmdh_roulette(train, val, cfg), "gmdh-roulette", tmp_path)
+        grown = grow_both(monkeypatch, train_gmdh_roulette, oracle_train_gmdh_roulette,
+                              train, val, cfg)
+        assert_same_growth(grown, tmp_path, MODEL_RTOL)
+
+
+class TestLayerBatchedGmdh:
+    """Growth that fits a layer's candidates as one stack (and roulette's
+    pool seeding as one, its attempts one by one) against gram_fit_weights
+    fitting one candidate at a time: bit-identical models, also when a layer
+    spans several chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 4, gmdh.CHUNK])
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    @pytest.mark.parametrize("method", ["gradient", "least_squares"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_layered(self, kind, method, restarts, chunk, tmp_path, monkeypatch):
+        train, val = gmdh_data(1)   # grows a second layer in every case
+        cfg = GmdhConfig(kind=kind, method=method, epochs=40, restarts=restarts, seed=1)
+        monkeypatch.setattr(gmdh, "CHUNK", chunk)
+        grown = grow_both(monkeypatch, train_gmdh_layered, oracle_train_gmdh_layered,
+                              train, val, cfg, fit_weights=gram_fit_weights)
+        assert len(grown.got.layer_scores) >= 2
+        assert_same_growth(grown, tmp_path)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    @pytest.mark.parametrize("method", ["gradient", "least_squares"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_roulette(self, kind, method, restarts, tmp_path, monkeypatch):
+        train, val = gmdh_data(1)
+        cfg = GmdhConfig(kind=kind, method=method, attempts=40, epochs=40, restarts=restarts,
+                         seed=1)
+        grown = grow_both(monkeypatch, train_gmdh_roulette, oracle_train_gmdh_roulette,
+                              train, val, cfg, fit_weights=gram_fit_weights)
+        assert max(n.layer for n in grown.got.neurons) >= 2
+        assert_same_growth(grown, tmp_path)
+
+    @pytest.mark.parametrize("chunk", [1, 3, gmdh.CHUNK])
+    @pytest.mark.parametrize("first", ["criterion", "fit"])
+    def test_first_failure_raised_in_candidate_order(self, first, chunk, monkeypatch):
+        # Candidate 0 pairs columns 0 and 1, candidate 2 columns 0 and 3. A
+        # huge value in one validation row of a column makes its candidate's
+        # criterion overflow; a column of huge fitting values makes its
+        # candidate's descent diverge.
+        train, val = gmdh_data(4, features=4)
+        XA, XB = train.features.copy(), val.features.copy()
+        late, early = (3, 1) if first == "criterion" else (1, 3)
+        XA[:, late] *= 1e6
+        XB[0, early] = 1e300
+        train = Dataset(XA, train.labels, train.feature_names, 2)
+        val = Dataset(XB, val.labels, val.feature_names, 2)
+        cfg = GmdhConfig(epochs=40, restarts=2, seed=4)
+        monkeypatch.setattr(gmdh, "CHUNK", chunk)
+        got = outcome(train_gmdh_layered, train, val, cfg)
+        assert got == outcome(oracle_train_gmdh_layered, train, val, cfg)
+        assert got == outcome(lambda: oracle_train_gmdh_layered(
+            train, val, cfg, fit_weights=gram_fit_weights))
+        assert got[1] is (DataError if first == "criterion" else TrainingError)
+
+
+def least_squares_stack(data_seed, n, q, elements):
+    """Designs (len(elements), n, q) with a constant first column; each
+    element is regular, has twin columns (singular), nearly twin columns
+    (ill-conditioned), a zero column, a nan, an inf or values near 1e200."""
+    rng = np.random.default_rng(data_seed)
+    B = rng.normal(size=(len(elements), n, q))
+    B[..., 0] = 1.0
+    for b, element in zip(B, elements):
+        if element == "twin":
+            b[:, -1] = b[:, 1]
+        if element == "near_twin":
+            b[:, -1] = b[:, 1] * (1 + 1e-9)
+        if element == "zero":
+            b[:, -1] = 0.0
+        if element == "nan":
+            b[n // 2, -1] = np.nan
+        if element == "inf":
+            b[0, 1] = np.inf
+        if element == "huge":
+            b[:, 1:] *= 1e200
+    return B, (rng.random(n) > 0.5).astype(float)
+
+
+class TestStackedLeastSquares:
+    @settings(max_examples=120, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 7, 600, 601, 1333]),
+           q=st.integers(2, 4),
+           elements=st.lists(st.sampled_from(["regular", "regular", "twin", "near_twin",
+                                               "zero", "nan", "inf", "huge"]),
+                             min_size=1, max_size=6))
+    def test_matches_oracle_element_by_element(self, data_seed, n, q, elements):
+        B, y = least_squares_stack(data_seed, n, q, elements)
+        got = outcome(least_squares_fit, B, y)
+        want = outcome(lambda: np.stack([oracle_least_squares_fit(b, y) for b in B]))
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("n", [7, 600, 601, 1333])
+    def test_singular_element_takes_the_jitter_branch_alone(self, n):
+        B, y = least_squares_stack(n, n, 4, ["regular", "twin", "near_twin", "zero", "regular"])
+        got = least_squares_fit(B, y)
+        for b, w in zip(B, got):
+            assert w.tobytes() == oracle_least_squares_fit(b, y).tobytes()
+            assert w.tobytes() == least_squares_fit(b, y).tobytes()

@@ -140,7 +140,7 @@ class TestLayeredGrowth:
         from evonets.gmdh import _basis, _fit_weights
         cfg = GmdhConfig(method="least_squares")
         cols = [tr.features[:, 0], tr.features[:, 1]]
-        w = _fit_weights(_basis("bilinear", cols), 0.2 + 0.4 * cols[0] + 0.3 * cols[1]
+        w = _fit_weights(_basis("bilinear", cols)[None], 0.2 + 0.4 * cols[0] + 0.3 * cols[1]
                          - 0.7 * cols[0] * cols[1], cfg, [(0,)])[0]
         np.testing.assert_allclose(w, [0.2, 0.4, 0.3, -0.7], atol=1e-9)
 
@@ -168,7 +168,8 @@ class TestLayeredGrowth:
         crs = []
         for ci, (a, b) in enumerate(combinations(range(tr.n_features), 2)):
             cols = [tr.features[:, a], tr.features[:, b]]
-            w = _fit_weights(_basis("bilinear", cols), tr.labels.astype(float), cfg, [(0,)])[0]
+            w = _fit_weights(_basis("bilinear", cols)[None], tr.labels.astype(float), cfg,
+                             [(0,)])[0]
             outB = _basis("bilinear", [va.features[:, a], va.features[:, b]]) @ w
             crs.append(float(np.sum((outB - va.labels) ** 2)))
         kept = sorted(n.criterion for n in net.neurons)
@@ -219,7 +220,7 @@ class TestRouletteGrowth:
         best_single = None
         from evonets.gmdh import _basis, _fit_weights
         for i in range(tr.n_features):
-            w = _fit_weights(_basis("linear", [tr.features[:, i]]), tr.labels.astype(float),
+            w = _fit_weights(_basis("linear", [tr.features[:, i]])[None], tr.labels.astype(float),
                              cfg, [(0, i)])[0]
             out = _basis("linear", [va.features[:, i]]) @ w
             err = np.mean((out >= 0.5).astype(int) != va.labels)
