@@ -16,8 +16,7 @@ import numpy as np
 from .baseline import FnnConfig, train_fnn
 from .cascade import FitConfig, train_ecnn
 from .dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg, gen_xor,
-                      load_csv, normalize_zscore, parse_rows, read_csv_rows, save_csv,
-                      split)
+                      load_csv, normalize_zscore, read_table, save_csv, split)
 from .errors import DataError, TrainingError, UsageError
 from .gmdh import KINDS, GmdhConfig, train_gmdh_layered, train_gmdh_roulette
 from .linear import (CORRECTIONS, PAIR_TRAINERS, LinearMachine, LmdtConfig, PairwiseTree,
@@ -280,27 +279,25 @@ def _load_for_model(path, bundle, group_by=None):
     and, optionally, the group column); labels map through the stored
     label order.
     """
-    header, rows = read_csv_rows(path)
     label_column = bundle.label_column
-    if label_column not in header:
-        raise DataError(f"{path}: label column '{label_column}' not found")
-    if group_by is not None and group_by not in header:
-        raise DataError(f"{path}: group column '{group_by}' not found")
-    expected = set(bundle.feature_names)
-    for h in header:
-        if h not in expected and h != label_column and h != group_by:
-            raise DataError(f"{path}: unexpected column '{h}' not known to the model")
-    for name in bundle.feature_names:
-        if name not in header:
-            raise DataError(f"{path}: column '{name}' required by the model is missing")
 
-    col_of = {h: i for i, h in enumerate(header)}
+    def locate(header):
+        if label_column not in header:
+            raise DataError(f"{path}: label column '{label_column}' not found")
+        if group_by is not None and group_by not in header:
+            raise DataError(f"{path}: group column '{group_by}' not found")
+        expected = set(bundle.feature_names)
+        for h in header:
+            if h not in expected and h != label_column and h != group_by:
+                raise DataError(f"{path}: unexpected column '{h}' not known to the model")
+        for name in bundle.feature_names:
+            if name not in header:
+                raise DataError(f"{path}: column '{name}' required by the model is missing")
+        return ([header.index(n) for n in bundle.feature_names], header.index(label_column),
+                None if group_by is None else header.index(group_by))
+
     label_index = {s: k for k, s in enumerate(bundle.label_names)}
-    X, labels = parse_rows(path, header, rows, [col_of[n] for n in bundle.feature_names],
-                           col_of[label_column], label_index)
-    groups = []
-    if group_by is not None:
-        groups = [row[col_of[group_by]].strip() for row in rows if row]
+    _, X, labels, groups = read_table(path, locate, label_index)
     ds = Dataset(X, np.array(labels), bundle.feature_names,
                  len(bundle.label_names), bundle.label_names)
     return ds, groups

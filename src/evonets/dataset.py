@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -112,26 +113,33 @@ class SplitSpec:
             raise DataError("split fractions must sum to 1")
 
 
-def read_csv_rows(path):
-    """Stripped header and data rows of a UTF-8 CSV file with unique column names.
-
-    A leading byte-order mark is dropped, so it never joins the first name.
-    """
+def _decode(path):
+    """Text of a UTF-8 file with its line ends as they are; a leading
+    byte-order mark is dropped, so it never joins the first name."""
     if not Path(path).exists():
         raise DataError(f"missing file: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}: "
                         f"{exc.reason}); save the file as UTF-8") from None
-    if not rows:
-        raise DataError(f"{path}: empty file, no header row")
-    header = [h.strip() for h in rows[0]]
-    for k, h in enumerate(header):
-        if h in header[:k]:
-            raise DataError(f"{path}: column '{h}' appears more than once in the header")
-    return header, rows[1:]
+
+
+# characters that loadtxt strips around a number and float() does not
+_FLOAT_BLANKS = "\x1c\x1d\x1e\x1f"
+
+
+def _plain_lines(text):
+    """The records csv reads from a text without quotes or _FLOAT_BLANKS: its
+    lines, split at \\r\\n, \\r or \\n as a file opened with newline="" splits
+    them, without their ends. None for any other text."""
+    if any(c in text for c in '"' + _FLOAT_BLANKS):
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
 
 
 def _record_lines(path):
@@ -153,9 +161,10 @@ def parse_rows(path, header, rows, columns, label_at, label_index=None):
     `label_at` (stripped, or mapped through `label_index`) of the non-blank rows,
     of which there must be at least one.
 
-    On any failure of the bulk parse the rows are scanned again in order for
-    the first bad one: its cell count, then its cells in order, then its label.
-    The error names the physical line of the file on which that row starts.
+    On any failure of its one-pass parse the rows are scanned again in order
+    for the first bad one: its cell count, then its cells in order, then its
+    label. The error names the physical line of the file on which that row
+    starts.
     """
     if not any(rows):
         raise DataError(f"{path}: no data rows")
@@ -198,6 +207,76 @@ def parse_rows(path, header, rows, columns, label_at, label_index=None):
     raise AssertionError("the bulk parse failed on rows that all parse")
 
 
+def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
+    """What parse_rows gives for the data `lines` of a file without quotes or
+    _FLOAT_BLANKS, plus the stripped group cells (none for group_at None),
+    from one loadtxt parse of the features and one of the label and group
+    cells; None where a parse raises or warns or a guard fails.
+
+    loadtxt ignores cells past the used columns and reads an overflowing
+    number as inf, where parse_rows rejects both. The guards: every
+    non-blank line gives a row, the lines hold width - 1 commas each (the
+    used columns cover the header, so no row is shorter), every feature is
+    finite and every label maps through `label_index`.
+    """
+    string_columns = [label_at] if group_at is None else [label_at, group_at]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = np.loadtxt(lines, delimiter=",", comments=None, usecols=columns, ndmin=2)
+            strings = np.loadtxt(lines, delimiter=",", comments=None, usecols=string_columns,
+                                 dtype=object, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    rows = len(lines) - lines.count("")
+    if not (len(X) == len(strings) == rows and np.isfinite(X).all()
+            and sum(line.count(",") for line in lines) == (width - 1) * rows):
+        return None
+    labels = [s.strip() for s in strings[:, 0]]
+    if label_index is not None:
+        if not all(s in label_index for s in labels):
+            return None
+        labels = [label_index[s] for s in labels]
+    groups = [] if group_at is None else [s.strip() for s in strings[:, 1]]
+    return X, labels, groups
+
+
+def read_table(path, locate, label_index=None):
+    """Header, feature matrix, labels and groups of a CSV file.
+
+    The stripped header must have unique names; locate(header) applies the
+    caller's checks to it and returns the feature columns (in the order
+    wanted), the label column and the group column (None for no groups).
+    Labels and groups are stripped cell text; labels map through
+    `label_index` where one is given. A file without quotes or
+    _FLOAT_BLANKS is parsed in bulk first (_bulk_parse); any other file, and
+    any file the bulk parse declines, goes through parse_rows, which alone
+    words the errors.
+    """
+    lines = _plain_lines(_decode(path))
+    if lines is None:  # a quoted cell may span lines: csv reads the file as a stream
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            records = iter(list(csv.reader(fh)))
+    else:
+        records = csv.reader(lines)
+    first = next(records, None)
+    if first is None:
+        raise DataError(f"{path}: empty file, no header row")
+    header = [h.strip() for h in first]
+    for k, h in enumerate(header):
+        if h in header[:k]:
+            raise DataError(f"{path}: column '{h}' appears more than once in the header")
+    columns, label_at, group_at = locate(header)
+    parsed = None if lines is None else \
+        _bulk_parse(lines[1:], len(header), columns, label_at, group_at, label_index)
+    if parsed is not None:
+        return (header,) + parsed
+    rows = list(records)
+    X, labels = parse_rows(path, header, rows, columns, label_at, label_index)
+    groups = [] if group_at is None else [row[group_at].strip() for row in rows if row]
+    return header, X, labels, groups
+
+
 def load_csv(path, label_column, label_order=None):
     """Read a comma-separated file with a header row into a Dataset.
 
@@ -205,15 +284,16 @@ def load_csv(path, label_column, label_order=None):
     `label_order` pins an existing mapping (used when evaluating against a
     stored model); an unknown label is then an error.
     """
-    header, rows = read_csv_rows(path)
-    if label_column not in header:
-        raise DataError(f"{path}: label column '{label_column}' not found in header")
-    li = header.index(label_column)
-    columns = [i for i in range(len(header)) if i != li]
-    if not columns:
-        raise DataError(f"{path}: no feature columns besides the label")
+    def locate(header):
+        if label_column not in header:
+            raise DataError(f"{path}: label column '{label_column}' not found in header")
+        li = header.index(label_column)
+        columns = [i for i in range(len(header)) if i != li]
+        if not columns:
+            raise DataError(f"{path}: no feature columns besides the label")
+        return columns, li, None
 
-    X, raw_labels = parse_rows(path, header, rows, columns, li)
+    header, X, raw_labels, _ = read_table(path, locate)
     if label_order is None:
         order = list(dict.fromkeys(raw_labels))
         if len(order) < 2:
@@ -225,7 +305,8 @@ def load_csv(path, label_column, label_order=None):
         if s not in index:
             raise DataError(f"{path}: label '{s}' not present in the stored label mapping")
     labels = np.array([index[s] for s in raw_labels], dtype=int)
-    return Dataset(X, labels, tuple(header[i] for i in columns), len(order), tuple(order))
+    return Dataset(X, labels, tuple(h for h in header if h != label_column), len(order),
+                   tuple(order))
 
 
 def save_csv(ds: Dataset, path, label_column="y"):

@@ -41,6 +41,11 @@ def _list_of(value, types):
     return isinstance(value, list) and all(type(v) in types for v in value)
 
 
+def _finite_numbers(value):
+    # abs() <= max also turns away nan and integers too large for a float
+    return _list_of(value, (int, float)) and all(abs(v) <= sys.float_info.max for v in value)
+
+
 @dataclass(eq=False)
 class ModelBundle:
     """A loaded (or to-be-saved) model plus everything needed to apply it."""
@@ -62,10 +67,6 @@ class ModelBundle:
 
 def _encode_sigmoid_neuron(n: SigmoidNeuron):
     return {"bindings": [[k, r] for k, r in n.bindings], "weights": _floats(n.weights)}
-
-
-def _decode_sigmoid_neuron(d):
-    return SigmoidNeuron(tuple((k, r) for k, r in d["bindings"]), np.array(d["weights"]))
 
 
 def _encode_rule_node(node: RuleNode):
@@ -135,17 +136,67 @@ def _encode_cascade(net):
     }
 
 
+def _decode_sigmoid_neuron(d, what, k, n_features):
+    """A neuron bound to features below n_features and to neurons below k,
+    with one finite weight per binding plus the bias."""
+    bindings = d.get("bindings") if isinstance(d, dict) else None
+    if not (isinstance(bindings, list) and bindings and all(
+            isinstance(b, list) and len(b) == 2 and b[0] in ("x", "z") and type(b[1]) is int
+            and 0 <= b[1] < (n_features if b[0] == "x" else k) for b in bindings)):
+        refs = f'["x", feature below {n_features}]' + (f' or ["z", neuron below {k}]' if k else "")
+        raise DataError(f"ecnn {what} bindings must be a non-empty list of {refs} pairs")
+    weights = d.get("weights")
+    if not (_finite_numbers(weights) and len(weights) == len(bindings) + 1):
+        raise DataError(f"ecnn {what} weights must be {len(bindings) + 1} finite numbers: "
+                        f"the bias and one per binding")
+    return SigmoidNeuron(tuple((t, r) for t, r in bindings), np.array(weights))
+
+
+def _fraction(value):
+    return type(value) in (int, float) and 0 < value < 1
+
+
 def _decode_cascade(payload, feature_names, label_names):
+    """Neurons whose bindings name a feature or an earlier neuron, a base
+    neuron on the anchor, and feature indices, scores and a threshold that
+    fit them; anything else raises DataError."""
+    if len(label_names) != 2:
+        raise DataError(f"an ecnn needs exactly 2 label_names, not {len(label_names)}")
+    m = len(feature_names)
+    anchor, docs = payload.get("anchor"), payload.get("neurons")
+    if type(anchor) is not int or not 0 <= anchor < m:
+        raise DataError(f"ecnn anchor {anchor!r} is not a feature index below {m}")
+    if not isinstance(docs, list):
+        raise DataError("ecnn neurons must be a list")
+    base = _decode_sigmoid_neuron(payload.get("base_neuron"), "base_neuron", 0, m)
+    if base.bindings != (("x", anchor),):
+        raise DataError(f"ecnn base_neuron must be bound to the anchor alone, [[\"x\", {anchor}]]")
+    neurons = [_decode_sigmoid_neuron(d, f"neuron {k}", k, m) for k, d in enumerate(docs)]
+    order, accepted = payload.get("feature_order"), payload.get("accepted_features")
+    for key, value in (("feature_order", order), ("accepted_features", accepted)):
+        if not (_list_of(value, (int,)) and all(0 <= f < m for f in value)):
+            raise DataError(f"ecnn {key} must be a list of feature indices below {m}")
+    single, scores = payload.get("single_errors"), payload.get("accepted_scores")
+    if not (_finite_numbers(single) and len(single) == len(order)):
+        raise DataError("ecnn single_errors must be finite numbers, one per feature_order entry")
+    if not (len(accepted) == len(neurons) and _finite_numbers(scores)
+            and len(scores) == len(neurons)):
+        raise DataError("ecnn accepted_features and accepted_scores need one entry per neuron")
+    base_score, threshold = payload.get("base_score"), payload.get("threshold")
+    if not _finite_numbers([base_score]):
+        raise DataError(f"ecnn base_score {base_score!r} is not a finite number")
+    if not _fraction(threshold):
+        raise DataError(f"ecnn threshold {threshold!r} is not a number between 0 and 1")
     return CascadeNetwork(
-        anchor=int(payload["anchor"]),
-        feature_order=tuple(payload["feature_order"]),
-        single_errors=tuple(payload["single_errors"]),
-        base_neuron=_decode_sigmoid_neuron(payload["base_neuron"]),
-        base_score=float(payload["base_score"]),
-        neurons=[_decode_sigmoid_neuron(d) for d in payload["neurons"]],
-        accepted_features=[int(f) for f in payload["accepted_features"]],
-        accepted_scores=[float(s) for s in payload["accepted_scores"]],
-        threshold=float(payload["threshold"]),
+        anchor=anchor,
+        feature_order=tuple(order),
+        single_errors=tuple(single),
+        base_neuron=base,
+        base_score=float(base_score),
+        neurons=neurons,
+        accepted_features=list(accepted),
+        accepted_scores=[float(s) for s in scores],
+        threshold=float(threshold),
         feature_names=feature_names,
     )
 
@@ -162,11 +213,6 @@ def _encode_poly(net):
         "output": net.output,
         "layer_scores": _floats(net.layer_scores),
     }
-
-
-def _finite_numbers(value):
-    # abs() <= max also turns away nan and integers too large for a float
-    return _list_of(value, (int, float)) and all(abs(v) <= sys.float_info.max for v in value)
 
 
 def _poly_input(ref, k, n_features):
@@ -237,16 +283,36 @@ def _encode_fnn(model):
 
 
 def _decode_fnn(payload, feature_names, label_names):
-    return FnnModel(np.array(payload["hidden_weights"]), np.array(payload["output_weights"]),
-                    int(payload["classes"]), float(payload["threshold"]))
+    """Hidden rows of one finite weight per feature plus the bias, output
+    rows of one per hidden unit plus the bias (one row for two classes, else
+    one per class), `classes` equal to the label count and a threshold
+    between 0 and 1; anything else raises DataError."""
+    r = len(label_names)
+    hidden, output = payload.get("hidden_weights"), payload.get("output_weights")
+    classes, threshold = payload.get("classes"), payload.get("threshold")
+    if type(classes) is not int or classes != r or r < 2:
+        raise DataError(f"fnn classes {classes!r} does not match the {r} label_names")
+    cols = len(feature_names) + 1
+    if not (isinstance(hidden, list) and hidden
+            and all(_finite_numbers(row) and len(row) == cols for row in hidden)):
+        raise DataError(f"fnn hidden_weights must be a non-empty list of rows of {cols} finite "
+                        f"numbers: one per feature plus the bias")
+    rows, cols = 1 if r == 2 else r, len(hidden) + 1
+    if not (isinstance(output, list) and len(output) == rows
+            and all(_finite_numbers(row) and len(row) == cols for row in output)):
+        raise DataError(f"fnn output_weights must be a {rows} x {cols} matrix of finite "
+                        f"numbers: one row per output, one column per hidden unit plus the bias")
+    if not _fraction(threshold):
+        raise DataError(f"fnn threshold {threshold!r} is not a number between 0 and 1")
+    return FnnModel(np.array(hidden), np.array(output), classes, float(threshold))
 
 
 class Method(NamedTuple):
     """Everything done with a saved model of one method.
 
     encode maps the model to its JSON payload and decode(payload,
-    feature_names, label_names) rebuilds it; the lm, ruletree and gmdh
-    decoders raise DataError for a payload that does not fit the envelope.
+    feature_names, label_names) rebuilds it; every decoder but pairwise-dt's
+    raises DataError for a payload that does not fit the envelope.
     to_text and to_dot render a ModelBundle for `export`; to_dot is None
     where the method has no graph form.
     feature_pool gives the columns a rule tree distilled from the model may
@@ -320,7 +386,7 @@ def load_model(path) -> ModelBundle:
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format_version {version!r}")
     method = doc.get("method")
-    if method not in METHODS:
+    if not isinstance(method, str) or method not in METHODS:
         raise DataError(f"{path}: unknown method '{method}'")
     for key in ("feature_names", "label_names"):
         if not _list_of(doc.get(key), (str,)):

@@ -1,10 +1,13 @@
 """Command-line surface: generation, training, evaluation, export, rules."""
 
+import copy
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evonets.cli import main
 from evonets.dataset import Dataset, save_csv
@@ -525,7 +528,7 @@ def _set_neuron(doc, k, **changes):
     return doc
 
 
-def _set_poly(doc, **changes):
+def _set_payload(doc, **changes):
     doc["payload"].update(changes)
     return doc
 
@@ -535,11 +538,11 @@ def _set_poly(doc, **changes):
 # its envelope.
 MALFORMED_GMDH = {
     "neurons missing": lambda doc: {**doc, "payload": {"output": 0, "layer_scores": []}},
-    "neurons empty": lambda doc: _set_poly(doc, neurons=[]),
-    "neuron a list": lambda doc: _set_poly(doc, neurons=[[]]),
-    "output 999": lambda doc: _set_poly(doc, output=999),
-    "output negative": lambda doc: _set_poly(doc, output=-1),
-    "output a string": lambda doc: _set_poly(doc, output="2"),
+    "neurons empty": lambda doc: _set_payload(doc, neurons=[]),
+    "neuron a list": lambda doc: _set_payload(doc, neurons=[[]]),
+    "output 999": lambda doc: _set_payload(doc, output=999),
+    "output negative": lambda doc: _set_payload(doc, output=-1),
+    "output a string": lambda doc: _set_payload(doc, output="2"),
     "input to a later neuron": lambda doc: _set_neuron(doc, 1, inputs=[["n", 2], ["x", 0]]),
     "input to itself": lambda doc: _set_neuron(doc, 2, inputs=[["n", 2], ["n", 0]]),
     "x index 99": lambda doc: _set_neuron(doc, 0, inputs=[["x", 99], ["x", 1]]),
@@ -559,7 +562,7 @@ MALFORMED_GMDH = {
     "survivor a number": lambda doc: _set_neuron(doc, 0, survivor=1),
     "layer_scores missing": lambda doc: {**doc, "payload": {
         k: v for k, v in doc["payload"].items() if k != "layer_scores"}},
-    "layer score Infinity": lambda doc: _set_poly(doc, layer_scores=[float("inf")]),
+    "layer score Infinity": lambda doc: _set_payload(doc, layer_scores=[float("inf")]),
 }
 
 # Each turns a valid 2-feature, 2-class lm document into one whose payload
@@ -573,6 +576,118 @@ MALFORMED_LMS = {
         "weights": [["1", 0.0, 0.0], [0.0, 1.0, 0.0]]}},
     "weights a number": lambda doc: {**doc, "payload": {"weights": 1.0}},
 }
+
+
+def _without(doc, key):
+    del doc["payload"][key]
+    return doc
+
+
+def _set_base_neuron(doc, **changes):
+    doc["payload"]["base_neuron"].update(changes)
+    return doc
+
+
+# Each turns a valid 4-feature ecnn document (anchor 2; neuron 0 bound to
+# x2 and x0, neuron 1 to x2, x3 and z0) into one whose payload does not fit
+# its envelope.
+MALFORMED_ECNN = {
+    "anchor missing": lambda doc: _without(doc, "anchor"),
+    "anchor 99": lambda doc: _set_payload(doc, anchor=99),
+    "anchor a string": lambda doc: _set_payload(doc, anchor="2"),
+    "neuron bound to a later z": lambda doc: _set_neuron(
+        doc, 0, bindings=[["x", 2], ["z", 1]]),
+    "neuron bound to itself": lambda doc: _set_neuron(
+        doc, 1, bindings=[["x", 2], ["x", 3], ["z", 1]]),
+    "neuron bound to x 99": lambda doc: _set_neuron(
+        doc, 1, bindings=[["x", 2], ["x", 99], ["z", 0]]),
+    "binding kind n": lambda doc: _set_neuron(doc, 0, bindings=[["x", 2], ["n", 0]]),
+    "binding not a pair": lambda doc: _set_neuron(
+        doc, 0, bindings=[["x", 2], ["x", 0, 1]]),
+    "binding index a float": lambda doc: _set_neuron(
+        doc, 0, bindings=[["x", 2], ["x", 0.0]]),
+    "bindings empty": lambda doc: _set_neuron(doc, 0, bindings=[], weights=[0.1]),
+    "weights short": lambda doc: _set_neuron(doc, 1, weights=[0.1, 0.2, 0.3]),
+    "weight NaN": lambda doc: _set_neuron(doc, 0, weights=[float("nan"), 0.0, 0.0]),
+    "weights missing": lambda doc: _set_neuron(doc, 0, weights=None),
+    "neuron a list": lambda doc: _set_payload(doc, neurons=[[]]),
+    "neurons missing": lambda doc: _without(doc, "neurons"),
+    "base_neuron bound to x 99": lambda doc: _set_base_neuron(doc, bindings=[["x", 99]]),
+    "base_neuron on another feature": lambda doc: _set_base_neuron(doc, bindings=[["x", 0]]),
+    "base_neuron missing": lambda doc: _without(doc, "base_neuron"),
+    "feature_order index 99": lambda doc: _set_payload(doc, feature_order=[2, 0, 3, 99]),
+    "single_errors short": lambda doc: _set_payload(doc, single_errors=[0.1]),
+    "accepted_features short": lambda doc: _set_payload(doc, accepted_features=[0]),
+    "accepted feature 99": lambda doc: _set_payload(doc, accepted_features=[0, 99]),
+    "accepted_scores strings": lambda doc: _set_payload(doc, accepted_scores=["0.1", "0.2"]),
+    "base_score missing": lambda doc: _without(doc, "base_score"),
+    "threshold 1.5": lambda doc: _set_payload(doc, threshold=1.5),
+    "threshold missing": lambda doc: _without(doc, "threshold"),
+    "three label_names": lambda doc: {**doc, "label_names": ["0", "1", "2"]},
+}
+
+# Each turns a valid 2-feature, 2-class fnn document with 4 hidden units
+# into one whose payload does not fit its envelope.
+MALFORMED_FNN = {
+    "hidden_weights [[1.0]]": lambda doc: _set_payload(doc, hidden_weights=[[1.0]]),
+    "hidden_weights missing": lambda doc: _without(doc, "hidden_weights"),
+    "hidden_weights empty": lambda doc: _set_payload(doc, hidden_weights=[]),
+    "hidden row ragged": lambda doc: _set_payload(
+        doc, hidden_weights=doc["payload"]["hidden_weights"][:3] + [[0.1, 0.2]]),
+    "hidden weight a string": lambda doc: _set_payload(
+        doc, hidden_weights=[["1", 0.0, 0.0]] * 4),
+    "hidden weight Infinity": lambda doc: _set_payload(
+        doc, hidden_weights=[[float("inf"), 0.0, 0.0]] * 4),
+    "output_weights two rows": lambda doc: _set_payload(
+        doc, output_weights=doc["payload"]["output_weights"] * 2),
+    "output row too short": lambda doc: _set_payload(doc, output_weights=[[0.1, 0.2]]),
+    "output_weights missing": lambda doc: _without(doc, "output_weights"),
+    "classes 3": lambda doc: _set_payload(doc, classes=3),
+    "classes a string": lambda doc: _set_payload(doc, classes="2"),
+    "threshold zero": lambda doc: _set_payload(doc, threshold=0),
+    "threshold missing": lambda doc: _without(doc, "threshold"),
+}
+
+
+def _paths(node, prefix=()):
+    """Key or index path of every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+# replacement values: wrong types, out-of-range and non-finite numbers, and
+# bindings to a later neuron
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 100),
+    st.sampled_from([None, "1", True, 0.5, 1.5, -0.0, 10**400, float("nan"), float("inf"),
+                     [], {}, ["z", 1], ["z", 5], ["x", 99], [["x", 0]], [["z", 0]], [[1.0]],
+                     [1.0, 2.0]]),
+)
+
+
+@st.composite
+def mutated_documents(draw, doc):
+    """The document with one to three values dropped or replaced."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        # half the edits land in the payload
+        in_payload = [p for p in paths if p[0] == "payload" and len(p) > 1]
+        path = draw(st.sampled_from(in_payload if in_payload and draw(st.booleans())
+                                    else paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(FUZZ_VALUES))
+    return doc
 
 
 class TestMalformedModelFile:
@@ -611,6 +726,34 @@ class TestMalformedModelFile:
         capsys.readouterr()
         assert json.loads(path.read_text())["payload"]["neurons"][2]["inputs"] == \
             [["n", 1], ["n", 0]]
+        return path
+
+    @pytest.fixture
+    def eeg_csv(self, tmp_path):
+        path = tmp_path / "eeg.csv"
+        assert run("generate", "surrogate-eeg", "--n", "240", "--relevant", "3",
+                   "--irrelevant", "1", "--separation", "1.5", "--seed", "4",
+                   "--out", str(path)) == 0
+        return path
+
+    @pytest.fixture
+    def ecnn(self, eeg_csv, tmp_path, capsys):
+        path = tmp_path / "ecnn.json"
+        assert run("train", "--method", "ecnn", "--epochs", "60", "--restarts", "2",
+                   "--data", str(eeg_csv), "--out", str(path)) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text())["payload"]
+        assert payload["anchor"] == 2
+        assert [n["bindings"] for n in payload["neurons"]] == \
+            [[["x", 2], ["x", 0]], [["x", 2], ["x", 3], ["z", 0]]]
+        return path
+
+    @pytest.fixture
+    def fnn(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "fnn.json"
+        assert run("train", "--method", "fnn", "--epochs", "50", "--restarts", "1",
+                   "--data", str(xor_csv), "--out", str(path)) == 0
+        capsys.readouterr()
         return path
 
     def assert_rejected(self, verb, doc, data, tmp_path, capsys):
@@ -667,6 +810,58 @@ class TestMalformedModelFile:
                                             capsys):
         doc = MALFORMED_GMDH[fault](json.loads(gmdh.read_text()))
         self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_ECNN))
+    def test_malformed_ecnn_payload_exits_2(self, fault, verb, ecnn, eeg_csv, tmp_path,
+                                            capsys):
+        doc = MALFORMED_ECNN[fault](json.loads(ecnn.read_text()))
+        self.assert_rejected(verb, doc, eeg_csv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_FNN))
+    def test_malformed_fnn_payload_exits_2(self, fault, verb, fnn, xor_csv, tmp_path,
+                                           capsys):
+        doc = MALFORMED_FNN[fault](json.loads(fnn.read_text()))
+        self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
+
+    def test_fnn_hidden_weights_error_names_the_field(self, fnn, xor_csv, tmp_path, capsys):
+        doc = MALFORMED_FNN["hidden_weights [[1.0]]"](json.loads(fnn.read_text()))
+        self.assert_rejected("evaluate", doc, xor_csv, tmp_path, capsys)
+        bad = tmp_path / "bad.json"
+        run(*self.verb_argv("evaluate", bad, xor_csv, tmp_path))
+        assert "fnn hidden_weights must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["ecnn", "fnn"])
+    def test_mutated_model_files_exit_0_or_2(self, method, request, tmp_path, capsys):
+        """Dropped keys, swapped types, out-of-range ints and bindings to later
+        neurons give exit 0, or 2 with one line and no traceback, from
+        evaluate and export; extract-rules may also refuse a valid model
+        with a one-line training error (exit 3)."""
+        model = request.getfixturevalue(method)
+        data = request.getfixturevalue("eeg_csv" if method == "ecnn" else "xor_csv")
+        valid = json.loads(model.read_text())
+        bad = tmp_path / "bad.json"
+
+        @given(doc=mutated_documents(valid),
+               verb=st.sampled_from(["evaluate", "export", "extract-rules"]))
+        @settings(max_examples=150, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def probe(doc, verb):
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = run(*self.verb_argv(verb, bad, data, tmp_path))
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if code == 0:
+                assert err == ""
+            elif code == 3 and verb == "extract-rules":
+                assert err.startswith("training error: ") and err.count("\n") == 1, err
+            else:
+                assert code == 2 and err.startswith("data error: "), (code, err)
+                assert err.count("\n") == 1, err
+
+        probe()
 
     def test_normalization_overflow_rejected_by_extract_rules(self, model, xor_csv,
                                                               tmp_path, capsys):

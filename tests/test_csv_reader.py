@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import evonets.dataset as dataset
 from evonets.cli import _load_for_model
-from evonets.dataset import Dataset, load_csv
+from evonets.dataset import Dataset, gen_surrogate_eeg, load_csv, save_csv
 from evonets.errors import DataError
 
 
@@ -134,50 +135,89 @@ def oracle_load_for_model(path, bundle, group_by=None):
     return ds, groups
 
 
+def number_cells(forms):
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.floats(-1e6, 1e6).map(lambda v: f"{v:.3e}"),
+                     st.integers(-10**6, 10**6).map(str), st.sampled_from(forms))
+
+
 # Raw cell text as it appears between commas. Mostly numbers in the forms
 # float() accepts, with a minority of cells each reader must reject.
-NUMBER_CELLS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.floats(-1e6, 1e6).map(lambda v: f"{v:.3e}"),
-    st.integers(-10**6, 10**6).map(str),
-    st.sampled_from(["1e-3", "1E+2", "1_0", "-0", ".5", "5.", " 2.5 ", "\t7",
-                     '"3.25"', '" -4 "', "0001", "+1.5"]),
-)
-BAD_CELLS = st.sampled_from(["nan", "inf", "-Infinity", "1e999", "-1e999", "",
-                             " ", "abc", '"1,5"', "1__0", "0x10", "--1"])
+CLEAN_FORMS = ["1e-3", "1E+2", "-0", ".5", "5.", " 2.5 ", "\t7", "0001", "+1.5", "\xa01",
+               "1\u3000"]
+CLEAN_CELLS = number_cells(CLEAN_FORMS)
+# forms float() reads and loadtxt does not
+ODD_NUMBERS = ["1_0", '"3.25"', '" -4 "']
+NUMBER_CELLS = number_cells(CLEAN_FORMS + ODD_NUMBERS)
+# "#" ends a line for loadtxt unless comments=None; loadtxt strips \x1c-\x1f
+# around a number and float() does not
+BAD_CELLS = st.sampled_from(["nan", "inf", "-Infinity", "1e999", "-1e999", "1e400", "",
+                             " ", "abc", '"1,5"', "1__0", "0x10", "--1", "#", "1#2", "#1",
+                             "1\x1c", "\x1f2", "1\x00"])
 CELLS = st.one_of(NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS, NUMBER_CELLS, BAD_CELLS)
-LABELS = st.sampled_from(["0", "1", " 1", "0 ", '"1"', "a", "2"])
+ODD_CELLS = st.one_of(BAD_CELLS, st.sampled_from(ODD_NUMBERS))
+CLEAN_LABELS = st.sampled_from(["0", "1", " 1", "0 ", "\t1 "])
+ODD_LABELS = st.sampled_from(['"1"', "a", "2", "1\x00", "\x000", "1#", "1\x1c", "  "])
+LABELS = st.one_of(CLEAN_LABELS, ODD_LABELS)
+GROUPS = st.sampled_from(["r1", "r2", " r3 ", "r1\x00", "\x00r2", "\tr3  ", "#r", ""])
 STORED_LABELS = ("0", "1")
 
 
 @st.composite
 def csv_files(draw, group_allowed):
-    """(CSV text, feature names, whether it has the group column 'g')."""
+    """(CSV text, feature names, whether it has the group column 'g').
+
+    A third of the files are clean: unquoted, with valid numbers and labels
+    and no ragged or whitespace-only line, so the bulk parse takes them. A
+    third are clean but for one odd cell or one ragged, whitespace-only or
+    trailing-comma line, which the bulk parse must decline. The rest draw
+    every line freely."""
+    mode = draw(st.sampled_from(["clean", "one fault", "free"]))
+    free = mode == "free"
     with_group = group_allowed and draw(st.booleans())
     names = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
                           min_size=1, max_size=4, unique=True))
     columns = names + ["y"] + (["g"] if with_group else [])
     columns = draw(st.permutations(columns))
     width = len(columns)
-    lines = [",".join(draw(st.sampled_from([c, f" {c} ", f'"{c}"'])) for c in columns)]
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+    forms = (lambda c: [c, f" {c} ", f'"{c}"']) if free else (lambda c: [c, f" {c} "])
+    header = ",".join(draw(st.sampled_from(forms(c))) for c in columns)
+    free_kinds = ["row"] * 6 + ["blank", "ragged", "space", "trailing"]
+
+    def line(kind, clean):
         if kind == "blank":
-            lines.append("")
-            continue
-        n = width if kind == "row" else draw(st.integers(1, width + 2).filter(lambda k: k != width))
+            return ""
+        if kind == "space":
+            return draw(st.sampled_from([" ", "\t", "  ", "\x0c"]))
+        n = width if kind in ("row", "trailing") else \
+            draw(st.integers(1, width + 2).filter(lambda k: k != width))
         cells = []
         for k in range(n):
             column = columns[k] if k < width else None
             if column == "y":
-                cells.append(draw(LABELS))
+                cells.append(draw(CLEAN_LABELS if clean else LABELS))
             elif column == "g":
-                cells.append(draw(st.sampled_from(["r1", "r2", " r3 "])))
+                cells.append(draw(GROUPS))
             else:
-                cells.append(draw(CELLS))
-        lines.append(",".join(cells))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + newline, names, with_group
+                cells.append(draw(CLEAN_CELLS if clean else CELLS))
+        return ",".join(cells) + ("," if kind == "trailing" else "")
+
+    kinds = free_kinds if free else ["row"] * 6 + ["blank"]
+    lines = [line(draw(st.sampled_from(kinds)), not free)
+             for _ in range(draw(st.integers(0, 8)))]
+    if mode == "one fault" and lines:
+        k = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(["cell"] * 3 + free_kinds[-3:]))
+        if fault == "cell":
+            cells = line("row", True).split(",")
+            j = draw(st.integers(0, width - 1))
+            cells[j] = draw({"y": ODD_LABELS, "g": GROUPS}.get(columns[j], ODD_CELLS))
+            lines[k] = ",".join(cells)
+        else:
+            lines[k] = line(fault, True)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = newline if draw(st.integers(0, 3)) else ""
+    return newline.join([header] + lines) + end, names, with_group
 
 
 def outcome(read):
@@ -240,3 +280,129 @@ class TestMatchesOracle:
 
         probe()
         assert seen == {"ok", "error"}
+
+    def test_generated_files_reach_both_paths(self, csv_path, monkeypatch):
+        """Some generated files are read by the bulk parse alone, and some
+        need parse_rows to word their error."""
+        calls = []
+        fallback = dataset.parse_rows
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fallback(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, "parse_rows", counted)
+        seen = set()
+
+        @given(data=csv_files(group_allowed=False))
+        @settings(max_examples=200, deadline=None, database=None)
+        def probe(data):
+            csv_path.write_text(data[0], encoding="utf-8", newline="")
+            calls.clear()
+            result = outcome(lambda: load_csv(csv_path, "y"))[0]
+            seen.add((result, "parse_rows" if calls else "bulk"))
+
+        probe()
+        assert {("ok", "bulk"), ("error", "parse_rows")} <= seen
+
+    @pytest.mark.parametrize("text", [
+        "a,y\n1,0,9\n2,1\n",            # an extra cell, which usecols ignores
+        "a,y\n1,0,\n2,1\n",             # a trailing comma
+        "y,a\n0,1#2\n1,2\n",            # "#", a comment unless comments=None
+        "a,y\n1,0#\n2,1\n",
+        "a,y\n1\x1c,0\n2,1\n",          # stripped by loadtxt, not by float()
+        "y,a\n0,\x1f2\n1,2\n",
+        "a,y\n1e400,0\n2,1\n",          # inf to loadtxt
+        "a,y\n1,0\n \n2,1\n",           # a whitespace-only line
+        "a,y\n1,0\x00\n2,1\n",          # a label's trailing NUL
+        "a,y\r1,0\r\x0c\r2,1\r",
+    ])
+    def test_forms_loadtxt_reads_are_rejected(self, csv_path, text):
+        """Rows that loadtxt reads otherwise than csv and float() do give the
+        oracle's result: its error, or with a free label mapping the NUL kept."""
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        for order in (None, STORED_LABELS):
+            read = outcome(lambda: load_csv(csv_path, "y", order))
+            assert read == outcome(lambda: oracle_load_csv(csv_path, "y", order))
+        assert read[0] == "error"
+        bundle = SimpleNamespace(label_column="y", feature_names=("a",),
+                                 label_names=STORED_LABELS)
+        assert outcome(lambda: _load_for_model(csv_path, bundle)) == \
+            outcome(lambda: oracle_load_for_model(csv_path, bundle))
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n", "\r", "a,y", "a,y\n", "a,y\r\n\r\n",
+                                      "a\n1\n", "y\n0\n"])
+    def test_files_without_rows(self, csv_path, text):
+        """Empty files, blank headers, files without data rows and files
+        without a label or feature column give the oracle's error."""
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        for order in (None, STORED_LABELS):
+            read = outcome(lambda: load_csv(csv_path, "y", order))
+            assert read[0] == "error"
+            assert read == outcome(lambda: oracle_load_csv(csv_path, "y", order))
+        bundle = SimpleNamespace(label_column="y", feature_names=("a",),
+                                 label_names=STORED_LABELS)
+        assert outcome(lambda: _load_for_model(csv_path, bundle)) == \
+            outcome(lambda: oracle_load_for_model(csv_path, bundle))
+
+    @pytest.mark.parametrize("text", [
+        '"a",b,y\n1,2,0\n3,4,1\n',       # a quote anywhere
+        'a,b,y\n"1",2,0\n3,4,1\n',
+        "a,b,y\n1_0,2,0\n3,4,1\n",       # float() reads 1_0, loadtxt does not
+        "a,b,y\r1,2, 0\r\r3,4,1 \r",    # lone \r line ends, a blank line
+        "a,b,y\n1,2,0\n3,4,1",           # no final line end
+    ])
+    def test_edge_forms_read_as_the_oracle(self, csv_path, monkeypatch, text):
+        """Forms at the edge of what loadtxt reads come out as the oracle reads
+        them; only those with a quote or an underscore need parse_rows."""
+        calls = []
+        fallback = dataset.parse_rows
+        monkeypatch.setattr(dataset, "parse_rows",
+                            lambda *args: calls.append(1) or fallback(*args))
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        loaded = outcome(lambda: load_csv(csv_path, "y"))
+        assert loaded[0] == "ok"
+        assert loaded == outcome(lambda: oracle_load_csv(csv_path, "y"))
+        assert bool(calls) == ('"' in text or "_" in text)
+
+
+class TestBulkPath:
+    """Clean files never leave the bulk parse: with parse_rows made to
+    raise, they still read, and read as the oracles read them."""
+
+    @pytest.fixture(autouse=True)
+    def no_fallback(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a clean file left the bulk parse")
+
+        monkeypatch.setattr(dataset, "parse_rows", refuse)
+
+    def check(self, path, feature_names, label_names, group_by=None):
+        loaded = outcome(lambda: load_csv(path, "y"))
+        assert loaded[0] == "ok"
+        assert loaded == outcome(lambda: oracle_load_csv(path, "y"))
+        bundle = SimpleNamespace(label_column="y", feature_names=tuple(feature_names),
+                                 label_names=label_names)
+        for_model = outcome(lambda: _load_for_model(path, bundle, group_by))
+        assert for_model[0] == "ok"
+        assert for_model == outcome(lambda: oracle_load_for_model(path, bundle, group_by))
+
+    def test_save_csv_file(self, tmp_path):
+        ds, _ = gen_surrogate_eeg(300, relevant=3, irrelevant=5, seed=4)
+        path = tmp_path / "eeg.csv"
+        save_csv(ds, path)
+        assert load_csv(path, "y").features.tobytes() == ds.features.tobytes()
+        self.check(path, reversed(ds.feature_names), ds.label_names)
+
+    def test_repr_floats_with_crlf(self, tmp_path):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((60, 3)) * 10.0 ** rng.integers(-300, 300, size=(60, 3))
+        X[::7, 1] = 5e-324
+        X[::9, 2] = -0.0
+        labels = rng.integers(0, 2, size=60)
+        lines = ["a,y,b,g,c"] + [f"{a!r},{y},{b!r},{g},{c!r}"
+                                 for (a, b, c), y, g in zip(X.tolist(), labels, labels * 3 + 1)]
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert load_csv(path, "y").features[:, [0, 1, 3]].tobytes() == X.tobytes()
+        self.check(path, ["c", "a", "b"], ("0", "1"), group_by="g")

@@ -28,8 +28,9 @@ from evonets.gmdh import (KINDS, PolyNetwork, SupportingNeuron, gmdh_to_dot,
                           to_polynomial_text)
 from evonets.linear import (CORRECTIONS, PAIR_TRAINERS, LinearMachine, LinearTest,
                             PairwiseTree)
-from evonets.modelio import (METHODS, _decode_sigmoid_neuron, _encode_rule_node,
-                             _encode_sigmoid_neuron, _floats, _matrix, load_model)
+from evonets.modelio import (METHODS, _encode_rule_node, _encode_sigmoid_neuron, _floats,
+                             _matrix, load_model)
+from evonets.neuron import SigmoidNeuron
 from evonets.ruletree import RuleNode, RuleTree, ruletree_to_dot, to_text
 
 
@@ -80,6 +81,10 @@ def oracle_payload(method, model):
             "threshold": float(model.threshold),
         }
     raise DataError(f"unknown method '{method}'")
+
+
+def _decode_sigmoid_neuron(d):
+    return SigmoidNeuron(tuple((k, r) for k, r in d["bindings"]), np.array(d["weights"]))
 
 
 def _decode_rule_node(d):
