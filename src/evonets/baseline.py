@@ -1,6 +1,5 @@
-"""Comparison baselines: a one-hidden-layer sigmoid network trained by
-batch backpropagation with early stopping and restarts, and principal
-component analysis for optional input-space reduction."""
+"""Comparison baseline: a one-hidden-layer sigmoid network trained by
+batch backpropagation with early stopping and restarts."""
 
 from __future__ import annotations
 
@@ -12,51 +11,7 @@ from ._util import augment, derive_seed
 from .errors import DataError, TrainingError
 from .neuron import check_descent, sigmoid
 
-__all__ = ["PcaTransform", "FnnModel", "FnnConfig", "TrainingCurve",
-           "pca_fit", "train_fnn", "describe_fnn"]
-
-
-@dataclass(eq=False)
-class PcaTransform:
-    """Orthonormal component rows, their explained-variance fractions
-    (non-increasing), and the centering means."""
-
-    components: np.ndarray   # (k, m)
-    explained: np.ndarray    # (k,) fractions of total variance
-    mean: np.ndarray         # (m,)
-
-    @property
-    def retained(self):
-        return self.components.shape[0]
-
-    def transform(self, X):
-        return (np.atleast_2d(np.asarray(X, dtype=float)) - self.mean) @ self.components.T
-
-    def inverse_transform(self, Z):
-        return np.atleast_2d(np.asarray(Z, dtype=float)) @ self.components + self.mean
-
-
-def pca_fit(X, variance_level=1.0) -> PcaTransform:
-    """Eigen-decompose the covariance and keep the smallest leading set of
-    components whose cumulative explained variance reaches the level."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 2:
-        raise DataError("need at least 2 rows")
-    if not 0.0 < variance_level <= 1.0:
-        raise DataError("variance_level must lie in (0, 1]")
-    mean = X.mean(axis=0)
-    C = np.cov(X - mean, rowvar=False, bias=True)
-    C = np.atleast_2d(C)
-    vals, vecs = np.linalg.eigh(C)
-    vals = np.clip(vals[::-1], 0.0, None)
-    vecs = vecs[:, ::-1]
-    total = vals.sum()
-    if total <= 0:
-        raise DataError("degenerate data: every column is constant")
-    fractions = vals / total
-    k = int(np.searchsorted(np.cumsum(fractions), variance_level - 1e-12) + 1)
-    k = min(k, len(vals))
-    return PcaTransform(vecs[:, :k].T.copy(), fractions[:k].copy(), mean)
+__all__ = ["FnnModel", "FnnConfig", "train_fnn", "describe_fnn"]
 
 
 @dataclass(frozen=True)
@@ -102,16 +57,6 @@ class FnnModel:
         return np.argmax(out, axis=1)
 
 
-@dataclass(eq=False)
-class TrainingCurve:
-    """Per-epoch classification errors; best_epoch is the argmin of the
-    validation error (first occurrence)."""
-
-    train_errors: list
-    val_errors: list
-    best_epoch: int
-
-
 def _targets(labels, class_count):
     if class_count == 2:
         return labels.astype(float)[:, None]
@@ -150,58 +95,47 @@ def train_fnn(train, val, hidden, cfg: FnnConfig = FnnConfig()):
     loss turns non-finite is abandoned and counted as failed. The restart
     with the lowest snapshot validation error wins.
 
-    Returns (model, TrainingCurve of the winning restart).
+    Returns the winning restart's model.
     """
     if hidden < 1:
         raise DataError("need at least 1 hidden neuron")
     r = train.class_count
     T_tr = _targets(train.labels, r)
-    T_va = _targets(val.labels, r)
-    out_units = T_tr.shape[1]
     m = train.n_features
 
     best = None
     for restart in range(cfg.restarts):
         rng = np.random.default_rng(derive_seed(cfg.seed, restart))
         w_hid = rng.uniform(-0.5, 0.5, size=(hidden, m + 1))
-        w_out = rng.uniform(-0.5, 0.5, size=(out_units, hidden + 1))
-        model = FnnModel(w_hid, w_out, r)
+        w_out = rng.uniform(-0.5, 0.5, size=(T_tr.shape[1], hidden + 1))
+        model = FnnModel(w_hid, w_out, r)   # sees the in-place descent below
 
-        def errors():
-            e_tr = float(np.mean(model.predict_classes(train.features) != train.labels))
-            e_va = float(np.mean(model.predict_classes(val.features) != val.labels))
-            return e_tr, e_va
+        def val_error():
+            return float(np.mean(model.predict_classes(val.features) != val.labels))
 
-        e_tr, e_va = errors()
-        curve_tr, curve_va = [e_tr], [e_va]
-        best_epoch, best_val = 0, e_va
+        best_epoch, best_val = 0, val_error()
         snapshot = (w_hid.copy(), w_out.copy())
-        failed = False
+        diverged = False
         for epoch in range(1, cfg.max_epochs + 1):
             g_hid, g_out = fnn_gradients(w_hid, w_out, train.features, T_tr)
             w_hid -= cfg.learning_rate * g_hid
             w_out -= cfg.learning_rate * g_out
             if not (np.isfinite(w_hid).all() and np.isfinite(w_out).all()):
-                failed = True
+                diverged = True
                 break
-            e_tr, e_va = errors()
-            curve_tr.append(e_tr)
-            curve_va.append(e_va)
+            e_va = val_error()
             if e_va < best_val:
                 best_val = e_va
                 best_epoch = epoch
                 snapshot = (w_hid.copy(), w_out.copy())
             if epoch - best_epoch >= cfg.patience:
                 break
-        if failed:
-            continue
-        if best is None or best_val < best[0]:
-            curve = TrainingCurve(curve_tr, curve_va, best_epoch)
-            best = (best_val, restart, snapshot, curve)
+        if not diverged and (best is None or best_val < best[0]):
+            best = (best_val, snapshot)
     if best is None:
         raise TrainingError("every restart diverged to non-finite loss")
-    _, _, (w_hid, w_out), curve = best
-    return FnnModel(w_hid, w_out, r), curve
+    w_hid, w_out = best[1]
+    return FnnModel(w_hid, w_out, r)
 
 
 def describe_fnn(model: FnnModel) -> str:

@@ -208,7 +208,7 @@ def _train_fnn(args, tr, va, ds):
     cfg = FnnConfig(learning_rate=_flag(args.learning_rate, 0.5),
                     max_epochs=_flag(args.epochs, 2000), patience=args.patience,
                     restarts=_flag(args.restarts, 10), seed=args.seed)
-    model, _ = train_fnn(tr, va, args.hidden, cfg)
+    model = train_fnn(tr, va, args.hidden, cfg)
     return model, {"hidden": args.hidden, "learning_rate": cfg.learning_rate,
                    "max_epochs": cfg.max_epochs, "patience": cfg.patience,
                    "restarts": cfg.restarts}

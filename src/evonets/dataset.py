@@ -364,11 +364,6 @@ def split(ds: Dataset, spec: SplitSpec):
     return [ds.take(np.sort(np.array(p, dtype=int))) for p in parts]
 
 
-def xor_label(x1, x2):
-    """Continuous-XOR target: 1 when the coordinate product is positive."""
-    return 1 if x1 * x2 > 0 else 0
-
-
 def gen_xor(n, seed):
     """Continuous XOR: x1, x2 uniform on [-1, 1], label 1 iff x1*x2 > 0."""
     if n < 4:

@@ -116,9 +116,9 @@ def _decode_lm(payload, feature_names, label_names):
     weights = payload.get("weights")
     rows, cols = len(label_names), len(feature_names) + 1
     if not (rows and isinstance(weights, list) and len(weights) == rows
-            and all(_list_of(row, (int, float)) and len(row) == cols for row in weights)):
-        raise DataError(f"lm weights must be a {rows} x {cols} matrix of numbers: one row "
-                        f"per label, one column per feature plus the bias")
+            and all(_finite_numbers(row) and len(row) == cols for row in weights)):
+        raise DataError(f"lm weights must be a {rows} x {cols} matrix of finite numbers: one "
+                        f"row per label, one column per feature plus the bias")
     return LinearMachine(np.array(weights))
 
 
@@ -267,10 +267,38 @@ def _encode_pairwise(tree):
 
 
 def _decode_pairwise(payload, feature_names, label_names):
-    tlus = {(int(t["i"]), int(t["j"])): LinearTest(tuple(t["features"]), np.array(t["weights"]),
-                                                   float(t["accuracy"]))
-            for t in payload["tests"]}
-    return PairwiseTree(int(payload["classes"]), tlus, feature_names)
+    """`classes` equal to the label count and one test per class pair
+    i < j, each on unique feature indices with one finite weight per
+    feature plus the bias and a finite accuracy; anything else raises
+    DataError."""
+    r, m = len(label_names), len(feature_names)
+    classes, docs = payload.get("classes"), payload.get("tests")
+    if type(classes) is not int or classes != r or r < 2:
+        raise DataError(f"pairwise-dt classes {classes!r} does not match the {r} label_names")
+    pairs = r * (r - 1) // 2
+    if not (isinstance(docs, list) and len(docs) == pairs
+            and all(isinstance(d, dict) for d in docs)):
+        raise DataError(f"pairwise-dt tests must be a list of {pairs} objects, one per "
+                        f"class pair")
+    tlus = {}
+    for d in docs:
+        i, j = d.get("i"), d.get("j")
+        if not (type(i) is int and type(j) is int and 0 <= i < j < r) or (i, j) in tlus:
+            raise DataError(f"pairwise-dt test pair ({i!r}, {j!r}) is not a new pair of "
+                            f"class indices i < j below {r}")
+        features, weights, accuracy = d.get("features"), d.get("weights"), d.get("accuracy")
+        if not (_list_of(features, (int,)) and features and all(0 <= f < m for f in features)
+                and len(set(features)) == len(features)):
+            raise DataError(f"pairwise-dt test {i}/{j} features must be a non-empty list of "
+                            f"unique feature indices below {m}")
+        if not (_finite_numbers(weights) and len(weights) == len(features) + 1):
+            raise DataError(f"pairwise-dt test {i}/{j} weights must be {len(features) + 1} "
+                            f"finite numbers: the bias and one per feature")
+        if not _finite_numbers([accuracy]):
+            raise DataError(f"pairwise-dt test {i}/{j} accuracy {accuracy!r} is not a finite "
+                            f"number")
+        tlus[(i, j)] = LinearTest(tuple(features), np.array(weights), float(accuracy))
+    return PairwiseTree(classes, tlus, feature_names)
 
 
 def _encode_fnn(model):
@@ -311,8 +339,8 @@ class Method(NamedTuple):
     """Everything done with a saved model of one method.
 
     encode maps the model to its JSON payload and decode(payload,
-    feature_names, label_names) rebuilds it; every decoder but pairwise-dt's
-    raises DataError for a payload that does not fit the envelope.
+    feature_names, label_names) rebuilds it, raising DataError for a payload
+    that does not fit the envelope.
     to_text and to_dot render a ModelBundle for `export`; to_dot is None
     where the method has no graph form.
     feature_pool gives the columns a rule tree distilled from the model may

@@ -191,18 +191,6 @@ def replace_weights(neuron: SigmoidNeuron, weights) -> SigmoidNeuron:
     return SigmoidNeuron(neuron.bindings, np.asarray(weights, dtype=float))
 
 
-def classification_error(predict, data):
-    """Fraction of rows whose predicted class differs from the label.
-
-    `predict` maps the full feature matrix to a vector of class indices;
-    `data` is a Dataset.
-    """
-    if data.n_rows == 0:
-        raise DataError("empty data")
-    pred = np.asarray(predict(data.features), dtype=int)
-    return float(np.mean(pred != data.labels))
-
-
 def least_squares_fit(design, targets):
     """Solve min_w ||design @ w - targets||^2 via the normal equations.
 

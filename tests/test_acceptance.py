@@ -135,8 +135,7 @@ class TestC04CascadeFeatureSelection:
 
         # baseline comparison, all 72 features, on the first seed's data
         A, B, test_n = first
-        fnn, _ = train_fnn(A, B, hidden=4,
-                           cfg=FnnConfig(restarts=3, max_epochs=500, seed=0))
+        fnn = train_fnn(A, B, hidden=4, cfg=FnnConfig(restarts=3, max_epochs=500, seed=0))
         fnn_err = float(np.mean(fnn.predict_classes(test_n.features) != test_n.labels))
         elapsed = time.perf_counter() - start
         assert errors[0] <= fnn_err + 0.02

@@ -516,12 +516,6 @@ MALFORMED_RULETREES = {
     "three label_names": lambda doc: {**doc, "label_names": ["0", "1", "2"]},
 }
 
-# Each turns a valid 2-feature, 2-class pairwise-dt document into one whose
-# payload does not fit its envelope.
-MALFORMED_PAIRWISE = {
-    "test without features": lambda doc: {**doc, "payload": {"classes": 2, "tests": [
-        {"i": 0, "j": 1, "features": [], "weights": [0.5], "accuracy": 1.0}]}},
-}
 
 def _set_neuron(doc, k, **changes):
     doc["payload"]["neurons"][k].update(changes)
@@ -575,12 +569,61 @@ MALFORMED_LMS = {
     "weights not numbers": lambda doc: {**doc, "payload": {
         "weights": [["1", 0.0, 0.0], [0.0, 1.0, 0.0]]}},
     "weights a number": lambda doc: {**doc, "payload": {"weights": 1.0}},
+    "weight beyond a float": lambda doc: {**doc, "payload": {
+        "weights": [[10**400, 0.0, 0.0], [0.0, 1.0, 0.0]]}},
+    "weight NaN": lambda doc: {**doc, "payload": {
+        "weights": [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0]]}},
 }
 
 
 def _without(doc, key):
     del doc["payload"][key]
     return doc
+
+
+def _set_test(doc, k, **changes):
+    doc["payload"]["tests"][k].update(changes)
+    return doc
+
+
+def _set_tests(doc, tests):
+    doc["payload"]["tests"] = tests
+    return doc
+
+
+# Each turns a valid 2-feature, 3-class pairwise-dt document, with tests for
+# the pairs 0/1, 0/2 and 1/2 in that order, into one whose payload does not
+# fit its envelope.
+MALFORMED_PAIRWISE = {
+    "test without features": lambda doc: _set_test(doc, 0, features=[], weights=[0.5]),
+    "tests missing": lambda doc: _without(doc, "tests"),
+    "tests an object": lambda doc: _set_payload(doc, tests={}),
+    "test a list": lambda doc: _set_tests(doc, [[]] + doc["payload"]["tests"][1:]),
+    "a pair missing": lambda doc: _set_tests(doc, doc["payload"]["tests"][:2]),
+    "a pair twice": lambda doc: _set_tests(doc, [doc["payload"]["tests"][0]] * 3),
+    "an extra test": lambda doc: _set_tests(doc, doc["payload"]["tests"] * 2),
+    "pair 1/0": lambda doc: _set_test(doc, 0, i=1, j=0),
+    "pair 1/3": lambda doc: _set_test(doc, 2, j=3),
+    "i a float": lambda doc: _set_test(doc, 0, i=0.0),
+    "j null": lambda doc: _set_test(doc, 0, j=None),
+    "classes 2": lambda doc: _set_payload(doc, classes=2),
+    "classes a string": lambda doc: _set_payload(doc, classes="3"),
+    "classes missing": lambda doc: _without(doc, "classes"),
+    "features 0 and 99": lambda doc: _set_test(doc, 0, features=[0, 99],
+                                               weights=[0.1, 0.2, 0.3]),
+    "feature negative": lambda doc: _set_test(doc, 0, features=[-1], weights=[0.1, 0.2]),
+    "feature a float": lambda doc: _set_test(doc, 0, features=[0.0], weights=[0.1, 0.2]),
+    "features repeated": lambda doc: _set_test(doc, 0, features=[1, 1],
+                                               weights=[0.1, 0.2, 0.3]),
+    "features null": lambda doc: _set_test(doc, 0, features=None),
+    "weights short": lambda doc: _set_test(doc, 0, features=[0, 1], weights=[0.1, 0.2]),
+    "weight Infinity": lambda doc: _set_test(doc, 0, features=[0],
+                                             weights=[float("inf"), 0.2]),
+    "weights null": lambda doc: _set_test(doc, 1, weights=None),
+    "accuracy a string": lambda doc: _set_test(doc, 0, accuracy="x"),
+    "accuracy NaN": lambda doc: _set_test(doc, 2, accuracy=float("nan")),
+    "accuracy null": lambda doc: _set_test(doc, 0, accuracy=None),
+}
 
 
 def _set_base_neuron(doc, **changes):
@@ -690,6 +733,18 @@ def mutated_documents(draw, doc):
     return doc
 
 
+# method -> (fixture of a trained model file, fixture of data it evaluates)
+FUZZED_MODELS = {
+    "ecnn": ("ecnn", "eeg_csv"),
+    "fnn": ("fnn", "xor_csv"),
+    "lm": ("model", "xor_csv"),
+    "ruletree": ("ruletree", "xor_csv"),
+    "pairwise-dt": ("pairwise", "blob_csv"),
+    "gmdh-roulette": ("gmdh", "xor_csv"),
+    "gmdh-layered": ("gmdh_layered", "xor_csv"),
+}
+
+
 class TestMalformedModelFile:
     """A model file whose envelope or payload cannot be read exits 2 with one
     line."""
@@ -711,11 +766,13 @@ class TestMalformedModelFile:
         return path
 
     @pytest.fixture
-    def pairwise(self, xor_csv, tmp_path, capsys):
+    def pairwise(self, blob_csv, tmp_path, capsys):
         path = tmp_path / "pairwise.json"
         assert run("train", "--method", "pairwise-dt", "--attempts", "3", "--test-epochs",
-                   "8", "--data", str(xor_csv), "--out", str(path)) == 0
+                   "8", "--data", str(blob_csv), "--out", str(path)) == 0
         capsys.readouterr()
+        tests = json.loads(path.read_text())["payload"]["tests"]
+        assert [(t["i"], t["j"]) for t in tests] == [(0, 1), (0, 2), (1, 2)]
         return path
 
     @pytest.fixture
@@ -726,6 +783,14 @@ class TestMalformedModelFile:
         capsys.readouterr()
         assert json.loads(path.read_text())["payload"]["neurons"][2]["inputs"] == \
             [["n", 1], ["n", 0]]
+        return path
+
+    @pytest.fixture
+    def gmdh_layered(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "gmdh-layered.json"
+        assert run("train", "--method", "gmdh-layered", "--fit-method", "least-squares",
+                   "--data", str(xor_csv), "--out", str(path)) == 0
+        capsys.readouterr()
         return path
 
     @pytest.fixture
@@ -799,10 +864,10 @@ class TestMalformedModelFile:
 
     @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
     @pytest.mark.parametrize("fault", list(MALFORMED_PAIRWISE))
-    def test_malformed_pairwise_payload_exits_2(self, fault, verb, pairwise, xor_csv,
+    def test_malformed_pairwise_payload_exits_2(self, fault, verb, pairwise, blob_csv,
                                                 tmp_path, capsys):
         doc = MALFORMED_PAIRWISE[fault](json.loads(pairwise.read_text()))
-        self.assert_rejected(verb, doc, xor_csv, tmp_path, capsys)
+        self.assert_rejected(verb, doc, blob_csv, tmp_path, capsys)
 
     @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
     @pytest.mark.parametrize("fault", list(MALFORMED_GMDH))
@@ -832,14 +897,16 @@ class TestMalformedModelFile:
         run(*self.verb_argv("evaluate", bad, xor_csv, tmp_path))
         assert "fnn hidden_weights must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["ecnn", "fnn"])
+    @pytest.mark.parametrize("method", list(FUZZED_MODELS))
     def test_mutated_model_files_exit_0_or_2(self, method, request, tmp_path, capsys):
         """Dropped keys, swapped types, out-of-range ints and bindings to later
         neurons give exit 0, or 2 with one line and no traceback, from
         evaluate and export; extract-rules may also refuse a valid model
         with a one-line training error (exit 3)."""
-        model = request.getfixturevalue(method)
-        data = request.getfixturevalue("eeg_csv" if method == "ecnn" else "xor_csv")
+        model_fixture, data_fixture = FUZZED_MODELS[method]
+        model = request.getfixturevalue(model_fixture)
+        data = request.getfixturevalue(data_fixture)
+        assert json.loads(model.read_text())["method"] == method
         valid = json.loads(model.read_text())
         bad = tmp_path / "bad.json"
 

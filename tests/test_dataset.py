@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from evonets.dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg,
                              gen_xor, load_csv, normalize_zscore, save_csv,
-                             split, xor_label)
+                             split)
 from evonets.errors import DataError
 
 
@@ -183,11 +183,6 @@ class TestSplit:
 
 
 class TestGenerators:
-    def test_xor_label_formula(self):
-        assert xor_label(0.5, 0.5) == 1
-        assert xor_label(-0.5, 0.5) == 0
-        assert xor_label(0.0, 0.7) == 0  # zero product is not positive
-
     def test_xor_rows_respect_formula(self):
         ds = gen_xor(500, seed=11)
         want = (ds.features[:, 0] * ds.features[:, 1] > 0).astype(int)

@@ -4,20 +4,24 @@
 `oracle_predict_classes`, `oracle_train_gmdh_layered`,
 `oracle_train_gmdh_roulette`, `oracle_pruned`, `oracle_fit_loss`,
 `oracle_fit_gradient`, `oracle_fit_neuron`, `oracle_fit_single_features`,
-`oracle_fit_weights` and `oracle_least_squares_fit` are the former bodies of
-`linear.train_pocket_ratchet`, `neuron.sigmoid`, `ruletree.search_threshold`,
-`ruletree.RuleTree.predict_classes`, `gmdh.train_gmdh_layered`,
-`gmdh.train_gmdh_roulette`, `gmdh._pruned`, `neuron.fit_loss`,
-`neuron.fit_gradient`, `neuron.fit_neuron`, `cascade._fit_single_features`,
-`gmdh._fit_weights` and `neuron.least_squares_fit`, kept verbatim as the
+`oracle_fit_weights`, `oracle_least_squares_fit` and `oracle_train_fnn` are
+the former bodies of `linear.train_pocket_ratchet`, `neuron.sigmoid`,
+`ruletree.search_threshold`, `ruletree.RuleTree.predict_classes`,
+`gmdh.train_gmdh_layered`, `gmdh.train_gmdh_roulette`, `gmdh._pruned`,
+`neuron.fit_loss`, `neuron.fit_gradient`, `neuron.fit_neuron`,
+`cascade._fit_single_features`, `gmdh._fit_weights`,
+`neuron.least_squares_fit` and `baseline.train_fnn`, kept verbatim as the
 reference (apart from their names, the oracles they call, and a parameter
 that swaps in one part: the GMDH trainers' weight fitter, the threshold
-search's midpoint rule). The rewrites only drop repeated work or repeated
-code, or fit independent problems as one stack, so they must give
+search's midpoint rule). The rewrites only drop repeated or unused work or
+repeated code, or fit independent problems as one stack, so they must give
 bit-identical results: the same pocketed weights and traces, the same sigmoid bytes, nan
 and signed zero included, the same threshold bytes, polarity and error count,
 the same rule-tree labels, the same fitted weights, feature rankings and
-errors, and the same saved cascade and polynomial-network model files.
+errors, the same feed-forward weights and divergence error, and the same
+saved cascade and polynomial-network model files. `train_fnn` no longer
+records a per-epoch training curve, so the curve's properties are checked
+on the oracle's.
 
 Two rewrites change results on purpose. Gradient-fitted polynomial networks
 descend in Gram form, which sums in another order: they must grow the same
@@ -28,7 +32,7 @@ to inf, and matches the oracle everywhere else.
 """
 
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -39,7 +43,9 @@ from hypothesis import strategies as st
 
 from evonets import cascade, gmdh
 from evonets._util import augment, derive_seed
-from evonets.dataset import Dataset, NormParams, gen_blobs, gen_surrogate_eeg
+from evonets.baseline import FnnConfig, FnnModel, _targets, fnn_gradients, train_fnn
+from evonets.dataset import (Dataset, NormParams, SplitSpec, gen_blobs, gen_surrogate_eeg,
+                             split)
 from evonets.errors import DataError, TrainingError
 from evonets.gmdh import (KINDS, GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
                           _binary_targets, _fit_weights, count_candidates,
@@ -1196,3 +1202,139 @@ class TestStackedLeastSquares:
         for b, w in zip(B, got):
             assert w.tobytes() == oracle_least_squares_fit(b, y).tobytes()
             assert w.tobytes() == least_squares_fit(b, y).tobytes()
+
+
+@dataclass(eq=False)
+class TrainingCurve:
+    """Per-epoch classification errors; best_epoch is the argmin of the
+    validation error (first occurrence)."""
+
+    train_errors: list
+    val_errors: list
+    best_epoch: int
+
+
+def oracle_train_fnn(train, val, hidden, cfg: FnnConfig = FnnConfig()):
+    """Batch gradient descent with early stopping at the validation minimum.
+
+    Each restart draws fresh uniform [-0.5, 0.5] weights, descends for up
+    to max_epochs (stopping `patience` epochs past the running validation
+    minimum), and snapshots the weights at that minimum. A restart whose
+    loss turns non-finite is abandoned and counted as failed. The restart
+    with the lowest snapshot validation error wins.
+
+    Returns (model, TrainingCurve of the winning restart).
+    """
+    if hidden < 1:
+        raise DataError("need at least 1 hidden neuron")
+    r = train.class_count
+    T_tr = _targets(train.labels, r)
+    T_va = _targets(val.labels, r)
+    out_units = T_tr.shape[1]
+    m = train.n_features
+
+    best = None
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(derive_seed(cfg.seed, restart))
+        w_hid = rng.uniform(-0.5, 0.5, size=(hidden, m + 1))
+        w_out = rng.uniform(-0.5, 0.5, size=(out_units, hidden + 1))
+        model = FnnModel(w_hid, w_out, r)
+
+        def errors():
+            e_tr = float(np.mean(model.predict_classes(train.features) != train.labels))
+            e_va = float(np.mean(model.predict_classes(val.features) != val.labels))
+            return e_tr, e_va
+
+        e_tr, e_va = errors()
+        curve_tr, curve_va = [e_tr], [e_va]
+        best_epoch, best_val = 0, e_va
+        snapshot = (w_hid.copy(), w_out.copy())
+        failed = False
+        for epoch in range(1, cfg.max_epochs + 1):
+            g_hid, g_out = fnn_gradients(w_hid, w_out, train.features, T_tr)
+            w_hid -= cfg.learning_rate * g_hid
+            w_out -= cfg.learning_rate * g_out
+            if not (np.isfinite(w_hid).all() and np.isfinite(w_out).all()):
+                failed = True
+                break
+            e_tr, e_va = errors()
+            curve_tr.append(e_tr)
+            curve_va.append(e_va)
+            if e_va < best_val:
+                best_val = e_va
+                best_epoch = epoch
+                snapshot = (w_hid.copy(), w_out.copy())
+            if epoch - best_epoch >= cfg.patience:
+                break
+        if failed:
+            continue
+        if best is None or best_val < best[0]:
+            curve = TrainingCurve(curve_tr, curve_va, best_epoch)
+            best = (best_val, restart, snapshot, curve)
+    if best is None:
+        raise TrainingError("every restart diverged to non-finite loss")
+    _, _, (w_hid, w_out), curve = best
+    return FnnModel(w_hid, w_out, r), curve
+
+
+# (data seed, classes, hidden, config): both class layouts; a run early
+# stopping cuts short and a run that uses every epoch; a learning rate at
+# which restart 0 diverges and a later restart does not; and one at which
+# every restart diverges
+FNN_CASES = {
+    "binary-patience": (20, 2, 3, FnnConfig(max_epochs=400, patience=15, restarts=3, seed=21)),
+    "binary-every-epoch": (22, 2, 2, FnnConfig(max_epochs=60, patience=61, restarts=2, seed=23)),
+    "3-class-patience": (24, 3, 3, FnnConfig(max_epochs=400, patience=15, restarts=3, seed=25)),
+    "3-class-every-epoch": (26, 3, 4, FnnConfig(learning_rate=2.0, max_epochs=60, patience=61,
+                                                restarts=2, seed=27)),
+    "one-restart-diverges": (1, 2, 2, FnnConfig(learning_rate=1e166, max_epochs=40,
+                                                patience=10, restarts=3, seed=4)),
+    "every-restart-diverges": (1, 2, 2, FnnConfig(learning_rate=1e300, max_epochs=40,
+                                                  patience=10, restarts=3, seed=4)),
+}
+
+
+def fnn_data(data_seed, classes):
+    ds = gen_blobs(30 * classes, classes=classes, seed=data_seed, spread=1.0)
+    return split(ds, SplitSpec((0.5, 0.5), seed=data_seed + 1))
+
+
+def val_error(model, val):
+    return float(np.mean(model.predict_classes(val.features) != val.labels))
+
+
+class TestFnnOracle:
+    @pytest.mark.parametrize("case", list(FNN_CASES))
+    def test_matches_oracle(self, case):
+        data_seed, classes, hidden, cfg = FNN_CASES[case]
+        tr, va = fnn_data(data_seed, classes)
+        want = outcome(oracle_train_fnn, tr, va, hidden, cfg)
+        got = outcome(train_fnn, tr, va, hidden, cfg)
+        if case == "every-restart-diverges":
+            assert want[0] == "raised" and want[1] is TrainingError
+            assert got == want
+            return
+        assert want[0] == got[0] == "ok"
+        (w_model, curve), model = want[1], got[1]
+        assert model.hidden_weights.tobytes() == w_model.hidden_weights.tobytes()
+        assert model.output_weights.tobytes() == w_model.output_weights.tobytes()
+        assert model.class_count == w_model.class_count == classes
+        # the case is what its name says
+        epochs_run = len(curve.val_errors) - 1
+        if case.endswith("every-epoch"):
+            assert epochs_run == cfg.max_epochs
+        elif case.endswith("patience"):
+            assert epochs_run < cfg.max_epochs
+        else:
+            first_alone = outcome(oracle_train_fnn, tr, va, hidden, replace(cfg, restarts=1))
+            assert first_alone[0] == "raised" and first_alone[1] is TrainingError
+
+    @pytest.mark.parametrize("case", [c for c in FNN_CASES if "diverges" not in c])
+    def test_returned_model_sits_at_the_oracle_curve_minimum(self, case):
+        data_seed, classes, hidden, cfg = FNN_CASES[case]
+        tr, va = fnn_data(data_seed, classes)
+        _, curve = oracle_train_fnn(tr, va, hidden, cfg)
+        err = val_error(train_fnn(tr, va, hidden, cfg), va)
+        assert err == curve.val_errors[curve.best_epoch]
+        assert curve.best_epoch == int(np.argmin(curve.val_errors))   # the first minimum
+        assert err <= curve.val_errors[-1]

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from evonets.cascade import CascadeNetwork
-from evonets.dataset import Dataset
 from evonets.errors import DataError, TrainingError
-from evonets.neuron import (CandidateScore, FitConfig, SigmoidNeuron,
-                            classification_error, exterior_criterion,
-                            fit_gradient, fit_loss, fit_neuron,
-                            least_squares_fit, sigmoid)
+from evonets.neuron import (CandidateScore, FitConfig, SigmoidNeuron, exterior_criterion,
+                            fit_gradient, fit_loss, fit_neuron, least_squares_fit, sigmoid)
 
 
 def make_neuron(p, weights=None):
@@ -114,27 +111,6 @@ class TestFitNeuron:
         U = np.array([[1.0], [np.nan]])
         with pytest.raises(TrainingError):
             fit_neuron(make_neuron(1), U, np.array([0.0, 1.0]), FitConfig())
-
-
-class TestClassificationError:
-    def test_perfect_predictor(self):
-        ds = Dataset(np.arange(4.0)[:, None], [0, 1, 0, 1], ("a",), 2)
-        assert classification_error(lambda X: ds.labels, ds) == 0.0
-
-    def test_constant_predictor_on_balanced_data(self):
-        ds = Dataset(np.arange(4.0)[:, None], [0, 1, 0, 1], ("a",), 2)
-        assert classification_error(lambda X: np.zeros(4, dtype=int), ds) == 0.5
-
-    def test_counting(self):
-        labels = np.zeros(100, dtype=int)
-        labels[:3] = 1
-        ds = Dataset(np.zeros((100, 1)), labels, ("a",), 2)
-        assert classification_error(lambda X: np.zeros(100, dtype=int), ds) == pytest.approx(0.03)
-
-    def test_empty_data_rejected(self):
-        ds = Dataset(np.zeros((0, 1)), [], ("a",), 2)
-        with pytest.raises(DataError):
-            classification_error(lambda X: [], ds)
 
 
 class TestLeastSquares:

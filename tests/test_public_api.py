@@ -1,0 +1,34 @@
+"""The public API: every exported name resolves, and removed names stay gone."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import evonets
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(evonets.__path__))
+
+# names deleted from the library, by the module that defined them
+REMOVED = {
+    "baseline": ["TrainingCurve", "PcaTransform", "pca_fit", "predict_fnn"],
+    "neuron": ["classification_error", "sigmoid_out"],
+    "dataset": ["xor_label"],
+    "cascade": ["predict_cascade"],
+    "gmdh": ["predict_poly", "eval_supporting_neuron"],
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_resolves(module):
+    mod = importlib.import_module(f"evonets.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in REMOVED.items()
+                                         for n in names])
+def test_removed_name_is_not_importable(module, name):
+    assert not hasattr(importlib.import_module(f"evonets.{module}"), name)
+    with pytest.raises(ImportError):
+        exec(f"from evonets import {name}", {})
