@@ -128,7 +128,8 @@ class LinearTest:
         if X.shape[1] <= max(self.features):
             raise DataError(f"input must provide at least {max(self.features) + 1} "
                             "feature values")
-        return augment(X[:, list(self.features)]) @ self.weights
+        with np.errstate(over="ignore", invalid="ignore"):   # outputs reads only the sign
+            return augment(X[:, list(self.features)]) @ self.weights
 
     def outputs(self, X):
         """Vector of +/-1 decisions, one per row."""
@@ -203,6 +204,8 @@ def check_correction(c, correction):
     train_pocket_ratchet both call this."""
     if not c > 0:   # also refuses NaN
         raise DataError("correction amount c must be positive")
+    if not np.isfinite(c):
+        raise DataError("correction amount c must be finite")
     if correction not in CORRECTIONS:
         raise DataError(f"unknown correction '{correction}'")
 
@@ -212,8 +215,7 @@ def wta_classify(lm: LinearMachine, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (lm.weights.shape[1] - 1,):
         raise DataError(f"expected {lm.weights.shape[1] - 1} features, got {x.shape}")
-    scores = lm.weights @ np.concatenate([[1.0], x])
-    return int(np.argmax(scores))
+    return int(lm.weights.dot(np.concatenate([[1.0], x])).argmax())
 
 
 def error_correct(lm: LinearMachine, x, true_class, predicted, c):
@@ -228,8 +230,9 @@ def error_correct(lm: LinearMachine, x, true_class, predicted, c):
 
 def _correct(W, xa, true_class, predicted, amount):
     """The error-correction step on the augmented input xa, in place."""
-    W[true_class] += amount * xa
-    W[predicted] -= amount * xa
+    d = amount * xa
+    W[true_class] += d
+    W[predicted] -= d
 
 
 def thermal_c(beta, k):
@@ -287,7 +290,8 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
         if thermal is not None else ThermalSchedule()
 
     def full_accuracy(weights):
-        return float(np.mean(np.argmax(X @ weights.T, axis=1) == y))
+        # an exact count over n: the same float as the mean of the hits
+        return np.count_nonzero(np.argmax(X @ weights.T, axis=1) == y) / n
 
     rng = np.random.default_rng(seed)
     Wp = W.copy()
@@ -298,39 +302,47 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
     prev_mag = float(np.abs(W).sum())
     prev_delta = 0.0
 
+    thermal_step = correction == "thermal"
+    rows = list(X)
     labels = y.tolist()
     A = Ap  # full accuracy of W; None once a correction has changed W
-    for epoch in range(epochs):
-        for i in rng.integers(0, n, size=n).tolist():
-            xa = X[i]
-            pred = int((W @ xa).argmax())
-            q = labels[i]
-            if pred != q:
-                amount = _thermal_amount(sched, W[q], W[pred], xa) \
-                    if correction == "thermal" else c
-                _correct(W, xa, q, pred, amount)
-                L = 0
-                A = None
-            else:
-                L += 1
-                if L > state.run_length:
-                    if A is None:
-                        A = full_accuracy(W)
-                    if (not use_ratchet) or A > state.accuracy:
-                        state.weights = W.copy()
-                        state.run_length = L
-                        state.accuracy = A
-                        state.accuracy_trace.append(A)
-                        state.run_length_trace.append(L)
-        state.epochs_run = epoch + 1
-        if correction == "thermal":
-            mag = float(np.abs(W).sum())
-            delta = mag - prev_mag
-            if not sched.anneal(delta, prev_delta):
-                break
-            prev_mag, prev_delta = mag, delta
-        if use_ratchet and state.accuracy >= 1.0:
-            break   # the ratchet can never replace a perfect pocket
+    # a diverging machine overflows; the pocket is checked once, at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            for i in rng.integers(0, n, size=n).tolist():
+                xa = rows[i]
+                # .dot issues the same gemv as W @ xa, at half the dispatch cost
+                pred = W.dot(xa).argmax()
+                q = labels[i]
+                if pred != q:
+                    amount = _thermal_amount(sched, W[q], W[pred], xa) \
+                        if thermal_step else c
+                    _correct(W, xa, q, pred, amount)
+                    L = 0
+                    A = None
+                else:
+                    L += 1
+                    if L > Lp:
+                        if A is None:
+                            A = full_accuracy(W)
+                        if (not use_ratchet) or A > state.accuracy:
+                            Lp = L
+                            state.weights = W.copy()
+                            state.run_length = L
+                            state.accuracy = A
+                            state.accuracy_trace.append(A)
+                            state.run_length_trace.append(L)
+            state.epochs_run = epoch + 1
+            if thermal_step:
+                mag = float(np.abs(W).sum())
+                delta = mag - prev_mag
+                if not sched.anneal(delta, prev_delta):
+                    break
+                prev_mag, prev_delta = mag, delta
+            if use_ratchet and state.accuracy >= 1.0:
+                break   # the ratchet can never replace a perfect pocket
+    if not np.isfinite(state.weights).all():
+        raise TrainingError("pocket weights overflowed; use a smaller correction amount c")
     return LinearMachine(state.weights.copy()), state
 
 
@@ -345,7 +357,11 @@ def _fit_test(train: Dataset, val: Dataset, features, cfg: LmdtConfig, seed) -> 
         LinearMachine.zeros(2, len(features)), sub, epochs=cfg.test_epochs,
         c=cfg.c, seed=seed, use_ratchet=cfg.use_ratchet,
         correction=cfg.correction, thermal=cfg.thermal)
-    test = LinearTest(tuple(features), lm.weights[1] - lm.weights[0])
+    with np.errstate(over="ignore"):
+        w = lm.weights[1] - lm.weights[0]
+    if not np.isfinite(w).all():
+        raise TrainingError("pair test weights overflowed; use a smaller correction amount c")
+    test = LinearTest(tuple(features), w)
     score_on = val if val.n_rows else train
     test.accuracy = float(np.mean(
         (test.outputs(score_on.features) > 0).astype(int) == score_on.labels))

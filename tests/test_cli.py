@@ -35,6 +35,15 @@ def blob_csv(tmp_path):
     return p
 
 
+@pytest.fixture
+def pocket_blob_csv(tmp_path):
+    # pair tests trained here at c = 1e307 keep finite weights but score
+    # some rows beyond a float
+    p = tmp_path / "pocket-blobs.csv"
+    assert run("generate", "blobs", "--n", "200", "--seed", "1", "--out", str(p)) == 0
+    return p
+
+
 class TestGenerate:
     def test_xor_file_shape(self, tmp_path, capsys):
         p = tmp_path / "a.csv"
@@ -176,6 +185,48 @@ class TestRejectedSettings:
                    "--out", str(out)) == 2
         assert capsys.readouterr().err == "data error: correction amount c must be positive\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["lm", "pairwise-dt"])
+    @pytest.mark.parametrize("c", ["inf", "1e400"])
+    def test_c_not_finite_rejected(self, method, c, pocket_blob_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run("train", "--method", method, f"--c={c}", "--data", str(pocket_blob_csv),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "data error: correction amount c must be finite\n"
+        assert not out.exists()
+
+
+class TestPocketOverflow:
+    """A correction amount so large that the pocketed weights overflow exits 3
+    with one line and writes no model; one just short of that trains a model
+    that evaluates. Neither lets a numpy warning through."""
+
+    @pytest.mark.parametrize("method, extra, message", [
+        ("lm", (), "pocket weights overflowed"),
+        ("pairwise-dt", (), "pair test weights overflowed"),
+        ("pairwise-dt", ("--pair-trainer", "sfs"), "pair test weights overflowed"),
+    ])
+    def test_overflowing_pocket_is_a_training_error(self, method, extra, message,
+                                                    pocket_blob_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--method", method, "--c=1e308", *extra,
+                       "--data", str(pocket_blob_csv), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == f"training error: {message}; use a smaller correction amount c\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["lm", "pairwise-dt"])
+    def test_large_finite_pocket_trains_and_evaluates(self, method, pocket_blob_csv,
+                                                      tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--method", method, "--c=1e307",
+                       "--data", str(pocket_blob_csv), "--out", str(out)) == 0
+            assert run("evaluate", "--model", str(out), "--data", str(pocket_blob_csv)) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestDeterminism:

@@ -173,6 +173,19 @@ def assert_same_pocket(got, want):
     assert state.epochs_run == ref.epochs_run
 
 
+def assert_matches_oracle(W0, ds, **kw):
+    """The pocket raises TrainingError exactly when the oracle's returned
+    weights are non-finite, and otherwise matches it byte for byte."""
+    with np.errstate(all="ignore"):
+        want = oracle_train_pocket_ratchet(LinearMachine(W0.copy()), ds, **kw)
+    if np.isfinite(want[0].weights).all():
+        assert_same_pocket(train_pocket_ratchet(LinearMachine(W0.copy()), ds, **kw), want)
+        return True
+    with pytest.raises(TrainingError, match="pocket weights overflowed"):
+        train_pocket_ratchet(LinearMachine(W0.copy()), ds, **kw)
+    return False
+
+
 class TestPocketOracle:
     @pytest.mark.parametrize("correction", ["fixed", "thermal"])
     @pytest.mark.parametrize("use_ratchet", [True, False])
@@ -187,11 +200,11 @@ class TestPocketOracle:
         want = oracle_train_pocket_ratchet(LinearMachine.zeros(classes, 4), ds, **kw)
         assert_same_pocket(got, want)
 
-    @settings(max_examples=40, deadline=None)
-    @given(classes=st.integers(2, 4), n=st.integers(1, 40), features=st.integers(1, 3),
+    @settings(max_examples=60, deadline=None)
+    @given(classes=st.integers(2, 4), n=st.integers(1, 40), features=st.integers(1, 8),
            data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
            epochs=st.one_of(st.none(), st.integers(1, 6)),
-           c=st.sampled_from([0.05, 1.0, 3.0]), use_ratchet=st.booleans(),
+           c=st.sampled_from([0.05, 1.0, 3.0, 1e308]), use_ratchet=st.booleans(),
            correction=st.sampled_from(["fixed", "thermal"]),
            beta=st.sampled_from([0.02, 2.0]), warm=st.booleans())
     def test_matches_oracle_on_random_problems(self, classes, n, features, data_seed,
@@ -206,9 +219,17 @@ class TestPocketOracle:
             else np.zeros((classes, features + 1))
         kw = dict(epochs=epochs, c=c, seed=seed, use_ratchet=use_ratchet,
                   correction=correction, thermal=ThermalSchedule(beta=beta))
-        got = train_pocket_ratchet(LinearMachine(W0.copy()), ds, **kw)
-        want = oracle_train_pocket_ratchet(LinearMachine(W0.copy()), ds, **kw)
-        assert_same_pocket(got, want)
+        assert_matches_oracle(W0, ds, **kw)
+
+    def test_overflowing_pocket_raises_where_the_oracle_returns_inf(self):
+        # c = 1e308 overflows a weight that a second correction of the same
+        # sign reaches; across these runs some pockets stay finite, some do not
+        finite = {assert_matches_oracle(np.zeros((classes, 9)),
+                                        pocket_data(classes, seed, noise=6),
+                                        epochs=2, c=1e308, seed=seed, use_ratchet=use_ratchet)
+                  for use_ratchet in (True, False) for classes in (2, 3)
+                  for seed in range(8)}
+        assert finite == {True, False}
 
 
 SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 745.0, -745.0,

@@ -123,6 +123,7 @@ class TestPocket:
         ({"c": 0}, "c must be positive"),
         ({"c": -1.0}, "c must be positive"),
         ({"c": float("nan")}, "c must be positive"),
+        ({"c": float("inf")}, "c must be finite"),
         ({"correction": "thermall"}, "unknown correction 'thermall'"),
     ])
     def test_bad_correction_setting_rejected(self, setting, message):

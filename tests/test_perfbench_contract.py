@@ -32,16 +32,37 @@ def test_every_wrap_target_resolves():
         t.uninstall()
 
 
+def traced_train(tmp_path, data, runs):
+    """Per-layer metrics of training every run through cli.main with the
+    tracer on, one traced op per run."""
+    import evonets
+    from evonets import cli
+
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install(evonets.__name__)
+    try:
+        t.active = True
+        for op, (name, flags) in enumerate(runs.items()):
+            t.begin_op(op, f"train.{flags[1]}")
+            rc = cli.main(["train", *flags, "--data", str(data),
+                           "--out", str(tmp_path / f"{name}.json")])
+            t.end_op()
+            assert rc == 0, name
+    finally:
+        t.active = False
+        t.uninstall()
+    return tracer, tracer.layer_metrics(t.spans, t.counts)
+
+
 def test_every_heavy_growth_layer_is_recorded(tmp_path):
     # The traced benchmark fails when a layer it lists as heavy on eeg-grow
     # reads 0 there. Train each eeg-grow learner small through cli.main with
     # the tracer on, so that a change that stops calling one of the wrapped
     # fitters (fit_neuron, fit_gradient, _fit_single_features,
     # least_squares_fit, exterior_criterion, ...) fails here too.
-    import evonets
     from evonets import cli
 
-    tracer = load_tracer()
     data = tmp_path / "eeg.csv"
     assert cli.main(["generate", "surrogate-eeg", "--n", "240", "--relevant", "3",
                      "--irrelevant", "3", "--separation", "1.5", "--seed", "4",
@@ -56,19 +77,30 @@ def test_every_heavy_growth_layer_is_recorded(tmp_path):
                      "--restarts", "2"),
         "fnn": ("--method", "fnn", "--epochs", "30", "--restarts", "1"),
     }
-    t = tracer.Tracer()
-    t.install(evonets.__name__)
-    try:
-        t.active = True
-        for op, (name, flags) in enumerate(runs.items()):
-            t.begin_op(op, f"train.{flags[1]}")
-            rc = cli.main(["train", *flags, "--data", str(data),
-                           "--out", str(tmp_path / f"{name}.json")])
-            t.end_op()
-            assert rc == 0, name
-    finally:
-        t.active = False
-        t.uninstall()
-    metrics = tracer.layer_metrics(t.spans, t.counts)
+    tracer, metrics = traced_train(tmp_path, data, runs)
     unrecorded = [k for k in tracer.HEAVY["eeg-grow"] if not metrics[k] > 0]
     assert unrecorded == [], f"heavy eeg-grow layers never recorded: {unrecorded}"
+
+
+def test_every_heavy_pocket_layer_is_recorded(tmp_path):
+    # The same gate for blobs-pocket: a pocket rewrite that stops filling
+    # PocketState.epochs_run or accuracy_trace reads 0 draws or replacements,
+    # and no sigmoid may run on the way.
+    from evonets import cli
+
+    data = tmp_path / "blobs.csv"
+    assert cli.main(["generate", "blobs", "--n", "150", "--classes", "3", "--seed", "2",
+                     "--out", str(data)]) == 0
+    runs = {
+        "lm-fixed": ("--method", "lm"),
+        "lm-thermal": ("--method", "lm", "--correction", "thermal"),
+        "pairwise-induce": ("--method", "pairwise-dt", "--attempts", "2",
+                            "--test-epochs", "10"),
+        "pairwise-sfs": ("--method", "pairwise-dt", "--pair-trainer", "sfs",
+                         "--test-epochs", "10"),
+    }
+    tracer, metrics = traced_train(tmp_path, data, runs)
+    unrecorded = [k for k in tracer.HEAVY["blobs-pocket"] if not metrics[k] > 0]
+    assert unrecorded == [], f"heavy blobs-pocket layers never recorded: {unrecorded}"
+    touched = {k: metrics[k] for k in tracer.BYPASS["blobs-pocket"] if metrics[k] != 0}
+    assert touched == {}, f"blobs-pocket bypass layers recorded: {touched}"
