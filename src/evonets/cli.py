@@ -130,6 +130,8 @@ def cmd_generate(args):
                                             args.classes or 2, seed,
                                             separation=args.separation)
         print("informative_columns=" + ",".join(str(c) for c in informative))
+    if not np.isfinite(ds.features).all():  # only blobs can overflow
+        raise DataError("generated features overflow a float; use a smaller spread or radius")
     save_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows x {ds.n_features} features to {args.out}")
     return 0
@@ -397,6 +399,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required")
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
+            raise DataError("seed must be non-negative")
         handler = {
             "generate": cmd_generate,
             "train": cmd_train,

@@ -4,10 +4,10 @@ splits, and synthetic generators used throughout the package and its tests."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,7 @@ class SplitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
-        if any(f <= 0 for f in self.fractions):
+        if not all(f > 0 for f in self.fractions):  # also refuses NaN
             raise DataError("every split fraction must be positive")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise DataError("split fractions must sum to 1")
@@ -142,51 +142,20 @@ def _plain_lines(text):
     return lines if lines[-1] else lines[:-1]
 
 
-def _record_lines(path):
-    """Physical line on which each data record of the CSV file starts; a
-    quoted cell may span several lines."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        starts = []
-        end = reader.line_num
-        for _ in reader:
-            starts.append(end + 1)
-            end = reader.line_num
-    return starts
+def parse_rows(path, header, records, columns, label_at, group_at, label_index):
+    """Feature matrix of cells `columns` (in that order), labels of cell
+    `label_at` (stripped, or mapped through `label_index`) and stripped group
+    cells of `group_at` (none for None) of the non-blank rows the csv reader
+    `records` has left, of which there must be at least one.
 
-
-def parse_rows(path, header, rows, columns, label_at, label_index=None):
-    """Feature matrix of cells `columns` (in that order) and labels of cell
-    `label_at` (stripped, or mapped through `label_index`) of the non-blank rows,
-    of which there must be at least one.
-
-    On any failure of its one-pass parse the rows are scanned again in order
-    for the first bad one: its cell count, then its cells in order, then its
-    label. The error names the physical line of the file on which that row
-    starts.
+    Each row is checked as it is read: its cell count, then its cells in
+    order, then its label. The error names the physical line of the file on
+    which the first bad row starts.
     """
-    if not any(rows):
-        raise DataError(f"{path}: no data rows")
-    take = itemgetter(*columns, label_at)
-    flat, labels = [], []
-    try:
-        for row in rows:
-            if row:
-                if len(row) != len(header):
-                    raise ValueError
-                cells = take(row)
-                flat.extend(map(float, cells[:-1]))
-                labels.append(cells[-1].strip())
-        X = np.array(flat, dtype=float).reshape(len(labels), len(columns))
-        if not np.isfinite(X).all():
-            raise ValueError
-        if label_index is not None:
-            labels = [label_index[s] for s in labels]
-        return X, labels
-    except (ValueError, KeyError):
-        pass
-    for lineno, row in zip(_record_lines(path), rows):
+    flat, labels, groups = [], [], []
+    end = records.line_num
+    for row in records:
+        lineno, end = end + 1, records.line_num
         if not row:
             continue
         if len(row) != len(header):
@@ -195,23 +164,31 @@ def parse_rows(path, header, rows, columns, label_at, label_index=None):
             raise DataError(f"{path}: line {lineno}: expected {len(header)} cells{got}")
         for i in columns:
             try:
-                finite = math.isfinite(float(row[i]))
+                value = float(row[i])
             except ValueError:
-                finite = False
-            if not finite:
+                value = math.nan
+            if not math.isfinite(value):
                 raise DataError(f"{path}: line {lineno}, column '{header[i]}': "
                                 f"non-numeric value '{row[i].strip()}'")
+            flat.append(value)
         label = row[label_at].strip()
-        if label_index is not None and label not in label_index:
-            raise DataError(f"{path}: line {lineno}: label '{label}' not in the stored mapping")
-    raise AssertionError("the bulk parse failed on rows that all parse")
+        if label_index is not None:
+            if label not in label_index:
+                raise DataError(f"{path}: line {lineno}: label '{label}' not in the stored mapping")
+            label = label_index[label]
+        labels.append(label)
+        if group_at is not None:
+            groups.append(row[group_at].strip())
+    if not labels:
+        raise DataError(f"{path}: no data rows")
+    return np.array(flat, dtype=float).reshape(len(labels), len(columns)), labels, groups
 
 
 def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
     """What parse_rows gives for the data `lines` of a file without quotes or
-    _FLOAT_BLANKS, plus the stripped group cells (none for group_at None),
-    from one loadtxt parse of the features and one of the label and group
-    cells; None where a parse raises or warns or a guard fails.
+    _FLOAT_BLANKS, from one loadtxt parse of the features and one of the
+    label and group cells; None where a parse raises or warns or a guard
+    fails.
 
     loadtxt ignores cells past the used columns and reads an overflowing
     number as inf, where parse_rows rejects both. The guards: every
@@ -254,11 +231,10 @@ def read_table(path, locate, label_index=None):
     words the errors.
     """
     lines = _plain_lines(_decode(path))
-    if lines is None:  # a quoted cell may span lines: csv reads the file as a stream
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            records = iter(list(csv.reader(fh)))
-    else:
-        records = csv.reader(lines)
+    # a quoted cell may span lines: csv reads the text as a stream. The text
+    # is decoded again rather than kept, so no copy of it lives through the
+    # bulk parse.
+    records = csv.reader(lines if lines is not None else io.StringIO(_decode(path), newline=""))
     first = next(records, None)
     if first is None:
         raise DataError(f"{path}: empty file, no header row")
@@ -269,20 +245,15 @@ def read_table(path, locate, label_index=None):
     columns, label_at, group_at = locate(header)
     parsed = None if lines is None else \
         _bulk_parse(lines[1:], len(header), columns, label_at, group_at, label_index)
-    if parsed is not None:
-        return (header,) + parsed
-    rows = list(records)
-    X, labels = parse_rows(path, header, rows, columns, label_at, label_index)
-    groups = [] if group_at is None else [row[group_at].strip() for row in rows if row]
-    return header, X, labels, groups
+    if parsed is None:
+        parsed = parse_rows(path, header, records, columns, label_at, group_at, label_index)
+    return (header,) + parsed
 
 
-def load_csv(path, label_column, label_order=None):
+def load_csv(path, label_column):
     """Read a comma-separated file with a header row into a Dataset.
 
-    Labels are mapped to 0..r-1 in first-appearance order, unless
-    `label_order` pins an existing mapping (used when evaluating against a
-    stored model); an unknown label is then an error.
+    Labels are mapped to 0..r-1 in first-appearance order.
     """
     def locate(header):
         if label_column not in header:
@@ -294,16 +265,10 @@ def load_csv(path, label_column, label_order=None):
         return columns, li, None
 
     header, X, raw_labels, _ = read_table(path, locate)
-    if label_order is None:
-        order = list(dict.fromkeys(raw_labels))
-        if len(order) < 2:
-            raise DataError(f"{path}: fewer than 2 classes in column '{label_column}'")
-    else:
-        order = [str(s) for s in label_order]
+    order = list(dict.fromkeys(raw_labels))
+    if len(order) < 2:
+        raise DataError(f"{path}: fewer than 2 classes in column '{label_column}'")
     index = {s: k for k, s in enumerate(order)}
-    for s in raw_labels:
-        if s not in index:
-            raise DataError(f"{path}: label '{s}' not present in the stored label mapping")
     labels = np.array([index[s] for s in raw_labels], dtype=int)
     return Dataset(X, labels, tuple(h for h in header if h != label_column), len(order),
                    tuple(order))
@@ -393,7 +358,8 @@ def gen_blobs(n, classes=3, seed=0, spread=1.0, radius=3.0):
     labels = rng.permutation(np.arange(n) % classes)
     angles = 2.0 * np.pi * labels / classes
     centers = np.column_stack([radius * np.cos(angles), radius * np.sin(angles)])
-    X = centers + rng.normal(0.0, spread, size=(n, 2))
+    with np.errstate(over="ignore"):  # the generate command refuses what overflows
+        X = centers + rng.normal(0.0, spread, size=(n, 2))
     return Dataset(X, labels, ("x1", "x2"), classes)
 
 
@@ -407,8 +373,12 @@ def gen_surrogate_eeg(n, relevant=4, irrelevant=68, classes=2, seed=0, separatio
     Returns (dataset, informative_columns) so feature-selection tests have
     ground truth.
     """
+    if n < 1:
+        raise DataError("need at least 1 row")
     if relevant < 1:
         raise DataError("need at least 1 informative column")
+    if irrelevant < 0:
+        raise DataError("irrelevant column count must be non-negative")
     if classes < 2:
         raise DataError("need at least 2 classes")
     if not np.isfinite(separation):

@@ -419,6 +419,8 @@ def load_model(path) -> ModelBundle:
     for key in ("feature_names", "label_names"):
         if not _list_of(doc.get(key), (str,)):
             raise DataError(f"{path}: {key} is missing or not a list of strings")
+        if len(set(doc[key])) != len(doc[key]):
+            raise DataError(f"{path}: {key} repeats a name")
     feature_names = tuple(doc["feature_names"])
     normalization = doc.get("normalization")
     if not (isinstance(normalization, dict) and _list_of(normalization.get("mean"), (int, float))

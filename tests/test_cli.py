@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evonets.cli import main
+from evonets.cli import _load_for_model, main
 from evonets.dataset import Dataset, save_csv
 from evonets.linear import LinearMachine
 from evonets.modelio import ModelBundle, load_model, save_model
@@ -44,6 +44,9 @@ def pocket_blob_csv(tmp_path):
     return p
 
 
+OVERFLOW = "generated features overflow a float; use a smaller spread or radius"
+
+
 class TestGenerate:
     def test_xor_file_shape(self, tmp_path, capsys):
         p = tmp_path / "a.csv"
@@ -72,11 +75,19 @@ class TestGenerate:
         ("surrogate-eeg", "--separation=nan", "separation must be finite"),
         ("surrogate-eeg", "--separation=inf", "separation must be finite"),
         ("surrogate-eeg", "--separation=-inf", "separation must be finite"),
+        ("xor", "--seed=-1", "seed must be non-negative"),
+        ("blobs", "--seed=-1", "seed must be non-negative"),
+        ("surrogate-eeg", "--seed=-1", "seed must be non-negative"),
+        ("surrogate-eeg", "--n=-5", "need at least 1 row"),
+        ("surrogate-eeg", "--n=0", "need at least 1 row"),
+        ("surrogate-eeg", "--irrelevant=-3", "irrelevant column count must be non-negative"),
+        ("blobs", "--spread=1e308", OVERFLOW),
+        ("blobs", "--radius=1.7976e308 --spread=1e305", OVERFLOW),
     ])
     def test_bad_generator_setting_exits_2(self, kind, flag, message, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert run("generate", kind, flag, "--n", "30", "--out", str(out)) == 2
-        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert run("generate", kind, "--n", "30", *flag.split(), "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"data error: {message}\n")
         assert not out.exists()
 
     def test_unwritable_path_exits_2(self, tmp_path, capsys):
@@ -195,6 +206,23 @@ class TestRejectedSettings:
         assert capsys.readouterr().err == "data error: correction amount c must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["ecnn", "gmdh-layered", "gmdh-roulette", "lm",
+                                        "pairwise-dt", "ruletree", "fnn"])
+    def test_negative_seed_rejected(self, method, xor_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run("train", "--method", method, "--seed=-1", "--data", str(xor_csv),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "data error: seed must be non-negative\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fractions", ["nan:1", "1:nan", "nan:nan"])
+    def test_nan_split_rejected(self, fractions, xor_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run("train", "--method", "lm", "--split", fractions, "--data", str(xor_csv),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "data error: every split fraction must be positive\n"
+        assert not out.exists()
+
 
 class TestPocketOverflow:
     """A correction amount so large that the pocketed weights overflow exits 3
@@ -260,7 +288,6 @@ class TestEvaluate:
         assert eval_error == data_error
 
     def test_confusion_matrix_invariants(self, xor_csv, tmp_path, capsys):
-        from evonets.dataset import load_csv
         model = tmp_path / "m.json"
         out_csv = tmp_path / "confusion.csv"
         run("train", "--method", "gmdh-layered", "--data", str(xor_csv),
@@ -275,7 +302,7 @@ class TestEvaluate:
         assert matrix.sum() == 240
         # row sums equal class support, off-diagonal sum equals the error count
         bundle = load_model(model)
-        ds = load_csv(xor_csv, "y", label_order=bundle.label_names)
+        ds, _ = _load_for_model(xor_csv, bundle)
         support = [int(np.sum(ds.labels == k)) for k in range(2)]
         assert list(matrix.sum(axis=1)) == support
         off_diag = matrix.sum() - np.trace(matrix)
@@ -305,13 +332,12 @@ class TestEvaluate:
         assert "p=" in out
 
     def test_stored_normalization_equals_manual_pipeline(self, xor_csv, tmp_path, capsys):
-        from evonets.dataset import load_csv
         model = tmp_path / "m.json"
         run("train", "--method", "gmdh-layered", "--data", str(xor_csv),
             "--out", str(model), "--seed", "2")
         capsys.readouterr()
         bundle = load_model(model)
-        ds = load_csv(xor_csv, "y", label_order=bundle.label_names)
+        ds, _ = _load_for_model(xor_csv, bundle)
         via_bundle = bundle.predict_csv_features(ds.features)
         manual = bundle.model.predict_classes(bundle.norm.apply(ds.features))
         np.testing.assert_array_equal(via_bundle, manual)
@@ -485,13 +511,13 @@ class TestCsvInput:
             del doc["provenance"]["dataset_sha256"]
         assert docs[0] == docs[1]
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("verb", ["train", "evaluate", "extract-rules"])
     def test_error_names_the_physical_line(self, verb, newline, model, tmp_path, capsys):
-        # the quoted label spans lines 2-3, so the bad cell sits on line 6
+        # quoted labels span lines 2-3 and 6-7, so the bad row starts on line 6
         data = tmp_path / "multiline.csv"
         data.write_bytes(newline.join(["x1,x2,y", '0.5,0.25,"1', '"', "-0.5,0.25,0", "",
-                                       "oops,0.2,1", ""]).encode())
+                                       'oops,0.2,"1', '"', ""]).encode())
         assert run(*self.verb_argv(verb, data, model, tmp_path)) == 2
         self.assert_one_line_data_error(capsys, "line 6, column 'x1': non-numeric value 'oops'")
 
@@ -540,6 +566,8 @@ MALFORMED_ENVELOPES = {
     "sd zero": lambda doc: _set_norm(doc, "sd", [0.0, 1.0]),
     "sd negative": lambda doc: _set_norm(doc, "sd", [1.0, -2.0]),
     "payload a list": lambda doc: {**doc, "payload": []},
+    "feature_names repeated": lambda doc: {**doc, "feature_names": ["x1", "x1"]},
+    "label_names repeated": lambda doc: {**doc, "label_names": ["0", "0"]},
 }
 
 

@@ -1,10 +1,13 @@
 """Dataset container, CSV ingestion, normalization, splits, and generators."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evonets.cli import _load_for_model
 from evonets.dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg,
                              gen_xor, load_csv, normalize_zscore, save_csv,
                              split)
@@ -72,15 +75,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 2, column 'f1'"):
             load_csv(p, "y")
 
+    # a stored label mapping is applied by the evaluation reader
+    STORED = SimpleNamespace(label_column="y", feature_names=("f1",), label_names=("a", "b"))
+
     def test_pinned_label_order(self, tmp_path):
         p = write_csv(tmp_path, "f1,y\n1.0,b\n2.0,a\n")
-        ds = load_csv(p, "y", label_order=("a", "b"))
+        ds, _ = _load_for_model(p, self.STORED)
         assert list(ds.labels) == [1, 0]
 
     def test_pinned_label_order_rejects_unknown(self, tmp_path):
         p = write_csv(tmp_path, "f1,y\n1.0,c\n2.0,a\n")
         with pytest.raises(DataError, match="label 'c'"):
-            load_csv(p, "y", label_order=("a", "b"))
+            _load_for_model(p, self.STORED)
 
     def test_round_trip_through_save(self, tmp_path):
         ds = gen_xor(50, seed=3)

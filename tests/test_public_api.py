@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, and removed names stay gone."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -32,3 +33,9 @@ def test_removed_name_is_not_importable(module, name):
     assert not hasattr(importlib.import_module(f"evonets.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from evonets import {name}", {})
+
+
+def test_load_csv_takes_only_path_and_label_column():
+    # the stored-label-order parameter is gone; the evaluation reader applies a
+    # model's label mapping
+    assert list(inspect.signature(evonets.load_csv).parameters) == ["path", "label_column"]
