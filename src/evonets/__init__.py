@@ -18,10 +18,9 @@ from .gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron, count_candidates,
                    gmdh_to_dot, to_polynomial_text, train_gmdh_layered,
                    train_gmdh_roulette)
 from .linear import (LinearMachine, LinearTest, LmdtConfig, PairwiseTree,
-                     PocketState, ThermalSchedule, aggregate_segments,
-                     combine_pairwise, error_correct, induce_dt, sfs_select,
-                     thermal_c, thermal_correction, train_pairwise_tree,
-                     train_pocket_ratchet, wta_classify)
+                     PocketState, aggregate_segments, combine_pairwise,
+                     error_correct, induce_dt, sfs_select, thermal_c,
+                     thermal_correction, train_pairwise_tree, train_pocket_ratchet)
 from .modelio import ModelBundle, load_model, save_model
 from .neuron import (CandidateScore, FitConfig, SigmoidNeuron, exterior_criterion,
                      fit_gradient, fit_loss, fit_neuron, least_squares_fit, sigmoid)

@@ -116,20 +116,22 @@ def train_fnn(train, val, hidden, cfg: FnnConfig = FnnConfig()):
         best_epoch, best_val = 0, val_error()
         snapshot = (w_hid.copy(), w_out.copy())
         diverged = False
-        for epoch in range(1, cfg.max_epochs + 1):
-            g_hid, g_out = fnn_gradients(w_hid, w_out, train.features, T_tr)
-            w_hid -= cfg.learning_rate * g_hid
-            w_out -= cfg.learning_rate * g_out
-            if not (np.isfinite(w_hid).all() and np.isfinite(w_out).all()):
-                diverged = True
-                break
-            e_va = val_error()
-            if e_va < best_val:
-                best_val = e_va
-                best_epoch = epoch
-                snapshot = (w_hid.copy(), w_out.copy())
-            if epoch - best_epoch >= cfg.patience:
-                break
+        # a diverging descent overflows; each epoch's weights are checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, cfg.max_epochs + 1):
+                g_hid, g_out = fnn_gradients(w_hid, w_out, train.features, T_tr)
+                w_hid -= cfg.learning_rate * g_hid
+                w_out -= cfg.learning_rate * g_out
+                if not (np.isfinite(w_hid).all() and np.isfinite(w_out).all()):
+                    diverged = True
+                    break
+                e_va = val_error()
+                if e_va < best_val:
+                    best_val = e_va
+                    best_epoch = epoch
+                    snapshot = (w_hid.copy(), w_out.copy())
+                if epoch - best_epoch >= cfg.patience:
+                    break
         if not diverged and (best is None or best_val < best[0]):
             best = (best_val, snapshot)
     if best is None:

@@ -142,6 +142,17 @@ def _plain_lines(text):
     return lines if lines[-1] else lines[:-1]
 
 
+def _next_row(path, records):
+    """The next row of the csv reader `records`, None at the end. A csv
+    error (a cell over csv's field size limit) becomes a DataError naming
+    the physical line on which the row starts."""
+    start = records.line_num + 1
+    try:
+        return next(records, None)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {start}: {exc}") from None
+
+
 def parse_rows(path, header, records, columns, label_at, group_at, label_index):
     """Feature matrix of cells `columns` (in that order), labels of cell
     `label_at` (stripped, or mapped through `label_index`) and stripped group
@@ -154,7 +165,7 @@ def parse_rows(path, header, records, columns, label_at, group_at, label_index):
     """
     flat, labels, groups = [], [], []
     end = records.line_num
-    for row in records:
+    for row in iter(lambda: _next_row(path, records), None):
         lineno, end = end + 1, records.line_num
         if not row:
             continue
@@ -235,7 +246,7 @@ def read_table(path, locate, label_index=None):
     # is decoded again rather than kept, so no copy of it lives through the
     # bulk parse.
     records = csv.reader(lines if lines is not None else io.StringIO(_decode(path), newline=""))
-    first = next(records, None)
+    first = _next_row(path, records)
     if first is None:
         raise DataError(f"{path}: empty file, no header row")
     header = [h.strip() for h in first]

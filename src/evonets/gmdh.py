@@ -199,14 +199,16 @@ def _fit_weights(B, y, cfg: GmdhConfig, keys):
     W = np.stack([np.random.default_rng(derive_seed(cfg.seed, *key))
                   .uniform(-0.5, 0.5, size=(cfg.restarts, B.shape[-1])) for key in keys])
     Bt = np.swapaxes(B, -1, -2)
-    G = (Bt @ B)[:, None]   # shared by a key's restarts
-    c = (Bt @ y)[:, None]
-    step = cfg.learning_rate * (2.0 / y.shape[0])
-    for _ in range(cfg.epochs):
-        W -= step * ((G @ W[..., None])[..., 0] - c)
-    if not np.isfinite(W).all():
-        raise TrainingError("polynomial weights diverged; lower the learning rate")
-    sse = np.sum(((B[:, None] @ W[..., None])[..., 0] - y) ** 2, axis=-1)
+    # a diverging descent overflows; the weights are checked once, at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = (Bt @ B)[:, None]   # shared by a key's restarts
+        c = (Bt @ y)[:, None]
+        step = cfg.learning_rate * (2.0 / y.shape[0])
+        for _ in range(cfg.epochs):
+            W -= step * ((G @ W[..., None])[..., 0] - c)
+        if not np.isfinite(W).all():
+            raise TrainingError("polynomial weights diverged; lower the learning rate")
+        sse = np.sum(((B[:, None] @ W[..., None])[..., 0] - y) ** 2, axis=-1)
     return W[np.arange(len(keys)), [first_lowest(s) for s in sse]]
 
 

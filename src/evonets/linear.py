@@ -5,8 +5,8 @@ A linear machine keeps one weight vector per class over the augmented input
 algorithm: random example draws with the error-correction rule, remembering
 the weights that produced the longest run of correct classifications; the
 ratchet refinement replaces the pocket only when full training accuracy
-strictly improves, and a thermal correction size is available for
-non-separable data.
+strictly improves, and a thermal correction size, annealed by fixed
+constants, is available for non-separable data.
 
 Multi-class problems are decomposed one-vs-one: one threshold logic unit
 (TLU) per class pair, each trained on its own feature subset, combined with
@@ -26,9 +26,9 @@ from .dataset import Dataset
 from .errors import DataError, TrainingError
 
 __all__ = [
-    "CORRECTIONS", "PAIR_TRAINERS", "LinearMachine", "PocketState", "ThermalSchedule",
-    "LinearTest", "PairwiseTree", "LmdtConfig", "check_correction", "wta_classify",
-    "error_correct", "train_pocket_ratchet", "thermal_c", "thermal_correction",
+    "CORRECTIONS", "PAIR_TRAINERS", "LinearMachine", "PocketState", "LinearTest",
+    "PairwiseTree", "LmdtConfig", "check_correction", "error_correct",
+    "train_pocket_ratchet", "thermal_c", "thermal_correction",
     "sfs_select", "induce_dt", "train_pairwise_tree", "combine_pairwise",
     "aggregate_segments", "describe_linear_machine", "linear_machine_to_dot",
     "describe_pairwise_tree", "pairwise_tree_to_dot",
@@ -36,6 +36,15 @@ __all__ = [
 
 CORRECTIONS = ("fixed", "thermal")   # pocket correction sizes
 PAIR_TRAINERS = ("induce-dt", "sfs", "all-features")   # how a pair unit picks features
+
+# Thermal correction: c = beta / (beta + k^2), with k offset by epsilon. beta
+# starts at THERMAL_BETA and becomes a*beta - b whenever the summed weight
+# magnitude shrank on an epoch after growing on the one before; training
+# halts once beta is no longer positive.
+THERMAL_BETA = 2.0
+THERMAL_EPSILON = 0.11
+THERMAL_A = 0.99
+THERMAL_B = 0.01
 
 
 @dataclass(eq=False)
@@ -58,7 +67,12 @@ class LinearMachine:
         return self.weights.shape[0]
 
     def predict_classes(self, X):
-        return np.argmax(augment(X) @ self.weights.T, axis=1)
+        """Winner-take-all class per row; ties go to the lowest index."""
+        Xa = augment(X)
+        if Xa.shape[1] != self.weights.shape[1]:
+            raise DataError(f"expected {self.weights.shape[1] - 1} features, "
+                            f"got {Xa.shape[1] - 1}")
+        return np.argmax(Xa @ self.weights.T, axis=1)
 
 
 @dataclass
@@ -71,37 +85,6 @@ class PocketState:
     accuracy_trace: list = field(default_factory=list)
     run_length_trace: list = field(default_factory=list)
     epochs_run: int = 0
-
-
-@dataclass
-class ThermalSchedule:
-    """Annealed correction size c = beta / (beta + k^2).
-
-    beta starts at 2 and is reduced to a*beta - b whenever the summed weight
-    magnitude shrank on this epoch after growing on the previous one;
-    training halts once beta is no longer positive.
-    """
-
-    beta: float = 2.0
-    epsilon: float = 0.11
-    a: float = 0.99
-    b: float = 0.01
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise DataError("beta must start positive")
-        if self.epsilon <= 0.1:
-            raise DataError("epsilon must exceed 0.1")
-        if self.a <= 0 or self.b <= 0:
-            raise DataError("annealing constants must be positive")
-
-    def anneal(self, delta_now, delta_prev):
-        """Reduce beta when the weight-magnitude sum shrank on this step
-        after growing on the previous one. Returns False once beta has been
-        driven to zero or below, meaning training must halt."""
-        if delta_now < 0 and delta_prev > 0:
-            self.beta = self.a * self.beta - self.b
-        return self.beta > 0
 
 
 @dataclass(eq=False)
@@ -181,7 +164,6 @@ class LmdtConfig:
     use_ratchet: bool = True
     test_epochs: int = 25
     correction: str = "fixed"
-    thermal: ThermalSchedule = field(default_factory=ThermalSchedule)
     pair_trainer: str = "induce-dt"
     max_features: int | None = None
     attempts: int = 10
@@ -210,14 +192,6 @@ def check_correction(c, correction):
         raise DataError(f"unknown correction '{correction}'")
 
 
-def wta_classify(lm: LinearMachine, x):
-    """Winner-take-all class of one example; ties go to the lowest index."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (lm.weights.shape[1] - 1,):
-        raise DataError(f"expected {lm.weights.shape[1] - 1} features, got {x.shape}")
-    return int(lm.weights.dot(np.concatenate([[1.0], x])).argmax())
-
-
 def error_correct(lm: LinearMachine, x, true_class, predicted, c):
     """Move the true class's vector toward (1, x) and the mistaken
     prediction's away by the same amount; the vector sum is conserved."""
@@ -240,26 +214,19 @@ def thermal_c(beta, k):
     return beta / (beta + k * k)
 
 
-def thermal_correction(sched: ThermalSchedule, w_true, w_pred, x):
-    """Annealed correction size for one misclassified example.
+def thermal_correction(beta, w_true, w_pred, xa):
+    """Annealed correction size for one misclassified augmented input xa.
 
     k measures (half) the normalized score gap between the true and
-    predicted class on the augmented input, offset by epsilon; large gaps
-    yield small corrections so distant outliers stop destabilizing training.
+    predicted class, offset by THERMAL_EPSILON; large gaps yield small
+    corrections so distant outliers stop destabilizing training.
     """
-    return _thermal_amount(sched, np.asarray(w_true), np.asarray(w_pred),
-                           np.concatenate([[1.0], np.asarray(x, dtype=float)]))
-
-
-def _thermal_amount(sched, w_true, w_pred, xa):
-    """thermal_correction on the augmented input xa."""
-    k = float((w_true - w_pred) @ xa) / (2.0 * float(xa @ xa)) + sched.epsilon
-    return thermal_c(sched.beta, k)
+    k = float((w_true - w_pred) @ xa) / (2.0 * float(xa @ xa)) + THERMAL_EPSILON
+    return thermal_c(beta, k)
 
 
 def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
-                         seed=0, use_ratchet=True, correction="fixed",
-                         thermal: ThermalSchedule | None = None):
+                         seed=0, use_ratchet=True, correction="fixed"):
     """Pocket training: random draws with error correction, keeping the
     weights behind the longest correct run.
 
@@ -286,8 +253,6 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
     X = augment(train.features)
     y = train.labels
     W = lm.weights.astype(float).copy()
-    sched = ThermalSchedule(thermal.beta, thermal.epsilon, thermal.a, thermal.b) \
-        if thermal is not None else ThermalSchedule()
 
     def full_accuracy(weights):
         # an exact count over n: the same float as the mean of the hits
@@ -301,6 +266,7 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
     L = 0
     prev_mag = float(np.abs(W).sum())
     prev_delta = 0.0
+    beta = THERMAL_BETA
 
     thermal_step = correction == "thermal"
     rows = list(X)
@@ -315,7 +281,7 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
                 pred = W.dot(xa).argmax()
                 q = labels[i]
                 if pred != q:
-                    amount = _thermal_amount(sched, W[q], W[pred], xa) \
+                    amount = thermal_correction(beta, W[q], W[pred], xa) \
                         if thermal_step else c
                     _correct(W, xa, q, pred, amount)
                     L = 0
@@ -336,7 +302,9 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
             if thermal_step:
                 mag = float(np.abs(W).sum())
                 delta = mag - prev_mag
-                if not sched.anneal(delta, prev_delta):
+                if delta < 0 and prev_delta > 0:
+                    beta = THERMAL_A * beta - THERMAL_B
+                if not beta > 0:
                     break
                 prev_mag, prev_delta = mag, delta
             if use_ratchet and state.accuracy >= 1.0:
@@ -356,7 +324,7 @@ def _fit_test(train: Dataset, val: Dataset, features, cfg: LmdtConfig, seed) -> 
     lm, _ = train_pocket_ratchet(
         LinearMachine.zeros(2, len(features)), sub, epochs=cfg.test_epochs,
         c=cfg.c, seed=seed, use_ratchet=cfg.use_ratchet,
-        correction=cfg.correction, thermal=cfg.thermal)
+        correction=cfg.correction)
     with np.errstate(over="ignore"):
         w = lm.weights[1] - lm.weights[0]
     if not np.isfinite(w).all():

@@ -46,6 +46,8 @@ def check_descent(learning_rate, epochs, restarts):
     GmdhConfig and FnnConfig all call this."""
     if not learning_rate > 0:   # also refuses NaN
         raise DataError("learning_rate must be positive")
+    if not np.isfinite(learning_rate):
+        raise DataError("learning_rate must be finite")
     if epochs < 1:
         raise DataError("epochs must be at least 1")
     if restarts < 1:
@@ -253,4 +255,9 @@ def exterior_criterion(predict, validation_inputs, targets) -> CandidateScore:
     if y.size == 0:
         raise DataError("empty validation set")
     out = np.asarray(predict(validation_inputs), dtype=float)
-    return CandidateScore(float(np.sum((out - y) ** 2)), "exterior_criterion_sse")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse = float(np.sum((out - y) ** 2))
+    if not np.isfinite(sse):
+        raise TrainingError("held-out error of a fitted neuron is not finite; "
+                            "lower the learning rate")
+    return CandidateScore(sse, "exterior_criterion_sse")

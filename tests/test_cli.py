@@ -189,6 +189,20 @@ class TestRejectedSettings:
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", [
+        ("ecnn",), ("gmdh-layered", "--fit-method", "gradient"),
+        ("gmdh-layered", "--fit-method", "least-squares"), ("gmdh-roulette",), ("fnn",)],
+        ids=["ecnn", "gmdh-layered-gradient", "gmdh-layered-least-squares",
+             "gmdh-roulette", "fnn"])
+    @pytest.mark.parametrize("rate", ["inf", "1e400"])
+    def test_learning_rate_not_finite_rejected(self, method, rate, xor_csv, tmp_path,
+                                               capsys):
+        out = tmp_path / "m.json"
+        assert run("train", "--method", *method, f"--learning-rate={rate}",
+                   "--data", str(xor_csv), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "data error: learning_rate must be finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("c", ["0", "-1", "nan"])
     def test_c_not_positive_rejected_by_lm(self, c, blob_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -255,6 +269,31 @@ class TestPocketOverflow:
                        "--data", str(pocket_blob_csv), "--out", str(out)) == 0
             assert run("evaluate", "--model", str(out), "--data", str(pocket_blob_csv)) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestDescentDivergence:
+    """A learning rate that makes a gradient fit diverge exits 3 with one line
+    and writes no model, and lets no numpy warning through."""
+
+    @pytest.mark.parametrize("method, rate, message", [
+        ("gmdh-layered", "2", "polynomial weights diverged"),
+        ("gmdh-layered", "5", "held-out error of a fitted neuron is not finite"),
+        ("gmdh-roulette", "1e20", "polynomial weights diverged"),
+        ("fnn", "1e300", "every restart diverged"),
+    ])
+    def test_diverging_descent_is_a_training_error(self, method, rate, message, tmp_path,
+                                                   capsys):
+        data, out = tmp_path / "eeg.csv", tmp_path / "m.json"
+        assert run("generate", "surrogate-eeg", "--n", "300", "--relevant", "3",
+                   "--irrelevant", "5", "--seed", "2", "--out", str(data)) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--method", method, "--learning-rate", rate,
+                       "--data", str(data), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"training error: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -520,6 +559,16 @@ class TestCsvInput:
                                        'oops,0.2,"1', '"', ""]).encode())
         assert run(*self.verb_argv(verb, data, model, tmp_path)) == 2
         self.assert_one_line_data_error(capsys, "line 6, column 'x1': non-numeric value 'oops'")
+
+    @pytest.mark.parametrize("cell", ["1" * 200000, '"' + "a" * 200000 + '"'],
+                             ids=["plain", "quoted"])
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "extract-rules"])
+    def test_oversized_cell_exits_2(self, verb, cell, model, tmp_path, capsys):
+        # csv's field size limit stays; a cell over it names its line
+        data = tmp_path / "oversized.csv"
+        data.write_text(f"x1,x2,y\n1,2,0\n3,4,1\n{cell},5,0\n")
+        assert run(*self.verb_argv(verb, data, model, tmp_path)) == 2
+        self.assert_one_line_data_error(capsys, "oversized.csv: line 4: field larger than")
 
 
 class TestModelFile:

@@ -13,7 +13,8 @@ the former bodies of `linear.train_pocket_ratchet`, `neuron.sigmoid`,
 `neuron.least_squares_fit` and `baseline.train_fnn`, kept verbatim as the
 reference (apart from their names, the oracles they call, and a parameter
 that swaps in one part: the GMDH trainers' weight fitter, the threshold
-search's midpoint rule). The rewrites only drop repeated or unused work or
+search's midpoint rule). `ThermalSchedule` is the former
+`linear.ThermalSchedule` the pocket oracle anneals with. The rewrites only drop repeated or unused work or
 repeated code, or fit independent problems as one stack, so they must give
 bit-identical results: the same pocketed weights and traces, the same sigmoid bytes, nan
 and signed zero included, the same threshold bytes, polarity and error count,
@@ -50,13 +51,43 @@ from evonets.errors import DataError, TrainingError
 from evonets.gmdh import (KINDS, GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
                           _binary_targets, _fit_weights, count_candidates,
                           train_gmdh_layered, train_gmdh_roulette)
-from evonets.linear import (LinearMachine, PocketState, ThermalSchedule, thermal_c,
-                            train_pocket_ratchet)
+from evonets.linear import LinearMachine, PocketState, thermal_c, train_pocket_ratchet
 from evonets.modelio import ModelBundle, save_model
 from evonets.neuron import (SIGMOID_CLAMP, FitConfig, SigmoidNeuron, exterior_criterion,
                             fit_gradient, fit_loss, fit_neuron, least_squares_fit,
                             replace_weights, sigmoid)
 from evonets.ruletree import RuleNode, RuleTree, classify_rule, extract_rules, search_threshold
+
+
+@dataclass
+class ThermalSchedule:
+    """Annealed correction size c = beta / (beta + k^2).
+
+    beta starts at 2 and is reduced to a*beta - b whenever the summed weight
+    magnitude shrank on this epoch after growing on the previous one;
+    training halts once beta is no longer positive.
+    """
+
+    beta: float = 2.0
+    epsilon: float = 0.11
+    a: float = 0.99
+    b: float = 0.01
+
+    def __post_init__(self):
+        if self.beta <= 0:
+            raise DataError("beta must start positive")
+        if self.epsilon <= 0.1:
+            raise DataError("epsilon must exceed 0.1")
+        if self.a <= 0 or self.b <= 0:
+            raise DataError("annealing constants must be positive")
+
+    def anneal(self, delta_now, delta_prev):
+        """Reduce beta when the weight-magnitude sum shrank on this step
+        after growing on the previous one. Returns False once beta has been
+        driven to zero or below, meaning training must halt."""
+        if delta_now < 0 and delta_prev > 0:
+            self.beta = self.a * self.beta - self.b
+        return self.beta > 0
 
 
 def oracle_train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
@@ -205,11 +236,10 @@ class TestPocketOracle:
            data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
            epochs=st.one_of(st.none(), st.integers(1, 6)),
            c=st.sampled_from([0.05, 1.0, 3.0, 1e308]), use_ratchet=st.booleans(),
-           correction=st.sampled_from(["fixed", "thermal"]),
-           beta=st.sampled_from([0.02, 2.0]), warm=st.booleans())
+           correction=st.sampled_from(["fixed", "thermal"]), warm=st.booleans())
     def test_matches_oracle_on_random_problems(self, classes, n, features, data_seed,
                                                seed, epochs, c, use_ratchet,
-                                               correction, beta, warm):
+                                               correction, warm):
         rng = np.random.default_rng(data_seed)
         # a coarse grid makes exact score ties, which argmax breaks by index
         X = np.round(rng.standard_normal((n, features)), 1)
@@ -218,8 +248,22 @@ class TestPocketOracle:
         W0 = rng.standard_normal((classes, features + 1)) if warm \
             else np.zeros((classes, features + 1))
         kw = dict(epochs=epochs, c=c, seed=seed, use_ratchet=use_ratchet,
-                  correction=correction, thermal=ThermalSchedule(beta=beta))
+                  correction=correction)
         assert_matches_oracle(W0, ds, **kw)
+
+    @pytest.mark.parametrize("use_ratchet", [True, False])
+    @pytest.mark.parametrize("seed", [10, 17, 29])
+    def test_matches_oracle_through_annealing_halt(self, seed, use_ratchet):
+        # small overlapping blobs on which the default thermal constants
+        # drive beta to zero; without the ratchet these seeds halt that way
+        ds = gen_blobs(12, classes=2, seed=seed, spread=3.0)
+        kw = dict(epochs=3000, seed=seed, use_ratchet=use_ratchet, correction="thermal")
+        got = train_pocket_ratchet(LinearMachine.zeros(2, 2), ds, **kw)
+        want = oracle_train_pocket_ratchet(LinearMachine.zeros(2, 2), ds, **kw)
+        assert_same_pocket(got, want)
+        if not use_ratchet:
+            assert got[1].epochs_run < 3000
+            assert got[1].accuracy < 1.0
 
     def test_overflowing_pocket_raises_where_the_oracle_returns_inf(self):
         # c = 1e308 overflows a weight that a second correction of the same
@@ -894,9 +938,10 @@ def neuron_key(nrn):
 
 
 # Rows that matter: 7 keeps every sum short, 801 is the paper-width fitting
-# subset of eeg-grow. A rate of inf diverges on the first epoch.
+# subset of eeg-grow. A rate of 1e30 on inputs near 1e300 diverges on the
+# first epoch (a rate that is not finite is refused).
 ROWS = st.sampled_from([7, 8, 31, 801])
-RATES = st.sampled_from([0.1, 2.0, 40.0, float("inf")])
+RATES = st.sampled_from([0.1, 2.0, 40.0, 1e30])
 
 
 def descent_problem(data_seed, n, p, scale, single_class=False):
@@ -913,7 +958,7 @@ class TestStackedDescentOracle:
     @settings(max_examples=80, deadline=None)
     @given(data_seed=st.integers(0, 2**32 - 1), n=ROWS, p=st.integers(1, 8),
            restarts=st.integers(1, 5), epochs=st.integers(1, 25), rate=RATES,
-           scale=st.sampled_from([0.5, 3.0]), seed=st.integers(0, 2**32 - 1))
+           scale=st.sampled_from([0.5, 3.0, 1e300]), seed=st.integers(0, 2**32 - 1))
     def test_fit_neuron_matches_oracle(self, data_seed, n, p, restarts, epochs, rate,
                                        scale, seed):
         U, y = descent_problem(data_seed, n, p, scale)
@@ -942,7 +987,9 @@ class TestStackedDescentOracle:
             U[7, 0] = -np.inf
         if case == "one_row":
             U, y = U[:1], y[:1]
-        rate = float("inf") if case == "diverges" else 0.1
+        if case == "diverges":
+            U *= 1e300
+        rate = 1e30 if case == "diverges" else 0.1
         cfg = FitConfig(learning_rate=rate, epochs=5, restarts=restarts, seed=1)
         nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
         got = outcome(fit_neuron, nrn, U, y, cfg)
@@ -1002,8 +1049,10 @@ class TestStackedDescentOracle:
             X[3, 2] = np.inf
         if case == "one_row":
             X, y = X[:1], y[:1]
+        if case == "diverges":
+            X *= 1e300
         train = Dataset(X, y, train.feature_names, 2)
-        rate = float("inf") if case == "diverges" else 0.1
+        rate = 1e30 if case == "diverges" else 0.1
         cfg = FitConfig(learning_rate=rate, epochs=5, restarts=2, seed=0)
         got = outcome(cascade._fit_single_features, train, val, cfg)
         assert got == outcome(oracle_fit_single_features, train, val, cfg)
@@ -1174,7 +1223,9 @@ class TestLayerBatchedGmdh:
         assert got == outcome(oracle_train_gmdh_layered, train, val, cfg)
         assert got == outcome(lambda: oracle_train_gmdh_layered(
             train, val, cfg, fit_weights=gram_fit_weights))
-        assert got[1] is (DataError if first == "criterion" else TrainingError)
+        assert got[1:] == (TrainingError, "held-out error of a fitted neuron is not finite; "
+                           "lower the learning rate" if first == "criterion"
+                           else "polynomial weights diverged; lower the learning rate")
 
 
 def least_squares_stack(data_seed, n, q, elements):

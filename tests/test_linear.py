@@ -11,24 +11,29 @@ from evonets._util import derive_seed
 from evonets.dataset import Dataset, SplitSpec, gen_blobs, split
 from evonets.errors import DataError
 from evonets.linear import (LinearMachine, LmdtConfig, _fit_test,
-                            ThermalSchedule, aggregate_segments,
-                            combine_pairwise, error_correct, induce_dt,
-                            sfs_select, thermal_c, thermal_correction,
-                            train_pairwise_tree, train_pocket_ratchet,
-                            wta_classify)
+                            aggregate_segments, combine_pairwise,
+                            error_correct, induce_dt, sfs_select, thermal_c,
+                            thermal_correction, train_pairwise_tree,
+                            train_pocket_ratchet)
 
 QUICK = LmdtConfig(test_epochs=15, attempts=5, seed=0)
+
+
+def wta(lm, x):
+    """Winner-take-all class of one example, as a one-row matrix."""
+    (k,) = lm.predict_classes(np.asarray(x)[None, :])
+    return k
 
 
 class TestWta:
     def test_sign_of_single_feature(self):
         lm = LinearMachine(np.array([[0.0, 1.0], [0.0, -1.0]]))
-        assert wta_classify(lm, np.array([3.0])) == 0
-        assert wta_classify(lm, np.array([-3.0])) == 1
+        assert wta(lm, np.array([3.0])) == 0
+        assert wta(lm, np.array([-3.0])) == 1
 
     def test_all_identical_ties_to_class_zero(self):
         lm = LinearMachine(np.ones((3, 3)))
-        assert wta_classify(lm, np.array([0.5, -0.5])) == 0
+        assert wta(lm, np.array([0.5, -0.5])) == 0
 
     def test_common_increment_does_not_change_decision(self):
         rng = np.random.default_rng(0)
@@ -38,7 +43,7 @@ class TestWta:
         shifted = LinearMachine(W + delta)
         for _ in range(20):
             x = rng.normal(size=4)
-            assert wta_classify(lm, x) == wta_classify(shifted, x)
+            assert wta(lm, x) == wta(shifted, x)
 
     def test_positive_scaling_does_not_change_decision(self):
         rng = np.random.default_rng(1)
@@ -47,12 +52,12 @@ class TestWta:
         scaled = LinearMachine(2.7 * W)
         for _ in range(20):
             x = rng.normal(size=3)
-            assert wta_classify(lm, x) == wta_classify(scaled, x)
+            assert wta(lm, x) == wta(scaled, x)
 
     def test_length_mismatch(self):
         lm = LinearMachine(np.zeros((2, 3)))
         with pytest.raises(DataError):
-            wta_classify(lm, np.array([1.0]))
+            wta(lm, np.array([1.0]))
 
 
 class TestErrorCorrect:
@@ -115,8 +120,7 @@ class TestPocket:
     def test_thermal_mode_trains(self):
         ds = gen_blobs(120, classes=2, seed=9, spread=2.5)
         lm, state = train_pocket_ratchet(LinearMachine.zeros(2, 2), ds, epochs=30,
-                                         seed=10, correction="thermal",
-                                         thermal=ThermalSchedule())
+                                         seed=10, correction="thermal")
         assert state.accuracy >= 0.5
 
     @pytest.mark.parametrize("setting, message", [
@@ -158,30 +162,12 @@ class TestThermal:
         assert all(b <= a for a, b in zip(cs, cs[1:]))
 
     def test_full_formula(self):
-        sched = ThermalSchedule(beta=2.0, epsilon=0.11)
         w_true = np.array([0.0, 1.0])
         w_pred = np.array([0.0, -1.0])
-        x = np.array([2.0])
-        # k = (w_true - w_pred) . (1, x) / (2 (1, x).(1, x)) + eps = 4/10 + 0.11
+        xa = np.array([1.0, 2.0])
+        # k = (w_true - w_pred) . xa / (2 xa . xa) + eps = 4/10 + 0.11
         expect = 2.0 / (2.0 + 0.51**2)
-        assert thermal_correction(sched, w_true, w_pred, x) == pytest.approx(expect, abs=1e-12)
-
-    def test_epsilon_floor_enforced(self):
-        with pytest.raises(DataError):
-            ThermalSchedule(epsilon=0.05)
-
-    def test_anneal_fires_only_on_shrink_after_growth(self):
-        sched = ThermalSchedule(beta=2.0)
-        assert sched.anneal(+1.0, +1.0) and sched.beta == 2.0
-        assert sched.anneal(-1.0, -1.0) and sched.beta == 2.0
-        assert sched.anneal(-1.0, +1.0)
-        assert sched.beta == pytest.approx(0.99 * 2.0 - 0.01)
-
-    def test_anneal_signals_halt_at_zero_beta(self):
-        # one trigger drives beta to 0.5*0.015 - 0.01 < 0, which must halt
-        sched = ThermalSchedule(beta=0.015, a=0.5, b=0.01)
-        assert sched.anneal(-1.0, +1.0) is False
-        assert sched.beta <= 0
+        assert thermal_correction(2.0, w_true, w_pred, xa) == pytest.approx(expect, abs=1e-12)
 
 
 def informative_pair_dataset(seed, n=240, noise=8):

@@ -177,6 +177,12 @@ class TestExteriorCriterion:
         with pytest.raises(DataError):
             exterior_criterion(lambda X: [], None, [])
 
+    @pytest.mark.parametrize("out", [[1e200, 0.0], [np.inf, 0.0], [np.nan, 0.0]])
+    def test_non_finite_error_is_a_training_error(self, out):
+        # a diverged fit's outputs square past a float: a failed fit, not bad data
+        with pytest.raises(TrainingError, match="held-out error .* is not finite"):
+            exterior_criterion(lambda X: np.array(out), None, np.array([0.0, 1.0]))
+
     def test_negative_score_rejected(self):
         with pytest.raises(DataError):
             CandidateScore(-0.1, "exterior_criterion_sse")

@@ -1,5 +1,6 @@
 """The public API: every exported name resolves, and removed names stay gone."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -17,6 +18,7 @@ REMOVED = {
     "dataset": ["xor_label"],
     "cascade": ["predict_cascade"],
     "gmdh": ["predict_poly", "eval_supporting_neuron"],
+    "linear": ["ThermalSchedule", "wta_classify"],
 }
 
 
@@ -39,3 +41,11 @@ def test_load_csv_takes_only_path_and_label_column():
     # the stored-label-order parameter is gone; the evaluation reader applies a
     # model's label mapping
     assert list(inspect.signature(evonets.load_csv).parameters) == ["path", "label_column"]
+
+
+def test_pocket_thermal_constants_are_not_settable():
+    # the thermal schedule is four module constants; neither the pocket trainer
+    # nor the linear-machine config takes a schedule
+    assert list(inspect.signature(evonets.train_pocket_ratchet).parameters) == [
+        "lm", "train", "epochs", "c", "seed", "use_ratchet", "correction"]
+    assert "thermal" not in {f.name for f in dataclasses.fields(evonets.LmdtConfig)}
