@@ -1,5 +1,5 @@
-"""Small shared helpers: deterministic seed derivation, input augmentation and
-the restart pick."""
+"""Small shared helpers: deterministic seed derivation, input augmentation,
+the restart pick and the chunking of descent stacks."""
 
 import numpy as np
 
@@ -17,9 +17,13 @@ def derive_seed(seed, *key):
 
 
 def augment(X):
-    """Prepend the constant input x0 = 1 to each row of X."""
+    """Prepend the constant input x0 = 1 to each row of X, or to each row of
+    every matrix in a stack (..., n, m)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.column_stack([np.ones(X.shape[0]), X])
+    Xa = np.empty(X.shape[:-1] + (X.shape[-1] + 1,))
+    Xa[..., 0] = 1.0
+    Xa[..., 1:] = X
+    return Xa
 
 
 def first_lowest(values):
@@ -31,3 +35,19 @@ def first_lowest(values):
         if values[i] < values[best]:
             best = i
     return best
+
+
+# Every stack of independent descents (fit_neuron's restarts, ecnn's ranking
+# columns, GMDH candidates, FNN restarts) is descended in chunks whose per-row
+# temporaries hold at most this many float64 elements (256 KiB each), so
+# memory does not grow with --restarts. The elements are independent, so the
+# chunking changes no bit.
+STACK_ELEMENTS = 1 << 15
+
+
+def stack_chunks(count, per_element):
+    """Consecutive slices covering range(count), each taking as many stack
+    elements as fit in STACK_ELEMENTS at per_element elements each (at least
+    one)."""
+    step = max(1, STACK_ELEMENTS // max(1, per_element))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import derive_seed, first_lowest
+from ._util import derive_seed, first_lowest, stack_chunks
 from .errors import DataError
 from .neuron import FitConfig, SigmoidNeuron, descend, fit_data, fit_neuron, sigmoid
 
@@ -88,18 +88,21 @@ def _fit_single_features(train, val, cfg):
 
     Column j's neuron is the one fit_neuron gives with seed
     derive_seed(cfg.seed, 0, j), but all columns and their restarts are
-    descended together as one (columns, restarts) stack.
+    descended together as one stack of (column, restart) elements, in chunks
+    of at most STACK_ELEMENTS per-row elements.
     """
-    m = train.n_features
+    m, r = train.n_features, cfg.restarts
     # the checks the per-column fit_neuron calls made, in their order: column 0
     # goes through all of them, and a later column can only add non-finite values
     fit_data(train.features[:, :1], train.labels, 1)
     X, y = fit_data(train.features, train.labels, m)
     XT = np.ascontiguousarray(X.T)
-    W = np.stack([np.random.default_rng(derive_seed(cfg.seed, 0, j))
-                  .uniform(-0.5, 0.5, size=(cfg.restarts, 2)) for j in range(m)])
-    sse = descend(W, XT[:, None, :, None], y, cfg)
-    W = W[np.arange(m), [first_lowest(s) for s in sse]]
+    W = np.concatenate([np.random.default_rng(derive_seed(cfg.seed, 0, j))
+                        .uniform(-0.5, 0.5, size=(r, 2)) for j in range(m)])
+    sse = np.empty(m * r)
+    for s in stack_chunks(m * r, y.shape[0]):   # element e fits column e // r
+        sse[s] = descend(W[s], XT[np.arange(s.start, s.stop) // r, :, None], y, cfg)
+    W = W.reshape(m, r, 2)[np.arange(m), [first_lowest(e) for e in sse.reshape(m, r)]]
     sv = sigmoid(W[:, :1] + val.features.T * W[:, 1:])
     errs = np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels, axis=1)
     singles = [(float(errs[j]), SigmoidNeuron((("x", j),), W[j])) for j in range(m)]

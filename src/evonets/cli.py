@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import hashlib
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -113,6 +116,22 @@ def _parse_fractions(text):
     if len(fractions) != 2:
         raise UsageError("--split needs exactly two fractions, e.g. 2/3:1/3")
     return tuple(fractions)
+
+
+def _check_out(path):
+    """Refuse an --out that cannot be written before any work is done: an
+    existing directory, or a path whose parent is missing or no directory.
+    The error is the one the write would raise."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            parent = os.stat(os.path.dirname(path) or ".")
+            code = None if stat.S_ISDIR(parent.st_mode) else errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _sha256(path):
@@ -401,6 +420,8 @@ def main(argv=None):
             raise UsageError("a command is required")
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise DataError("seed must be non-negative")
+        if args.out is not None:   # every command has --out, optional in some
+            _check_out(args.out)
         handler = {
             "generate": cmd_generate,
             "train": cmd_train,

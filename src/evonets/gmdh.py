@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import derive_seed, first_lowest
+from ._util import derive_seed, first_lowest, stack_chunks
 from .errors import DataError, TrainingError
 from .neuron import check_descent, exterior_criterion, least_squares_fit
 
@@ -191,8 +191,9 @@ def _fit_weights(B, y, cfg: GmdhConfig, keys):
     another order, so its weights differ from that descent's in the last
     bits. All keys and restarts descend together as one stack; a stacked
     matmul runs the same BLAS call on each element as `G @ w` does, so each
-    fit is bit-identical to one made alone. Least squares has no starts and
-    derives no seed.
+    fit is bit-identical to one made alone. The sum-squared errors, which
+    pass over the rows, are taken in chunks of at most STACK_ELEMENTS
+    per-row elements. Least squares has no starts and derives no seed.
     """
     if cfg.method == "least_squares":
         return least_squares_fit(B, y)
@@ -208,8 +209,13 @@ def _fit_weights(B, y, cfg: GmdhConfig, keys):
             W -= step * ((G @ W[..., None])[..., 0] - c)
         if not np.isfinite(W).all():
             raise TrainingError("polynomial weights diverged; lower the learning rate")
-        sse = np.sum(((B[:, None] @ W[..., None])[..., 0] - y) ** 2, axis=-1)
-    return W[np.arange(len(keys)), [first_lowest(s) for s in sse]]
+        r, q = cfg.restarts, B.shape[-1]
+        Wf = W.reshape(-1, q)   # element e is restart e % r of key e // r
+        sse = np.empty(len(Wf))
+        for s in stack_chunks(len(Wf), y.shape[0] * q):   # a chunk gathers its designs
+            Be = B[np.arange(s.start, s.stop) // r]
+            sse[s] = np.sum(((Be @ Wf[s, :, None])[..., 0] - y) ** 2, axis=-1)
+    return W[np.arange(len(keys)), [first_lowest(e) for e in sse.reshape(-1, r)]]
 
 
 # Layered growth fits a layer's candidates this many at a time, as one

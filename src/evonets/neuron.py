@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import first_lowest
+from ._util import first_lowest, stack_chunks
 from .errors import DataError, TrainingError
 
 SIGMOID_CLAMP = 1e-12
@@ -34,10 +34,19 @@ def sigmoid(z):
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     # e = exp(-|z|), so z >= 0 gets 1 / (1 + exp(-z)) and z < 0 gets
-    # exp(z) / (1 + exp(z)); minimum keeps a nan's sign where -abs would not
-    e = np.exp(np.minimum(z, -z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    out = np.clip(out, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    # exp(z) / (1 + exp(z)); minimum keeps a nan's sign where -abs would not.
+    # As e lies in [0, 1], the numerator max(e, z >= 0) is exactly 1 for
+    # z >= 0 and e (a nan's own bits too) otherwise: np.where's choice
+    # without its branch per element. The steps run in place on two
+    # temporaries; the clamp is np.clip's maximum-then-minimum.
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
+    np.maximum(out, SIGMOID_CLAMP, out=out)
+    np.minimum(out, 1.0 - SIGMOID_CLAMP, out=out)
     return float(out[0]) if scalar else out
 
 
@@ -132,7 +141,13 @@ def fit_gradient(weights, inputs, targets):
     """
     weights = np.asarray(weights, dtype=float)
     out = _outputs(weights, inputs)
-    common = 2.0 * (out - targets) * out * (1.0 - out) / targets.shape[0]
+    # common = 2 (out - y) out (1 - out) / n, built in place in that order
+    common = out - targets
+    common *= 2.0
+    common *= out
+    np.subtract(1.0, out, out=out)
+    common *= out
+    common /= targets.shape[0]
     g = np.empty_like(weights)
     g[..., 0] = common.sum(axis=-1)
     g[..., 1:] = (np.swapaxes(inputs, -1, -2) @ common[..., None])[..., 0]
@@ -140,7 +155,9 @@ def fit_gradient(weights, inputs, targets):
 
 
 def _outputs(weights, inputs):
-    return sigmoid(weights[..., :1] + (inputs @ weights[..., 1:, None])[..., 0])
+    s = (inputs @ weights[..., 1:, None])[..., 0]
+    s += weights[..., :1]
+    return sigmoid(s)
 
 
 def fit_data(inputs, targets, p):
@@ -167,7 +184,9 @@ def descend(weights, inputs, targets, cfg: FitConfig):
     more). Returns each element's training sum-squared error; raises when any
     element diverged."""
     for _ in range(cfg.epochs):
-        weights -= cfg.learning_rate * fit_gradient(weights, inputs, targets)
+        g = fit_gradient(weights, inputs, targets)
+        g *= cfg.learning_rate
+        weights -= g
     if not np.isfinite(weights).all():
         raise TrainingError("weights diverged to non-finite values")
     return fit_loss(weights, inputs, targets) * targets.shape[0]
@@ -179,13 +198,15 @@ def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> Sigmoi
     Runs cfg.restarts descents from weights drawn uniformly in [-0.5, 0.5]
     and keeps the first restart with the strictly lowest training
     sum-squared error; deterministic for a fixed cfg.seed. The restarts are
-    descended together as one (cfg.restarts, p+1) stack, each one
-    bit-identical to a descent of its own.
+    descended together as a (cfg.restarts, p+1) stack, in chunks of at most
+    STACK_ELEMENTS per-row elements, each one bit-identical to a descent of
+    its own.
     """
     U, y = fit_data(inputs, targets, neuron.p)
     rng = np.random.default_rng(cfg.seed)
     W = rng.uniform(-0.5, 0.5, size=(cfg.restarts, neuron.p + 1))
-    sse = descend(W, U, y, cfg)
+    sse = np.concatenate([descend(W[s], U, y, cfg)
+                          for s in stack_chunks(cfg.restarts, y.shape[0])])
     return replace_weights(neuron, W[first_lowest(sse)])
 
 

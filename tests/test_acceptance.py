@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evonets._util import augment
 from evonets.baseline import FnnConfig, fnn_gradients, fnn_loss, train_fnn
 from evonets.cascade import train_ecnn
 from evonets.cli import main
@@ -292,7 +293,7 @@ class TestC10GradientChecks:
 
     def test_backprop_gradient_against_central_differences(self):
         rng = np.random.default_rng(13)
-        X = rng.uniform(-1, 1, size=(10, 2))
+        X = augment(rng.uniform(-1, 1, size=(10, 2)))   # both take augmented rows
         T = rng.integers(0, 2, size=(10, 1)).astype(float)
         h = 1e-6
         for _ in range(20):

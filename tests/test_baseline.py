@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evonets._util import augment
 from evonets.baseline import FnnConfig, FnnModel, fnn_gradients, fnn_loss, train_fnn
 from evonets.dataset import SplitSpec, gen_blobs, gen_xor, split
 from evonets.errors import DataError
@@ -11,7 +12,7 @@ from evonets.errors import DataError
 class TestGradients:
     def test_backprop_matches_central_differences(self):
         rng = np.random.default_rng(6)
-        X = rng.uniform(-1, 1, size=(12, 3))
+        X = augment(rng.uniform(-1, 1, size=(12, 3)))   # both take augmented rows
         T = rng.integers(0, 2, size=(12, 1)).astype(float)
         for _ in range(20):
             w_hid = rng.uniform(-1, 1, size=(2, 4))

@@ -97,6 +97,48 @@ class TestGenerate:
         assert "data error" in capsys.readouterr().err
 
 
+class TestUnwritableOut:
+    """An --out that is a directory, or whose parent is missing or a file,
+    exits 2 with the error the write would give, before any input is read
+    or any work done, and prints nothing on stdout."""
+
+    @pytest.fixture
+    def model(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert run("train", "--method", "lm", "--epochs", "40", "--data", str(xor_csv),
+                   "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent", "file parent"])
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "export", "extract-rules",
+                                      "generate"])
+    def test_refused_before_any_work(self, verb, where, model, xor_csv, tmp_path, capsys,
+                                     monkeypatch):
+        from evonets import cli
+
+        (tmp_path / "file").write_text("")
+        out = {"directory": tmp_path, "missing parent": tmp_path / "no" / "out",
+               "file parent": tmp_path / "file" / "out"}[where]
+        with pytest.raises(OSError) as write_error:
+            out.write_text("")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read before --out was checked")
+
+        for name in ("load_csv", "load_model", "gen_surrogate_eeg"):
+            monkeypatch.setattr(cli, name, refuse)
+        argv = {
+            "train": ("train", "--method", "ecnn", "--data", str(xor_csv)),
+            "evaluate": ("evaluate", "--model", str(model), "--data", str(xor_csv)),
+            "export": ("export", "--model", str(model), "--format", "text"),
+            "extract-rules": ("extract-rules", "--model", str(model), "--data", str(xor_csv)),
+            "generate": ("generate", "surrogate-eeg", "--n", "40"),
+        }[verb]
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"data error: {write_error.value}\n")
+
+
 class TestTrain:
     def test_gmdh_on_xor_reports_low_error(self, xor_csv, tmp_path, capsys):
         model = tmp_path / "m.json"

@@ -1,26 +1,32 @@
 """Rewritten kernels against the code they replaced.
 
-`oracle_train_pocket_ratchet`, `oracle_sigmoid`, `oracle_search_threshold`,
-`oracle_predict_classes`, `oracle_train_gmdh_layered`,
-`oracle_train_gmdh_roulette`, `oracle_pruned`, `oracle_fit_loss`,
-`oracle_fit_gradient`, `oracle_fit_neuron`, `oracle_fit_single_features`,
-`oracle_fit_weights`, `oracle_least_squares_fit` and `oracle_train_fnn` are
-the former bodies of `linear.train_pocket_ratchet`, `neuron.sigmoid`,
-`ruletree.search_threshold`, `ruletree.RuleTree.predict_classes`,
-`gmdh.train_gmdh_layered`, `gmdh.train_gmdh_roulette`, `gmdh._pruned`,
-`neuron.fit_loss`, `neuron.fit_gradient`, `neuron.fit_neuron`,
-`cascade._fit_single_features`, `gmdh._fit_weights`,
-`neuron.least_squares_fit` and `baseline.train_fnn`, kept verbatim as the
-reference (apart from their names, the oracles they call, and a parameter
-that swaps in one part: the GMDH trainers' weight fitter, the threshold
-search's midpoint rule). `ThermalSchedule` is the former
-`linear.ThermalSchedule` the pocket oracle anneals with. The rewrites only drop repeated or unused work or
+`oracle_train_pocket_ratchet`, `oracle_augment`, `oracle_sigmoid`,
+`oracle_search_threshold`, `oracle_predict_classes`,
+`oracle_train_gmdh_layered`, `oracle_train_gmdh_roulette`, `oracle_pruned`,
+`oracle_fit_loss`, `oracle_fit_gradient`, `oracle_fit_neuron`,
+`oracle_fit_single_features`, `oracle_fit_weights`,
+`oracle_least_squares_fit`, `oracle_fnn_forward`,
+`oracle_fnn_predict_classes`, `oracle_fnn_gradients` and `oracle_train_fnn`
+are the former bodies of `linear.train_pocket_ratchet`, `_util.augment`,
+`neuron.sigmoid`, `ruletree.search_threshold`,
+`ruletree.RuleTree.predict_classes`, `gmdh.train_gmdh_layered`,
+`gmdh.train_gmdh_roulette`, `gmdh._pruned`, `neuron.fit_loss`,
+`neuron.fit_gradient`, `neuron.fit_neuron`, `cascade._fit_single_features`,
+`gmdh._fit_weights`, `neuron.least_squares_fit`, `FnnModel.forward`,
+`FnnModel.predict_classes`, `baseline.fnn_gradients` and
+`baseline.train_fnn`, kept verbatim as the reference (apart from their
+names, the oracles they call, and a parameter that swaps in one part: the
+GMDH trainers' weight fitter, the threshold search's midpoint rule). The
+oracles call no library function that a rewrite here replaced.
+`ThermalSchedule` is the former `linear.ThermalSchedule` the pocket oracle
+anneals with. The rewrites only drop repeated or unused work or
 repeated code, or fit independent problems as one stack, so they must give
 bit-identical results: the same pocketed weights and traces, the same sigmoid bytes, nan
 and signed zero included, the same threshold bytes, polarity and error count,
 the same rule-tree labels, the same fitted weights, feature rankings and
 errors, the same feed-forward weights and divergence error, and the same
-saved cascade and polynomial-network model files. `train_fnn` no longer
+saved cascade and polynomial-network model files, also when a stack is
+descended in chunks (`TestStackChunks`). `train_fnn` no longer
 records a per-epoch training curve, so the curve's properties are checked
 on the oracle's.
 
@@ -42,9 +48,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evonets import cascade, gmdh
-from evonets._util import augment, derive_seed
-from evonets.baseline import FnnConfig, FnnModel, _targets, fnn_gradients, train_fnn
+from evonets import baseline, cascade, gmdh, neuron
+from evonets._util import STACK_ELEMENTS, derive_seed, stack_chunks
+from evonets.baseline import FnnConfig, FnnModel, _targets, train_fnn
 from evonets.dataset import (Dataset, NormParams, SplitSpec, gen_blobs, gen_surrogate_eeg,
                              split)
 from evonets.errors import DataError, TrainingError
@@ -113,7 +119,7 @@ def oracle_train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, 
         epochs = n
     if epochs < 1:
         raise DataError("need at least 1 epoch")
-    X = augment(train.features)
+    X = oracle_augment(train.features)
     y = train.labels
     W = lm.weights.astype(float).copy()
     sched = ThermalSchedule(thermal.beta, thermal.epsilon, thermal.a, thermal.b) \
@@ -165,6 +171,12 @@ def oracle_train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, 
         if use_ratchet and state.accuracy >= 1.0:
             break   # the ratchet can never replace a perfect pocket
     return LinearMachine(state.weights.copy()), state
+
+
+def oracle_augment(X):
+    """Prepend the constant input x0 = 1 to each row of X."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.column_stack([np.ones(X.shape[0]), X])
 
 
 def oracle_sigmoid(z):
@@ -860,13 +872,13 @@ class TestGmdhOracle:
 
 def oracle_fit_loss(weights, inputs, targets):
     """Mean squared error of the sigmoid output over the rows of `inputs`."""
-    out = sigmoid(weights[0] + inputs @ weights[1:])
+    out = oracle_sigmoid(weights[0] + inputs @ weights[1:])
     return float(np.mean((out - targets) ** 2))
 
 
 def oracle_fit_gradient(weights, inputs, targets):
     """Analytic gradient of fit_loss with respect to the weights."""
-    out = sigmoid(weights[0] + inputs @ weights[1:])
+    out = oracle_sigmoid(weights[0] + inputs @ weights[1:])
     common = 2.0 * (out - targets) * out * (1.0 - out) / targets.shape[0]
     g = np.empty_like(np.asarray(weights, dtype=float))
     g[0] = common.sum()
@@ -917,7 +929,7 @@ def oracle_fit_single_features(train, val, cfg):
         nrn = SigmoidNeuron((("x", j),))
         fitted = oracle_fit_neuron(nrn, train.features[:, [j]], train.labels,
                                    replace(cfg, seed=derive_seed(cfg.seed, 0, j)))
-        sv = sigmoid(fitted.weights[0] + val.features[:, j] * fitted.weights[1])
+        sv = oracle_sigmoid(fitted.weights[0] + val.features[:, j] * fitted.weights[1])
         err = float(np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels))
         singles.append((err, fitted))
     order = tuple(sorted(range(train.n_features), key=lambda j: (singles[j][0], j)))
@@ -1286,6 +1298,34 @@ class TrainingCurve:
     best_epoch: int
 
 
+def oracle_fnn_forward(hidden_w, output_w, X):
+    """Former FnnModel.forward: output activations on the rows of X."""
+    H = oracle_sigmoid(oracle_augment(X) @ hidden_w.T)
+    return oracle_sigmoid(oracle_augment(H) @ output_w.T)
+
+
+def oracle_fnn_predict_classes(hidden_w, output_w, X):
+    """Former FnnModel.predict_classes, at its threshold of 0.5."""
+    out = oracle_fnn_forward(hidden_w, output_w, X)
+    if out.shape[1] == 1:
+        return (out[:, 0] >= 0.5).astype(int)
+    return np.argmax(out, axis=1)
+
+
+def oracle_fnn_gradients(hidden_w, output_w, X, T):
+    """Backpropagated gradients of fnn_loss for both weight matrices."""
+    Xa = oracle_augment(X)
+    H = oracle_sigmoid(Xa @ hidden_w.T)
+    Ha = oracle_augment(H)
+    O = oracle_sigmoid(Ha @ output_w.T)
+    n = X.shape[0]
+    d_out = 2.0 * (O - T) * O * (1.0 - O) / n
+    g_out = d_out.T @ Ha
+    d_hid = (d_out @ output_w[:, 1:]) * H * (1.0 - H)
+    g_hid = d_hid.T @ Xa
+    return g_hid, g_out
+
+
 def oracle_train_fnn(train, val, hidden, cfg: FnnConfig = FnnConfig()):
     """Batch gradient descent with early stopping at the validation minimum.
 
@@ -1310,11 +1350,12 @@ def oracle_train_fnn(train, val, hidden, cfg: FnnConfig = FnnConfig()):
         rng = np.random.default_rng(derive_seed(cfg.seed, restart))
         w_hid = rng.uniform(-0.5, 0.5, size=(hidden, m + 1))
         w_out = rng.uniform(-0.5, 0.5, size=(out_units, hidden + 1))
-        model = FnnModel(w_hid, w_out, r)
 
         def errors():
-            e_tr = float(np.mean(model.predict_classes(train.features) != train.labels))
-            e_va = float(np.mean(model.predict_classes(val.features) != val.labels))
+            e_tr = float(np.mean(oracle_fnn_predict_classes(w_hid, w_out, train.features)
+                                 != train.labels))
+            e_va = float(np.mean(oracle_fnn_predict_classes(w_hid, w_out, val.features)
+                                 != val.labels))
             return e_tr, e_va
 
         e_tr, e_va = errors()
@@ -1323,7 +1364,7 @@ def oracle_train_fnn(train, val, hidden, cfg: FnnConfig = FnnConfig()):
         snapshot = (w_hid.copy(), w_out.copy())
         failed = False
         for epoch in range(1, cfg.max_epochs + 1):
-            g_hid, g_out = fnn_gradients(w_hid, w_out, train.features, T_tr)
+            g_hid, g_out = oracle_fnn_gradients(w_hid, w_out, train.features, T_tr)
             w_hid -= cfg.learning_rate * g_hid
             w_out -= cfg.learning_rate * g_out
             if not (np.isfinite(w_hid).all() and np.isfinite(w_out).all()):
@@ -1410,3 +1451,76 @@ class TestFnnOracle:
         assert err == curve.val_errors[curve.best_epoch]
         assert curve.best_epoch == int(np.argmin(curve.val_errors))   # the first minimum
         assert err <= curve.val_errors[-1]
+
+
+def chunks_of(k):
+    """`_util.stack_chunks` with a fixed k stack elements per chunk."""
+    return lambda count, per_element: [slice(i, min(i + k, count)) for i in range(0, count, k)]
+
+
+class TestStackChunks:
+    """Stacks descended in chunks against the per-fit oracles: chunking must
+    not change a bit, also where a chunk boundary splits the restarts of one
+    column, key or net, and a diverging element raises the oracle's error."""
+
+    def test_chunks_cover_the_stack_within_the_budget(self):
+        budget = STACK_ELEMENTS
+        for count in (1, 5, 100):
+            for per_element in (1, 7, budget // 3, budget, budget * 5):
+                chunks = stack_chunks(count, per_element)
+                assert [i for s in chunks for i in range(s.start, s.stop)] == list(range(count))
+                assert all(s.stop > s.start for s in chunks)
+                assert all((s.stop - s.start) * per_element <= budget
+                           for s in chunks if s.stop - s.start > 1)
+                assert all((s.stop - s.start + 1) * per_element > budget
+                           for s in chunks[:-1])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scale, rate", [(1.0, 2.0), (1e300, 1e30)])
+    def test_fit_neuron(self, k, scale, rate, monkeypatch):
+        U, y = descent_problem(11, 31, 3, scale)
+        cfg = FitConfig(learning_rate=rate, epochs=10, restarts=5, seed=6)
+        nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
+        want = outcome(oracle_fit_neuron, nrn, U, y, cfg)
+        monkeypatch.setattr(neuron, "stack_chunks", chunks_of(k))
+        got = outcome(fit_neuron, nrn, U, y, cfg)
+        if want[0] == "ok":
+            assert got[0] == "ok" and neuron_key(got[1]) == neuron_key(want[1])
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_ranking(self, k, monkeypatch):
+        train, val = ranking_data(12, 31, 10, 4, constant=True, twin=True)
+        cfg = FitConfig(learning_rate=2.0, epochs=15, restarts=3, seed=7)
+        want = outcome(oracle_fit_single_features, train, val, cfg)
+        monkeypatch.setattr(cascade, "stack_chunks", chunks_of(k))
+        assert ranking_key(outcome(cascade._fit_single_features, train, val, cfg)) == \
+            ranking_key(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_fit_weights(self, k, monkeypatch):
+        XA, yA = descent_problem(13, 31, 4, 1.0)
+        cfg = GmdhConfig(epochs=20, restarts=3, seed=8)
+        pairs = [(0, 1), (1, 3), (2, 3)]
+        B = np.stack([_basis("bilinear", [XA[:, a], XA[:, b]]) for a, b in pairs])
+        want = np.stack([gram_fit_weights("bilinear", [XA[:, a], XA[:, b]], yA, cfg,
+                                          derive_seed(8, 1, ci)) for ci, (a, b) in enumerate(pairs)])
+        monkeypatch.setattr(gmdh, "stack_chunks", chunks_of(k))
+        got = _fit_weights(B, yA, cfg, [(1, ci) for ci in range(len(pairs))])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", list(FNN_CASES))
+    def test_fnn(self, case, k, monkeypatch):
+        data_seed, classes, hidden, cfg = FNN_CASES[case]
+        tr, va = fnn_data(data_seed, classes)
+        want = outcome(oracle_train_fnn, tr, va, hidden, cfg)
+        monkeypatch.setattr(baseline, "stack_chunks", chunks_of(k))
+        got = outcome(train_fnn, tr, va, hidden, cfg)
+        if want[0] != "ok":
+            assert got == want
+            return
+        model, w_model = got[1], want[1][0]
+        assert model.hidden_weights.tobytes() == w_model.hidden_weights.tobytes()
+        assert model.output_weights.tobytes() == w_model.output_weights.tobytes()

@@ -55,18 +55,24 @@ def traced_train(tmp_path, data, runs):
     return tracer, tracer.layer_metrics(t.spans, t.counts)
 
 
-def test_every_heavy_growth_layer_is_recorded(tmp_path):
-    # The traced benchmark fails when a layer it lists as heavy on eeg-grow
-    # reads 0 there. Train each eeg-grow learner small through cli.main with
-    # the tracer on, so that a change that stops calling one of the wrapped
-    # fitters (fit_neuron, fit_gradient, _fit_single_features,
-    # least_squares_fit, exterior_criterion, ...) fails here too.
+def eeg_csv(tmp_path):
+    """A 6-feature surrogate-EEG table of 240 rows."""
     from evonets import cli
 
     data = tmp_path / "eeg.csv"
     assert cli.main(["generate", "surrogate-eeg", "--n", "240", "--relevant", "3",
                      "--irrelevant", "3", "--separation", "1.5", "--seed", "4",
                      "--out", str(data)]) == 0
+    return data
+
+
+def test_every_heavy_growth_layer_is_recorded(tmp_path):
+    # The traced benchmark fails when a layer it lists as heavy on eeg-grow
+    # reads 0 there. Train each eeg-grow learner small through cli.main with
+    # the tracer on, so that a change that stops calling one of the wrapped
+    # fitters (fit_neuron, fit_gradient, _fit_single_features,
+    # least_squares_fit, exterior_criterion, ...) fails here too.
+    data = eeg_csv(tmp_path)
     runs = {
         "ecnn": ("--method", "ecnn", "--epochs", "60", "--restarts", "2",
                  "--learning-rate", "2.0"),
@@ -80,6 +86,28 @@ def test_every_heavy_growth_layer_is_recorded(tmp_path):
     tracer, metrics = traced_train(tmp_path, data, runs)
     unrecorded = [k for k in tracer.HEAVY["eeg-grow"] if not metrics[k] > 0]
     assert unrecorded == [], f"heavy eeg-grow layers never recorded: {unrecorded}"
+
+
+def test_work_counts_match_the_work_done(tmp_path):
+    # A batched kernel can change how often a wrapped function runs without
+    # any layer reading 0. Pin the counts to the work: ecnn walks one
+    # candidate per feature after the anchor, and descends once for the
+    # ranking and once per candidate, one fit_gradient call per epoch each
+    # (every stack here is one chunk); fnn calls fnn_gradients once per
+    # epoch for all its restarts, and with patience past the last epoch it
+    # runs them all.
+    data = eeg_csv(tmp_path)
+    features, epochs, fnn_epochs = 6, 60, 30
+    runs = {
+        "ecnn": ("--method", "ecnn", "--epochs", str(epochs), "--restarts", "2",
+                 "--learning-rate", "2.0"),
+        "fnn": ("--method", "fnn", "--epochs", str(fnn_epochs), "--restarts", "3",
+                "--patience", str(fnn_epochs + 1)),
+    }
+    _, metrics = traced_train(tmp_path, data, runs)
+    assert metrics["cascade.candidates"] == features - 1
+    assert metrics["neuron.gradient_steps"] == epochs * (1 + (features - 1))
+    assert metrics["baseline.fnn_gradients.calls"] == fnn_epochs
 
 
 def test_every_heavy_pocket_layer_is_recorded(tmp_path):
