@@ -20,8 +20,7 @@ from .errors import DataError
 from .neuron import FitConfig, SigmoidNeuron, descend, fit_data, fit_neuron, sigmoid
 
 __all__ = [
-    "CascadeNetwork", "rank_single_features", "relevance_check",
-    "train_ecnn", "describe_cascade", "cascade_to_dot",
+    "CascadeNetwork", "train_ecnn", "describe_cascade", "cascade_to_dot",
 ]
 
 
@@ -110,25 +109,6 @@ def _fit_single_features(train, val, cfg):
     return order, tuple(singles[j][0] for j in order), singles
 
 
-def rank_single_features(train, val, cfg: FitConfig):
-    """Rank features by one-input validation error, ascending.
-
-    Returns (feature_order, errors, best_error); ties go to the lower
-    column index, and the first entry of the order is the anchor feature.
-    """
-    if train.n_features < 2:
-        raise DataError("need at least 2 features to rank")
-    if val.n_rows == 0:
-        raise DataError("empty validation set")
-    order, errors, _ = _fit_single_features(train, val, cfg)
-    return order, errors, errors[0]
-
-
-def relevance_check(candidate_score, incumbent_score):
-    """Accept a candidate only when it strictly improves on the incumbent."""
-    return candidate_score < incumbent_score
-
-
 def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
     """Grow a cascade network while validation error strictly decreases.
 
@@ -165,7 +145,7 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
         U_va = np.column_stack([Xva[:, anchor], Xva[:, feat]] + zva)
         out_va = sigmoid(candidate.weights[0] + U_va @ candidate.weights[1:])
         c1 = float(np.mean((out_va >= cfg.decision_threshold).astype(int) != val.labels))
-        if relevance_check(c1, incumbent):
+        if c1 < incumbent:   # only a strict improvement is accepted
             net.neurons.append(candidate)
             net.accepted_features.append(feat)
             net.accepted_scores.append(c1)

@@ -143,10 +143,10 @@ def cmd_generate(args):
     if args.kind == "xor":
         ds = gen_xor(n, seed)
     elif args.kind == "blobs":
-        ds = gen_blobs(n, args.classes or 3, seed, spread=args.spread, radius=args.radius)
+        ds = gen_blobs(n, _flag(args.classes, 3), seed, spread=args.spread, radius=args.radius)
     else:
         ds, informative = gen_surrogate_eeg(n, args.relevant, args.irrelevant,
-                                            args.classes or 2, seed,
+                                            _flag(args.classes, 2), seed,
                                             separation=args.separation)
         print("informative_columns=" + ",".join(str(c) for c in informative))
     if not np.isfinite(ds.features).all():  # only blobs can overflow
@@ -293,12 +293,13 @@ def cmd_train(args):
     return 0
 
 
-def _load_for_model(path, bundle, group_by=None):
-    """Read an evaluation CSV in the model's feature order.
+def _load_for_model(model, bundle, path, group_by=None):
+    """Read an evaluation CSV in the model's feature order, z-scored by the
+    model's normalization; `model` is the model file's path.
 
     Columns must match the model's features exactly (plus the label column
     and, optionally, the group column); labels map through the stored
-    label order.
+    label order. Rows the normalization turns non-finite are refused.
     """
     label_column = bundle.label_column
 
@@ -319,6 +320,10 @@ def _load_for_model(path, bundle, group_by=None):
 
     label_index = {s: k for k, s in enumerate(bundle.label_names)}
     _, X, labels, groups = read_table(path, locate, label_index)
+    with np.errstate(over="ignore"):
+        X = bundle.norm.apply(X)
+    if not np.isfinite(X).all():
+        raise DataError(f"{model}: its normalization overflows on {path}")
     ds = Dataset(X, np.array(labels), bundle.feature_names,
                  len(bundle.label_names), bundle.label_names)
     return ds, groups
@@ -326,12 +331,8 @@ def _load_for_model(path, bundle, group_by=None):
 
 def cmd_evaluate(args):
     bundle = load_model(args.model)
-    ds, groups = _load_for_model(args.data, bundle, args.group_by)
-    with np.errstate(over="ignore"):
-        X = bundle.norm.apply(ds.features)
-    if not np.isfinite(X).all():
-        raise DataError(f"{args.model}: its normalization overflows on {args.data}")
-    preds = np.asarray(bundle.predict_classes(X), dtype=int)
+    ds, groups = _load_for_model(args.model, bundle, args.data, args.group_by)
+    preds = np.asarray(bundle.predict_classes(ds.features), dtype=int)
     r = len(bundle.label_names)
     error = float(np.mean(preds != ds.labels))
     confusion = np.bincount(ds.labels * r + preds, minlength=r * r).reshape(r, r)
@@ -381,9 +382,8 @@ def cmd_extract_rules(args):
         raise DataError("rule extraction supports binary models only")
     if bundle.method == "ruletree":
         raise DataError("model is already a rule tree")
-    ds, _ = _load_for_model(args.data, bundle)
-    with np.errstate(over="ignore"):  # the threshold search rejects what overflows
-        X = bundle.norm.apply(ds.features)
+    ds, _ = _load_for_model(args.model, bundle, args.data)
+    X = ds.features
     preds = np.asarray(bundle.predict_classes(X), dtype=int)
     correct = preds == ds.labels
 
@@ -420,8 +420,10 @@ def main(argv=None):
             raise UsageError("a command is required")
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise DataError("seed must be non-negative")
-        if args.out is not None:   # every command has --out, optional in some
-            _check_out(args.out)
+        # every command has --out (optional in some); train also has --report
+        for path in (args.out, getattr(args, "report", None)):
+            if path is not None:
+                _check_out(path)
         handler = {
             "generate": cmd_generate,
             "train": cmd_train,

@@ -293,7 +293,7 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
             fitted = _candidates(cfg.kind, pairs[start:ids.stop], [(layer, ci) for ci in ids],
                                  layer, XA, XB, outsA, outsB, yA, cfg)
             for ci, (nrn, _, outB) in zip(ids, fitted):
-                nrn.criterion = exterior_criterion(lambda _x: outB, XB, yB).value
+                nrn.criterion = exterior_criterion(outB, yB)
                 candidates.append((ci, nrn))
 
         order = sorted(candidates, key=lambda c: (c[1].criterion, c[0]))

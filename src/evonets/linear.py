@@ -27,11 +27,10 @@ from .errors import DataError, TrainingError
 
 __all__ = [
     "CORRECTIONS", "PAIR_TRAINERS", "LinearMachine", "PocketState", "LinearTest",
-    "PairwiseTree", "LmdtConfig", "check_correction", "error_correct",
-    "train_pocket_ratchet", "thermal_c", "thermal_correction",
-    "sfs_select", "induce_dt", "train_pairwise_tree", "combine_pairwise",
-    "aggregate_segments", "describe_linear_machine", "linear_machine_to_dot",
-    "describe_pairwise_tree", "pairwise_tree_to_dot",
+    "PairwiseTree", "LmdtConfig", "check_correction", "train_pocket_ratchet",
+    "thermal_c", "thermal_correction", "sfs_select", "induce_dt", "train_pairwise_tree",
+    "combine_pairwise", "aggregate_segments", "describe_linear_machine",
+    "linear_machine_to_dot", "describe_pairwise_tree", "pairwise_tree_to_dot",
 ]
 
 CORRECTIONS = ("fixed", "thermal")   # pocket correction sizes
@@ -123,9 +122,9 @@ class LinearTest:
 class PairwiseTree:
     """One TLU per class pair (i, j), i < j, outputting +1 for class i.
 
-    The combiner is fixed: pair (i, j) adds its output to class i's score
-    and subtracts it from class j's, so every g_i sums the +/-1 votes of
-    the r - 1 units that involve class i.
+    The combiner is fixed (combine_pairwise): pair (i, j) adds its output to
+    class i's score and subtracts it from class j's, so every g_i sums the
+    +/-1 votes of the r - 1 units that involve class i.
     """
 
     class_count: int
@@ -139,12 +138,8 @@ class PairwiseTree:
 
     def class_scores(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        g = np.zeros((X.shape[0], self.class_count))
-        for (i, j) in sorted(self.tlus):
-            f = self.tlus[(i, j)].outputs(X)
-            g[:, i] += f
-            g[:, j] -= f
-        return g
+        return combine_pairwise({p: self.tlus[p].outputs(X) for p in sorted(self.tlus)},
+                                self.class_count)
 
     def predict_classes(self, X):
         return np.argmax(self.class_scores(X), axis=1)
@@ -192,18 +187,10 @@ def check_correction(c, correction):
         raise DataError(f"unknown correction '{correction}'")
 
 
-def error_correct(lm: LinearMachine, x, true_class, predicted, c):
-    """Move the true class's vector toward (1, x) and the mistaken
-    prediction's away by the same amount; the vector sum is conserved."""
-    if true_class == predicted:
-        raise DataError("error correction applies only to misclassified examples")
-    _correct(lm.weights, np.concatenate([[1.0], np.asarray(x, dtype=float)]),
-             true_class, predicted, c)
-    return lm
-
-
 def _correct(W, xa, true_class, predicted, amount):
-    """The error-correction step on the augmented input xa, in place."""
+    """The error-correction step on the augmented input xa, in place: the
+    true class's vector moves toward xa and the mistaken prediction's away
+    by the same amount, so the vector sum is conserved."""
     d = amount * xa
     W[true_class] += d
     W[predicted] -= d
@@ -453,25 +440,24 @@ def train_pairwise_tree(train: Dataset, val: Dataset,
     return PairwiseTree(train.class_count, tlus, train.feature_names)
 
 
-def combine_pairwise(f_outputs, class_count=None):
-    """Combine pairwise +/-1 outputs into per-class scores.
+def combine_pairwise(outputs, class_count):
+    """The fixed combiner: per-class scores from the pair units' outputs.
 
-    f_outputs maps (i, j) with i < j to the unit's output. Class i's score
-    adds outputs of pairs (i, k) for k > i and subtracts those of (k, i)
-    for k < i; the winner (lowest index on ties) is returned with the
-    scores. The scores always sum to zero.
+    outputs maps each pair (i, j), i < j, to that unit's +/-1 outputs over
+    the same n rows. Class i's score adds the outputs of pairs (i, k) and
+    subtracts those of pairs (k, i), so each row's scores sum to zero; being
+    sums of +/-1 they are exact in any order. Returns the (n, class_count)
+    score matrix; the winner of a row is its argmax, ties to the lowest index.
     """
-    if class_count is None:
-        class_count = max(j for _, j in f_outputs) + 1
-    expect = set(combinations(range(class_count), 2))
-    if set(f_outputs) != expect:
-        missing = sorted(expect - set(f_outputs))
+    pairs = list(combinations(range(class_count), 2))
+    if set(outputs) != set(pairs):
+        missing = sorted(set(pairs) - set(outputs))
         raise DataError(f"incomplete pairwise outputs; missing {missing}")
-    g = np.zeros(class_count)
-    for (i, j), f in f_outputs.items():
-        g[i] += f
-        g[j] -= f
-    return tuple(float(v) for v in g), int(np.argmax(g))
+    g = np.zeros((len(outputs[pairs[0]]), class_count))
+    for i, j in pairs:
+        g[:, i] += outputs[(i, j)]
+        g[:, j] -= outputs[(i, j)]
+    return g
 
 
 def aggregate_segments(predictions, class_count):

@@ -21,8 +21,6 @@ from .errors import DataError, TrainingError
 
 SIGMOID_CLAMP = 1e-12
 
-SCORE_KINDS = ("validation_error_fraction", "exterior_criterion_sse")
-
 
 def sigmoid(z):
     """Numerically stable logistic, clamped to [1e-12, 1 - 1e-12].
@@ -77,20 +75,6 @@ class FitConfig:
         check_descent(self.learning_rate, self.epochs, self.restarts)
         if not 0.0 < self.decision_threshold < 1.0:
             raise DataError("decision_threshold must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """A non-negative candidate quality value plus what it measures."""
-
-    value: float
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in SCORE_KINDS:
-            raise DataError(f"unknown score kind '{self.kind}'")
-        if not np.isfinite(self.value) or self.value < 0:
-            raise DataError("score value must be finite and non-negative")
 
 
 @dataclass(eq=False)
@@ -265,8 +249,8 @@ def _solve_normal(A, b):
     return w
 
 
-def exterior_criterion(predict, validation_inputs, targets) -> CandidateScore:
-    """Sum-squared error of an already-fitted neuron on held-out rows.
+def exterior_criterion(outputs, targets) -> float:
+    """Sum-squared error of an already-fitted neuron's outputs on held-out rows.
 
     This is the selection criterion polynomial-network growth uses: it is
     computed on data the weights never saw, so it punishes candidates that
@@ -275,10 +259,9 @@ def exterior_criterion(predict, validation_inputs, targets) -> CandidateScore:
     y = np.asarray(targets, dtype=float)
     if y.size == 0:
         raise DataError("empty validation set")
-    out = np.asarray(predict(validation_inputs), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        sse = float(np.sum((out - y) ** 2))
+        sse = float(np.sum((np.asarray(outputs, dtype=float) - y) ** 2))
     if not np.isfinite(sse):
         raise TrainingError("held-out error of a fitted neuron is not finite; "
                             "lower the learning rate")
-    return CandidateScore(sse, "exterior_criterion_sse")
+    return sse

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evonets.cascade import (CascadeNetwork, describe_cascade, rank_single_features,
-                             relevance_check, train_ecnn, cascade_to_dot)
+import evonets.cascade as cascade
+from evonets.cascade import CascadeNetwork, describe_cascade, train_ecnn, cascade_to_dot
 from evonets.dataset import Dataset, SplitSpec, gen_surrogate_eeg, split
 from evonets.errors import DataError
-from evonets.neuron import FitConfig, SigmoidNeuron
+from evonets.neuron import FitConfig, SigmoidNeuron, replace_weights
 
 CFG = FitConfig(learning_rate=1.0, epochs=150, restarts=1, seed=0)
 
@@ -38,24 +38,27 @@ def two_neuron_fixture():
 
 
 class TestRanking:
+    """The single-feature ranking, as train_ecnn records it."""
+
     def test_separating_feature_ranked_first(self):
         ds = separable_dataset(seed=1)
         tr, va = split(ds, SplitSpec((0.5, 0.5), seed=0))
-        order, errors, best = rank_single_features(tr, va, CFG)
-        assert order[0] == 0
-        assert best == errors[0] == min(errors)
+        net = train_ecnn(tr, va, CFG)
+        order, errors = net.feature_order, net.single_errors
+        assert order[0] == net.anchor == 0
+        assert net.base_score == errors[0] == min(errors)
         assert list(errors) == sorted(errors)
 
     def test_single_feature_rejected(self):
         ds = Dataset(np.arange(8.0)[:, None], [0, 1] * 4, ("a",), 2)
         with pytest.raises(DataError, match="at least 2 features"):
-            rank_single_features(ds, ds, CFG)
+            train_ecnn(ds, ds, CFG)
 
     def test_empty_validation_set_rejected(self):
         ds = separable_dataset(seed=1)
         empty = Dataset(ds.features[:0], ds.labels[:0], ds.feature_names, 2)
         with pytest.raises(DataError, match="empty validation set"):
-            rank_single_features(ds, empty, CFG)
+            train_ecnn(ds, empty, CFG)
 
     def test_tie_breaks_by_column_index(self):
         # identical duplicate columns give identical errors
@@ -64,20 +67,40 @@ class TestRanking:
         col = np.where(y == 1, 1.0, -1.0)
         X = np.column_stack([col, col, col])
         ds = Dataset(X, y, ("a", "b", "c"), 2)
-        order, errors, _ = rank_single_features(ds, ds, CFG)
-        assert errors[0] == errors[1] == errors[2]
-        assert order == (0, 1, 2)
+        net = train_ecnn(ds, ds, CFG)
+        assert net.single_errors[0] == net.single_errors[1] == net.single_errors[2]
+        assert net.feature_order == (0, 1, 2)
 
 
 class TestRelevance:
-    def test_strict_improvement_accepts(self):
-        assert relevance_check(0.3, 0.5) is True
+    """The walk accepts a candidate only when its validation error is
+    strictly below the incumbent's (a strict improvement is accepted in
+    TestTraining.test_structural_invariants)."""
 
-    def test_equality_rejects(self):
-        assert relevance_check(0.5, 0.5) is False
+    @staticmethod
+    def walk_with(monkeypatch, weights_of):
+        # every candidate gets the weights weights_of(base neuron weights, p)
+        ds, _ = gen_surrogate_eeg(300, relevant=2, irrelevant=4, seed=2)
+        tr, va = split(ds, SplitSpec((0.5, 0.5), seed=3))
+        base = train_ecnn(tr, va, CFG)
+        assert 0.0 < base.base_score < 0.5
+        w = base.base_neuron.weights
 
-    def test_worse_rejects(self):
-        assert relevance_check(0.6, 0.5) is False
+        def fixed(neuron, inputs, targets, cfg):
+            return replace_weights(neuron, weights_of(w, neuron.p))
+
+        monkeypatch.setattr(cascade, "fit_neuron", fixed)
+        return train_ecnn(tr, va, CFG)
+
+    def test_equality_rejects(self, monkeypatch):
+        # the anchor's own neuron, with zero weight on every other input
+        net = self.walk_with(monkeypatch, lambda w, p: np.r_[w, np.zeros(p - 1)])
+        assert net.neurons == []
+
+    def test_worse_rejects(self, monkeypatch):
+        # the anchor's neuron reversed errs on every row it got right
+        net = self.walk_with(monkeypatch, lambda w, p: np.r_[-w, np.zeros(p - 1)])
+        assert net.neurons == []
 
 
 class TestTraining:
@@ -101,7 +124,6 @@ class TestTraining:
             np.testing.assert_array_equal(na.weights, nb.weights)
 
     def test_ranks_once_with_the_seed_argument(self, monkeypatch):
-        import evonets.cascade as cascade
         ds, _ = gen_surrogate_eeg(300, relevant=2, irrelevant=4, seed=2)
         tr, va = split(ds, SplitSpec((0.5, 0.5), seed=3))
         calls = []
@@ -114,14 +136,16 @@ class TestTraining:
         monkeypatch.setattr(cascade, "_fit_single_features", counted)
         net = train_ecnn(tr, va, replace(CFG, seed=42))
         assert calls == [42]
-        ranked = rank_single_features(tr, va, replace(CFG, seed=42))
-        assert (net.feature_order, net.single_errors, net.base_score) == ranked
+        order, errors, _ = fit(tr, va, replace(CFG, seed=42))
+        assert (net.feature_order, net.single_errors, net.base_score) == \
+            (order, errors, errors[0])
 
     def test_structural_invariants(self):
         ds, _ = gen_surrogate_eeg(600, relevant=3, irrelevant=6, seed=4)
         tr, va = split(ds, SplitSpec((0.5, 0.5), seed=5))
         net = train_ecnn(tr, va, CFG)
         # accepted scores strictly decrease and start below the base score
+        assert net.neurons
         scores = [net.base_score] + list(net.accepted_scores)
         assert all(b < a for a, b in zip(scores, scores[1:]))
         # neuron t has exactly t + 2 bindings

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evonets.cli import _load_for_model, main
-from evonets.dataset import Dataset, save_csv
+from evonets.dataset import Dataset, load_csv, save_csv
 from evonets.linear import LinearMachine
 from evonets.modelio import ModelBundle, load_model, save_model
 from evonets.dataset import NormParams
@@ -83,6 +83,9 @@ class TestGenerate:
         ("surrogate-eeg", "--irrelevant=-3", "irrelevant column count must be non-negative"),
         ("blobs", "--spread=1e308", OVERFLOW),
         ("blobs", "--radius=1.7976e308 --spread=1e305", OVERFLOW),
+        # 0 is a class count like any other, not a request for the default
+        ("blobs", "--classes=0", "need at least 2 classes"),
+        ("surrogate-eeg", "--classes=0", "need at least 2 classes"),
     ])
     def test_bad_generator_setting_exits_2(self, kind, flag, message, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -98,9 +101,9 @@ class TestGenerate:
 
 
 class TestUnwritableOut:
-    """An --out that is a directory, or whose parent is missing or a file,
-    exits 2 with the error the write would give, before any input is read
-    or any work done, and prints nothing on stdout."""
+    """An --out (or train's --report) that is a directory, or whose parent is
+    missing or a file, exits 2 with the error the write would give, before
+    any input is read or any work done, and prints nothing on stdout."""
 
     @pytest.fixture
     def model(self, xor_csv, tmp_path, capsys):
@@ -111,8 +114,8 @@ class TestUnwritableOut:
         return path
 
     @pytest.mark.parametrize("where", ["directory", "missing parent", "file parent"])
-    @pytest.mark.parametrize("verb", ["train", "evaluate", "export", "extract-rules",
-                                      "generate"])
+    @pytest.mark.parametrize("verb", ["train", "train --report", "evaluate", "export",
+                                      "extract-rules", "generate"])
     def test_refused_before_any_work(self, verb, where, model, xor_csv, tmp_path, capsys,
                                      monkeypatch):
         from evonets import cli
@@ -124,18 +127,21 @@ class TestUnwritableOut:
             out.write_text("")
 
         def refuse(*args, **kwargs):
-            raise AssertionError("input read before --out was checked")
+            raise AssertionError("input read before the output path was checked")
 
         for name in ("load_csv", "load_model", "gen_surrogate_eeg"):
             monkeypatch.setattr(cli, name, refuse)
         argv = {
-            "train": ("train", "--method", "ecnn", "--data", str(xor_csv)),
-            "evaluate": ("evaluate", "--model", str(model), "--data", str(xor_csv)),
-            "export": ("export", "--model", str(model), "--format", "text"),
-            "extract-rules": ("extract-rules", "--model", str(model), "--data", str(xor_csv)),
-            "generate": ("generate", "surrogate-eeg", "--n", "40"),
+            "train": ("train", "--method", "ecnn", "--data", str(xor_csv), "--out"),
+            "train --report": ("train", "--method", "pairwise-dt", "--data", str(xor_csv),
+                               "--out", str(tmp_path / "pairwise.json"), "--report"),
+            "evaluate": ("evaluate", "--model", str(model), "--data", str(xor_csv), "--out"),
+            "export": ("export", "--model", str(model), "--format", "text", "--out"),
+            "extract-rules": ("extract-rules", "--model", str(model), "--data", str(xor_csv),
+                              "--out"),
+            "generate": ("generate", "surrogate-eeg", "--n", "40", "--out"),
         }[verb]
-        assert run(*argv, "--out", str(out)) == 2
+        assert run(*argv, str(out)) == 2
         assert capsys.readouterr() == ("", f"data error: {write_error.value}\n")
 
 
@@ -383,7 +389,7 @@ class TestEvaluate:
         assert matrix.sum() == 240
         # row sums equal class support, off-diagonal sum equals the error count
         bundle = load_model(model)
-        ds, _ = _load_for_model(xor_csv, bundle)
+        ds, _ = _load_for_model(model, bundle, xor_csv)
         support = [int(np.sum(ds.labels == k)) for k in range(2)]
         assert list(matrix.sum(axis=1)) == support
         off_diag = matrix.sum() - np.trace(matrix)
@@ -418,9 +424,12 @@ class TestEvaluate:
             "--out", str(model), "--seed", "2")
         capsys.readouterr()
         bundle = load_model(model)
-        ds, _ = _load_for_model(xor_csv, bundle)
-        via_bundle = bundle.predict_csv_features(ds.features)
-        manual = bundle.model.predict_classes(bundle.norm.apply(ds.features))
+        # the evaluation reader z-scores the rows as the model file says
+        ds, _ = _load_for_model(model, bundle, xor_csv)
+        raw = load_csv(xor_csv, "y").features
+        np.testing.assert_array_equal(ds.features, bundle.norm.apply(raw))
+        via_bundle = bundle.predict_csv_features(raw)
+        manual = bundle.model.predict_classes(ds.features)
         np.testing.assert_array_equal(via_bundle, manual)
 
     def test_mismatched_columns_exit_2_with_name(self, xor_csv, tmp_path, capsys):
@@ -1102,7 +1111,7 @@ class TestMalformedModelFile:
 
     def test_normalization_overflow_rejected_by_extract_rules(self, model, xor_csv,
                                                               tmp_path, capsys):
-        # a tiny sd scales every nonzero x1 to +-inf, which reaches the threshold search
+        # a tiny sd scales every nonzero x1 to +-inf; the reader refuses the rows
         doc = _set_norm(json.loads(model.read_text()), "sd", [1e-320, 1.0])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -1110,7 +1119,7 @@ class TestMalformedModelFile:
             warnings.simplefilter("error")
             assert run(*self.verb_argv("extract-rules", bad, xor_csv, tmp_path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: threshold search needs finite values")
+        assert err.startswith(f"data error: {bad}: its normalization overflows on {xor_csv}")
         assert err.count("\n") == 1, err
         assert not (tmp_path / "rules.json").exists()
 

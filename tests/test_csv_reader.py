@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import evonets.dataset as dataset
 from evonets.cli import _load_for_model
-from evonets.dataset import Dataset, gen_surrogate_eeg, load_csv, save_csv
+from evonets.dataset import Dataset, NormParams, gen_surrogate_eeg, load_csv, save_csv
 from evonets.errors import DataError
 
 
@@ -156,6 +156,9 @@ ODD_LABELS = st.sampled_from(['"1"', "a", "2", "1\x00", "\x000", "1#", "1\x1c", 
 LABELS = st.one_of(CLEAN_LABELS, ODD_LABELS)
 GROUPS = st.sampled_from(["r1", "r2", " r3 ", "r1\x00", "\x00r2", "\tr3  ", "#r", ""])
 STORED_LABELS = ("0", "1")
+# z-scoring by mean 0 and sd 1 keeps every value's bits, so the evaluation
+# reader, which applies a model's normalization, reads as the oracle does
+IDENTITY = NormParams(0.0, 1.0)
 
 
 @st.composite
@@ -256,11 +259,13 @@ class TestMatchesOracle:
             model_order.pop()
         elif header_fault == "missing":
             model_order.append("z")
-        bundle = SimpleNamespace(label_column="y", feature_names=tuple(model_order),
+        bundle = SimpleNamespace(norm=IDENTITY, label_column="y",
+                                 feature_names=tuple(model_order),
                                  label_names=STORED_LABELS)
         group_by = "g" if group else None
         expected = outcome(lambda: oracle_load_for_model(csv_path, bundle, group_by))
-        assert outcome(lambda: _load_for_model(csv_path, bundle, group_by)) == expected
+        assert outcome(lambda: _load_for_model("m.json", bundle, csv_path, group_by)) == \
+            expected
 
     def test_generated_files_reach_both_outcomes(self, csv_path):
         """The strategy yields parsed files as well as rejected ones."""
@@ -318,9 +323,9 @@ class TestMatchesOracle:
         csv_path.write_text(text, encoding="utf-8", newline="")
         assert outcome(lambda: load_csv(csv_path, "y")) == \
             outcome(lambda: oracle_load_csv(csv_path, "y"))
-        bundle = SimpleNamespace(label_column="y", feature_names=("a",),
+        bundle = SimpleNamespace(norm=IDENTITY, label_column="y", feature_names=("a",),
                                  label_names=STORED_LABELS)
-        read = outcome(lambda: _load_for_model(csv_path, bundle))
+        read = outcome(lambda: _load_for_model("m.json", bundle, csv_path))
         assert read[0] == "error"
         assert read == outcome(lambda: oracle_load_for_model(csv_path, bundle))
 
@@ -333,9 +338,9 @@ class TestMatchesOracle:
         read = outcome(lambda: load_csv(csv_path, "y"))
         assert read[0] == "error"
         assert read == outcome(lambda: oracle_load_csv(csv_path, "y"))
-        bundle = SimpleNamespace(label_column="y", feature_names=("a",),
+        bundle = SimpleNamespace(norm=IDENTITY, label_column="y", feature_names=("a",),
                                  label_names=STORED_LABELS)
-        read = outcome(lambda: _load_for_model(csv_path, bundle))
+        read = outcome(lambda: _load_for_model("m.json", bundle, csv_path))
         assert read[0] == "error"
         assert read == outcome(lambda: oracle_load_for_model(csv_path, bundle))
 
@@ -375,9 +380,10 @@ class TestBulkPath:
         loaded = outcome(lambda: load_csv(path, "y"))
         assert loaded[0] == "ok"
         assert loaded == outcome(lambda: oracle_load_csv(path, "y"))
-        bundle = SimpleNamespace(label_column="y", feature_names=tuple(feature_names),
+        bundle = SimpleNamespace(norm=IDENTITY, label_column="y",
+                                 feature_names=tuple(feature_names),
                                  label_names=label_names)
-        for_model = outcome(lambda: _load_for_model(path, bundle, group_by))
+        for_model = outcome(lambda: _load_for_model("m.json", bundle, path, group_by))
         assert for_model[0] == "ok"
         assert for_model == outcome(lambda: oracle_load_for_model(path, bundle, group_by))
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evonets.cli import _load_for_model
-from evonets.dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg,
-                             gen_xor, load_csv, normalize_zscore, save_csv,
-                             split)
+from evonets.dataset import (Dataset, NormParams, SplitSpec, gen_blobs, gen_surrogate_eeg,
+                             gen_xor, load_csv, normalize_zscore, save_csv, split)
 from evonets.errors import DataError
 
 
@@ -76,17 +75,18 @@ class TestLoadCsv:
             load_csv(p, "y")
 
     # a stored label mapping is applied by the evaluation reader
-    STORED = SimpleNamespace(label_column="y", feature_names=("f1",), label_names=("a", "b"))
+    STORED = SimpleNamespace(norm=NormParams(0.0, 1.0), label_column="y", feature_names=("f1",),
+                             label_names=("a", "b"))
 
     def test_pinned_label_order(self, tmp_path):
         p = write_csv(tmp_path, "f1,y\n1.0,b\n2.0,a\n")
-        ds, _ = _load_for_model(p, self.STORED)
+        ds, _ = _load_for_model("m.json", self.STORED, p)
         assert list(ds.labels) == [1, 0]
 
     def test_pinned_label_order_rejects_unknown(self, tmp_path):
         p = write_csv(tmp_path, "f1,y\n1.0,c\n2.0,a\n")
         with pytest.raises(DataError, match="label 'c'"):
-            _load_for_model(p, self.STORED)
+            _load_for_model("m.json", self.STORED, p)
 
     def test_round_trip_through_save(self, tmp_path):
         ds = gen_xor(50, seed=3)

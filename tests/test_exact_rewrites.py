@@ -614,7 +614,7 @@ def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig(),
             w = fit_weights(cfg.kind, inA, yA, cfg, derive_seed(cfg.seed, layer, ci))
             nrn = SupportingNeuron(cfg.kind, (ra, rb), w, layer=layer)
             outB = _basis(cfg.kind, inB) @ w
-            nrn.criterion = exterior_criterion(lambda _x, o=outB: o, XB, yB).value
+            nrn.criterion = exterior_criterion(outB, yB)
             candidates.append((ci, nrn, _basis(cfg.kind, inA) @ w, outB))
 
         order = sorted(candidates, key=lambda c: (c[1].criterion, c[0]))

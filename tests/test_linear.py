@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from evonets._util import derive_seed
 from evonets.dataset import Dataset, SplitSpec, gen_blobs, split
 from evonets.errors import DataError
-from evonets.linear import (LinearMachine, LmdtConfig, _fit_test,
-                            aggregate_segments, combine_pairwise,
-                            error_correct, induce_dt, sfs_select, thermal_c,
-                            thermal_correction, train_pairwise_tree,
+from evonets.linear import (LinearMachine, LinearTest, LmdtConfig, PairwiseTree, _correct,
+                            _fit_test, aggregate_segments, combine_pairwise, induce_dt,
+                            sfs_select, thermal_c, thermal_correction, train_pairwise_tree,
                             train_pocket_ratchet)
 
 QUICK = LmdtConfig(test_epochs=15, attempts=5, seed=0)
@@ -61,32 +60,37 @@ class TestWta:
 
 
 class TestErrorCorrect:
+    """The pocket's correction step, on the augmented input (1, x)."""
+
     def test_direct_arithmetic(self):
-        lm = LinearMachine(np.zeros((2, 2)))
-        error_correct(lm, np.array([2.0]), true_class=0, predicted=1, c=1.0)
-        np.testing.assert_array_equal(lm.weights[0], [1.0, 2.0])
-        np.testing.assert_array_equal(lm.weights[1], [-1.0, -2.0])
+        W = np.zeros((2, 2))
+        _correct(W, np.array([1.0, 2.0]), true_class=0, predicted=1, amount=1.0)
+        np.testing.assert_array_equal(W[0], [1.0, 2.0])
+        np.testing.assert_array_equal(W[1], [-1.0, -2.0])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_weight_sum_conserved(self, seed):
         rng = np.random.default_rng(seed)
-        lm = LinearMachine(rng.normal(size=(3, 4)))
-        before = lm.weights.sum(axis=0).copy()
-        error_correct(lm, rng.normal(size=3), true_class=2, predicted=0,
-                      c=float(rng.uniform(0.1, 3)))
-        np.testing.assert_allclose(lm.weights.sum(axis=0), before, atol=1e-12)
+        W = rng.normal(size=(3, 4))
+        before = W.sum(axis=0).copy()
+        _correct(W, np.concatenate([[1.0], rng.normal(size=3)]), true_class=2, predicted=0,
+                 amount=float(rng.uniform(0.1, 3)))
+        np.testing.assert_allclose(W.sum(axis=0), before, atol=1e-12)
 
     def test_zero_correction_is_identity(self):
-        lm = LinearMachine(np.ones((2, 2)))
-        W = lm.weights.copy()
-        error_correct(lm, np.array([1.0]), 0, 1, c=0.0)
-        np.testing.assert_array_equal(lm.weights, W)
+        W = np.ones((2, 2))
+        _correct(W, np.array([1.0, 1.0]), 0, 1, amount=0.0)
+        np.testing.assert_array_equal(W, np.ones((2, 2)))
 
-    def test_same_class_rejected(self):
-        lm = LinearMachine(np.zeros((2, 2)))
-        with pytest.raises(DataError):
-            error_correct(lm, np.array([1.0]), 1, 1, c=1.0)
+    def test_pocket_corrects_only_misclassified_draws(self):
+        # a machine that already classifies every row is never corrected
+        ds = gen_blobs(60, classes=2, seed=1, spread=0.3, radius=3.0)
+        lm, state = train_pocket_ratchet(LinearMachine.zeros(2, 2), ds, seed=2)
+        assert state.accuracy == 1.0
+        again, state = train_pocket_ratchet(lm, ds, epochs=3, seed=5, use_ratchet=False)
+        np.testing.assert_array_equal(again.weights, lm.weights)
+        assert state.run_length == 3 * ds.n_rows
 
 
 class TestPocket:
@@ -309,32 +313,58 @@ class TestPairwiseTree:
             train_pairwise_tree(ds, ds, cfg=QUICK)
 
 
+def constant_tree(signs, class_count):
+    """A pairwise tree whose unit (i, j) outputs signs[(i, j)] on every row:
+    a one-feature test with zero slope and that sign as its bias."""
+    return PairwiseTree(class_count, {p: LinearTest((0,), [float(s), 0.0])
+                                      for p, s in signs.items()})
+
+
 class TestCombine:
+    """The fixed +/-1 vote, as the pairwise model runs it."""
+
     def test_worked_example(self):
-        g, cls = combine_pairwise({(0, 1): -1, (0, 2): 1, (1, 2): 1})
-        assert g == (0.0, 2.0, -2.0)
-        assert cls == 1
+        tree = constant_tree({(0, 1): -1, (0, 2): 1, (1, 2): 1}, 3)
+        X = np.zeros((2, 1))
+        np.testing.assert_array_equal(tree.class_scores(X), [[0.0, 2.0, -2.0]] * 2)
+        assert tree.predict_classes(X).tolist() == [1, 1]
 
     def test_all_positive_makes_first_class_win(self):
         r = 5
-        outputs = {(i, j): 1 for i in range(r) for j in range(i + 1, r)}
-        g, cls = combine_pairwise(outputs)
-        assert g[0] == r - 1
-        assert cls == 0
+        tree = constant_tree({(i, j): 1 for i in range(r) for j in range(i + 1, r)}, r)
+        g = tree.class_scores(np.zeros((1, 1)))
+        assert g[0, 0] == r - 1
+        assert tree.predict_classes(np.zeros((1, 1))).tolist() == [0]
+
+    def test_tie_goes_to_the_lowest_class(self):
+        # a cycle 0 > 1 > 2 > 0 gives every class the score 0
+        tree = constant_tree({(0, 1): 1, (0, 2): -1, (1, 2): 1}, 3)
+        np.testing.assert_array_equal(tree.class_scores(np.zeros((1, 1))), [[0.0, 0.0, 0.0]])
+        assert tree.predict_classes(np.zeros((1, 1))).tolist() == [0]
 
     @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_scores_sum_to_zero_and_are_bounded(self, r, seed):
         rng = np.random.default_rng(seed)
-        outputs = {(i, j): int(rng.choice([-1, 1]))
-                   for i in range(r) for j in range(i + 1, r)}
-        g, _ = combine_pairwise(outputs)
-        assert sum(g) == pytest.approx(0.0, abs=1e-12)
-        assert max(abs(v) for v in g) <= r - 1
+        tree = PairwiseTree(r, {(i, j): LinearTest((0, 1), rng.normal(size=3))
+                                for i in range(r) for j in range(i + 1, r)})
+        X = rng.normal(size=(40, 2))
+        g = tree.class_scores(X)
+        assert g.shape == (40, r)
+        np.testing.assert_array_equal(g.sum(axis=1), 0.0)
+        assert np.abs(g).max() <= r - 1
+        # each row's scores are its units' votes, summed one row at a time
+        for n in range(X.shape[0]):
+            votes = np.zeros(r)
+            for (i, j), t in tree.tlus.items():
+                f = t.outputs(X[n:n + 1])[0]
+                votes[i] += f
+                votes[j] -= f
+            np.testing.assert_array_equal(g[n], votes)
 
     def test_incomplete_map_rejected(self):
         with pytest.raises(DataError, match="missing"):
-            combine_pairwise({(0, 1): 1}, class_count=3)
+            combine_pairwise({(0, 1): np.array([1])}, class_count=3)
 
 
 class TestAggregate:

@@ -5,8 +5,8 @@ import pytest
 
 from evonets.cascade import CascadeNetwork
 from evonets.errors import DataError, TrainingError
-from evonets.neuron import (CandidateScore, FitConfig, SigmoidNeuron, exterior_criterion,
-                            fit_gradient, fit_loss, fit_neuron, least_squares_fit, sigmoid)
+from evonets.neuron import (FitConfig, SigmoidNeuron, exterior_criterion, fit_gradient,
+                            fit_loss, fit_neuron, least_squares_fit, sigmoid)
 
 
 def make_neuron(p, weights=None):
@@ -146,43 +146,38 @@ class TestLeastSquares:
 class TestExteriorCriterion:
     def test_exact_fit_scores_zero(self):
         y = np.array([0.0, 1.0, 1.0])
-        score = exterior_criterion(lambda X: y, None, y)
-        assert score.value == 0.0
-        assert score.kind == "exterior_criterion_sse"
+        score = exterior_criterion(y, y)
+        assert score == 0.0
+        assert type(score) is float
 
     def test_half_half_case(self):
-        score = exterior_criterion(lambda X: np.array([0.5, 0.5]), None,
-                                   np.array([0.0, 1.0]))
-        assert score.value == pytest.approx(0.5, abs=1e-15)
+        score = exterior_criterion(np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+        assert score == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_brute_force_resummation(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             out = rng.normal(size=20)
             y = rng.integers(0, 2, 20).astype(float)
-            score = exterior_criterion(lambda X, o=out: o, None, y)
+            score = exterior_criterion(out, y)
             brute = sum((float(o) - float(t)) ** 2 for o, t in zip(out, y))
-            assert abs(score.value - brute) < 1e-12
+            assert abs(score - brute) < 1e-12
 
     def test_positive_unless_exact(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             y = rng.integers(0, 2, 15).astype(float)
             out = y + rng.normal(0, 0.3, 15)
-            score = exterior_criterion(lambda X, o=out: o, None, y)
-            assert (score.value == 0.0) == bool(np.all(out == y))
-            assert score.value > 0.0
+            score = exterior_criterion(out, y)
+            assert (score == 0.0) == bool(np.all(out == y))
+            assert score > 0.0
 
     def test_empty_validation_rejected(self):
         with pytest.raises(DataError):
-            exterior_criterion(lambda X: [], None, [])
+            exterior_criterion([], [])
 
     @pytest.mark.parametrize("out", [[1e200, 0.0], [np.inf, 0.0], [np.nan, 0.0]])
     def test_non_finite_error_is_a_training_error(self, out):
         # a diverged fit's outputs square past a float: a failed fit, not bad data
         with pytest.raises(TrainingError, match="held-out error .* is not finite"):
-            exterior_criterion(lambda X: np.array(out), None, np.array([0.0, 1.0]))
-
-    def test_negative_score_rejected(self):
-        with pytest.raises(DataError):
-            CandidateScore(-0.1, "exterior_criterion_sse")
+            exterior_criterion(np.array(out), np.array([0.0, 1.0]))
