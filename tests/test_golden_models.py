@@ -1,13 +1,19 @@
 """Golden model files: every method, trained through the command line on small
-generated data, writes the same bytes and prints the same report.
+generated data, writes the same bytes and prints the same report, and its
+text and DOT exports and extracted rules read the same.
 
 The hashes pin the model files exactly, so a refactor that claims to keep
 the arithmetic can show it. A change that means to alter a model updates
 the hash here and says why. They were recorded with numpy 2.4.6 on x86-64
 Linux; a BLAS that sums in another order writes other bytes.
+
+Models are written and read through relative paths from one working
+directory, because a rule file stores the path of the model it came from.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -90,24 +96,107 @@ GOLDEN = {
 }
 
 
+# method -> SHA-256 of `export --format text` and of `export --format dot` stdout
+# (None: the method has no DOT form, and the export exits 1)
+EXPORTS = {
+    "ecnn": (
+        "db178b8654ec3e155669b396f6a2ad884bb64ccd049b8f25bc227c8bc3e449f5",
+        "99d59e6290129d089485fb38442692371ecd03567b40b859de2a8c50d820b103"),
+    "gmdh-layered": (
+        "6cb68eb84d07ac717b245cd1c967f73bcedda83f6ecd6767cfbc9b998b1dbe78",
+        "a23d0c21851ec9df53d425366664c772a68d53cbc860e2aa774f782e6c2a7ff8"),
+    "gmdh-roulette": (
+        "0f1404eb99b1d7d480ca6eca60dddf2e623ff4c7604f75074da25aa28e86beca",
+        "e4a5c6b175bb554b48349c3d21084997a3bd70c61a67b92652db8031815c8b93"),
+    "lm": (
+        "17a6a300fb70f4190d615730dc27bc7d7213d5d565783591aea5b75490a41a9b",
+        "3ece67c339bdedfc52c6892e5a33fcd9e04794faac87f7992f90acea39097474"),
+    "pairwise-dt": (
+        "dc5883660a86f964cda072e672593b3f52bb9a20b575e2dbad159777055bdd7c",
+        "2ee72362ba3e23d0808936cc14f6bf1462ba87d38330b84ed1466faac6b05d3b"),
+    "ruletree": (
+        "a4f8e86e886ca79366e963e0ffd51d78384f0f8cae5fc70f8209fd60996a14f7",
+        "bd13bdd788d478213f830af53572c936b4c3a88a1801d7054395fe169632ad04"),
+    "fnn": (
+        "ed8f26e09f8c208a4fcf7fc965fbc90dcbeed95c06748ecbb1e69defba645560",
+        None),
+}
+
+# binary method -> SHA-256 of `extract-rules` stdout and of the rule file, with
+# the model's own training data
+RULES = {
+    "ecnn": (
+        "265833b58b757ffe1bfad88e29c4f008f69a15c68d091f69cf4a0cf4501b9cad",
+        "560995400165ab36f90dc56907a77076244328f6b0c6c9851939fcdf912c8389"),
+    "gmdh-layered": (
+        "379750c6601f5cecc55b7cc7a91a262a7bc50f740a9cce344614c0a268c13cbc",
+        "a2de3bea91a05b083d42013b50489c16a79c10a87790cbaaf2b46fbf09007caf"),
+    "gmdh-roulette": (
+        "9e0cbfbb3bcb335369c98a808a0444c3afed3f0e7a382304e8ae7c154629f275",
+        "4ceb6969411689cef166cd129eeaa5528893297ed3d26993b485c0319ea5728a"),
+    "fnn": (
+        "31a9dfd5edbc1da062193624a672b1d6d35ed38ff86191939c38fc8b4c048ea7",
+        "51c2ea032b8fcdda626cf71f3f8f48e4ccb4f3b7e3b1a126cd3c8d9a6c92c033"),
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv):
+    """Exit code and stdout of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 @pytest.fixture(scope="module")
-def data(tmp_path_factory):
+def workdir(tmp_path_factory):
+    """A working directory holding the data sets and every method's model
+    (`<method>.json`), with each training's stdout lines."""
     root = tmp_path_factory.mktemp("golden")
-    paths = {}
-    for name, argv in DATA.items():
-        paths[name] = root / f"{name}.csv"
-        assert main(["generate", *argv, "--out", str(paths[name])]) == 0
-    return paths
+    reports = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for name, argv in DATA.items():
+            assert _run(["generate", *argv, "--out", f"{name}.csv"])[0] == 0
+        for method, (source, flags, _, _) in GOLDEN.items():
+            code, out = _run(["train", "--method", method, "--data", f"{source}.csv",
+                              "--seed", "7", *flags, "--out", f"{method}.json"])
+            assert code == 0
+            reports[method] = out.splitlines()
+    return root, reports
 
 
 @pytest.mark.parametrize("method", list(GOLDEN))
-def test_model_bytes_and_report_unchanged(method, data, tmp_path, capsys):
-    source, flags, sha256, report = GOLDEN[method]
-    out = tmp_path / "m.json"
-    capsys.readouterr()
-    assert main(["train", "--method", method, "--data", str(data[source]), "--seed", "7",
-                 *flags, "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == f"model={out}"
+def test_model_bytes_and_report_unchanged(method, workdir):
+    root, reports = workdir
+    _, _, sha256, report = GOLDEN[method]
+    lines = reports[method]
+    assert lines[-1] == f"model={method}.json"
     assert lines[:-1] == report
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    assert _sha256((root / f"{method}.json").read_bytes()) == sha256
+
+
+@pytest.mark.parametrize("method", list(EXPORTS))
+@pytest.mark.parametrize("fmt", ["text", "dot"])
+def test_export_unchanged(method, fmt, workdir, monkeypatch):
+    monkeypatch.chdir(workdir[0])
+    sha256 = EXPORTS[method][fmt == "dot"]
+    code, out = _run(["export", "--model", f"{method}.json", "--format", fmt])
+    assert (code, bool(out)) == ((0, True) if sha256 else (1, False))
+    if sha256:
+        assert _sha256(out.encode()) == sha256
+
+
+@pytest.mark.parametrize("method", list(RULES))
+def test_extracted_rules_unchanged(method, workdir, monkeypatch):
+    monkeypatch.chdir(workdir[0])
+    source = GOLDEN[method][0]
+    code, out = _run(["extract-rules", "--model", f"{method}.json",
+                      "--data", f"{source}.csv", "--out", f"{method}-rules.json"])
+    assert code == 0
+    rules = (workdir[0] / f"{method}-rules.json").read_bytes()
+    assert (_sha256(out.encode()), _sha256(rules)) == RULES[method]
