@@ -190,7 +190,7 @@ def _descend_restarts(restarts, hidden, Xa, T, Xva, labels, cfg):
             for i in range(len(draws))]
 
 
-def describe_fnn(model: FnnModel) -> str:
+def describe_fnn(model: FnnModel, feature_names, label_names) -> str:
     """Plain weight dump, one line per unit: there is no compact closed form."""
     lines = [f"hidden[{k}]: " + " ".join(f"{v!r}" for v in row)
              for k, row in enumerate(model.hidden_weights)]

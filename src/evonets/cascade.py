@@ -45,7 +45,6 @@ class CascadeNetwork:
     accepted_features: list = field(default_factory=list)
     accepted_scores: list = field(default_factory=list)
     threshold: float = 0.5
-    feature_names: tuple = ()
 
     @property
     def selected_features(self):
@@ -129,8 +128,7 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
 
     net = CascadeNetwork(
         anchor=anchor, feature_order=order, single_errors=errors,
-        base_neuron=base_neuron, base_score=base_err,
-        threshold=cfg.decision_threshold, feature_names=train.feature_names,
+        base_neuron=base_neuron, base_score=base_err, threshold=cfg.decision_threshold,
     )
 
     Xtr, Xva = train.features, val.features
@@ -155,17 +153,15 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
     return net
 
 
-def describe_cascade(net: CascadeNetwork) -> str:
+def describe_cascade(net: CascadeNetwork, feature_names, label_names) -> str:
     """One line per neuron: its inputs, its validation accuracy, and the
     fitted coefficients (the strength of each input's relation).
 
     Inputs are listed newest hidden output first, then the anchor feature,
     then the feature the neuron introduced.
     """
-    names = net.feature_names or tuple(f"x{j + 1}" for j in range(max(net.selected_features) + 1))
-
     def label(kind, ref):
-        return names[ref] if kind == "x" else f"z{ref + 1}"
+        return feature_names[ref] if kind == "x" else f"z{ref + 1}"
 
     def fmt(tag, nrn, acc, is_output):
         zs = [b for b in nrn.bindings if b[0] == "z"]
@@ -186,13 +182,12 @@ def describe_cascade(net: CascadeNetwork) -> str:
     return "\n".join(lines)
 
 
-def cascade_to_dot(net: CascadeNetwork) -> str:
+def cascade_to_dot(net: CascadeNetwork, feature_names, label_names) -> str:
     """Graphviz rendering of the cascade: feature boxes feeding neuron
     ellipses, accepted neurons filled gray."""
-    names = net.feature_names or tuple(f"x{j + 1}" for j in range(max(net.selected_features) + 1))
     lines = ["digraph cascade {", "  rankdir=LR;"]
     for f in net.selected_features:
-        lines.append(f'  "x{f}" [label="{names[f]}", shape=box];')
+        lines.append(f'  "x{f}" [label="{feature_names[f]}", shape=box];')
     neurons = net.neurons if net.neurons else [net.base_neuron]
     for t, nrn in enumerate(neurons):
         mark = ", peripheries=2" if t == len(neurons) - 1 else ""

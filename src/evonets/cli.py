@@ -12,6 +12,7 @@ import hashlib
 import os
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,7 @@ def _train_ruletree(args, tr, va, ds):  # fitted directly on the training rows
     if ds.class_count != 2:
         raise DataError("ruletree training requires binary labels")
     return extract_rules(tr.features[tr.labels == 0], tr.features[tr.labels == 1],
-                         range(ds.n_features), ds.feature_names), {}
+                         range(ds.n_features)), {}
 
 
 def _train_fnn(args, tr, va, ds):
@@ -283,7 +284,7 @@ def cmd_train(args):
     print(f"data_error={_error_of(bundle, full)!r}")
     for i, j, err, nf in pair_lines:
         print(f"pair={i}/{j} error={err!r} features={nf}")
-    if args.report and pair_lines:
+    if args.report:
         with open(args.report, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["class_i", "class_j", "error", "feature_count"])
@@ -368,7 +369,7 @@ def cmd_export(args):
     if render is None:
         raise UsageError(f"format '{args.format}' is not supported for method "
                          f"'{bundle.method}'")
-    out = render(bundle)
+    out = render(bundle.model, bundle.feature_names, bundle.label_names)
     if args.out:
         Path(args.out).write_text(out + "\n", encoding="utf-8")
     else:
@@ -395,7 +396,7 @@ def cmd_extract_rules(args):
     if X0.shape[0] == 0 or X1.shape[0] == 0:
         raise TrainingError("one class has no correctly classified rows; "
                             "nothing to extract a rule from")
-    tree = extract_rules(X0, X1, pool, ds.feature_names)
+    tree = extract_rules(X0, X1, pool)
 
     out_bundle = ModelBundle("ruletree", tree, bundle.norm, bundle.feature_names,
                              bundle.label_names, bundle.label_column, provenance={
@@ -406,7 +407,7 @@ def cmd_extract_rules(args):
                              })
     save_model(args.out, out_bundle)
     tree_err = float(np.mean(tree.predict_classes(X) != ds.labels))
-    print(to_text(tree, bundle.label_names))
+    print(to_text(tree, bundle.feature_names, bundle.label_names))
     print(f"rule_error={tree_err!r} source_error={float(np.mean(~correct))!r}")
     print(f"model={args.out}")
     return 0
@@ -420,6 +421,9 @@ def main(argv=None):
             raise UsageError("a command is required")
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise DataError("seed must be non-negative")
+        if getattr(args, "report", None) is not None and args.method != "pairwise-dt":
+            raise UsageError(f"--report is written by pairwise-dt only, not by method "
+                             f"'{args.method}'")
         # every command has --out (optional in some); train also has --report
         for path in (args.out, getattr(args, "report", None)):
             if path is not None:
@@ -431,7 +435,10 @@ def main(argv=None):
             "export": cmd_export,
             "extract-rules": cmd_extract_rules,
         }[args.command]
-        return handler(args)
+        with warnings.catch_warnings():   # a shown warning is one line, without its source
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                              file=sys.stderr)
+            return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -84,7 +84,6 @@ class PolyNetwork:
     neurons: list
     output: int
     layer_scores: list = field(default_factory=list)
-    feature_names: tuple = ()
 
     def referenced_features(self):
         cols = sorted({r for n in self.neurons for t, r in n.inputs if t == "x"})
@@ -250,10 +249,18 @@ def _candidates(kind, refs, keys, layer, XA, XB, outsA, outsB, yA, cfg):
         yield SupportingNeuron(kind, r, w, layer=layer), outA, outB
 
 
-def _binary_targets(ds):
-    if ds.class_count != 2:
-        raise DataError("polynomial-network training requires binary labels")
-    return ds.labels.astype(float)
+def _subsets(train, val):
+    """The fitting subset A and validation subset B of either growth as
+    (XA, XB, yA, yB), with 0/1 float targets; DataError for fewer than 2
+    features, labels that are not binary, or an empty validation set."""
+    if train.n_features < 2:
+        raise DataError("need at least 2 features")
+    for ds in (train, val):
+        if ds.class_count != 2:
+            raise DataError("polynomial-network training requires binary labels")
+    if val.n_rows == 0:
+        raise DataError("empty validation set")
+    return train.features, val.features, train.labels.astype(float), val.labels.astype(float)
 
 
 def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwork:
@@ -265,19 +272,13 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
     longer improves, and the best neuron of the last retained layer becomes
     the output. Neurons the output never references are pruned.
     """
-    m = train.n_features
-    if m < 2:
-        raise DataError("need at least 2 features")
-    yA = _binary_targets(train)
-    yB = _binary_targets(val)
-    if val.n_rows == 0:
-        raise DataError("empty validation set")
+    XA, XB, yA, yB = _subsets(train, val)
     if not 0.4 <= train.n_rows / max(val.n_rows, 1) <= 2.5:
         warnings.warn("fitting and validation subsets differ a lot in size; "
                       "the selection criterion works best when they are comparable",
                       stacklevel=2)
 
-    XA, XB = train.features, val.features
+    m = train.n_features
     kept, outsA, outsB = [], [], []   # retained neurons and their outputs on A and B
     layer_scores = []
     n_keep = cfg.survivors if cfg.survivors is not None \
@@ -311,8 +312,7 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
             kept.append(nrn)
         pairs = [(("n", a), ("n", b)) for a, b in combinations(range(output, len(kept)), 2)]
 
-    net = PolyNetwork(kept, output, layer_scores, train.feature_names)
-    return _pruned(net)
+    return _pruned(PolyNetwork(kept, output, layer_scores))
 
 
 def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwork:
@@ -325,15 +325,8 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
     accepted neuron's output becomes selectable for later pairings. The
     final model is the pool member with the best validation accuracy.
     """
+    XA, XB, yA, _ = _subsets(train, val)
     m = train.n_features
-    if m < 2:
-        raise DataError("need at least 2 features")
-    yA = _binary_targets(train)
-    yB = _binary_targets(val)
-    if val.n_rows == 0:
-        raise DataError("empty validation set")
-
-    XA, XB = train.features, val.features
     neurons, outsA, outsB = [], [], []
     pool = []  # accuracy per pool member; member k is neurons[k], and
     #            members below m stand in for the raw features themselves
@@ -373,8 +366,7 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
                 break
 
     output = int(np.argmax(pool))
-    net = PolyNetwork(neurons, output, [], train.feature_names)
-    return _pruned(net)
+    return _pruned(PolyNetwork(neurons, output))
 
 
 def _pruned(net: PolyNetwork) -> PolyNetwork:
@@ -394,7 +386,7 @@ def _pruned(net: PolyNetwork) -> PolyNetwork:
         nrn = net.neurons[old]
         inputs = tuple((t, r if t == "x" else remap[r]) for t, r in nrn.inputs)
         pruned.append(replace(nrn, inputs=inputs))
-    return PolyNetwork(pruned, remap[net.output], list(net.layer_scores), net.feature_names)
+    return PolyNetwork(pruned, remap[net.output], list(net.layer_scores))
 
 
 def _neuron_names(net):
@@ -406,19 +398,16 @@ def _neuron_names(net):
     return names
 
 
-def to_polynomial_text(net: PolyNetwork) -> str:
+def to_polynomial_text(net: PolyNetwork, feature_names, label_names) -> str:
     """The network as a set of polynomial equations, one per neuron, with
     coefficients to 4 decimals and inputs substituted by name. Listing is
     topological, so every referenced term appears before its use."""
     if not net.neurons:
         raise TrainingError("untrained model: network has no neurons")
     names = _neuron_names(net)
-    feature = net.feature_names or tuple(
-        f"x{j + 1}" for j in range(max(net.referenced_features(), default=0) + 1))
-
     lines = []
     for k, nrn in enumerate(net.neurons):
-        ins = [feature[r] if t == "x" else names[r] for t, r in nrn.inputs]
+        ins = [feature_names[r] if t == "x" else names[r] for t, r in nrn.inputs]
         terms = list(ins)
         if nrn.kind == "bilinear":
             terms.append(f"{ins[0]}*{ins[1]}")
@@ -431,14 +420,12 @@ def to_polynomial_text(net: PolyNetwork) -> str:
     return "\n".join(lines)
 
 
-def gmdh_to_dot(net: PolyNetwork) -> str:
+def gmdh_to_dot(net: PolyNetwork, feature_names, label_names) -> str:
     """Graphviz rendering of the DAG; surviving neurons are filled gray."""
     names = _neuron_names(net)
-    feature = net.feature_names or tuple(
-        f"x{j + 1}" for j in range(max(net.referenced_features(), default=0) + 1))
     lines = ["digraph polynet {", "  rankdir=LR;"]
     for f in net.referenced_features():
-        lines.append(f'  "x{f}" [label="{feature[f]}", shape=box];')
+        lines.append(f'  "x{f}" [label="{feature_names[f]}", shape=box];')
     for k, nrn in enumerate(net.neurons):
         fill = ", style=filled, fillcolor=gray80" if nrn.survivor else ""
         mark = ", peripheries=2" if k == net.output else ""

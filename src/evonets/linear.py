@@ -129,12 +129,9 @@ class PairwiseTree:
 
     class_count: int
     tlus: dict
-    feature_names: tuple = ()
 
     def __post_init__(self):
-        expect = {(i, j) for i, j in combinations(range(self.class_count), 2)}
-        if set(self.tlus) != expect:
-            raise DataError(f"need exactly {len(expect)} pairwise tests, one per class pair")
+        _class_pairs(self.tlus, self.class_count)
 
     def class_scores(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -437,7 +434,18 @@ def train_pairwise_tree(train: Dataset, val: Dataset,
                            val.feature_names, 2)
         tlus[(i, j)] = fit(pair_train, pair_val,
                            replace(cfg, seed=derive_seed(cfg.seed, i, j)))
-    return PairwiseTree(train.class_count, tlus, train.feature_names)
+    return PairwiseTree(train.class_count, tlus)
+
+
+def _class_pairs(keys, class_count):
+    """The class pairs (i, j), i < j, in order; DataError unless keys holds
+    each of them and nothing else."""
+    pairs = list(combinations(range(class_count), 2))
+    missing, extra = sorted(set(pairs) - set(keys)), sorted(set(keys) - set(pairs))
+    if missing or extra:
+        raise DataError(f"need one pairwise unit per class pair; missing {missing}, "
+                        f"extra {extra}")
+    return pairs
 
 
 def combine_pairwise(outputs, class_count):
@@ -449,10 +457,7 @@ def combine_pairwise(outputs, class_count):
     sums of +/-1 they are exact in any order. Returns the (n, class_count)
     score matrix; the winner of a row is its argmax, ties to the lowest index.
     """
-    pairs = list(combinations(range(class_count), 2))
-    if set(outputs) != set(pairs):
-        missing = sorted(set(pairs) - set(outputs))
-        raise DataError(f"incomplete pairwise outputs; missing {missing}")
+    pairs = _class_pairs(outputs, class_count)
     g = np.zeros((len(outputs[pairs[0]]), class_count))
     for i, j in pairs:
         g[:, i] += outputs[(i, j)]
@@ -473,48 +478,48 @@ def aggregate_segments(predictions, class_count):
     return dist
 
 
-def describe_linear_machine(lm: LinearMachine, feature_names, class_names) -> str:
+def describe_linear_machine(lm: LinearMachine, feature_names, label_names) -> str:
     """One line per class: its discriminant's bias and feature weights."""
     lines = []
     for k, w in enumerate(lm.weights):
         terms = ", ".join([f"bias={w[0]:.4f}"] +
                           [f"{feature_names[i]}={w[i + 1]:.4f}" for i in range(len(w) - 1)])
-        lines.append(f"g_{class_names[k]}: {terms}")
+        lines.append(f"g_{label_names[k]}: {terms}")
     return "\n".join(lines)
 
 
-def linear_machine_to_dot(lm: LinearMachine, feature_names, class_names) -> str:
+def linear_machine_to_dot(lm: LinearMachine, feature_names, label_names) -> str:
     """Graphviz rendering: every feature box feeds every class discriminant."""
     lines = ["digraph linmachine {", "  rankdir=LR;"]
     for i, name in enumerate(feature_names):
         lines.append(f'  "x{i}" [label="{name}", shape=box];')
     for k in range(lm.class_count):
-        lines.append(f'  "g{k}" [label="g_{class_names[k]}"];')
+        lines.append(f'  "g{k}" [label="g_{label_names[k]}"];')
         for i in range(len(feature_names)):
             lines.append(f'  "x{i}" -> "g{k}";')
     lines.append("}")
     return "\n".join(lines)
 
 
-def describe_pairwise_tree(tree: PairwiseTree, feature_names, class_names) -> str:
+def describe_pairwise_tree(tree: PairwiseTree, feature_names, label_names) -> str:
     """One line per class pair: the unit's features, weights and accuracy."""
     lines = []
     for (i, j) in sorted(tree.tlus):
         t = tree.tlus[(i, j)]
         feats = ", ".join(feature_names[f] for f in t.features)
         ws = ", ".join(f"{v:.4f}" for v in t.weights)
-        lines.append(f"f_{class_names[i]}/{class_names[j]}: "
+        lines.append(f"f_{label_names[i]}/{label_names[j]}: "
                      f"features [{feats}] weights [{ws}] accuracy {t.accuracy:.4f}")
     return "\n".join(lines)
 
 
-def pairwise_tree_to_dot(tree: PairwiseTree, class_names) -> str:
+def pairwise_tree_to_dot(tree: PairwiseTree, feature_names, label_names) -> str:
     """Graphviz rendering: each pair unit votes +1 for class i, -1 for class j."""
     lines = ["digraph pairwise {", "  rankdir=LR;"]
     for (i, j) in sorted(tree.tlus):
         lines.append(f'  "f{i}_{j}" [label="f_{i}/{j}", shape=box];')
     for k in range(tree.class_count):
-        lines.append(f'  "g{k}" [label="g_{class_names[k]}"];')
+        lines.append(f'  "g{k}" [label="g_{label_names[k]}"];')
     for (i, j) in sorted(tree.tlus):
         lines.append(f'  "f{i}_{j}" -> "g{i}" [label="+1"];')
         lines.append(f'  "f{i}_{j}" -> "g{j}" [label="-1"];')

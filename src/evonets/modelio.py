@@ -109,7 +109,7 @@ def _decode_rule_node(d, n_features):
 def _decode_ruletree(payload, feature_names, label_names):
     if len(label_names) != 2:
         raise DataError(f"a ruletree needs exactly 2 label_names, not {len(label_names)}")
-    return RuleTree(_decode_rule_node(payload.get("root"), len(feature_names)), feature_names)
+    return RuleTree(_decode_rule_node(payload.get("root"), len(feature_names)))
 
 
 def _decode_lm(payload, feature_names, label_names):
@@ -197,7 +197,6 @@ def _decode_cascade(payload, feature_names, label_names):
         accepted_features=list(accepted),
         accepted_scores=[float(s) for s in scores],
         threshold=float(threshold),
-        feature_names=feature_names,
     )
 
 
@@ -251,7 +250,7 @@ def _decode_poly(payload, feature_names, label_names):
         raise DataError(f"gmdh output {output!r} is not a neuron index below {len(neurons)}")
     if not _finite_numbers(scores):
         raise DataError("gmdh layer_scores must be a list of finite numbers")
-    return PolyNetwork(neurons, output, [float(s) for s in scores], feature_names)
+    return PolyNetwork(neurons, output, [float(s) for s in scores])
 
 
 def _encode_pairwise(tree):
@@ -298,7 +297,7 @@ def _decode_pairwise(payload, feature_names, label_names):
             raise DataError(f"pairwise-dt test {i}/{j} accuracy {accuracy!r} is not a finite "
                             f"number")
         tlus[(i, j)] = LinearTest(tuple(features), np.array(weights), float(accuracy))
-    return PairwiseTree(classes, tlus, feature_names)
+    return PairwiseTree(classes, tlus)
 
 
 def _encode_fnn(model):
@@ -341,8 +340,9 @@ class Method(NamedTuple):
     encode maps the model to its JSON payload and decode(payload,
     feature_names, label_names) rebuilds it, raising DataError for a payload
     that does not fit the envelope.
-    to_text and to_dot render a ModelBundle for `export`; to_dot is None
-    where the method has no graph form.
+    to_text and to_dot render the model for `export`, given the envelope's
+    feature and label names; to_dot is None where the method has no graph
+    form.
     feature_pool gives the columns a rule tree distilled from the model may
     split on; None means every column.
     """
@@ -354,31 +354,23 @@ class Method(NamedTuple):
     feature_pool: Callable | None
 
 
-_GMDH = Method(_encode_poly, _decode_poly,
-               lambda b: to_polynomial_text(b.model), lambda b: gmdh_to_dot(b.model),
+_GMDH = Method(_encode_poly, _decode_poly, to_polynomial_text, gmdh_to_dot,
                lambda net: list(net.referenced_features()))
 
 # Adding a method means one row here and one trainer in `cli.TRAINERS`.
 METHODS = {
-    "ecnn": Method(_encode_cascade, _decode_cascade,
-                   lambda b: describe_cascade(b.model), lambda b: cascade_to_dot(b.model),
+    "ecnn": Method(_encode_cascade, _decode_cascade, describe_cascade, cascade_to_dot,
                    lambda net: list(net.selected_features)),
     "gmdh-layered": _GMDH,
     "gmdh-roulette": _GMDH,
     "lm": Method(lambda lm: {"weights": _matrix(lm.weights)}, _decode_lm,
-                 lambda b: describe_linear_machine(b.model, b.feature_names, b.label_names),
-                 lambda b: linear_machine_to_dot(b.model, b.feature_names, b.label_names),
-                 None),
+                 describe_linear_machine, linear_machine_to_dot, None),
     "pairwise-dt": Method(
-        _encode_pairwise, _decode_pairwise,
-        lambda b: describe_pairwise_tree(b.model, b.feature_names, b.label_names),
-        lambda b: pairwise_tree_to_dot(b.model, b.label_names),
+        _encode_pairwise, _decode_pairwise, describe_pairwise_tree, pairwise_tree_to_dot,
         lambda tree: sorted({f for t in tree.tlus.values() for f in t.features})),
     "ruletree": Method(lambda tree: {"root": _encode_rule_node(tree.root)}, _decode_ruletree,
-                       lambda b: to_text(b.model, b.label_names),
-                       lambda b: ruletree_to_dot(b.model, b.label_names),
-                       None),
-    "fnn": Method(_encode_fnn, _decode_fnn, lambda b: describe_fnn(b.model), None, None),
+                       to_text, ruletree_to_dot, None),
+    "fnn": Method(_encode_fnn, _decode_fnn, describe_fnn, None, None),
 }
 
 

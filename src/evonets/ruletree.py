@@ -41,7 +41,6 @@ class RuleNode:
 @dataclass(eq=False)
 class RuleTree:
     root: RuleNode
-    feature_names: tuple = ()
 
     def predict_classes(self, X):
         """Labels for every row: the rows reaching a node split on one
@@ -143,7 +142,7 @@ def _find_node(X0, X1, pool):
     return node
 
 
-def extract_rules(X0, X1, pool, feature_names=()) -> RuleTree:
+def extract_rules(X0, X1, pool) -> RuleTree:
     """Grow a threshold tree dividing class-0 rows X0 from class-1 rows X1.
 
     `pool` lists the feature columns the tree may test; each feature is
@@ -158,7 +157,7 @@ def extract_rules(X0, X1, pool, feature_names=()) -> RuleTree:
         raise DataError("both classes need at least one row")
     if len(set(pool)) != len(pool):
         raise DataError("feature pool entries must be unique")
-    return RuleTree(_find_node(X0, X1, pool), tuple(feature_names))
+    return RuleTree(_find_node(X0, X1, pool))
 
 
 def classify_rule(tree: RuleTree, x):
@@ -178,24 +177,20 @@ def classify_rule(tree: RuleTree, x):
             node = node.low_child
 
 
-def to_text(tree: RuleTree, class_names=("0", "1")) -> str:
+def to_text(tree: RuleTree, feature_names, label_names) -> str:
     """Nested if/else rendering with 4-decimal thresholds."""
-    names = tree.feature_names or None
-
-    def name(feature):
-        return names[feature] if names else f"x{feature + 1}"
 
     def render(node, indent):
         pad = "  " * indent
         lines = []
-        cond = f"{name(node.feature)} > {node.threshold:.4f}"
+        cond = f"{feature_names[node.feature]} > {node.threshold:.4f}"
         if node.high_child is None:
-            lines.append(f"{pad}if {cond} then class {class_names[node.high_label]}")
+            lines.append(f"{pad}if {cond} then class {label_names[node.high_label]}")
         else:
             lines.append(f"{pad}if {cond} then")
             lines.extend(render(node.high_child, indent + 1))
         if node.low_child is None:
-            lines.append(f"{pad}else class {class_names[node.low_label]}")
+            lines.append(f"{pad}else class {label_names[node.low_label]}")
         else:
             lines.append(f"{pad}else")
             lines.extend(render(node.low_child, indent + 1))
@@ -204,26 +199,22 @@ def to_text(tree: RuleTree, class_names=("0", "1")) -> str:
     return "\n".join(render(tree.root, 0))
 
 
-def ruletree_to_dot(tree: RuleTree, class_names=("0", "1")) -> str:
+def ruletree_to_dot(tree: RuleTree, feature_names, label_names) -> str:
     """Graphviz rendering: threshold tests as boxes, leaves as ellipses."""
-    names = tree.feature_names or None
-
-    def name(feature):
-        return names[feature] if names else f"x{feature + 1}"
-
     lines = ["digraph ruletree {"]
     counter = [0]
 
     def emit(node):
         my = f"t{counter[0]}"
         counter[0] += 1
-        lines.append(f'  "{my}" [label="{name(node.feature)} > {node.threshold:.4f}", shape=box];')
+        lines.append(f'  "{my}" [label="{feature_names[node.feature]} > {node.threshold:.4f}", '
+                     f'shape=box];')
         for side, child, label in (("> (high)", node.high_child, node.high_label),
                                    ("<= (low)", node.low_child, node.low_label)):
             if child is None:
                 leaf = f"t{counter[0]}"
                 counter[0] += 1
-                lines.append(f'  "{leaf}" [label="class {class_names[label]}"];')
+                lines.append(f'  "{leaf}" [label="class {label_names[label]}"];')
                 lines.append(f'  "{my}" -> "{leaf}" [label="{side}"];')
             else:
                 sub = emit(child)

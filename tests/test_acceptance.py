@@ -54,7 +54,7 @@ class TestC02ReferencePolynomialFixture:
     def network(self):
         neurons = [SupportingNeuron("bilinear", ins, w, layer=k + 1, survivor=True)
                    for k, (ins, w) in enumerate(self.CHAIN)]
-        return PolyNetwork(neurons, 2, [], tuple(f"x{j+1}" for j in range(76)))
+        return PolyNetwork(neurons, 2, [])
 
     @staticmethod
     def interpret(net, x):
@@ -228,8 +228,8 @@ class TestC08RuleExtraction:
 
     def test_reference_rule_shape_with_strict_boundary(self):
         node = RuleNode(feature=5, threshold=1.081, high_is_one=True)
-        tree = RuleTree(node, tuple(f"x{j+1}" for j in range(7)))
-        text = to_text(tree, class_names=("normal", "artifact"))
+        tree = RuleTree(node)
+        text = to_text(tree, tuple(f"x{j+1}" for j in range(7)), ("normal", "artifact"))
         assert "x6 > 1.0810" in text
         x = np.zeros(7)
         x[5] = 1.2

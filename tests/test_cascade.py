@@ -24,6 +24,11 @@ def separable_dataset(seed=0, n=200, noise_features=5):
     return Dataset(X, y, names, 2)
 
 
+# the column and label names two_neuron_fixture is rendered with
+NAMES = ("AbsPowBeta2", "AbsPowAlphaC4", "AbsPowDeltaC3")
+LABELS = ("0", "1")
+
+
 def two_neuron_fixture():
     """A hand-built network: z1(anchor, f1), z2(anchor, f2, z1)."""
     n1 = SigmoidNeuron((("x", 0), ("x", 1)), [0.0, 2.0, 1.0])
@@ -33,7 +38,6 @@ def two_neuron_fixture():
         anchor=0, feature_order=(0, 1, 2), single_errors=(0.2, 0.3, 0.4),
         base_neuron=base, base_score=0.2, neurons=[n1, n2],
         accepted_features=[1, 2], accepted_scores=[0.15, 0.10],
-        feature_names=("AbsPowBeta2", "AbsPowAlphaC4", "AbsPowDeltaC3"),
     )
 
 
@@ -119,7 +123,8 @@ class TestTraining:
         tr, va = split(ds, SplitSpec((0.5, 0.5), seed=3))
         a = train_ecnn(tr, va, replace(CFG, seed=42))
         b = train_ecnn(tr, va, replace(CFG, seed=42))
-        assert describe_cascade(a) == describe_cascade(b)
+        assert describe_cascade(a, tr.feature_names, LABELS) == \
+            describe_cascade(b, tr.feature_names, LABELS)
         for na, nb in zip(a.neurons, b.neurons):
             np.testing.assert_array_equal(na.weights, nb.weights)
 
@@ -207,29 +212,29 @@ class TestPrediction:
 class TestDescription:
     def test_line_count_matches_neurons(self):
         net = two_neuron_fixture()
-        lines = describe_cascade(net).splitlines()
+        lines = describe_cascade(net, NAMES, LABELS).splitlines()
         assert len(lines) == 2
 
     def test_second_line_references_first_hidden_output(self):
         net = two_neuron_fixture()
-        lines = describe_cascade(net).splitlines()
+        lines = describe_cascade(net, NAMES, LABELS).splitlines()
         assert lines[1].startswith("z2")
         assert "z1" in lines[1]
 
     def test_feature_names_propagate(self):
         net = two_neuron_fixture()
-        text = describe_cascade(net)
+        text = describe_cascade(net, NAMES, LABELS)
         assert "AbsPowBeta2" in text
         assert "AbsPowDeltaC3" in text
 
     def test_accuracies_increase_down_the_listing(self):
         net = two_neuron_fixture()
-        assert "0.8500" in describe_cascade(net).splitlines()[0]
-        assert "0.9000" in describe_cascade(net).splitlines()[1]
+        assert "0.8500" in describe_cascade(net, NAMES, LABELS).splitlines()[0]
+        assert "0.9000" in describe_cascade(net, NAMES, LABELS).splitlines()[1]
 
     def test_dot_contains_all_nodes(self):
         net = two_neuron_fixture()
-        dot = cascade_to_dot(net)
+        dot = cascade_to_dot(net, NAMES, LABELS)
         assert dot.startswith("digraph")
         for tag in ("z1", "z2", "AbsPowBeta2"):
             assert tag in dot

@@ -177,6 +177,52 @@ class TestTrain:
         assert run("train", "--method", "magic", "--data", str(xor_csv),
                    "--out", str(tmp_path / "m.json")) == 1
 
+    @pytest.mark.parametrize("method", ["lm", "ecnn"])
+    def test_report_without_pair_units_is_usage_error(self, method, xor_csv, tmp_path,
+                                                      capsys, monkeypatch):
+        # only pairwise-dt has pair units to report; the flag is refused before
+        # the data is read
+        from evonets import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read before --report was refused")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        out, report = tmp_path / "m.json", tmp_path / "r.csv"
+        assert run("train", "--method", method, "--data", str(xor_csv), "--out", str(out),
+                   "--report", str(report)) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"usage error: --report is written by pairwise-dt only, not "
+                              f"by method '{method}'\n")
+        assert not out.exists() and not report.exists()
+
+    def test_learner_warning_prints_as_one_line(self, xor_csv, tmp_path, capsys):
+        # a 9:1 split makes gmdh-layered warn; the warning changes nothing else
+        argv = ("train", "--method", "gmdh-layered", "--data", str(xor_csv),
+                "--split", "9/10:1/10", "--epochs", "20", "--restarts", "1", "--out")
+        quiet = tmp_path / "quiet.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(*argv, str(quiet)) == 0
+        quiet_out = capsys.readouterr().out
+        out = tmp_path / "m.json"
+        assert run(*argv, str(out)) == 0
+        stdout, err = capsys.readouterr()
+        assert err == ("warning: fitting and validation subsets differ a lot in size; the "
+                       "selection criterion works best when they are comparable\n")
+        assert stdout == quiet_out.replace(str(quiet), str(out))
+        assert out.read_bytes() == quiet.read_bytes()
+
+    def test_numpy_warning_still_raises_under_an_error_filter(self, tmp_path, monkeypatch):
+        from evonets import cli
+
+        monkeypatch.setattr(cli, "cmd_generate", lambda args: np.log(np.zeros(1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="divide by zero"):
+                run("generate", "xor", "--out", str(tmp_path / "x.csv"))
+
     @pytest.mark.parametrize("method,extra", [
         ("ecnn", ("--epochs", "60", "--restarts", "1")),
         ("gmdh-layered", ()),
@@ -453,7 +499,9 @@ class TestExport:
         capsys.readouterr()
         assert run("export", "--model", str(model), "--format", "text") == 0
         printed = capsys.readouterr().out.rstrip("\n")
-        assert printed == to_polynomial_text(load_model(model).model)
+        bundle = load_model(model)
+        assert printed == to_polynomial_text(bundle.model, bundle.feature_names,
+                                             bundle.label_names)
 
     def test_ecnn_dot_structure(self, xor_csv, tmp_path, capsys):
         model = tmp_path / "m.json"

@@ -55,7 +55,7 @@ from evonets.dataset import (Dataset, NormParams, SplitSpec, gen_blobs, gen_surr
                              split)
 from evonets.errors import DataError, TrainingError
 from evonets.gmdh import (KINDS, GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
-                          _binary_targets, _fit_weights, count_candidates,
+                          _fit_weights, _subsets, count_candidates,
                           train_gmdh_layered, train_gmdh_roulette)
 from evonets.linear import LinearMachine, PocketState, thermal_c, train_pocket_ratchet
 from evonets.modelio import ModelBundle, save_model
@@ -479,7 +479,7 @@ class TestPredictClassesOracle:
     def test_hand_built_tree_with_specials(self):
         leaf_parent = RuleNode(1, -0.5, False, low_label=1, high_label=0)
         root = RuleNode(0, 0.0, True, low_child=leaf_parent, high_label=1)
-        tree = RuleTree(root, ("a", "b"))
+        tree = RuleTree(root)
         X = np.array([[0.0, 0.0], [-0.0, -0.5], [5e-324, -1.0], [-5e-324, -0.4],
                       [np.nan, -1.0], [np.inf, np.nan], [-np.inf, -np.inf]])
         assert tree.predict_classes(X).tobytes() == oracle_predict_classes(tree, X).tobytes()
@@ -577,19 +577,13 @@ def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig(),
     longer improves, and the best neuron of the last retained layer becomes
     the output. Neurons the output never references are pruned.
     """
+    XA, XB, yA, yB = _subsets(train, val)
     m = train.n_features
-    if m < 2:
-        raise DataError("need at least 2 features")
-    yA = _binary_targets(train)
-    yB = _binary_targets(val)
-    if val.n_rows == 0:
-        raise DataError("empty validation set")
     if not 0.4 <= train.n_rows / max(val.n_rows, 1) <= 2.5:
         warnings.warn("fitting and validation subsets differ a lot in size; "
                       "the selection criterion works best when they are comparable",
                       stacklevel=2)
 
-    XA, XB = train.features, val.features
     kept = []            # retained neurons across layers, creation order
     colsA, colsB = [], []  # per retained neuron: outputs on both subsets
     layer_scores = []
@@ -634,7 +628,7 @@ def oracle_train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig(),
     if not kept:
         raise TrainingError("no layer could be grown")
     output = prev_layer[0]   # survivors are sorted best-first
-    net = PolyNetwork(kept, output, layer_scores, train.feature_names)
+    net = PolyNetwork(kept, output, layer_scores)
     return oracle_pruned(net)
 
 
@@ -649,17 +643,11 @@ def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=
     accepted neuron's output becomes selectable for later pairings. The
     final model is the pool member with the best validation accuracy.
     """
+    XA, XB, yA, yB = _subsets(train, val)
     m = train.n_features
-    if m < 2:
-        raise DataError("need at least 2 features")
-    yA = _binary_targets(train)
-    yB = _binary_targets(val)
-    if val.n_rows == 0:
-        raise DataError("empty validation set")
     if seed is None:
         seed = cfg.seed
 
-    XA, XB = train.features, val.features
     neurons, colsA, colsB = [], [], []
 
     def add(nrn, outA, outB):
@@ -713,7 +701,7 @@ def oracle_train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig(), seed=
             pool.append(ac)
 
     output = int(np.argmax(pool))
-    net = PolyNetwork(neurons, output, [], train.feature_names)
+    net = PolyNetwork(neurons, output, [])
     return oracle_pruned(net)
 
 
@@ -736,7 +724,7 @@ def oracle_pruned(net: PolyNetwork) -> PolyNetwork:
         copy = SupportingNeuron(nrn.kind, inputs, nrn.weights, nrn.layer, nrn.survivor)
         copy.criterion, copy.accuracy = nrn.criterion, nrn.accuracy
         pruned.append(copy)
-    return PolyNetwork(pruned, remap[net.output], list(net.layer_scores), net.feature_names)
+    return PolyNetwork(pruned, remap[net.output], list(net.layer_scores))
 
 
 def gmdh_data(seed, n=90, features=5):
@@ -750,11 +738,12 @@ def gmdh_data(seed, n=90, features=5):
 
 
 def model_bytes(net, method, tmp_path):
-    """The model file `save_model` writes for a polynomial network."""
-    m = len(net.feature_names)
+    """The model file `save_model` writes for a polynomial network, named
+    f1, f2, ... up to its highest referenced column."""
+    m = max(net.referenced_features()) + 1
     path = tmp_path / f"{method}.json"
     save_model(path, ModelBundle(method, net, NormParams(np.zeros(m), np.ones(m)),
-                                 net.feature_names, ("0", "1")))
+                                 tuple(f"f{j + 1}" for j in range(m)), ("0", "1")))
     return path.read_bytes()
 
 
@@ -1144,11 +1133,12 @@ def ranking_key(result):
 
 
 def cascade_bytes(net, tmp_path):
-    """The model file `save_model` writes for a cascade network."""
-    m = len(net.feature_names)
+    """The model file `save_model` writes for a cascade network, its columns
+    named f1, f2, ... (the ranking covers every column)."""
+    m = len(net.feature_order)
     path = tmp_path / "ecnn.json"
     save_model(path, ModelBundle("ecnn", net, NormParams(np.zeros(m), np.ones(m)),
-                                 net.feature_names, ("0", "1")))
+                                 tuple(f"f{j + 1}" for j in range(m)), ("0", "1")))
     return path.read_bytes()
 
 

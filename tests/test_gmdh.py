@@ -18,11 +18,18 @@ CHAIN = [
 ]
 
 
-def chain_network(features=76):
+LABELS = ("0", "1")
+
+
+def column_names(m):
+    """x1, x2, ..., xm: the names the fixtures are rendered with."""
+    return tuple(f"x{j + 1}" for j in range(m))
+
+
+def chain_network():
     neurons = [SupportingNeuron("bilinear", inputs, weights, layer=k + 1, survivor=True)
                for k, (inputs, weights) in enumerate(CHAIN)]
-    names = tuple(f"x{j + 1}" for j in range(features))
-    return PolyNetwork(neurons, 2, [], names)
+    return PolyNetwork(neurons, 2, [])
 
 
 def neuron_value(nrn, *values):
@@ -66,11 +73,10 @@ DEEP = [
 ]
 
 
-def deep_network(features=72):
+def deep_network():
     neurons = [SupportingNeuron("bilinear", ins, w, layer=layer, survivor=True)
                for ins, w, layer in DEEP]
-    names = tuple(f"x{j + 1}" for j in range(features))
-    return PolyNetwork(neurons, 10, [], names)
+    return PolyNetwork(neurons, 10, [])
 
 
 class TestCounting:
@@ -182,6 +188,24 @@ class TestLayeredGrowth:
             train_gmdh_layered(ds, ds, GmdhConfig())
 
 
+def rows(features, class_count, n=30):
+    X = np.random.default_rng(0).normal(size=(n, features))
+    return Dataset(X, np.arange(n) % 2, tuple(f"f{j}" for j in range(features)), class_count)
+
+
+@pytest.mark.parametrize("train, val, message", [
+    # each input also breaks every later check, so the first check must win
+    (rows(1, 3), rows(1, 3, n=0), "need at least 2 features"),
+    (rows(2, 3), rows(2, 3, n=0), "requires binary labels"),
+    (rows(2, 2), rows(2, 3, n=0), "requires binary labels"),
+    (rows(2, 2), rows(2, 2, n=0), "empty validation set"),
+])
+@pytest.mark.parametrize("grow", [train_gmdh_layered, train_gmdh_roulette])
+def test_both_growths_check_their_data_alike(grow, train, val, message):
+    with pytest.raises(DataError, match=message):
+        grow(train, val, GmdhConfig(method="least_squares"))
+
+
 @pytest.mark.parametrize("setting, message", [
     ({"learning_rate": 0.0}, "learning_rate must be positive"),
     ({"learning_rate": float("nan")}, "learning_rate must be positive"),
@@ -208,7 +232,8 @@ class TestRouletteGrowth:
         cfg = GmdhConfig(attempts=40, method="least_squares", seed=11)
         a = train_gmdh_roulette(tr, va, cfg)
         b = train_gmdh_roulette(tr, va, cfg)
-        assert to_polynomial_text(a) == to_polynomial_text(b)
+        assert to_polynomial_text(a, tr.feature_names, LABELS) == \
+            to_polynomial_text(b, tr.feature_names, LABELS)
 
     def test_validation_never_worse_than_best_single(self):
         ds, _ = gen_surrogate_eeg(600, relevant=3, irrelevant=5, seed=12)
@@ -237,13 +262,13 @@ class TestPrediction:
 
     def test_first_neuron_bias_at_zero_input(self):
         net = chain_network()
-        first = PolyNetwork(net.neurons, 0, [], net.feature_names)
+        first = PolyNetwork(net.neurons, 0, [])
         assert raw_output(first, np.zeros(76)) == pytest.approx(0.6965, abs=1e-15)
 
     def test_single_reference_neuron_at_zero_input(self):
         nrn = SupportingNeuron("bilinear", (("x", 0), ("x", 1)), CHAIN[0][1],
                                survivor=True)
-        net = PolyNetwork([nrn], 0, [], ("a", "b"))
+        net = PolyNetwork([nrn], 0, [])
         raw = raw_output(net, np.zeros(2))
         assert raw == pytest.approx(0.6965, abs=1e-15)
         assert net.predict_classes(np.zeros((1, 2)))[0] == 1
@@ -299,17 +324,17 @@ class TestPruning:
 
 class TestText:
     def test_three_equations(self):
-        text = to_polynomial_text(chain_network())
+        text = to_polynomial_text(chain_network(), column_names(76), LABELS)
         assert len(text.splitlines()) == 3
 
     def test_reference_first_line_format(self):
-        first = to_polynomial_text(chain_network()).splitlines()[0]
+        first = to_polynomial_text(chain_network(), column_names(76), LABELS).splitlines()[0]
         assert "0.6965 + 0.3916" in first
         assert "- 0.2312" in first
         assert "x11" in first and "x69" in first
 
     def test_topological_listing(self):
-        lines = to_polynomial_text(chain_network()).splitlines()
+        lines = to_polynomial_text(chain_network(), column_names(76), LABELS).splitlines()
         names = [ln.split(" = ")[0] for ln in lines]
         for k, line in enumerate(lines):
             rhs = line.split(" = ")[1]
@@ -317,7 +342,7 @@ class TestText:
                 assert later not in rhs
 
     def test_deep_fixture_renders_eleven_equations(self):
-        text = to_polynomial_text(deep_network())
+        text = to_polynomial_text(deep_network(), column_names(72), LABELS)
         lines = text.splitlines()
         assert len(lines) == 11
         assert lines[0].startswith("y1(1) = 0.9049 - 0.1707*x5 - 0.1616*x57")
@@ -331,6 +356,6 @@ class TestText:
                 assert later not in rhs
 
     def test_dot_marks_survivors(self):
-        dot = gmdh_to_dot(chain_network())
+        dot = gmdh_to_dot(chain_network(), column_names(76), LABELS)
         assert "fillcolor=gray80" in dot
         assert dot.count("->") >= 6

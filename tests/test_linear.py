@@ -366,6 +366,18 @@ class TestCombine:
         with pytest.raises(DataError, match="missing"):
             combine_pairwise({(0, 1): np.array([1])}, class_count=3)
 
+    @pytest.mark.parametrize("pairs, named", [
+        ([(0, 1)], r"missing \[\(0, 2\), \(1, 2\)\], extra \[\]"),
+        ([(0, 1), (0, 2), (1, 2), (2, 3)], r"missing \[\], extra \[\(2, 3\)\]"),
+        ([(0, 1), (0, 2), (2, 1)], r"missing \[\(1, 2\)\], extra \[\(2, 1\)\]"),
+    ])
+    def test_tree_and_vote_name_the_same_wrong_pairs(self, pairs, named):
+        message = f"need one pairwise unit per class pair; {named}"
+        with pytest.raises(DataError, match=message):
+            constant_tree({p: 1 for p in pairs}, 3)
+        with pytest.raises(DataError, match=message):
+            combine_pairwise({p: np.array([1]) for p in pairs}, class_count=3)
+
 
 class TestAggregate:
     def test_fraction_of_segments(self):

@@ -100,7 +100,7 @@ def _decode_rule_node(d):
     return node
 
 
-def oracle_restore(method, payload, feature_names):
+def oracle_restore(method, payload):
     if method == "ecnn":
         return CascadeNetwork(
             anchor=int(payload["anchor"]),
@@ -112,7 +112,6 @@ def oracle_restore(method, payload, feature_names):
             accepted_features=[int(f) for f in payload["accepted_features"]],
             accepted_scores=[float(s) for s in payload["accepted_scores"]],
             threshold=float(payload["threshold"]),
-            feature_names=feature_names,
         )
     if method in ("gmdh-layered", "gmdh-roulette"):
         neurons = []
@@ -121,7 +120,7 @@ def oracle_restore(method, payload, feature_names):
                 d["kind"], tuple((t, r) for t, r in d["inputs"]),
                 np.array(d["weights"]), int(d["layer"]), bool(d["survivor"])))
         return PolyNetwork(neurons, int(payload["output"]),
-                           [float(s) for s in payload["layer_scores"]], feature_names)
+                           [float(s) for s in payload["layer_scores"]])
     if method == "lm":
         return LinearMachine(np.array(payload["weights"]))
     if method == "pairwise-dt":
@@ -129,9 +128,9 @@ def oracle_restore(method, payload, feature_names):
         for t in payload["tests"]:
             tlus[(int(t["i"]), int(t["j"]))] = LinearTest(
                 tuple(t["features"]), np.array(t["weights"]), float(t["accuracy"]))
-        return PairwiseTree(int(payload["classes"]), tlus, feature_names)
+        return PairwiseTree(int(payload["classes"]), tlus)
     if method == "ruletree":
-        return RuleTree(_decode_rule_node(payload["root"]), feature_names)
+        return RuleTree(_decode_rule_node(payload["root"]))
     if method == "fnn":
         return FnnModel(np.array(payload["hidden_weights"]),
                         np.array(payload["output_weights"]),
@@ -143,9 +142,9 @@ def oracle_render(bundle, fmt):
     model, method = bundle.model, bundle.method
     if fmt == "text":
         if method == "ecnn":
-            out = describe_cascade(model)
+            out = describe_cascade(model, bundle.feature_names, bundle.label_names)
         elif method in ("gmdh-layered", "gmdh-roulette"):
-            out = to_polynomial_text(model)
+            out = to_polynomial_text(model, bundle.feature_names, bundle.label_names)
         elif method == "lm":
             lines = []
             for k, w in enumerate(model.weights):
@@ -165,7 +164,7 @@ def oracle_render(bundle, fmt):
                              f"accuracy {t.accuracy:.4f}")
             out = "\n".join(lines)
         elif method == "ruletree":
-            out = to_text(model, bundle.label_names)
+            out = to_text(model, bundle.feature_names, bundle.label_names)
         else:  # fnn: plain weight dump, there is no compact closed form
             lines = [f"hidden[{k}]: " + " ".join(f"{v!r}" for v in row)
                      for k, row in enumerate(model.hidden_weights)]
@@ -174,11 +173,11 @@ def oracle_render(bundle, fmt):
             out = "\n".join(lines)
     else:
         if method == "ecnn":
-            out = cascade_to_dot(model)
+            out = cascade_to_dot(model, bundle.feature_names, bundle.label_names)
         elif method in ("gmdh-layered", "gmdh-roulette"):
-            out = gmdh_to_dot(model)
+            out = gmdh_to_dot(model, bundle.feature_names, bundle.label_names)
         elif method == "ruletree":
-            out = ruletree_to_dot(model, bundle.label_names)
+            out = ruletree_to_dot(model, bundle.feature_names, bundle.label_names)
         elif method == "lm":
             lines = ["digraph linmachine {", "  rankdir=LR;"]
             for i, name in enumerate(bundle.feature_names):
@@ -277,7 +276,7 @@ class TestAgainstOracle:
         assert encoded == as_json(oracle_payload(method, bundle.model))
         assert encoded == as_json(doc["payload"])
         decoded = spec.decode(doc["payload"], bundle.feature_names, bundle.label_names)
-        restored = oracle_restore(method, doc["payload"], bundle.feature_names)
+        restored = oracle_restore(method, doc["payload"])
         assert type(decoded) is type(restored)
         assert as_json(spec.encode(decoded)) == as_json(oracle_payload(method, restored))
         assert as_json(spec.encode(decoded)) == encoded
@@ -299,7 +298,7 @@ class TestAgainstOracle:
         assert code == 0
         assert out.read_text(encoding="utf-8") == expected + "\n"
         render = METHODS[method].to_text if fmt == "text" else METHODS[method].to_dot
-        assert render(bundle) == expected
+        assert render(bundle.model, bundle.feature_names, bundle.label_names) == expected
 
     def test_feature_pool(self, trained, method, data, tmp_path):
         csvs, models = trained

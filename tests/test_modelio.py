@@ -38,15 +38,14 @@ class TestRoundTrips:
         n1 = SigmoidNeuron((("x", 0), ("x", 1)), [0.5, -2.0, 1.7])
         n2 = SigmoidNeuron((("x", 0), ("x", 1), ("z", 0)), [0.0, 0.3, -0.6, 2.2])
         net = CascadeNetwork(0, (0, 1), (0.3, 0.4), base, 0.3, [n1, n2],
-                             [1, 1], [0.2, 0.1], feature_names=("a", "b"))
+                             [1, 1], [0.2, 0.1])
         bundle = ModelBundle("ecnn", net, NORM2, ("a", "b"), ("no", "yes"))
         loaded = round_trip(tmp_path, bundle, 2)
         assert loaded.model.accepted_scores == [0.2, 0.1]
 
     def test_cascade_fallback_without_accepted_neurons(self, tmp_path):
         base = SigmoidNeuron((("x", 1),), [-0.4, 2.5])
-        net = CascadeNetwork(1, (1, 0), (0.2, 0.5), base, 0.2,
-                             feature_names=("a", "b"))
+        net = CascadeNetwork(1, (1, 0), (0.2, 0.5), base, 0.2)
         bundle = ModelBundle("ecnn", net, NORM2, ("a", "b"), ("0", "1"))
         loaded = round_trip(tmp_path, bundle, 2)
         assert loaded.model.neurons == []
@@ -54,7 +53,7 @@ class TestRoundTrips:
     def test_polynomial_network_with_single_input_output(self, tmp_path):
         # a roulette run can end on a one-input neuron
         nrn = SupportingNeuron("linear", (("x", 1),), [0.2, -0.9], layer=1)
-        net = PolyNetwork([nrn], 0, [], ("a", "b"))
+        net = PolyNetwork([nrn], 0, [])
         bundle = ModelBundle("gmdh-roulette", net, NORM2, ("a", "b"), ("0", "1"))
         loaded = round_trip(tmp_path, bundle, 2)
         assert loaded.model.neurons[0].kind == "linear"
@@ -71,7 +70,7 @@ class TestRoundTrips:
             (0, 2): LinearTest((1,), [-0.5, 2.0], 0.8),
             (1, 2): LinearTest((0, 1), [0.0, 1.0, -1.0], 0.7),
         }
-        tree = PairwiseTree(3, tlus, ("a", "b"))
+        tree = PairwiseTree(3, tlus)
         bundle = ModelBundle("pairwise-dt", tree, NORM2, ("a", "b"),
                              ("p", "q", "r"))
         loaded = round_trip(tmp_path, bundle, 2)
@@ -80,7 +79,7 @@ class TestRoundTrips:
     def test_rule_tree_nested(self, tmp_path):
         inner = RuleNode(1, 0.25, False, low_label=1, high_label=0)
         root = RuleNode(0, -0.75, True, low_child=inner, high_label=1)
-        tree = RuleTree(root, ("a", "b"))
+        tree = RuleTree(root)
         bundle = ModelBundle("ruletree", tree, NORM2, ("a", "b"), ("0", "1"))
         loaded = round_trip(tmp_path, bundle, 2)
         assert loaded.model.root.low_child.feature == 1

@@ -49,3 +49,44 @@ def test_pocket_thermal_constants_are_not_settable():
     assert list(inspect.signature(evonets.train_pocket_ratchet).parameters) == [
         "lm", "train", "epochs", "c", "seed", "use_ratchet", "correction"]
     assert "thermal" not in {f.name for f in dataclasses.fields(evonets.LmdtConfig)}
+
+
+# every model renderer, by the module that defines it
+RENDERERS = {
+    "cascade": ["describe_cascade", "cascade_to_dot"],
+    "gmdh": ["to_polynomial_text", "gmdh_to_dot"],
+    "linear": ["describe_linear_machine", "linear_machine_to_dot", "describe_pairwise_tree",
+               "pairwise_tree_to_dot"],
+    "ruletree": ["to_text", "ruletree_to_dot"],
+    "baseline": ["describe_fnn"],
+}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in RENDERERS.items()
+                                         for n in names])
+def test_renderers_share_one_signature(module, name):
+    # (model, feature_names, label_names), without defaults: the names come from
+    # the model file's envelope, and a renderer takes both lists whether it
+    # prints them or not
+    render = getattr(importlib.import_module(f"evonets.{module}"), name)
+    params = list(inspect.signature(render).parameters.values())
+    assert [p.name for p in params[1:]] == ["feature_names", "label_names"]
+    assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_method_table_lists_the_renderers_themselves():
+    renderers = {n for names in RENDERERS.values() for n in names}
+    for row in evonets.modelio.METHODS.values():
+        assert row.to_text.__name__ in renderers
+        assert row.to_dot is None or row.to_dot.__name__ in renderers
+
+
+@pytest.mark.parametrize("cls", [evonets.CascadeNetwork, evonets.PolyNetwork,
+                                 evonets.PairwiseTree, evonets.RuleTree])
+def test_models_hold_no_feature_names(cls):
+    # the envelope (ModelBundle.feature_names) is the one holder of column names
+    assert "feature_names" not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_extract_rules_takes_no_names():
+    assert list(inspect.signature(evonets.extract_rules).parameters) == ["X0", "X1", "pool"]

@@ -157,12 +157,14 @@ class TestExtractRules:
             extract_rules(np.zeros((2, 1)), np.ones((2, 1)), [])
 
 
+# the column names artifact_tree is rendered with
+NAMES = tuple(f"x{j + 1}" for j in range(7))
+
+
 def artifact_tree():
     """Single-node artifact rule: one feature, threshold 1.081, high side
     is the positive class."""
-    node = RuleNode(feature=5, threshold=1.081, high_is_one=True)
-    names = tuple(f"x{j + 1}" for j in range(7))
-    return RuleTree(node, names)
+    return RuleTree(RuleNode(feature=5, threshold=1.081, high_is_one=True))
 
 
 class TestClassifyRule:
@@ -184,7 +186,7 @@ class TestClassifyRule:
 
 class TestText:
     def test_single_node_two_lines(self):
-        text = to_text(artifact_tree(), class_names=("normal", "artifact"))
+        text = to_text(artifact_tree(), NAMES, ("normal", "artifact"))
         lines = text.splitlines()
         assert len(lines) == 2
         assert lines[0] == "if x6 > 1.0810 then class artifact"
@@ -195,17 +197,15 @@ class TestText:
                          low_label=1, high_label=0)
         root = RuleNode(feature=0, threshold=2.0, high_is_one=True,
                         low_child=inner)
-        tree = RuleTree(root, ("a", "b"))
-        text = to_text(tree)
+        text = to_text(RuleTree(root), ("a", "b"), ("0", "1"))
         assert "if a > 2.0000 then class 1" in text
         assert "  if b > 0.5000" in text  # nested level is indented
 
     def test_feature_names_verbatim(self):
         node = RuleNode(feature=0, threshold=1.0, high_is_one=True)
-        tree = RuleTree(node, ("AbsPowSubdelta",))
-        assert "AbsPowSubdelta" in to_text(tree)
+        assert "AbsPowSubdelta" in to_text(RuleTree(node), ("AbsPowSubdelta",), ("0", "1"))
 
     def test_dot_renders(self):
-        dot = ruletree_to_dot(artifact_tree())
+        dot = ruletree_to_dot(artifact_tree(), NAMES, ("0", "1"))
         assert dot.startswith("digraph")
         assert "x6 > 1.0810" in dot
