@@ -121,9 +121,11 @@ def _parse_fractions(text):
 
 def _check_out(path):
     """Refuse an --out that cannot be written before any work is done: an
-    existing directory, or a path whose parent is missing or no directory.
-    The error is the one the write would raise."""
-    if os.path.isdir(path):
+    empty path, an existing directory, or a path whose parent is missing or
+    no directory. The error is the one the write would raise."""
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     else:
         try:

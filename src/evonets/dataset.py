@@ -126,20 +126,20 @@ def _decode(path):
                         f"{exc.reason}); save the file as UTF-8") from None
 
 
-# characters that loadtxt strips around a number and float() does not
-_FLOAT_BLANKS = "\x1c\x1d\x1e\x1f"
+# Characters that keep a text from the bulk parse: a quote (a quoted cell
+# may span lines), \x1c-\x1f (loadtxt strips them around a number and
+# float() does not) and the line breaks of str.splitlines that csv keeps
+# inside a record (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029).
+_NOT_PLAIN = '"\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029'
 
 
 def _plain_lines(text):
-    """The records csv reads from a text without quotes or _FLOAT_BLANKS: its
+    """The records csv reads from a text without _NOT_PLAIN characters: its
     lines, split at \\r\\n, \\r or \\n as a file opened with newline="" splits
     them, without their ends. None for any other text."""
-    if any(c in text for c in '"' + _FLOAT_BLANKS):
+    if any(c in text for c in _NOT_PLAIN):
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    return lines if lines[-1] else lines[:-1]
+    return text.splitlines()
 
 
 def _next_row(path, records):
@@ -195,37 +195,51 @@ def parse_rows(path, header, records, columns, label_at, group_at, label_index):
     return np.array(flat, dtype=float).reshape(len(labels), len(columns)), labels, groups
 
 
-def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
-    """What parse_rows gives for the data `lines` of a file without quotes or
-    _FLOAT_BLANKS, from one loadtxt parse of the features and one of the
-    label and group cells; None where a parse raises or warns or a guard
-    fails.
+def _first_seen(codes):
+    """A loadtxt converter: a cell's stripped text, coded by the order in
+    which the converter meets each text, recorded in the dict `codes`."""
+    return lambda cell: codes.setdefault(cell.strip(), len(codes))
 
-    loadtxt ignores cells past the used columns and reads an overflowing
-    number as inf, where parse_rows rejects both. The guards: every
-    non-blank line gives a row, the lines hold width - 1 commas each (the
-    used columns cover the header, so no row is shorter), every feature is
-    finite and every label maps through `label_index`.
+
+def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
+    """What parse_rows gives for the data `lines` of a file without
+    _NOT_PLAIN characters, from one loadtxt parse of every cell; None where
+    the parse raises or warns or a guard fails.
+
+    Converters code the label cell (through `label_index`, which raises on
+    a label it lacks, or by first sight) and the group cell as loadtxt
+    reads them, so the whole table is one float array. loadtxt refuses a
+    row whose cell count differs from the first row's and reads an
+    overflowing number as inf, where parse_rows rejects both. The guards:
+    the array has one row per non-blank line and one column per header
+    cell, and every feature is finite. Codes by first sight go back to
+    their text, so no order of converter calls reaches the caller.
     """
-    string_columns = [label_at] if group_at is None else [label_at, group_at]
+    label_codes, group_codes = {}, {}
+    converters = {label_at: _first_seen(label_codes) if label_index is None
+                  else lambda cell: label_index[cell.strip()]}
+    if group_at is not None:
+        converters[group_at] = _first_seen(group_codes)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            X = np.loadtxt(lines, delimiter=",", comments=None, usecols=columns, ndmin=2)
-            strings = np.loadtxt(lines, delimiter=",", comments=None, usecols=string_columns,
-                                 dtype=object, ndmin=2)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                               converters=converters)
     except (ValueError, UserWarning):
         return None
-    rows = len(lines) - lines.count("")
-    if not (len(X) == len(strings) == rows and np.isfinite(X).all()
-            and sum(line.count(",") for line in lines) == (width - 1) * rows):
+    if table.shape != (len(lines) - lines.count(""), width):
         return None
-    labels = [s.strip() for s in strings[:, 0]]
-    if label_index is not None:
-        if not all(s in label_index for s in labels):
-            return None
-        labels = [label_index[s] for s in labels]
-    groups = [] if group_at is None else [s.strip() for s in strings[:, 1]]
+    X = table[:, columns]
+    if not np.isfinite(X).all():
+        return None
+
+    def cells(at, codes):
+        texts = list(codes)
+        return [texts[k] for k in table[:, at].astype(int).tolist()]
+
+    labels = table[:, label_at].astype(int).tolist() if label_index is not None \
+        else cells(label_at, label_codes)
+    groups = [] if group_at is None else cells(group_at, group_codes)
     return X, labels, groups
 
 
@@ -236,8 +250,8 @@ def read_table(path, locate, label_index=None):
     caller's checks to it and returns the feature columns (in the order
     wanted), the label column and the group column (None for no groups).
     Labels and groups are stripped cell text; labels map through
-    `label_index` where one is given. A file without quotes or
-    _FLOAT_BLANKS is parsed in bulk first (_bulk_parse); any other file, and
+    `label_index` where one is given. A file without _NOT_PLAIN characters
+    is parsed in bulk first (_bulk_parse); any other file, and
     any file the bulk parse declines, goes through parse_rows, which alone
     words the errors.
     """

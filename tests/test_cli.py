@@ -101,9 +101,9 @@ class TestGenerate:
 
 
 class TestUnwritableOut:
-    """An --out (or train's --report) that is a directory, or whose parent is
-    missing or a file, exits 2 with the error the write would give, before
-    any input is read or any work done, and prints nothing on stdout."""
+    """An --out (or train's --report) that is empty or a directory, or whose
+    parent is missing or a file, exits 2 with the error the write would give,
+    before any input is read or any work done, and prints nothing on stdout."""
 
     @pytest.fixture
     def model(self, xor_csv, tmp_path, capsys):
@@ -113,7 +113,7 @@ class TestUnwritableOut:
         capsys.readouterr()
         return path
 
-    @pytest.mark.parametrize("where", ["directory", "missing parent", "file parent"])
+    @pytest.mark.parametrize("where", ["empty", "directory", "missing parent", "file parent"])
     @pytest.mark.parametrize("verb", ["train", "train --report", "evaluate", "export",
                                       "extract-rules", "generate"])
     def test_refused_before_any_work(self, verb, where, model, xor_csv, tmp_path, capsys,
@@ -121,10 +121,10 @@ class TestUnwritableOut:
         from evonets import cli
 
         (tmp_path / "file").write_text("")
-        out = {"directory": tmp_path, "missing parent": tmp_path / "no" / "out",
+        out = {"empty": "", "directory": tmp_path, "missing parent": tmp_path / "no" / "out",
                "file parent": tmp_path / "file" / "out"}[where]
         with pytest.raises(OSError) as write_error:
-            out.write_text("")
+            open(out, "w").close()
 
         def refuse(*args, **kwargs):
             raise AssertionError("input read before the output path was checked")

@@ -1,11 +1,13 @@
 """The bulk CSV reader against the row-at-a-time loops it replaced.
 
-`oracle_load_csv` and `oracle_load_for_model` are the former bodies of
-`dataset.load_csv` and `cli._load_for_model`, kept verbatim as the reference
-(less `load_csv`'s stored-label-order branch, which `_load_for_model` took
-over): on every generated file the production readers must give
-bit-identical features, the same labels and groups, or the same first error
-message.
+The bulk reader parses a clean file with one loadtxt call over every cell,
+coding the label and group cells as it goes; `parse_rows` reads any other
+file and words every error. `oracle_load_csv` and `oracle_load_for_model`
+are the former bodies of `dataset.load_csv` and `cli._load_for_model`, kept
+verbatim as the reference (less `load_csv`'s stored-label-order branch,
+which `_load_for_model` took over): on every generated file the production
+readers must give bit-identical features, the same labels and groups, or
+the same first error message.
 """
 
 import csv
@@ -305,7 +307,10 @@ class TestMatchesOracle:
         assert {("ok", "bulk"), ("error", "parse_rows")} <= seen
 
     @pytest.mark.parametrize("text", [
-        "a,y\n1,0,9\n2,1\n",            # an extra cell, which usecols ignores
+        "a,y\n1,0,9\n2,1\n",            # an extra or a missing cell on the first
+        "a,y\n1\n2,1\n",                # row, where loadtxt takes its width from,
+        "a,y\n1,0,9\n2,1,9\n",          # or on every row
+        "a,y\n1\n2\n",
         "a,y\n1,0,\n2,1\n",             # a trailing comma
         "y,a\n0,1#2\n1,2\n",            # "#", a comment unless comments=None
         "a,y\n1,0#\n2,1\n",
@@ -386,6 +391,40 @@ class TestBulkPath:
         for_model = outcome(lambda: _load_for_model("m.json", bundle, path, group_by))
         assert for_model[0] == "ok"
         assert for_model == outcome(lambda: oracle_load_for_model(path, bundle, group_by))
+
+    def test_one_loadtxt_call_per_clean_file(self, tmp_path, monkeypatch):
+        """Each reader parses a clean file with one loadtxt call."""
+        ds, _ = gen_surrogate_eeg(50, relevant=2, irrelevant=3, seed=2)
+        path = tmp_path / "eeg.csv"
+        save_csv(ds, path)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        load_csv(path, "y")
+        assert len(calls) == 1
+        bundle = SimpleNamespace(norm=IDENTITY, label_column="y",
+                                 feature_names=ds.feature_names, label_names=ds.label_names)
+        _load_for_model("m.json", bundle, path)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("text, features, stored, group_by", [
+        ("y,a,b\n0,1,2\n1,3,4\n0,5,6\n", ("b", "a"), ("0", "1"), None),  # the label first
+        ("a,y\n1,\n2,1\n3, \t\n", ("a",), ("", "1"), None),  # empty and whitespace-only
+        ("y,a\n,1\n1,2\n \t,3\n", ("a",), ("", "1"), None),  # label cells
+        ("a,y\n1,nan\n2,1e400\n3,0x1\n4, nan\n", ("a",), ("nan", "1e400", "0x1"), None),
+        ("a,g,y\n1, 7 ,0\n2,\t8,1\n3,7  ,1\n", ("a",), ("0", "1"), "g"),  # groups to strip
+    ])
+    def test_label_and_group_forms(self, tmp_path, text, features, stored, group_by):
+        """Label and group cells the converters must strip and code, labels
+        that read as numbers among them."""
+        path = tmp_path / "edge.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        self.check(path, features, stored, group_by)
 
     def test_save_csv_file(self, tmp_path):
         ds, _ = gen_surrogate_eeg(300, relevant=3, irrelevant=5, seed=4)
