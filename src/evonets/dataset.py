@@ -126,20 +126,20 @@ def _decode(path):
                         f"{exc.reason}); save the file as UTF-8") from None
 
 
-# Characters that keep a text from the bulk parse: a quote (a quoted cell
-# may span lines), \x1c-\x1f (loadtxt strips them around a number and
-# float() does not) and the line breaks of str.splitlines that csv keeps
-# inside a record (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029).
-_NOT_PLAIN = '"\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029'
+# characters that loadtxt strips around a number and float() does not
+_FLOAT_BLANKS = "\x1c\x1d\x1e\x1f"
 
 
 def _plain_lines(text):
-    """The records csv reads from a text without _NOT_PLAIN characters: its
+    """The records csv reads from a text without quotes or _FLOAT_BLANKS: its
     lines, split at \\r\\n, \\r or \\n as a file opened with newline="" splits
     them, without their ends. None for any other text."""
-    if any(c in text for c in _NOT_PLAIN):
+    if any(c in text for c in '"' + _FLOAT_BLANKS):
         return None
-    return text.splitlines()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
 
 
 def _next_row(path, records):
@@ -202,9 +202,10 @@ def _first_seen(codes):
 
 
 def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
-    """What parse_rows gives for the data `lines` of a file without
-    _NOT_PLAIN characters, from one loadtxt parse of every cell; None where
-    the parse raises or warns or a guard fails.
+    """What parse_rows gives for the data `lines` of a file without quotes or
+    _FLOAT_BLANKS, from one loadtxt parse of every cell; None where the
+    parse raises or warns or a guard fails, and for a group column that is
+    also the label or a feature (its cell would need two readings).
 
     Converters code the label cell (through `label_index`, which raises on
     a label it lacks, or by first sight) and the group cell as loadtxt
@@ -215,6 +216,8 @@ def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
     cell, and every feature is finite. Codes by first sight go back to
     their text, so no order of converter calls reaches the caller.
     """
+    if group_at is not None and (group_at == label_at or group_at in columns):
+        return None
     label_codes, group_codes = {}, {}
     converters = {label_at: _first_seen(label_codes) if label_index is None
                   else lambda cell: label_index[cell.strip()]}
@@ -223,8 +226,10 @@ def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # encoding=None hands converters str also on numpy 1.x, whose
+            # default hands them bytes
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                               converters=converters)
+                               converters=converters, encoding=None)
     except (ValueError, UserWarning):
         return None
     if table.shape != (len(lines) - lines.count(""), width):
@@ -250,8 +255,8 @@ def read_table(path, locate, label_index=None):
     caller's checks to it and returns the feature columns (in the order
     wanted), the label column and the group column (None for no groups).
     Labels and groups are stripped cell text; labels map through
-    `label_index` where one is given. A file without _NOT_PLAIN characters
-    is parsed in bulk first (_bulk_parse); any other file, and
+    `label_index` where one is given. A file without quotes or
+    _FLOAT_BLANKS is parsed in bulk first (_bulk_parse); any other file, and
     any file the bulk parse declines, goes through parse_rows, which alone
     words the errors.
     """

@@ -250,9 +250,12 @@ class TestMatchesOracle:
         assert outcome(lambda: load_csv(csv_path, "y")) == expected
 
     @given(data=csv_files(group_allowed=True), shuffle=st.randoms(),
-           header_fault=st.sampled_from([None, None, None, "unexpected", "missing"]))
+           header_fault=st.sampled_from([None, None, None, "unexpected", "missing"]),
+           group_as=st.sampled_from(["own", "own", "own", "feature", "label"]))
     @SETTINGS
-    def test_load_for_model(self, csv_path, data, shuffle, header_fault):
+    def test_load_for_model(self, csv_path, data, shuffle, header_fault, group_as):
+        """--group-by names the group column 'g' where the file has one, and
+        otherwise nothing; or it names a feature or the label column."""
         text, names, group = data
         csv_path.write_text(text, encoding="utf-8", newline="")
         model_order = list(names)
@@ -264,7 +267,7 @@ class TestMatchesOracle:
         bundle = SimpleNamespace(norm=IDENTITY, label_column="y",
                                  feature_names=tuple(model_order),
                                  label_names=STORED_LABELS)
-        group_by = "g" if group else None
+        group_by = {"own": "g" if group else None, "feature": names[0], "label": "y"}[group_as]
         expected = outcome(lambda: oracle_load_for_model(csv_path, bundle, group_by))
         assert outcome(lambda: _load_for_model("m.json", bundle, csv_path, group_by)) == \
             expected
@@ -334,6 +337,21 @@ class TestMatchesOracle:
         assert read[0] == "error"
         assert read == outcome(lambda: oracle_load_for_model(csv_path, bundle))
 
+    @pytest.mark.parametrize("text", ["a,y\n5,1\n3,0\n", "a,b,y\n5, 1,1\n3,2 ,0\n",
+                                      "a,y\n5,1\n3,2\n"])
+    @pytest.mark.parametrize("group_by", ["a", "y"])
+    def test_group_column_is_a_feature_or_the_label(self, csv_path, text, group_by):
+        """A group column that is also a feature or the label keeps its
+        stripped text as the group and its feature value or label as such;
+        a label outside the stored mapping is still refused."""
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        names = tuple(h for h in text.split("\n")[0].split(",") if h != "y")
+        bundle = SimpleNamespace(norm=IDENTITY, label_column="y", feature_names=names,
+                                 label_names=STORED_LABELS)
+        read = outcome(lambda: _load_for_model("m.json", bundle, csv_path, group_by))
+        assert read[0] == ("error" if "3,2\n" in text else "ok")
+        assert read == outcome(lambda: oracle_load_for_model(csv_path, bundle, group_by))
+
     @pytest.mark.parametrize("text", ["", "\n", "\r\n", "\r", "a,y", "a,y\n", "a,y\r\n\r\n",
                                       "a\n1\n", "y\n0\n"])
     def test_files_without_rows(self, csv_path, text):
@@ -393,7 +411,8 @@ class TestBulkPath:
         assert for_model == outcome(lambda: oracle_load_for_model(path, bundle, group_by))
 
     def test_one_loadtxt_call_per_clean_file(self, tmp_path, monkeypatch):
-        """Each reader parses a clean file with one loadtxt call."""
+        """Each reader parses a clean file with one loadtxt call, which asks
+        for str cells (numpy before 2.0 hands converters bytes by default)."""
         ds, _ = gen_surrogate_eeg(50, relevant=2, irrelevant=3, seed=2)
         path = tmp_path / "eeg.csv"
         save_csv(ds, path)
@@ -401,7 +420,7 @@ class TestBulkPath:
         loadtxt = np.loadtxt
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("encoding", "bytes"))
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counted)
@@ -410,7 +429,7 @@ class TestBulkPath:
         bundle = SimpleNamespace(norm=IDENTITY, label_column="y",
                                  feature_names=ds.feature_names, label_names=ds.label_names)
         _load_for_model("m.json", bundle, path)
-        assert len(calls) == 2
+        assert calls == [None, None]
 
     @pytest.mark.parametrize("text, features, stored, group_by", [
         ("y,a,b\n0,1,2\n1,3,4\n0,5,6\n", ("b", "a"), ("0", "1"), None),  # the label first
