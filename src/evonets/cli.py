@@ -21,7 +21,7 @@ from .baseline import FnnConfig, train_fnn
 from .cascade import FitConfig, train_ecnn
 from .dataset import (Dataset, SplitSpec, gen_blobs, gen_surrogate_eeg, gen_xor,
                       load_csv, normalize_zscore, read_table, save_csv, split)
-from .errors import DataError, TrainingError, UsageError
+from .errors import DataError, ScoreOverflow, TrainingError, UsageError
 from .gmdh import KINDS, GmdhConfig, train_gmdh_layered, train_gmdh_roulette
 from .linear import (CORRECTIONS, PAIR_TRAINERS, LinearMachine, LmdtConfig, PairwiseTree,
                      aggregate_segments, train_pairwise_tree, train_pocket_ratchet)
@@ -277,13 +277,17 @@ def cmd_train(args):
                              "dataset_sha256": _sha256(args.data),
                              "rows": ds.n_rows,
                          })
+    try:   # finite pocketed weights can still overflow on the training rows
+        errors = [_error_of(bundle, part) for part in (tr, va, full)]
+    except ScoreOverflow as exc:
+        raise TrainingError(f"{exc} on the training data; use a smaller correction "
+                            "amount c") from None
     save_model(args.out, bundle)
 
     print(f"method={method}")
     print(f"rows={ds.n_rows} train_rows={tr.n_rows} val_rows={va.n_rows}")
-    print(f"train_error={_error_of(bundle, tr)!r}")
-    print(f"val_error={_error_of(bundle, va)!r}")
-    print(f"data_error={_error_of(bundle, full)!r}")
+    for name, error in zip(("train", "val", "data"), errors):
+        print(f"{name}_error={error!r}")
     for i, j, err, nf in pair_lines:
         print(f"pair={i}/{j} error={err!r} features={nf}")
     if args.report:
@@ -332,10 +336,19 @@ def _load_for_model(model, bundle, path, group_by=None):
     return ds, groups
 
 
+def _predict(model, bundle, ds, path):
+    """The bundle's class per row of ds, read from path; `model` is the model
+    file's path. Scores that overflow are refused, naming both files."""
+    try:
+        return np.asarray(bundle.predict_classes(ds.features), dtype=int)
+    except ScoreOverflow:
+        raise DataError(f"{model}: its scores overflow on {path}") from None
+
+
 def cmd_evaluate(args):
     bundle = load_model(args.model)
     ds, groups = _load_for_model(args.model, bundle, args.data, args.group_by)
-    preds = np.asarray(bundle.predict_classes(ds.features), dtype=int)
+    preds = _predict(args.model, bundle, ds, args.data)
     r = len(bundle.label_names)
     error = float(np.mean(preds != ds.labels))
     confusion = np.bincount(ds.labels * r + preds, minlength=r * r).reshape(r, r)
@@ -387,7 +400,7 @@ def cmd_extract_rules(args):
         raise DataError("model is already a rule tree")
     ds, _ = _load_for_model(args.model, bundle, args.data)
     X = ds.features
-    preds = np.asarray(bundle.predict_classes(X), dtype=int)
+    preds = _predict(args.model, bundle, ds, args.data)
     correct = preds == ds.labels
 
     pool_of = METHODS[bundle.method].feature_pool

@@ -9,6 +9,10 @@ class DataError(ValueError):
     """Malformed, missing, or incompatible input data."""
 
 
+class ScoreOverflow(DataError):
+    """A model's class scores overflow a float, so no class wins."""
+
+
 class TrainingError(RuntimeError):
     """A fit could not be completed (degenerate targets, divergence, ...)."""
 

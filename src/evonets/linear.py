@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import augment, derive_seed
 from .dataset import Dataset
-from .errors import DataError, TrainingError
+from .errors import DataError, ScoreOverflow, TrainingError
 
 __all__ = [
     "CORRECTIONS", "PAIR_TRAINERS", "LinearMachine", "PocketState", "LinearTest",
@@ -66,12 +66,20 @@ class LinearMachine:
         return self.weights.shape[0]
 
     def predict_classes(self, X):
-        """Winner-take-all class per row; ties go to the lowest index."""
+        """Winner-take-all class per row; ties go to the lowest index.
+
+        Raises ScoreOverflow when a score is not finite: finite weights can
+        be large enough to overflow on finite rows, and then no class wins.
+        """
         Xa = augment(X)
         if Xa.shape[1] != self.weights.shape[1]:
             raise DataError(f"expected {self.weights.shape[1] - 1} features, "
                             f"got {Xa.shape[1] - 1}")
-        return np.argmax(Xa @ self.weights.T, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = Xa @ self.weights.T
+        if not np.isfinite(scores).all():
+            raise ScoreOverflow("linear machine scores overflow")
+        return np.argmax(scores, axis=1)
 
 
 @dataclass
@@ -187,7 +195,8 @@ def check_correction(c, correction):
 def _correct(W, xa, true_class, predicted, amount):
     """The error-correction step on the augmented input xa, in place: the
     true class's vector moves toward xa and the mistaken prediction's away
-    by the same amount, so the vector sum is conserved."""
+    by the same amount, so the vector sum is conserved. W is the weight
+    matrix or a list of its row views; either way the rows change in place."""
     d = amount * xa
     W[true_class] += d
     W[predicted] -= d
@@ -237,10 +246,17 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
     X = augment(train.features)
     y = train.labels
     W = lm.weights.astype(float).copy()
+    S = np.empty((n, W.shape[0]))       # the ratchet's scores, reused by every call
+    P = np.empty(n, dtype=np.intp)      # ... and its predictions
+    s = np.empty(W.shape[0])            # one draw's scores
 
     def full_accuracy(weights):
-        # an exact count over n: the same float as the mean of the hits
-        return np.count_nonzero(np.argmax(X @ weights.T, axis=1) == y) / n
+        # the same gemm and argmax as np.argmax(X @ weights.T, axis=1), into
+        # the buffers; an exact count over n: the same float as the mean of
+        # the hits
+        np.matmul(X, weights.T, out=S)
+        S.argmax(axis=1, out=P)
+        return np.count_nonzero(P == y) / n
 
     rng = np.random.default_rng(seed)
     Wp = W.copy()
@@ -254,6 +270,7 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
 
     thermal_step = correction == "thermal"
     rows = list(X)
+    Wr = list(W)   # row views: Wr[q] += d adds in place, without W[q]'s get and set
     labels = y.tolist()
     A = Ap  # full accuracy of W; None once a correction has changed W
     # a diverging machine overflows; the pocket is checked once, at the end
@@ -261,13 +278,14 @@ def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
         for epoch in range(epochs):
             for i in rng.integers(0, n, size=n).tolist():
                 xa = rows[i]
-                # .dot issues the same gemv as W @ xa, at half the dispatch cost
-                pred = W.dot(xa).argmax()
+                # .dot issues the same gemv as W @ xa, at half the dispatch
+                # cost, and writes the scores into s
+                pred = W.dot(xa, s).argmax()
                 q = labels[i]
                 if pred != q:
-                    amount = thermal_correction(beta, W[q], W[pred], xa) \
+                    amount = thermal_correction(beta, Wr[q], Wr[pred], xa) \
                         if thermal_step else c
-                    _correct(W, xa, q, pred, amount)
+                    _correct(Wr, xa, q, pred, amount)
                     L = 0
                     A = None
                 else:

@@ -10,10 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evonets.cli import _load_for_model, main
-from evonets.dataset import Dataset, load_csv, save_csv
-from evonets.linear import LinearMachine
+from evonets.dataset import (Dataset, NormParams, SplitSpec, load_csv, normalize_zscore,
+                             save_csv, split)
+from evonets.linear import LinearMachine, train_pocket_ratchet
 from evonets.modelio import ModelBundle, load_model, save_model
-from evonets.dataset import NormParams
 
 
 def run(*argv):
@@ -363,6 +363,50 @@ class TestPocketOverflow:
                        "--data", str(pocket_blob_csv), "--out", str(out)) == 0
             assert run("evaluate", "--model", str(out), "--data", str(pocket_blob_csv)) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestScoreOverflow:
+    """At c = 1e308 the lm pockets of seeds 3 and 5 on these blobs keep
+    finite weights whose scores on the training rows overflow a float. Train
+    exits 3 and writes no model; evaluate refuses such a model with exit 2.
+    Neither lets a numpy warning through."""
+
+    @pytest.fixture
+    def overflow_csv(self, tmp_path):
+        p = tmp_path / "overflow-blobs.csv"
+        assert run("generate", "blobs", "--n", "300", "--classes", "3", "--seed", "2",
+                   "--spread", "2.5", "--out", str(p)) == 0
+        return p
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_train_exits_3(self, seed, overflow_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--method", "lm", "--c=1e308", "--seed", str(seed),
+                       "--data", str(overflow_csv), "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "training error: linear machine scores overflow on the training data; "
+            "use a smaller correction amount c\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_evaluate_exits_2(self, seed, overflow_csv, tmp_path, capsys):
+        # the model train wrote before it checked the scores: the pocketed
+        # machine of the same run, trained as cmd_train trains it
+        ds = load_csv(overflow_csv, "y")
+        tr, _ = split(ds, SplitSpec((2 / 3, 1 / 3), seed=seed, stratified=True))
+        _, norm = normalize_zscore(tr)
+        lm, _ = train_pocket_ratchet(LinearMachine.zeros(3, 2), norm.apply_dataset(tr),
+                                     c=1e308, seed=seed)
+        assert np.isfinite(lm.weights).all()
+        model = tmp_path / "m.json"
+        save_model(model, ModelBundle("lm", lm, norm, ds.feature_names, ds.label_names))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("evaluate", "--model", str(model), "--data", str(overflow_csv)) == 2
+        assert capsys.readouterr() == (
+            "", f"data error: {model}: its scores overflow on {overflow_csv}\n")
 
 
 class TestDescentDivergence:

@@ -28,10 +28,10 @@ DATA = {
     "blobs": ("blobs", "--n", "150", "--classes", "3", "--seed", "4", "--spread", "1.5"),
 }
 
-# method -> (data set, extra train flags, SHA-256 of the model file, train
-# stdout lines before its model= line)
+# run name -> (method, data set, extra train flags, SHA-256 of the model file
+# `<run name>.json`, train stdout lines before its model= line)
 GOLDEN = {
-    "ecnn": ("eeg", ("--epochs", "100", "--restarts", "3"),
+    "ecnn": ("ecnn", "eeg", ("--epochs", "100", "--restarts", "3"),
         "18ba3a85b684f1fc7a3801dcd6390cb972ca2f776e0e907ca301b112c41ca751", [
         "method=ecnn",
         "rows=300 train_rows=201 val_rows=99",
@@ -39,7 +39,7 @@ GOLDEN = {
         "val_error=0.15151515151515152",
         "data_error=0.14666666666666667",
     ]),
-    "gmdh-layered": ("eeg", ("--epochs", "60", "--restarts", "2"),
+    "gmdh-layered": ("gmdh-layered", "eeg", ("--epochs", "60", "--restarts", "2"),
         "570c35fbc114659f51c8fe1278ad9bf1c48b56629b320b883e2fa254b70f898b", [
         "method=gmdh-layered",
         "rows=300 train_rows=201 val_rows=99",
@@ -47,7 +47,7 @@ GOLDEN = {
         "val_error=0.09090909090909091",
         "data_error=0.11333333333333333",
     ]),
-    "gmdh-roulette": ("xor", ("--attempts", "20", "--epochs", "40", "--restarts", "2"),
+    "gmdh-roulette": ("gmdh-roulette", "xor", ("--attempts", "20", "--epochs", "40", "--restarts", "2"),
         "c8f7e3e87e748225ae845051cd396a377f282810ad9bab32ffa33ea4d32caf92", [
         "method=gmdh-roulette",
         "rows=240 train_rows=161 val_rows=79",
@@ -55,7 +55,7 @@ GOLDEN = {
         "val_error=0.06329113924050633",
         "data_error=0.05416666666666667",
     ]),
-    "lm": ("blobs", ("--epochs", "20"),
+    "lm": ("lm", "blobs", ("--epochs", "20"),
         "4b4b04eee2ea210cd494e6f87ce9747e4b7b31ae23b5c28a75aa970c1426fb20", [
         "method=lm",
         "rows=150 train_rows=102 val_rows=48",
@@ -63,7 +63,15 @@ GOLDEN = {
         "val_error=0.0625",
         "data_error=0.05333333333333334",
     ]),
-    "pairwise-dt": ("eeg4", ("--attempts", "3", "--test-epochs", "8"),
+    "lm-thermal": ("lm", "blobs", ("--epochs", "20", "--correction", "thermal"),
+        "0ed3eb2ba01d3aeb4e70e96c3bddee67aad476689f0b7bdb7b39d9cd9116c9b8", [
+        "method=lm",
+        "rows=150 train_rows=102 val_rows=48",
+        "train_error=0.049019607843137254",
+        "val_error=0.0625",
+        "data_error=0.05333333333333334",
+    ]),
+    "pairwise-dt": ("pairwise-dt", "eeg4", ("--attempts", "3", "--test-epochs", "8"),
         "4bba109fdade20afbe5c10f078455ab008765e1e5128e5ba3eb10fdc10284742", [
         "method=pairwise-dt",
         "rows=300 train_rows=201 val_rows=99",
@@ -77,7 +85,23 @@ GOLDEN = {
         "pair=1/3 error=0.11764705882352944 features=3",
         "pair=2/3 error=0.27450980392156865 features=2",
     ]),
-    "ruletree": ("xor", (),
+    "pairwise-dt-sfs-no-ratchet": ("pairwise-dt", "eeg4",
+                                   ("--pair-trainer", "sfs", "--no-ratchet",
+                                    "--test-epochs", "8"),
+        "f86af0949ef45be69b047459f94e53b43152ec3a21c97120af801e255a35e59f", [
+        "method=pairwise-dt",
+        "rows=300 train_rows=201 val_rows=99",
+        "train_error=0.42786069651741293",
+        "val_error=0.3939393939393939",
+        "data_error=0.4166666666666667",
+        "pair=0/1 error=0.22916666666666663 features=4",
+        "pair=0/2 error=0.10416666666666663 features=3",
+        "pair=0/3 error=0.20408163265306123 features=2",
+        "pair=1/2 error=0.040000000000000036 features=2",
+        "pair=1/3 error=0.13725490196078427 features=6",
+        "pair=2/3 error=0.3137254901960784 features=5",
+    ]),
+    "ruletree": ("ruletree", "xor", (),
         "06bcd6be563c25fb1d9c2f26cffbf70964d1937878abe414c2c896b86415951e", [
         "method=ruletree",
         "rows=240 train_rows=161 val_rows=79",
@@ -85,7 +109,7 @@ GOLDEN = {
         "val_error=0.379746835443038",
         "data_error=0.37083333333333335",
     ]),
-    "fnn": ("xor", ("--epochs", "600", "--restarts", "3"),
+    "fnn": ("fnn", "xor", ("--epochs", "600", "--restarts", "3"),
         "6efc8faee5c5f3fbfa525f5c58b210aaacd251e5e7763c70567275a81b39d482", [
         "method=fnn",
         "rows=240 train_rows=161 val_rows=79",
@@ -96,7 +120,7 @@ GOLDEN = {
 }
 
 
-# method -> SHA-256 of `export --format text` and of `export --format dot` stdout
+# run name -> SHA-256 of `export --format text` and of `export --format dot` stdout
 # (None: the method has no DOT form, and the export exits 1)
 EXPORTS = {
     "ecnn": (
@@ -122,8 +146,8 @@ EXPORTS = {
         None),
 }
 
-# binary method -> SHA-256 of `extract-rules` stdout and of the rule file, with
-# the model's own training data
+# run name of a binary model -> SHA-256 of `extract-rules` stdout and of the
+# rule file, with the model's own training data
 RULES = {
     "ecnn": (
         "265833b58b757ffe1bfad88e29c4f008f69a15c68d091f69cf4a0cf4501b9cad",
@@ -154,49 +178,49 @@ def _run(argv):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A working directory holding the data sets and every method's model
-    (`<method>.json`), with each training's stdout lines."""
+    """A working directory holding the data sets and every run's model
+    (`<run name>.json`), with each training's stdout lines."""
     root = tmp_path_factory.mktemp("golden")
     reports = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
         for name, argv in DATA.items():
             assert _run(["generate", *argv, "--out", f"{name}.csv"])[0] == 0
-        for method, (source, flags, _, _) in GOLDEN.items():
+        for run, (method, source, flags, _, _) in GOLDEN.items():
             code, out = _run(["train", "--method", method, "--data", f"{source}.csv",
-                              "--seed", "7", *flags, "--out", f"{method}.json"])
+                              "--seed", "7", *flags, "--out", f"{run}.json"])
             assert code == 0
-            reports[method] = out.splitlines()
+            reports[run] = out.splitlines()
     return root, reports
 
 
-@pytest.mark.parametrize("method", list(GOLDEN))
-def test_model_bytes_and_report_unchanged(method, workdir):
+@pytest.mark.parametrize("run", list(GOLDEN))
+def test_model_bytes_and_report_unchanged(run, workdir):
     root, reports = workdir
-    _, _, sha256, report = GOLDEN[method]
-    lines = reports[method]
-    assert lines[-1] == f"model={method}.json"
+    _, _, _, sha256, report = GOLDEN[run]
+    lines = reports[run]
+    assert lines[-1] == f"model={run}.json"
     assert lines[:-1] == report
-    assert _sha256((root / f"{method}.json").read_bytes()) == sha256
+    assert _sha256((root / f"{run}.json").read_bytes()) == sha256
 
 
-@pytest.mark.parametrize("method", list(EXPORTS))
+@pytest.mark.parametrize("run", list(EXPORTS))
 @pytest.mark.parametrize("fmt", ["text", "dot"])
-def test_export_unchanged(method, fmt, workdir, monkeypatch):
+def test_export_unchanged(run, fmt, workdir, monkeypatch):
     monkeypatch.chdir(workdir[0])
-    sha256 = EXPORTS[method][fmt == "dot"]
-    code, out = _run(["export", "--model", f"{method}.json", "--format", fmt])
+    sha256 = EXPORTS[run][fmt == "dot"]
+    code, out = _run(["export", "--model", f"{run}.json", "--format", fmt])
     assert (code, bool(out)) == ((0, True) if sha256 else (1, False))
     if sha256:
         assert _sha256(out.encode()) == sha256
 
 
-@pytest.mark.parametrize("method", list(RULES))
-def test_extracted_rules_unchanged(method, workdir, monkeypatch):
+@pytest.mark.parametrize("run", list(RULES))
+def test_extracted_rules_unchanged(run, workdir, monkeypatch):
     monkeypatch.chdir(workdir[0])
-    source = GOLDEN[method][0]
-    code, out = _run(["extract-rules", "--model", f"{method}.json",
-                      "--data", f"{source}.csv", "--out", f"{method}-rules.json"])
+    source = GOLDEN[run][1]
+    code, out = _run(["extract-rules", "--model", f"{run}.json",
+                      "--data", f"{source}.csv", "--out", f"{run}-rules.json"])
     assert code == 0
-    rules = (workdir[0] / f"{method}-rules.json").read_bytes()
-    assert (_sha256(out.encode()), _sha256(rules)) == RULES[method]
+    rules = (workdir[0] / f"{run}-rules.json").read_bytes()
+    assert (_sha256(out.encode()), _sha256(rules)) == RULES[run]

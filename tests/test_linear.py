@@ -78,6 +78,30 @@ class TestErrorCorrect:
                  amount=float(rng.uniform(0.1, 3)))
         np.testing.assert_allclose(W.sum(axis=0), before, atol=1e-12)
 
+    @given(st.integers(2, 4), st.sampled_from(["fixed", "thermal"]),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_views_match_the_matrix(self, classes, correction, seed):
+        # the pocket loop corrects a list of W's row views; a run of
+        # corrections on them writes the same bytes as on W itself
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=(classes, 4)) * 10.0 ** rng.integers(-3, 4)
+        V = W.copy()
+        rows = list(V)
+        beta = float(rng.uniform(0.01, 2.0))
+        for _ in range(20):
+            xa = np.concatenate([[1.0], rng.normal(size=3)])
+            q, p = (int(k) for k in rng.choice(classes, size=2, replace=False))
+            if correction == "thermal":
+                amount = thermal_correction(beta, W[q], W[p], xa)
+                assert thermal_correction(beta, rows[q], rows[p], xa) == amount
+            else:
+                amount = float(rng.uniform(0.1, 3.0))
+            _correct(W, xa, q, p, amount)
+            _correct(rows, xa, q, p, amount)
+            assert V.tobytes() == W.tobytes()
+        assert all(np.shares_memory(row, V) for row in rows)
+
     def test_zero_correction_is_identity(self):
         W = np.ones((2, 2))
         _correct(W, np.array([1.0, 1.0]), 0, 1, amount=0.0)

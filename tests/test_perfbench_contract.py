@@ -110,15 +110,44 @@ def test_work_counts_match_the_work_done(tmp_path):
     assert metrics["baseline.fnn_gradients.calls"] == fnn_epochs
 
 
-def test_every_heavy_pocket_layer_is_recorded(tmp_path):
-    # The same gate for blobs-pocket: a pocket rewrite that stops filling
-    # PocketState.epochs_run or accuracy_trace reads 0 draws or replacements,
-    # and no sigmoid may run on the way.
+def blobs_csv(tmp_path):
+    """A 2-feature, 3-class blobs table of 150 rows."""
     from evonets import cli
 
     data = tmp_path / "blobs.csv"
     assert cli.main(["generate", "blobs", "--n", "150", "--classes", "3", "--seed", "2",
                      "--out", str(data)]) == 0
+    return data
+
+
+def test_pocket_work_counts_match_the_work_done(tmp_path, capsys):
+    # The pocket counts come from the PocketState of each train_pocket_ratchet
+    # call. Without the ratchet no fixed-correction run stops early, so each
+    # call draws epochs x its training rows: lm is one call on all of them,
+    # and all-features pairwise-dt one call per class pair on that pair's
+    # rows, which cover every training row r - 1 = 2 times.
+    data = blobs_csv(tmp_path)
+    epochs, pairs = 7, 3
+    runs = {
+        "lm": ("--method", "lm", "--epochs", str(epochs), "--no-ratchet"),
+        "pairwise": ("--method", "pairwise-dt", "--pair-trainer", "all-features",
+                     "--test-epochs", str(epochs), "--no-ratchet"),
+    }
+    capsys.readouterr()
+    _, metrics = traced_train(tmp_path, data, runs)
+    train_rows = {int(word.split("=")[1]) for line in capsys.readouterr().out.splitlines()
+                  for word in line.split() if word.startswith("train_rows=")}
+    assert len(train_rows) == 1   # both runs split the same rows the same way
+    rows = train_rows.pop()
+    assert metrics["linear.train_pocket_ratchet.calls"] == 1 + pairs
+    assert metrics["linear.pocket.draws"] == epochs * rows + epochs * 2 * rows
+
+
+def test_every_heavy_pocket_layer_is_recorded(tmp_path):
+    # The same gate for blobs-pocket: a pocket rewrite that stops filling
+    # PocketState.epochs_run or accuracy_trace reads 0 draws or replacements,
+    # and no sigmoid may run on the way.
+    data = blobs_csv(tmp_path)
     runs = {
         "lm-fixed": ("--method", "lm"),
         "lm-thermal": ("--method", "lm", "--correction", "thermal"),
