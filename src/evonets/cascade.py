@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import derive_seed, first_lowest, stack_chunks
+from ._util import derive_seed
 from .errors import DataError
-from .neuron import FitConfig, SigmoidNeuron, descend, fit_data, fit_neuron, sigmoid
+from .neuron import FitConfig, SigmoidNeuron, fit_data, fit_neuron, fit_neurons, sigmoid
 
 __all__ = [
     "CascadeNetwork", "train_ecnn", "describe_cascade", "cascade_to_dot",
@@ -55,10 +55,6 @@ class CascadeNetwork:
                 seen.append(f)
         return tuple(seen)
 
-    @property
-    def final_score(self):
-        return self.accepted_scores[-1] if self.accepted_scores else self.base_score
-
     def scores(self, X):
         """Network output in (0, 1) for each row of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -85,22 +81,15 @@ def _fit_single_features(train, val, cfg):
     errors in that order, per-column (validation error, fitted neuron)).
 
     Column j's neuron is the one fit_neuron gives with seed
-    derive_seed(cfg.seed, 0, j), but all columns and their restarts are
-    descended together as one stack of (column, restart) elements, in chunks
-    of at most STACK_ELEMENTS per-row elements.
+    derive_seed(cfg.seed, 0, j); fit_neurons fits all columns together.
     """
-    m, r = train.n_features, cfg.restarts
+    m = train.n_features
     # the checks the per-column fit_neuron calls made, in their order: column 0
     # goes through all of them, and a later column can only add non-finite values
     fit_data(train.features[:, :1], train.labels, 1)
     X, y = fit_data(train.features, train.labels, m)
-    XT = np.ascontiguousarray(X.T)
-    W = np.concatenate([np.random.default_rng(derive_seed(cfg.seed, 0, j))
-                        .uniform(-0.5, 0.5, size=(r, 2)) for j in range(m)])
-    sse = np.empty(m * r)
-    for s in stack_chunks(m * r, y.shape[0]):   # element e fits column e // r
-        sse[s] = descend(W[s], XT[np.arange(s.start, s.stop) // r, :, None], y, cfg)
-    W = W.reshape(m, r, 2)[np.arange(m), [first_lowest(e) for e in sse.reshape(m, r)]]
+    W = fit_neurons(np.ascontiguousarray(X.T)[:, :, None], y,
+                    [derive_seed(cfg.seed, 0, j) for j in range(m)], cfg)
     sv = sigmoid(W[:, :1] + val.features.T * W[:, 1:])
     errs = np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels, axis=1)
     singles = [(float(errs[j]), SigmoidNeuron((("x", j),), W[j])) for j in range(m)]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import hashlib
 import os
@@ -62,24 +63,24 @@ def _build_parser():
                    help="fit/validation fractions, e.g. 2/3:1/3")
     t.add_argument("--no-stratify", action="store_true")
     t.add_argument("--report", default=None, help="per-pair CSV report (pairwise-dt)")
-    t.add_argument("--kind", choices=KINDS, default="bilinear")
+    t.add_argument("--kind", choices=KINDS, default=GmdhConfig.kind)
     t.add_argument("--fit-method", choices=["gradient", "least-squares"],
                    default="gradient")
     t.add_argument("--survivors", type=int, default=None)
-    t.add_argument("--max-layers", type=int, default=10)
+    t.add_argument("--max-layers", type=int, default=GmdhConfig.max_layers)
     t.add_argument("--attempts", type=int, default=None,
                    help="roulette attempts (gmdh-roulette) or scan attempts (pairwise-dt)")
     t.add_argument("--learning-rate", type=float, default=None)
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--restarts", type=int, default=None)
-    t.add_argument("--threshold", type=float, default=0.5)
+    t.add_argument("--threshold", type=float, default=FitConfig.decision_threshold)
     t.add_argument("--hidden", type=int, default=4)
-    t.add_argument("--patience", type=int, default=100)
-    t.add_argument("--c", type=float, default=1.0)
+    t.add_argument("--patience", type=int, default=FnnConfig.patience)
+    t.add_argument("--c", type=float, default=LmdtConfig.c)
     t.add_argument("--no-ratchet", action="store_true")
-    t.add_argument("--correction", choices=CORRECTIONS, default="fixed")
-    t.add_argument("--pair-trainer", choices=PAIR_TRAINERS, default="induce-dt")
-    t.add_argument("--test-epochs", type=int, default=25)
+    t.add_argument("--correction", choices=CORRECTIONS, default=LmdtConfig.correction)
+    t.add_argument("--pair-trainer", choices=PAIR_TRAINERS, default=LmdtConfig.pair_trainer)
+    t.add_argument("--test-epochs", type=int, default=LmdtConfig.test_epochs)
     t.add_argument("--max-features", type=int, default=None)
 
     e = sub.add_parser("evaluate", help="apply a saved model to a CSV file")
@@ -137,6 +138,22 @@ def _check_out(path):
         raise OSError(code, os.strerror(code), path)
 
 
+def _check_outputs(args):
+    """Refuse, before any work, an --out or --report (train) that _check_out
+    refuses, or that names a file the command reads or its other output."""
+    seen = {}   # real path -> the first flag naming it
+    for flag in ("data", "model", "out", "report"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if flag in ("out", "report"):
+            _check_out(path)
+            if real in seen:
+                raise UsageError(f"--{flag} and --{seen[real]} name the same file '{path}'")
+        seen.setdefault(real, flag)
+
+
 def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -167,36 +184,39 @@ def _flag(value, default):
     return default if value is None else value
 
 
+def _provenance(cfg):
+    """A learner config as the model file records it: every field but the seed,
+    decision_threshold and method under their flags' names."""
+    renamed = {"decision_threshold": "threshold", "method": "fit_method"}
+    return {renamed.get(k, k): v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}
+
+
 def _train_ecnn(args, tr, va, ds):
-    cfg = FitConfig(learning_rate=_flag(args.learning_rate, 0.1),
-                    epochs=_flag(args.epochs, 200), restarts=_flag(args.restarts, 5),
+    cfg = FitConfig(learning_rate=_flag(args.learning_rate, FitConfig.learning_rate),
+                    epochs=_flag(args.epochs, FitConfig.epochs),
+                    restarts=_flag(args.restarts, FitConfig.restarts),
                     seed=args.seed, decision_threshold=args.threshold)
-    return train_ecnn(tr, va, cfg), {
-        "learning_rate": cfg.learning_rate, "epochs": cfg.epochs,
-        "restarts": cfg.restarts, "threshold": cfg.decision_threshold}
+    return train_ecnn(tr, va, cfg), _provenance(cfg)
 
 
 def _gmdh_config(args):
-    cfg = GmdhConfig(kind=args.kind, survivors=args.survivors,
-                     max_layers=args.max_layers, attempts=_flag(args.attempts, 500),
-                     method=args.fit_method.replace("-", "_"),
-                     learning_rate=_flag(args.learning_rate, 0.1),
-                     epochs=_flag(args.epochs, 200),
-                     restarts=_flag(args.restarts, 5), seed=args.seed)
-    return cfg, {"kind": cfg.kind, "survivors": cfg.survivors,
-                 "max_layers": cfg.max_layers, "attempts": cfg.attempts,
-                 "fit_method": cfg.method, "learning_rate": cfg.learning_rate,
-                 "epochs": cfg.epochs, "restarts": cfg.restarts}
+    return GmdhConfig(kind=args.kind, survivors=args.survivors,
+                      max_layers=args.max_layers,
+                      attempts=_flag(args.attempts, GmdhConfig.attempts),
+                      method=args.fit_method.replace("-", "_"),
+                      learning_rate=_flag(args.learning_rate, GmdhConfig.learning_rate),
+                      epochs=_flag(args.epochs, GmdhConfig.epochs),
+                      restarts=_flag(args.restarts, GmdhConfig.restarts), seed=args.seed)
 
 
 def _train_gmdh_layered(args, tr, va, ds):
-    cfg, config = _gmdh_config(args)
-    return train_gmdh_layered(tr, va, cfg), config
+    cfg = _gmdh_config(args)
+    return train_gmdh_layered(tr, va, cfg), _provenance(cfg)
 
 
 def _train_gmdh_roulette(args, tr, va, ds):
-    cfg, config = _gmdh_config(args)
-    return train_gmdh_roulette(tr, va, cfg), config
+    cfg = _gmdh_config(args)
+    return train_gmdh_roulette(tr, va, cfg), _provenance(cfg)
 
 
 def _train_lm(args, tr, va, ds):
@@ -213,12 +233,8 @@ def _train_pairwise(args, tr, va, ds):
                      test_epochs=args.test_epochs, correction=args.correction,
                      pair_trainer=args.pair_trainer,
                      max_features=args.max_features,
-                     attempts=_flag(args.attempts, 10), seed=args.seed)
-    return train_pairwise_tree(tr, va, cfg), {
-        "c": cfg.c, "use_ratchet": cfg.use_ratchet,
-        "test_epochs": cfg.test_epochs, "correction": cfg.correction,
-        "pair_trainer": cfg.pair_trainer, "max_features": cfg.max_features,
-        "attempts": cfg.attempts}
+                     attempts=_flag(args.attempts, LmdtConfig.attempts), seed=args.seed)
+    return train_pairwise_tree(tr, va, cfg), _provenance(cfg)
 
 
 def _train_ruletree(args, tr, va, ds):  # fitted directly on the training rows
@@ -229,13 +245,11 @@ def _train_ruletree(args, tr, va, ds):  # fitted directly on the training rows
 
 
 def _train_fnn(args, tr, va, ds):
-    cfg = FnnConfig(learning_rate=_flag(args.learning_rate, 0.5),
-                    max_epochs=_flag(args.epochs, 2000), patience=args.patience,
-                    restarts=_flag(args.restarts, 10), seed=args.seed)
-    model = train_fnn(tr, va, args.hidden, cfg)
-    return model, {"hidden": args.hidden, "learning_rate": cfg.learning_rate,
-                   "max_epochs": cfg.max_epochs, "patience": cfg.patience,
-                   "restarts": cfg.restarts}
+    cfg = FnnConfig(learning_rate=_flag(args.learning_rate, FnnConfig.learning_rate),
+                    max_epochs=_flag(args.epochs, FnnConfig.max_epochs),
+                    patience=args.patience,
+                    restarts=_flag(args.restarts, FnnConfig.restarts), seed=args.seed)
+    return train_fnn(tr, va, args.hidden, cfg), {"hidden": args.hidden, **_provenance(cfg)}
 
 
 # method -> fn(args, fit rows, validation rows, full dataset) -> (model, provenance
@@ -255,21 +269,18 @@ TRAINERS = {
 def cmd_train(args):
     ds = load_csv(args.data, args.label)
     fractions = _parse_fractions(args.split)
-    parts = split(ds, SplitSpec(fractions, seed=args.seed, stratified=not args.no_stratify))
-    tr_raw, va_raw = parts
+    tr_raw, va_raw = split(ds, SplitSpec(fractions, seed=args.seed, stratified=not args.no_stratify))
 
-    _, norm = normalize_zscore(tr_raw)
-    tr = norm.apply_dataset(tr_raw)
+    tr, norm = normalize_zscore(tr_raw)
     va = norm.apply_dataset(va_raw)
     full = norm.apply_dataset(ds)
 
-    method = args.method
-    model, config = TRAINERS[method](args, tr, va, ds)
+    model, config = TRAINERS[args.method](args, tr, va, ds)
     pair_lines = [(i, j, 1.0 - t.accuracy, len(t.features))
                   for (i, j), t in sorted(model.tlus.items())] \
         if isinstance(model, PairwiseTree) else []
 
-    bundle = ModelBundle(method, model, norm, ds.feature_names, ds.label_names,
+    bundle = ModelBundle(args.method, model, norm, ds.feature_names, ds.label_names,
                          args.label, provenance={
                              "seed": args.seed, "config": config,
                              "split": list(fractions),
@@ -284,7 +295,7 @@ def cmd_train(args):
                             "amount c") from None
     save_model(args.out, bundle)
 
-    print(f"method={method}")
+    print(f"method={args.method}")
     print(f"rows={ds.n_rows} train_rows={tr.n_rows} val_rows={va.n_rows}")
     for name, error in zip(("train", "val", "data"), errors):
         print(f"{name}_error={error!r}")
@@ -415,7 +426,8 @@ def cmd_extract_rules(args):
 
     out_bundle = ModelBundle("ruletree", tree, bundle.norm, bundle.feature_names,
                              bundle.label_names, bundle.label_column, provenance={
-                                 "source_model": str(args.model),
+                                 "source_model": os.path.relpath(
+                                     args.model, os.path.dirname(args.out) or "."),
                                  "source_method": bundle.method,
                                  "feature_pool": [int(v) for v in pool],
                                  "dataset_sha256": _sha256(args.data),
@@ -439,10 +451,7 @@ def main(argv=None):
         if getattr(args, "report", None) is not None and args.method != "pairwise-dt":
             raise UsageError(f"--report is written by pairwise-dt only, not by method "
                              f"'{args.method}'")
-        # every command has --out (optional in some); train also has --report
-        for path in (args.out, getattr(args, "report", None)):
-            if path is not None:
-                _check_out(path)
+        _check_outputs(args)
         handler = {
             "generate": cmd_generate,
             "train": cmd_train,

@@ -162,36 +162,37 @@ def fit_data(inputs, targets, p):
     return U, y
 
 
-def descend(weights, inputs, targets, cfg: FitConfig):
-    """Run cfg.epochs of batch gradient descent on every neuron of a stack at
-    once, in place (shapes as for fit_loss, weights with one leading axis or
-    more). Returns each element's training sum-squared error; raises when any
-    element diverged."""
-    for _ in range(cfg.epochs):
-        g = fit_gradient(weights, inputs, targets)
-        g *= cfg.learning_rate
-        weights -= g
-    if not np.isfinite(weights).all():
-        raise TrainingError("weights diverged to non-finite values")
-    return fit_loss(weights, inputs, targets) * targets.shape[0]
+def fit_neurons(inputs, targets, seeds, cfg: FitConfig):
+    """Fit one neuron per seed by batch gradient descent and return their
+    (len(seeds), p+1) weights. inputs is (n, p), shared by all, or
+    (len(seeds), n, p), one matrix each: float arrays fit_data has checked.
+    Each seed draws its neuron's cfg.restarts starts uniformly in [-0.5, 0.5],
+    and all (neuron, restart) elements descend as one stack, in chunks of at
+    most STACK_ELEMENTS per-row elements, each bit-identical to a descent of
+    its own; any diverged element raises. Each neuron keeps its first restart
+    with the strictly lowest training sum-squared error."""
+    k, r, p = len(seeds), cfg.restarts, inputs.shape[-1]
+    W = np.concatenate([np.random.default_rng(seed).uniform(-0.5, 0.5, size=(r, p + 1))
+                        for seed in seeds])
+    sse = np.empty(k * r)
+    for s in stack_chunks(k * r, targets.shape[0]):   # element e fits neuron e // r
+        w = W[s]
+        U = inputs if inputs.ndim == 2 else inputs[np.arange(s.start, s.stop) // r]
+        for _ in range(cfg.epochs):
+            g = fit_gradient(w, U, targets)
+            g *= cfg.learning_rate
+            w -= g
+        if not np.isfinite(w).all():
+            raise TrainingError("weights diverged to non-finite values")
+        sse[s] = fit_loss(w, U, targets) * targets.shape[0]
+    return W.reshape(k, r, p + 1)[np.arange(k), [first_lowest(e) for e in sse.reshape(k, r)]]
 
 
 def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> SigmoidNeuron:
-    """Fit the neuron's weights by batch gradient descent.
-
-    Runs cfg.restarts descents from weights drawn uniformly in [-0.5, 0.5]
-    and keeps the first restart with the strictly lowest training
-    sum-squared error; deterministic for a fixed cfg.seed. The restarts are
-    descended together as a (cfg.restarts, p+1) stack, in chunks of at most
-    STACK_ELEMENTS per-row elements, each one bit-identical to a descent of
-    its own.
-    """
+    """Fit the neuron's weights by batch gradient descent: fit_neurons' one
+    neuron, seeded by cfg.seed, on the inputs and targets fit_data accepts."""
     U, y = fit_data(inputs, targets, neuron.p)
-    rng = np.random.default_rng(cfg.seed)
-    W = rng.uniform(-0.5, 0.5, size=(cfg.restarts, neuron.p + 1))
-    sse = np.concatenate([descend(W[s], U, y, cfg)
-                          for s in stack_chunks(cfg.restarts, y.shape[0])])
-    return replace_weights(neuron, W[first_lowest(sse)])
+    return replace_weights(neuron, fit_neurons(U, y, [cfg.seed], cfg)[0])
 
 
 def replace_weights(neuron: SigmoidNeuron, weights) -> SigmoidNeuron:

@@ -156,7 +156,6 @@ class TestTraining:
         # neuron t has exactly t + 2 bindings
         for t, nrn in enumerate(net.neurons):
             assert len(nrn.bindings) == t + 2
-        assert net.final_score <= net.base_score
 
     def test_selects_informative_features(self):
         ds, informative = gen_surrogate_eeg(1500, relevant=4, irrelevant=20, seed=6)

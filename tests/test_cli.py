@@ -3,6 +3,7 @@
 import copy
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,79 @@ class TestUnwritableOut:
         assert capsys.readouterr() == ("", f"data error: {write_error.value}\n")
 
 
+class TestOutputNamesAnotherFile:
+    """An --out or --report that names a file the command reads, or its other
+    output, under any spelling of the path, is a usage error naming both
+    flags: it exits 1 before any input is read, writes nothing and prints
+    nothing on stdout."""
+
+    @pytest.fixture
+    def model(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        assert run("train", "--method", "lm", "--epochs", "40", "--data", str(xor_csv),
+                   "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+    @pytest.mark.parametrize("verb, flag, same_as", [
+        ("train", "--out", "--data"),
+        ("train", "--report", "--data"),
+        ("train", "--report", "--out"),
+        ("evaluate", "--out", "--data"),
+        ("evaluate", "--out", "--model"),
+        ("export", "--out", "--model"),
+        ("extract-rules", "--out", "--data"),
+        ("extract-rules", "--out", "--model"),
+    ])
+    def test_refused_before_any_work(self, verb, flag, same_as, spelling, model, xor_csv,
+                                     tmp_path, capsys, monkeypatch):
+        from evonets import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read before the output paths were checked")
+
+        for name in ("load_csv", "load_model"):
+            monkeypatch.setattr(cli, name, refuse)
+        paths = {"--data": str(xor_csv), "--model": str(model),
+                 "--out": str(tmp_path / "out"), "--report": str(tmp_path / "report.csv")}
+        target = paths[same_as]
+        if spelling == "dotted":
+            (tmp_path / "sub").mkdir()
+            paths[flag] = str(tmp_path / "sub" / ".." / Path(target).name)
+        elif spelling == "symlink":
+            (tmp_path / "link").symlink_to(target)
+            paths[flag] = str(tmp_path / "link")
+        else:
+            paths[flag] = target
+        argv = {
+            "train": ("train", "--method", "pairwise-dt", "--data", "--out", "--report"),
+            "evaluate": ("evaluate", "--model", "--data", "--out"),
+            "export": ("export", "--format", "text", "--model", "--out"),
+            "extract-rules": ("extract-rules", "--model", "--data", "--out"),
+        }[verb]
+        argv = [a for arg in argv for a in ((arg, paths[arg]) if arg in paths else (arg,))]
+        before = {p: Path(p).read_bytes() for p in (str(xor_csv), str(model))}
+
+        assert run(*argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"usage error: {flag} and {same_as} name the same file "
+                              f"'{paths[flag]}'\n")
+        assert {p: Path(p).read_bytes() for p in before} == before
+        assert not (tmp_path / "out").exists() and not (tmp_path / "report.csv").exists()
+
+    def test_pairwise_report_over_its_model(self, blob_csv, tmp_path, capsys, monkeypatch):
+        # the same path given twice once left the report where the model should be
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--method", "pairwise-dt", "--data", str(blob_csv),
+                   "--attempts", "2", "--test-epochs", "5", "--out", "m.json",
+                   "--report", "m.json") == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: --report and --out name the same file 'm.json'\n")
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestTrain:
     def test_gmdh_on_xor_reports_low_error(self, xor_csv, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -248,6 +322,79 @@ class TestTrain:
         assert resaved.read_bytes() == model_path.read_bytes()
         again = load_model(resaved)
         np.testing.assert_array_equal(before, again.predict_csv_features(X))
+
+
+@pytest.fixture
+def eeg_csv(tmp_path):
+    p = tmp_path / "eeg.csv"
+    assert run("generate", "surrogate-eeg", "--n", "300", "--relevant", "3", "--irrelevant",
+               "5", "--separation", "1.5", "--seed", "4", "--out", str(p)) == 0
+    return p
+
+
+@pytest.fixture
+def eeg4_csv(tmp_path):
+    p = tmp_path / "eeg4.csv"
+    assert run("generate", "surrogate-eeg", "--n", "300", "--classes", "4", "--relevant", "3",
+               "--irrelevant", "3", "--seed", "5", "--out", str(p)) == 0
+    return p
+
+
+def _threshold_used(doc, data):
+    assert doc["payload"]["threshold"] == 0.35
+
+
+def _hidden_units(doc, data):
+    assert len(doc["payload"]["hidden_weights"]) == 3
+
+
+def _features_capped(doc, data):
+    assert all(len(t["features"]) == 1 for t in doc["payload"]["tests"])
+
+
+def _one_survivor(doc, data):
+    # one survivor leaves layer 2 nothing to pair, so growth stops after layer 1
+    assert [n["layer"] for n in doc["payload"]["neurons"]] == [1]
+
+
+def _unstratified_split(doc, data):
+    # the stored normalization is fitted on the fit rows of the plain split
+    ds = load_csv(data, "y")
+    fit_rows = split(ds, SplitSpec((2 / 3, 1 / 3), seed=3, stratified=False))[0]
+    stratified = split(ds, SplitSpec((2 / 3, 1 / 3), seed=3, stratified=True))[0]
+    mean = doc["normalization"]["mean"]
+    assert mean == list(normalize_zscore(fit_rows)[1].mean)
+    assert mean != list(normalize_zscore(stratified)[1].mean)
+
+
+class TestTrainFlags:
+    """Train flags that take a non-default value reach the learner and the
+    model file's provenance."""
+
+    @pytest.mark.parametrize("method, data, flags, recorded, took_effect", [
+        ("ecnn", "xor_csv", ("--threshold", "0.35", "--epochs", "40", "--restarts", "1"),
+         {"threshold": 0.35}, _threshold_used),
+        ("fnn", "xor_csv", ("--hidden", "3", "--epochs", "40", "--restarts", "1"),
+         {"hidden": 3}, _hidden_units),
+        ("pairwise-dt", "eeg4_csv", ("--max-features", "1", "--attempts", "3",
+                                     "--test-epochs", "8"),
+         {"max_features": 1}, _features_capped),
+        ("gmdh-layered", "eeg_csv", ("--survivors", "1", "--fit-method", "least-squares"),
+         {"survivors": 1}, _one_survivor),
+        ("gmdh-layered", "eeg_csv", ("--no-stratify", "--fit-method", "least-squares"),
+         {"stratified": False}, _unstratified_split),
+    ])
+    def test_flag_is_recorded_and_takes_effect(self, method, data, flags, recorded,
+                                               took_effect, request, tmp_path, capsys):
+        data = request.getfixturevalue(data)
+        model = tmp_path / "m.json"
+        assert run("train", "--method", method, "--data", str(data), "--seed", "3",
+                   "--out", str(model), *flags) == 0
+        doc = json.loads(model.read_text())
+        provenance = doc["provenance"]
+        for key, value in recorded.items():
+            assert (provenance if key == "stratified" else provenance["config"])[key] == value
+        took_effect(doc, data)
 
 
 class TestRejectedSettings:
@@ -630,6 +777,44 @@ class TestExtractRules:
         assert run("extract-rules", "--model", str(model), "--data", str(blob_csv),
                    "--out", str(tmp_path / "r.json")) == 2
 
+
+
+class TestRuleFileSourcePath:
+    """A rule file names its source model by a path relative to the rule
+    file's own directory, so its bytes do not depend on where the files sit."""
+
+    @pytest.fixture
+    def model(self, xor_csv, tmp_path, capsys):
+        path = tmp_path / "trained.json"
+        assert run("train", "--method", "gmdh-layered", "--fit-method", "least-squares",
+                   "--data", str(xor_csv), "--out", str(path)) == 0
+        capsys.readouterr()
+        return path
+
+    @staticmethod
+    def extract(model, data, out):
+        assert run("extract-rules", "--model", str(model), "--data", str(data),
+                   "--out", str(out)) == 0
+        return json.loads(Path(out).read_text())["provenance"]["source_model"]
+
+    def test_same_bytes_under_any_parent_directory(self, model, xor_csv, tmp_path):
+        rule_files = []
+        for parent in ("a", "b/deeper"):
+            work = tmp_path / parent / "work"
+            work.mkdir(parents=True)
+            for src in (model, xor_csv):
+                (work / src.name).write_bytes(src.read_bytes())
+            assert self.extract(work / model.name, work / xor_csv.name,
+                                work / "rules.json") == model.name
+            rule_files.append((work / "rules.json").read_bytes())
+        assert rule_files[0] == rule_files[1]
+
+    def test_model_in_a_sibling_directory(self, model, xor_csv, tmp_path):
+        (tmp_path / "models").mkdir()
+        (tmp_path / "rules").mkdir()
+        moved = tmp_path / "models" / "m.json"
+        moved.write_bytes(model.read_bytes())
+        assert self.extract(moved, xor_csv, tmp_path / "rules" / "r.json") == "../models/m.json"
 
 
 class TestCsvInput:

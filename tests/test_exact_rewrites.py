@@ -60,8 +60,8 @@ from evonets.gmdh import (KINDS, GmdhConfig, PolyNetwork, SupportingNeuron, _bas
 from evonets.linear import LinearMachine, PocketState, thermal_c, train_pocket_ratchet
 from evonets.modelio import ModelBundle, save_model
 from evonets.neuron import (SIGMOID_CLAMP, FitConfig, SigmoidNeuron, exterior_criterion,
-                            fit_gradient, fit_loss, fit_neuron, least_squares_fit,
-                            replace_weights, sigmoid)
+                            fit_gradient, fit_loss, fit_neuron, fit_neurons,
+                            least_squares_fit, replace_weights, sigmoid)
 from evonets.ruletree import RuleNode, RuleTree, classify_rule, extract_rules, search_threshold
 
 
@@ -1479,12 +1479,32 @@ class TestStackChunks:
         else:
             assert got == want
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("scale, rate", [(1.0, 2.0), (1e300, 1e30)])
+    def test_fit_neurons_one_input_matrix_each(self, k, scale, rate, monkeypatch):
+        # three neurons of three inputs each, as a chunked cascade walk would
+        # fit its candidates: each matches its own oracle fit
+        U, y = descent_problem(14, 31, 9, scale)
+        inputs = np.stack([U[:, 3 * i:3 * i + 3] for i in range(3)])
+        seeds = [derive_seed(6, 1, h) for h in range(3)]
+        cfg = FitConfig(learning_rate=rate, epochs=10, restarts=3, seed=6)
+        nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
+        want = [outcome(oracle_fit_neuron, nrn, inputs[i], y, replace(cfg, seed=seed))
+                for i, seed in enumerate(seeds)]
+        monkeypatch.setattr(neuron, "stack_chunks", chunks_of(k))
+        got = outcome(fit_neurons, inputs, y, seeds, cfg)
+        if all(w[0] == "ok" for w in want):
+            assert got[0] == "ok"
+            assert got[1].tobytes() == np.stack([w[1].weights for w in want]).tobytes()
+        else:
+            assert got == next(w for w in want if w[0] != "ok")
+
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_ranking(self, k, monkeypatch):
         train, val = ranking_data(12, 31, 10, 4, constant=True, twin=True)
         cfg = FitConfig(learning_rate=2.0, epochs=15, restarts=3, seed=7)
         want = outcome(oracle_fit_single_features, train, val, cfg)
-        monkeypatch.setattr(cascade, "stack_chunks", chunks_of(k))
+        monkeypatch.setattr(neuron, "stack_chunks", chunks_of(k))
         assert ranking_key(outcome(cascade._fit_single_features, train, val, cfg)) == \
             ranking_key(want)
 

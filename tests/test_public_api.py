@@ -14,7 +14,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(evonets.__path__))
 # names deleted from the library, by the module that defined them
 REMOVED = {
     "baseline": ["TrainingCurve", "PcaTransform", "pca_fit", "predict_fnn"],
-    "neuron": ["classification_error", "sigmoid_out", "CandidateScore", "SCORE_KINDS"],
+    "neuron": ["classification_error", "sigmoid_out", "CandidateScore", "SCORE_KINDS",
+               "descend"],
     "dataset": ["xor_label"],
     "cascade": ["predict_cascade", "rank_single_features", "relevance_check"],
     "gmdh": ["predict_poly", "eval_supporting_neuron"],
