@@ -18,12 +18,12 @@ from .gmdh import (GmdhConfig, PolyNetwork, SupportingNeuron, count_candidates,
                    train_gmdh_roulette)
 from .linear import (LinearMachine, LinearTest, LmdtConfig, PairwiseTree,
                      PocketState, aggregate_segments, combine_pairwise, induce_dt,
-                     sfs_select, thermal_c, thermal_correction, train_pairwise_tree,
+                     sfs_select, thermal_correction, train_pairwise_tree,
                      train_pocket_ratchet)
 from .modelio import ModelBundle, load_model, save_model
 from .neuron import (FitConfig, SigmoidNeuron, exterior_criterion, fit_gradient, fit_loss,
                      fit_neuron, least_squares_fit, sigmoid)
-from .ruletree import (RuleNode, RuleTree, classify_rule, extract_rules,
-                       ruletree_to_dot, search_threshold, to_text)
+from .ruletree import (RuleNode, RuleTree, extract_rules, ruletree_to_dot, search_threshold,
+                       to_text)
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Small shared helpers: deterministic seed derivation, input augmentation,
-the restart pick and the chunking of descent stacks."""
+the restart pick, the chunking of descent stacks and DOT name quoting."""
 
 import numpy as np
 
@@ -51,3 +51,10 @@ def stack_chunks(count, per_element):
     one)."""
     step = max(1, STACK_ELEMENTS // max(1, per_element))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def dot_escape(name):
+    """A column or class name as the inside of a DOT quoted string: each
+    backslash and double quote gets a backslash before it, so the string ends
+    where it should and renders as the name. Other names come out unchanged."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')

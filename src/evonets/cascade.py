@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import derive_seed, dot_escape
 from .errors import DataError
 from .neuron import FitConfig, SigmoidNeuron, fit_data, fit_neuron, fit_neurons, sigmoid
 
@@ -176,7 +176,7 @@ def cascade_to_dot(net: CascadeNetwork, feature_names, label_names) -> str:
     ellipses, accepted neurons filled gray."""
     lines = ["digraph cascade {", "  rankdir=LR;"]
     for f in net.selected_features:
-        lines.append(f'  "x{f}" [label="{feature_names[f]}", shape=box];')
+        lines.append(f'  "x{f}" [label="{dot_escape(feature_names[f])}", shape=box];')
     neurons = net.neurons if net.neurons else [net.base_neuron]
     for t, nrn in enumerate(neurons):
         mark = ", peripheries=2" if t == len(neurons) - 1 else ""

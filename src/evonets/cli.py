@@ -15,6 +15,7 @@ import stat
 import sys
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,26 +63,26 @@ def _build_parser():
     t.add_argument("--split", default="2/3:1/3",
                    help="fit/validation fractions, e.g. 2/3:1/3")
     t.add_argument("--no-stratify", action="store_true")
-    t.add_argument("--report", default=None, help="per-pair CSV report (pairwise-dt)")
-    t.add_argument("--kind", choices=KINDS, default=GmdhConfig.kind)
-    t.add_argument("--fit-method", choices=["gradient", "least-squares"],
-                   default="gradient")
-    t.add_argument("--survivors", type=int, default=None)
-    t.add_argument("--max-layers", type=int, default=GmdhConfig.max_layers)
-    t.add_argument("--attempts", type=int, default=None,
+    # read only by the methods whose TRAINERS entry names them; None means not given
+    t.add_argument("--report", help="per-pair CSV report (pairwise-dt)")
+    t.add_argument("--kind", choices=KINDS)
+    t.add_argument("--fit-method", choices=["gradient", "least-squares"])
+    t.add_argument("--survivors", type=int)
+    t.add_argument("--max-layers", type=int)
+    t.add_argument("--attempts", type=int,
                    help="roulette attempts (gmdh-roulette) or scan attempts (pairwise-dt)")
-    t.add_argument("--learning-rate", type=float, default=None)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--restarts", type=int, default=None)
-    t.add_argument("--threshold", type=float, default=FitConfig.decision_threshold)
-    t.add_argument("--hidden", type=int, default=4)
-    t.add_argument("--patience", type=int, default=FnnConfig.patience)
-    t.add_argument("--c", type=float, default=LmdtConfig.c)
-    t.add_argument("--no-ratchet", action="store_true")
-    t.add_argument("--correction", choices=CORRECTIONS, default=LmdtConfig.correction)
-    t.add_argument("--pair-trainer", choices=PAIR_TRAINERS, default=LmdtConfig.pair_trainer)
-    t.add_argument("--test-epochs", type=int, default=LmdtConfig.test_epochs)
-    t.add_argument("--max-features", type=int, default=None)
+    t.add_argument("--learning-rate", type=float)
+    t.add_argument("--epochs", type=int)
+    t.add_argument("--restarts", type=int)
+    t.add_argument("--threshold", type=float)
+    t.add_argument("--hidden", type=int)
+    t.add_argument("--patience", type=int)
+    t.add_argument("--c", type=float)
+    t.add_argument("--no-ratchet", action="store_const", const=False)  # use_ratchet's value
+    t.add_argument("--correction", choices=CORRECTIONS)
+    t.add_argument("--pair-trainer", choices=PAIR_TRAINERS)
+    t.add_argument("--test-epochs", type=int)
+    t.add_argument("--max-features", type=int)
 
     e = sub.add_parser("evaluate", help="apply a saved model to a CSV file")
     e.add_argument("--model", required=True)
@@ -191,49 +192,41 @@ def _provenance(cfg):
     return {renamed.get(k, k): v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}
 
 
+def _given(args, **fields):
+    """args.method's given flags, each under its dest or the config field `fields` names."""
+    return {fields.get(f, f): getattr(args, f) for f in TRAINERS[args.method].flags
+            if getattr(args, f) is not None}
+
+
 def _train_ecnn(args, tr, va, ds):
-    cfg = FitConfig(learning_rate=_flag(args.learning_rate, FitConfig.learning_rate),
-                    epochs=_flag(args.epochs, FitConfig.epochs),
-                    restarts=_flag(args.restarts, FitConfig.restarts),
-                    seed=args.seed, decision_threshold=args.threshold)
+    cfg = FitConfig(**_given(args, threshold="decision_threshold"), seed=args.seed)
     return train_ecnn(tr, va, cfg), _provenance(cfg)
 
 
-def _gmdh_config(args):
-    return GmdhConfig(kind=args.kind, survivors=args.survivors,
-                      max_layers=args.max_layers,
-                      attempts=_flag(args.attempts, GmdhConfig.attempts),
-                      method=args.fit_method.replace("-", "_"),
-                      learning_rate=_flag(args.learning_rate, GmdhConfig.learning_rate),
-                      epochs=_flag(args.epochs, GmdhConfig.epochs),
-                      restarts=_flag(args.restarts, GmdhConfig.restarts), seed=args.seed)
-
-
-def _train_gmdh_layered(args, tr, va, ds):
-    cfg = _gmdh_config(args)
-    return train_gmdh_layered(tr, va, cfg), _provenance(cfg)
-
-
-def _train_gmdh_roulette(args, tr, va, ds):
-    cfg = _gmdh_config(args)
-    return train_gmdh_roulette(tr, va, cfg), _provenance(cfg)
+def _train_gmdh(args, tr, va, ds):
+    given = _given(args, fit_method="method")
+    if "method" in given:   # the config spells it least_squares
+        given["method"] = given["method"].replace("-", "_")
+    cfg = GmdhConfig(**given, seed=args.seed)
+    grow = train_gmdh_layered if args.method == "gmdh-layered" else train_gmdh_roulette
+    return grow(tr, va, cfg), _provenance(cfg)
 
 
 def _train_lm(args, tr, va, ds):
-    model, _ = train_pocket_ratchet(
-        LinearMachine.zeros(ds.class_count, ds.n_features), tr,
-        epochs=args.epochs, c=args.c, seed=args.seed,
-        use_ratchet=not args.no_ratchet, correction=args.correction)
-    return model, {"epochs": args.epochs, "c": args.c,
-                   "use_ratchet": not args.no_ratchet, "correction": args.correction}
+    given = _given(args, no_ratchet="use_ratchet")
+    epochs = given.pop("epochs", None)   # None: one epoch per training row
+    cfg = LmdtConfig(**given)   # a pair test's correction settings
+    config = {"epochs": epochs, "c": cfg.c, "use_ratchet": cfg.use_ratchet,
+              "correction": cfg.correction}
+    model, _ = train_pocket_ratchet(LinearMachine.zeros(ds.class_count, ds.n_features), tr,
+                                    seed=args.seed, **config)
+    return model, config
 
 
 def _train_pairwise(args, tr, va, ds):
-    cfg = LmdtConfig(c=args.c, use_ratchet=not args.no_ratchet,
-                     test_epochs=args.test_epochs, correction=args.correction,
-                     pair_trainer=args.pair_trainer,
-                     max_features=args.max_features,
-                     attempts=_flag(args.attempts, LmdtConfig.attempts), seed=args.seed)
+    given = _given(args, no_ratchet="use_ratchet")
+    given.pop("report", None)   # cmd_train writes the report
+    cfg = LmdtConfig(**given, seed=args.seed)
     return train_pairwise_tree(tr, va, cfg), _provenance(cfg)
 
 
@@ -245,25 +238,30 @@ def _train_ruletree(args, tr, va, ds):  # fitted directly on the training rows
 
 
 def _train_fnn(args, tr, va, ds):
-    cfg = FnnConfig(learning_rate=_flag(args.learning_rate, FnnConfig.learning_rate),
-                    max_epochs=_flag(args.epochs, FnnConfig.max_epochs),
-                    patience=args.patience,
-                    restarts=_flag(args.restarts, FnnConfig.restarts), seed=args.seed)
-    return train_fnn(tr, va, args.hidden, cfg), {"hidden": args.hidden, **_provenance(cfg)}
+    given = _given(args, epochs="max_epochs")
+    hidden = given.pop("hidden", 4)
+    cfg = FnnConfig(**given, seed=args.seed)
+    return train_fnn(tr, va, hidden, cfg), {"hidden": hidden, **_provenance(cfg)}
 
 
-# method -> fn(args, fit rows, validation rows, full dataset) -> (model, provenance
-# config). Each trainer calls its learner through this module's global name at call
-# time, so a wrapper installed on that name (as perfbench's tracer does) sees it.
+# method -> fit(args, fit rows, validation rows, full dataset) -> (model, provenance
+# config), and the flags (dests) some setting of the method reads. fit calls its learner
+# through this module's global name at call time, so perfbench's tracer sees the call.
+Trainer = NamedTuple("Trainer", [("fit", Callable), ("flags", tuple)])
 TRAINERS = {
-    "ecnn": _train_ecnn,
-    "gmdh-layered": _train_gmdh_layered,
-    "gmdh-roulette": _train_gmdh_roulette,
-    "lm": _train_lm,
-    "pairwise-dt": _train_pairwise,
-    "ruletree": _train_ruletree,
-    "fnn": _train_fnn,
+    "ecnn": Trainer(_train_ecnn, ("learning_rate", "epochs", "restarts", "threshold")),
+    "gmdh-layered": Trainer(_train_gmdh, ("kind", "fit_method", "survivors", "max_layers",
+                                          "learning_rate", "epochs", "restarts")),
+    "gmdh-roulette": Trainer(_train_gmdh, ("kind", "fit_method", "attempts",
+                                           "learning_rate", "epochs", "restarts")),
+    "lm": Trainer(_train_lm, ("epochs", "c", "no_ratchet", "correction")),
+    "pairwise-dt": Trainer(_train_pairwise, ("c", "no_ratchet", "correction", "test_epochs",
+                                             "pair_trainer", "max_features", "attempts",
+                                             "report")),
+    "ruletree": Trainer(_train_ruletree, ()),
+    "fnn": Trainer(_train_fnn, ("learning_rate", "epochs", "restarts", "hidden", "patience")),
 }
+METHOD_FLAGS = {f for trainer in TRAINERS.values() for f in trainer.flags}
 
 
 def cmd_train(args):
@@ -275,7 +273,7 @@ def cmd_train(args):
     va = norm.apply_dataset(va_raw)
     full = norm.apply_dataset(ds)
 
-    model, config = TRAINERS[args.method](args, tr, va, ds)
+    model, config = TRAINERS[args.method].fit(args, tr, va, ds)
     pair_lines = [(i, j, 1.0 - t.accuracy, len(t.features))
                   for (i, j), t in sorted(model.tlus.items())] \
         if isinstance(model, PairwiseTree) else []
@@ -448,9 +446,11 @@ def main(argv=None):
             raise UsageError("a command is required")
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise DataError("seed must be non-negative")
-        if getattr(args, "report", None) is not None and args.method != "pairwise-dt":
-            raise UsageError(f"--report is written by pairwise-dt only, not by method "
-                             f"'{args.method}'")
+        if args.command == "train":   # refuse a flag the method does not read
+            for flag in sorted(METHOD_FLAGS - set(TRAINERS[args.method].flags)):
+                if getattr(args, flag) is not None:
+                    raise UsageError(f"--{flag.replace('_', '-')} is not read by method "
+                                     f"'{args.method}'")
         _check_outputs(args)
         handler = {
             "generate": cmd_generate,

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import derive_seed, first_lowest, stack_chunks
+from ._util import derive_seed, dot_escape, first_lowest, stack_chunks
 from .errors import DataError, TrainingError
 from .neuron import check_descent, exterior_criterion, least_squares_fit
 
@@ -425,7 +425,7 @@ def gmdh_to_dot(net: PolyNetwork, feature_names, label_names) -> str:
     names = _neuron_names(net)
     lines = ["digraph polynet {", "  rankdir=LR;"]
     for f in net.referenced_features():
-        lines.append(f'  "x{f}" [label="{feature_names[f]}", shape=box];')
+        lines.append(f'  "x{f}" [label="{dot_escape(feature_names[f])}", shape=box];')
     for k, nrn in enumerate(net.neurons):
         fill = ", style=filled, fillcolor=gray80" if nrn.survivor else ""
         mark = ", peripheries=2" if k == net.output else ""

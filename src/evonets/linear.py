@@ -21,14 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import augment, derive_seed
+from ._util import augment, derive_seed, dot_escape
 from .dataset import Dataset
 from .errors import DataError, ScoreOverflow, TrainingError
 
 __all__ = [
     "CORRECTIONS", "PAIR_TRAINERS", "LinearMachine", "PocketState", "LinearTest",
     "PairwiseTree", "LmdtConfig", "check_correction", "train_pocket_ratchet",
-    "thermal_c", "thermal_correction", "sfs_select", "induce_dt", "train_pairwise_tree",
+    "thermal_correction", "sfs_select", "induce_dt", "train_pairwise_tree",
     "combine_pairwise", "aggregate_segments", "describe_linear_machine",
     "linear_machine_to_dot", "describe_pairwise_tree", "pairwise_tree_to_dot",
 ]
@@ -113,17 +113,14 @@ class LinearTest:
         if self.weights.shape != (len(self.features) + 1,):
             raise DataError("weight length must be subset size + 1")
 
-    def raw(self, X):
+    def outputs(self, X):
+        """Vector of +/-1 decisions, one per row."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] <= max(self.features):
             raise DataError(f"input must provide at least {max(self.features) + 1} "
                             "feature values")
-        with np.errstate(over="ignore", invalid="ignore"):   # outputs reads only the sign
-            return augment(X[:, list(self.features)]) @ self.weights
-
-    def outputs(self, X):
-        """Vector of +/-1 decisions, one per row."""
-        return np.where(self.raw(X) >= 0, 1, -1)
+        with np.errstate(over="ignore", invalid="ignore"):   # only the sign is read
+            return np.where(augment(X[:, list(self.features)]) @ self.weights >= 0, 1, -1)
 
 
 @dataclass(eq=False)
@@ -202,20 +199,16 @@ def _correct(W, xa, true_class, predicted, amount):
     W[predicted] -= d
 
 
-def thermal_c(beta, k):
-    """Correction magnitude beta / (beta + k^2); in (0, 1] for beta > 0."""
-    return beta / (beta + k * k)
-
-
 def thermal_correction(beta, w_true, w_pred, xa):
-    """Annealed correction size for one misclassified augmented input xa.
+    """Annealed correction size beta / (beta + k^2) for one misclassified
+    augmented input xa; in (0, 1] for beta > 0.
 
     k measures (half) the normalized score gap between the true and
     predicted class, offset by THERMAL_EPSILON; large gaps yield small
     corrections so distant outliers stop destabilizing training.
     """
     k = float((w_true - w_pred) @ xa) / (2.0 * float(xa @ xa)) + THERMAL_EPSILON
-    return thermal_c(beta, k)
+    return beta / (beta + k * k)
 
 
 def train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, c=1.0,
@@ -510,9 +503,9 @@ def linear_machine_to_dot(lm: LinearMachine, feature_names, label_names) -> str:
     """Graphviz rendering: every feature box feeds every class discriminant."""
     lines = ["digraph linmachine {", "  rankdir=LR;"]
     for i, name in enumerate(feature_names):
-        lines.append(f'  "x{i}" [label="{name}", shape=box];')
+        lines.append(f'  "x{i}" [label="{dot_escape(name)}", shape=box];')
     for k in range(lm.class_count):
-        lines.append(f'  "g{k}" [label="g_{label_names[k]}"];')
+        lines.append(f'  "g{k}" [label="g_{dot_escape(label_names[k])}"];')
         for i in range(len(feature_names)):
             lines.append(f'  "x{i}" -> "g{k}";')
     lines.append("}")
@@ -537,7 +530,7 @@ def pairwise_tree_to_dot(tree: PairwiseTree, feature_names, label_names) -> str:
     for (i, j) in sorted(tree.tlus):
         lines.append(f'  "f{i}_{j}" [label="f_{i}/{j}", shape=box];')
     for k in range(tree.class_count):
-        lines.append(f'  "g{k}" [label="g_{label_names[k]}"];')
+        lines.append(f'  "g{k}" [label="g_{dot_escape(label_names[k])}"];')
     for (i, j) in sorted(tree.tlus):
         lines.append(f'  "f{i}_{j}" -> "g{i}" [label="+1"];')
         lines.append(f'  "f{i}_{j}" -> "g{j}" [label="-1"];')

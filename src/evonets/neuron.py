@@ -192,11 +192,7 @@ def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> Sigmoi
     """Fit the neuron's weights by batch gradient descent: fit_neurons' one
     neuron, seeded by cfg.seed, on the inputs and targets fit_data accepts."""
     U, y = fit_data(inputs, targets, neuron.p)
-    return replace_weights(neuron, fit_neurons(U, y, [cfg.seed], cfg)[0])
-
-
-def replace_weights(neuron: SigmoidNeuron, weights) -> SigmoidNeuron:
-    return SigmoidNeuron(neuron.bindings, np.asarray(weights, dtype=float))
+    return SigmoidNeuron(neuron.bindings, fit_neurons(U, y, [cfg.seed], cfg)[0])
 
 
 def least_squares_fit(design, targets):

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import dot_escape
 from .errors import DataError, TrainingError
 
-__all__ = ["RuleNode", "RuleTree", "search_threshold", "extract_rules",
-           "classify_rule", "to_text", "ruletree_to_dot"]
+__all__ = ["RuleNode", "RuleTree", "search_threshold", "extract_rules", "to_text",
+           "ruletree_to_dot"]
 
 
 @dataclass(eq=False)
@@ -44,7 +45,8 @@ class RuleTree:
 
     def predict_classes(self, X):
         """Labels for every row: the rows reaching a node split on one
-        boolean mask, x[feature] > threshold going high, as in classify_rule."""
+        boolean mask, a row with x[feature] > threshold going high (strictly
+        greater; an equal value goes low)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.root is None:
             raise TrainingError("untrained rule tree")
@@ -160,23 +162,6 @@ def extract_rules(X0, X1, pool) -> RuleTree:
     return RuleTree(_find_node(X0, X1, pool))
 
 
-def classify_rule(tree: RuleTree, x):
-    """Descend threshold comparisons to a leaf label (strict > goes high)."""
-    if tree.root is None:
-        raise TrainingError("untrained rule tree")
-    x = np.asarray(x, dtype=float)
-    node = tree.root
-    while True:
-        if x[node.feature] > node.threshold:
-            if node.high_child is None:
-                return int(node.high_label)
-            node = node.high_child
-        else:
-            if node.low_child is None:
-                return int(node.low_label)
-            node = node.low_child
-
-
 def to_text(tree: RuleTree, feature_names, label_names) -> str:
     """Nested if/else rendering with 4-decimal thresholds."""
 
@@ -207,14 +192,14 @@ def ruletree_to_dot(tree: RuleTree, feature_names, label_names) -> str:
     def emit(node):
         my = f"t{counter[0]}"
         counter[0] += 1
-        lines.append(f'  "{my}" [label="{feature_names[node.feature]} > {node.threshold:.4f}", '
-                     f'shape=box];')
+        lines.append(f'  "{my}" [label="{dot_escape(feature_names[node.feature])} > '
+                     f'{node.threshold:.4f}", shape=box];')
         for side, child, label in (("> (high)", node.high_child, node.high_label),
                                    ("<= (low)", node.low_child, node.low_label)):
             if child is None:
                 leaf = f"t{counter[0]}"
                 counter[0] += 1
-                lines.append(f'  "{leaf}" [label="class {label_names[label]}"];')
+                lines.append(f'  "{leaf}" [label="class {dot_escape(label_names[label])}"];')
                 lines.append(f'  "{my}" -> "{leaf}" [label="{side}"];')
             else:
                 sub = emit(child)

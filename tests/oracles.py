@@ -1,0 +1,23 @@
+"""Reference implementations that tests compare the library against."""
+
+import numpy as np
+
+from evonets.errors import TrainingError
+
+
+def classify_rule(tree, x):
+    """One row's label from a RuleTree: descend the threshold comparisons to a
+    leaf (strict > goes high). The single-row twin of RuleTree.predict_classes."""
+    if tree.root is None:
+        raise TrainingError("untrained rule tree")
+    x = np.asarray(x, dtype=float)
+    node = tree.root
+    while True:
+        if x[node.feature] > node.threshold:
+            if node.high_child is None:
+                return int(node.high_label)
+            node = node.high_child
+        else:
+            if node.low_child is None:
+                return int(node.low_label)
+            node = node.low_child

@@ -23,7 +23,8 @@ from evonets.linear import (LinearMachine, LmdtConfig, combine_pairwise,
                             train_pairwise_tree, train_pocket_ratchet)
 from evonets.modelio import load_model, save_model
 from evonets.neuron import FitConfig, exterior_criterion, fit_gradient, fit_loss
-from evonets.ruletree import RuleNode, RuleTree, classify_rule, extract_rules, to_text
+from evonets.ruletree import RuleNode, RuleTree, extract_rules, to_text
+from oracles import classify_rule
 
 
 def report(name, detail=""):

@@ -9,7 +9,7 @@ import evonets.cascade as cascade
 from evonets.cascade import CascadeNetwork, describe_cascade, train_ecnn, cascade_to_dot
 from evonets.dataset import Dataset, SplitSpec, gen_surrogate_eeg, split
 from evonets.errors import DataError
-from evonets.neuron import FitConfig, SigmoidNeuron, replace_weights
+from evonets.neuron import FitConfig, SigmoidNeuron
 
 CFG = FitConfig(learning_rate=1.0, epochs=150, restarts=1, seed=0)
 
@@ -91,7 +91,7 @@ class TestRelevance:
         w = base.base_neuron.weights
 
         def fixed(neuron, inputs, targets, cfg):
-            return replace_weights(neuron, weights_of(w, neuron.p))
+            return SigmoidNeuron(neuron.bindings, weights_of(w, neuron.p))
 
         monkeypatch.setattr(cascade, "fit_neuron", fixed)
         return train_ecnn(tr, va, CFG)

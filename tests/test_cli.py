@@ -1,7 +1,9 @@
 """Command-line surface: generation, training, evaluation, export, rules."""
 
 import copy
+import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from evonets.cli import _load_for_model, main
 from evonets.dataset import (Dataset, NormParams, SplitSpec, load_csv, normalize_zscore,
                              save_csv, split)
 from evonets.linear import LinearMachine, train_pocket_ratchet
-from evonets.modelio import ModelBundle, load_model, save_model
+from evonets.modelio import METHODS, ModelBundle, load_model, save_model
 
 
 def run(*argv):
@@ -267,8 +269,7 @@ class TestTrain:
                    "--report", str(report)) == 1
         stdout, err = capsys.readouterr()
         assert stdout == ""
-        assert err.startswith(f"usage error: --report is written by pairwise-dt only, not "
-                              f"by method '{method}'\n")
+        assert err.startswith(f"usage error: --report is not read by method '{method}'\n")
         assert not out.exists() and not report.exists()
 
     def test_learner_warning_prints_as_one_line(self, xor_csv, tmp_path, capsys):
@@ -721,6 +722,53 @@ class TestExport:
         assert run("export", "--model", str(model), "--format", "dot",
                    "--out", str(out)) == 0
         assert out.read_text().startswith("digraph")
+
+
+# a DOT quoted string: characters other than a quote or backslash, or a backslash
+# and the character it escapes
+QUOTED = r'"((?:[^"\\]|\\.)*)"'
+
+
+class TestDotNames:
+    """A column or class name holding a double quote or a backslash is escaped
+    in every DOT export: each quoted string ends where it should and reads
+    back as the name."""
+
+    FEATURES = ('a"b', 'c\\')   # a quote inside, a backslash at the end
+    LABELS = ('say "no"', 'back\\slash')
+    # names that need no escaping, one per feature and label
+    PLAIN = ("<f0>", "<f1>"), ("<l0>", "<l1>")
+
+    @pytest.mark.parametrize("method", [m for m, row in METHODS.items()
+                                        if row.to_dot is not None])
+    def test_every_quoted_string_reads_back(self, method, xor_csv, tmp_path, capsys):
+        # the xor rows under those names: header and class cells
+        data = tmp_path / "names.csv"
+        with xor_csv.open(newline="") as src, data.open("w", newline="") as dst:
+            rows, out = csv.reader(src), csv.writer(dst)
+            next(rows)
+            out.writerow([*self.FEATURES, "y"])
+            out.writerows([*x, self.LABELS[int(y)]] for *x, y in rows)
+        model = tmp_path / "m.json"
+        assert run("train", "--method", method, "--data", str(data), "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run("export", "--model", str(model), "--format", "dot") == 0
+        dot = capsys.readouterr().out.rstrip("\n")
+
+        bundle = load_model(model)
+        assert bundle.feature_names == self.FEATURES
+        assert set(bundle.label_names) == set(self.LABELS)
+        plain = METHODS[method].to_dot(bundle.model, *self.PLAIN)
+        names = dict(zip(self.PLAIN[0] + self.PLAIN[1],
+                         bundle.feature_names + bundle.label_names))
+        # the same statements, with each quoted string unescaping to the plain
+        # rendering's string under the real names
+        assert re.sub(QUOTED, '""', dot) == re.sub(QUOTED, '""', plain)
+        unescaped = [re.sub(r"\\(.)", r"\1", s) for s in re.findall(QUOTED, dot)]
+        expected = [re.sub("<[fl][01]>", lambda m: names[m.group()], s)
+                    for s in re.findall(QUOTED, plain)]
+        assert unescaped == expected
+        assert re.search("<[fl][01]>", plain)   # some name is printed
 
 
 class TestExtractRules:

@@ -57,12 +57,13 @@ from evonets.errors import DataError, TrainingError
 from evonets.gmdh import (KINDS, GmdhConfig, PolyNetwork, SupportingNeuron, _basis,
                           _fit_weights, _subsets, count_candidates,
                           train_gmdh_layered, train_gmdh_roulette)
-from evonets.linear import LinearMachine, PocketState, thermal_c, train_pocket_ratchet
+from evonets.linear import LinearMachine, PocketState, train_pocket_ratchet
 from evonets.modelio import ModelBundle, save_model
 from evonets.neuron import (SIGMOID_CLAMP, FitConfig, SigmoidNeuron, exterior_criterion,
                             fit_gradient, fit_loss, fit_neuron, fit_neurons,
-                            least_squares_fit, replace_weights, sigmoid)
-from evonets.ruletree import RuleNode, RuleTree, classify_rule, extract_rules, search_threshold
+                            least_squares_fit, sigmoid)
+from evonets.ruletree import RuleNode, RuleTree, extract_rules, search_threshold
+from oracles import classify_rule
 
 
 @dataclass
@@ -145,7 +146,7 @@ def oracle_train_pocket_ratchet(lm: LinearMachine, train: Dataset, epochs=None, 
             if pred != q:
                 if correction == "thermal":
                     k = float((W[q] - W[pred]) @ xa) / (2.0 * float(xa @ xa)) + sched.epsilon
-                    amount = thermal_c(sched.beta, k)
+                    amount = sched.beta / (sched.beta + k * k)
                 else:
                     amount = c
                 W[q] += amount * xa
@@ -906,7 +907,7 @@ def oracle_fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) ->
         sse = oracle_fit_loss(w, U, y) * y.shape[0]
         if best is None or sse < best[0]:
             best = (sse, restart, w)
-    return replace_weights(neuron, best[2])
+    return SigmoidNeuron(neuron.bindings, best[2])
 
 
 def oracle_fit_single_features(train, val, cfg):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from evonets._util import derive_seed
 from evonets.dataset import Dataset, SplitSpec, gen_blobs, split
 from evonets.errors import DataError
-from evonets.linear import (LinearMachine, LinearTest, LmdtConfig, PairwiseTree, _correct,
-                            _fit_test, aggregate_segments, combine_pairwise, induce_dt,
-                            sfs_select, thermal_c, thermal_correction, train_pairwise_tree,
-                            train_pocket_ratchet)
+from evonets.linear import (THERMAL_EPSILON, LinearMachine, LinearTest, LmdtConfig,
+                            PairwiseTree, _correct, _fit_test, aggregate_segments,
+                            combine_pairwise, induce_dt, sfs_select, thermal_correction,
+                            train_pairwise_tree, train_pocket_ratchet)
 
 QUICK = LmdtConfig(test_epochs=15, attempts=5, seed=0)
 
@@ -176,16 +176,23 @@ class TestPocket:
         np.testing.assert_allclose(state.weights.sum(axis=0), 0.0, atol=1e-9)
 
 
+def correction_at(beta, k):
+    """thermal_correction's size at offset gap k: with xa = (1, 0) and
+    w_true - w_pred = (2 (k - eps), 0), half the normalized gap plus eps is k."""
+    w_true = np.array([2.0 * (k - THERMAL_EPSILON), 0.0])
+    return thermal_correction(beta, w_true, np.zeros(2), np.array([1.0, 0.0]))
+
+
 class TestThermal:
     def test_zero_gap_gives_unit_correction(self):
-        assert thermal_c(2.0, 0.0) == 1.0
+        assert correction_at(2.0, 0.0) == 1.0
 
     def test_worked_value(self):
-        assert thermal_c(2.0, 2.0) == pytest.approx(1 / 3, abs=1e-15)
+        assert correction_at(2.0, 2.0) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_bounded_and_shrinking(self):
         ks = np.linspace(0, 10, 50)
-        cs = [thermal_c(2.0, k) for k in ks]
+        cs = [correction_at(2.0, k) for k in ks]
         assert all(0 < c <= 1 for c in cs)
         assert all(b <= a for a, b in zip(cs, cs[1:]))
 

@@ -9,9 +9,10 @@ the rule-node decoder `oracle_restore` called, from before the decoders
 checked their payloads. The table only moves that code, so payloads,
 renderings and pools must be equal.
 
-The second half guards the trainer table: every method has one trainer, and
-each trainer calls its learner through the name bound in `evonets.cli`, so a
-wrapper installed on that name sees the call.
+The second half guards the trainer table: every method has one trainer, each
+trainer calls its learner through the name bound in `evonets.cli`, so a
+wrapper installed on that name sees the call, and `train` takes exactly the
+flags the method reads (`READS`), refusing every other method's.
 """
 
 import json
@@ -331,9 +332,16 @@ LEARNER = {
 }
 
 
+def train_actions():
+    return cli._build_parser()._subparsers._group_actions[0].choices["train"]._actions
+
+
 def train_choices(dest):
-    train = cli._build_parser()._subparsers._group_actions[0].choices["train"]
-    return next(a.choices for a in train._actions if a.dest == dest)
+    return next(a.choices for a in train_actions() if a.dest == dest)
+
+
+# the train flags every method reads
+COMMON_FLAGS = {"help", "method", "data", "label", "out", "seed", "split", "no_stratify"}
 
 
 def test_one_trainer_per_method():
@@ -343,6 +351,87 @@ def test_one_trainer_per_method():
     assert tuple(train_choices("pair_trainer")) == PAIR_TRAINERS
     assert tuple(train_choices("correction")) == CORRECTIONS
     assert tuple(train_choices("kind")) == KINDS
+    # the entries name every other train flag, and no flag the parser lacks; each of
+    # those defaults to None, so a flag left out is told apart from one given
+    method_flags = [a for a in train_actions() if a.dest not in COMMON_FLAGS]
+    assert {f for t in cli.TRAINERS.values() for f in t.flags} == {a.dest for a in method_flags}
+    assert all(a.default is None for a in method_flags)
+    assert {m: set(t.flags) for m, t in cli.TRAINERS.items()} == READS
+    assert set(FLAG_VALUES) == {a.dest for a in method_flags}
+
+
+# The method-specific train flags each method reads under some setting of it.
+READS = {
+    "ecnn": {"learning_rate", "epochs", "restarts", "threshold"},
+    "gmdh-layered": {"kind", "fit_method", "survivors", "max_layers", "learning_rate",
+                     "epochs", "restarts"},
+    "gmdh-roulette": {"kind", "fit_method", "attempts", "learning_rate", "epochs",
+                      "restarts"},
+    "lm": {"epochs", "c", "no_ratchet", "correction"},
+    "pairwise-dt": {"c", "no_ratchet", "correction", "test_epochs", "pair_trainer",
+                    "max_features", "attempts", "report"},
+    "ruletree": set(),
+    "fnn": {"learning_rate", "epochs", "restarts", "hidden", "patience"},
+}
+
+# a value each method-specific train flag accepts (None: the flag takes no value;
+# --report's value is a path)
+FLAG_VALUES = {
+    "report": "report.csv", "kind": "linear", "fit_method": "least-squares",
+    "survivors": "1", "max_layers": "1", "attempts": "2", "learning_rate": "0.5",
+    "epochs": "5", "restarts": "1", "threshold": "0.4", "hidden": "2", "patience": "3",
+    "c": "0.5", "no_ratchet": None, "correction": "thermal", "pair_trainer": "all-features",
+    "test_epochs": "3", "max_features": "1",
+}
+
+
+def flag_argv(flag, value, directory):
+    option = "--" + flag.replace("_", "-")
+    if value is None:
+        return [option]
+    return [option, str(directory / value) if flag == "report" else value]
+
+
+@pytest.fixture(scope="module")
+def xor_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags") / "xor.csv"
+    assert main(["generate", *DATASETS["xor"], "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+def test_flag_is_read_or_refused(method, flag, xor_data, tmp_path, capsys):
+    # a flag the method reads trains; any other is a usage error before any work,
+    # naming the flag and the method, with nothing written and nothing on stdout
+    out = tmp_path / "m.json"
+    code = main(["train", "--method", method, "--data", str(xor_data), "--out", str(out),
+                 *flag_argv(flag, FLAG_VALUES[flag], tmp_path)])
+    stdout, err = capsys.readouterr()
+    if flag in READS[method]:
+        assert code == 0, err
+        assert out.exists()
+    else:
+        assert code == 1
+        assert stdout == ""
+        option = "--" + flag.replace("_", "-")
+        assert err.startswith(f"usage error: {option} is not read by method '{method}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method, setting, flag, recorded", [
+    ("gmdh-layered", ("--fit-method", "least-squares"), "learning_rate", 0.5),
+    ("gmdh-roulette", ("--fit-method", "least-squares"), "learning_rate", 0.5),
+    ("pairwise-dt", ("--pair-trainer", "sfs"), "attempts", 2),
+])
+def test_flag_read_under_another_setting_is_accepted(method, setting, flag, recorded,
+                                                     xor_data, tmp_path):
+    # the setting leaves the flag unused, but some setting of the method reads it,
+    # so it is accepted, and the model file records it
+    out = tmp_path / "m.json"
+    assert main(["train", "--method", method, "--data", str(xor_data), "--out", str(out),
+                 *setting, *flag_argv(flag, FLAG_VALUES[flag], tmp_path)]) == 0
+    assert json.loads(out.read_text())["provenance"]["config"][flag] == recorded
 
 
 class Intercepted(Exception):

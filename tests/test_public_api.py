@@ -15,12 +15,16 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(evonets.__path__))
 REMOVED = {
     "baseline": ["TrainingCurve", "PcaTransform", "pca_fit", "predict_fnn"],
     "neuron": ["classification_error", "sigmoid_out", "CandidateScore", "SCORE_KINDS",
-               "descend"],
+               "descend", "replace_weights"],
     "dataset": ["xor_label"],
     "cascade": ["predict_cascade", "rank_single_features", "relevance_check"],
     "gmdh": ["predict_poly", "eval_supporting_neuron"],
-    "linear": ["ThermalSchedule", "wta_classify", "error_correct"],
+    "linear": ["ThermalSchedule", "wta_classify", "error_correct", "thermal_c"],
+    "ruletree": ["classify_rule"],
 }
+
+# methods deleted from the library's classes: (class, method)
+REMOVED_METHODS = [(evonets.LinearTest, "raw")]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -36,6 +40,11 @@ def test_removed_name_is_not_importable(module, name):
     assert not hasattr(importlib.import_module(f"evonets.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from evonets import {name}", {})
+
+
+@pytest.mark.parametrize("cls,name", REMOVED_METHODS)
+def test_removed_method_is_gone(cls, name):
+    assert not hasattr(cls, name)
 
 
 def test_load_csv_takes_only_path_and_label_column():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evonets.errors import DataError
-from evonets.ruletree import (RuleNode, RuleTree, classify_rule, extract_rules,
-                              ruletree_to_dot, search_threshold, to_text)
+from evonets.ruletree import (RuleNode, RuleTree, extract_rules, ruletree_to_dot,
+                              search_threshold, to_text)
+from oracles import classify_rule
 
 
 def brute_force_threshold(values0, values1):
