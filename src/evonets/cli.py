@@ -47,12 +47,13 @@ def _build_parser():
     g.add_argument("--n", type=int, default=1000)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--classes", type=int, default=None)
-    g.add_argument("--spread", type=float, default=1.0)
-    g.add_argument("--radius", type=float, default=3.0)
-    g.add_argument("--relevant", type=int, default=4)
-    g.add_argument("--irrelevant", type=int, default=68)
-    g.add_argument("--separation", type=float, default=2.0)
+    # read only by the kinds whose GENERATORS entry names them; None means not given
+    g.add_argument("--classes", type=int)
+    g.add_argument("--spread", type=float)
+    g.add_argument("--radius", type=float)
+    g.add_argument("--relevant", type=int)
+    g.add_argument("--irrelevant", type=int)
+    g.add_argument("--separation", type=float)
 
     t = sub.add_parser("train", help="train a model and save it as JSON")
     t.add_argument("--method", required=True, choices=list(METHODS))
@@ -160,18 +161,10 @@ def _sha256(path):
 
 
 def cmd_generate(args):
-    n, seed = args.n, args.seed
-    if args.kind == "xor":
-        ds = gen_xor(n, seed)
-    elif args.kind == "blobs":
-        ds = gen_blobs(n, _flag(args.classes, 3), seed, spread=args.spread, radius=args.radius)
-    else:
-        ds, informative = gen_surrogate_eeg(n, args.relevant, args.irrelevant,
-                                            _flag(args.classes, 2), seed,
-                                            separation=args.separation)
+    ds = GENERATORS[args.kind].fit(args.n, seed=args.seed, **_given(args))
+    if isinstance(ds, tuple):   # surrogate-eeg also returns its informative columns
+        ds, informative = ds
         print("informative_columns=" + ",".join(str(c) for c in informative))
-    if not np.isfinite(ds.features).all():  # only blobs can overflow
-        raise DataError("generated features overflow a float; use a smaller spread or radius")
     save_csv(ds, args.out)
     print(f"wrote {ds.n_rows} rows x {ds.n_features} features to {args.out}")
     return 0
@@ -179,10 +172,6 @@ def cmd_generate(args):
 
 def _error_of(bundle, ds):
     return float(np.mean(bundle.predict_classes(ds.features) != ds.labels))
-
-
-def _flag(value, default):
-    return default if value is None else value
 
 
 def _provenance(cfg):
@@ -193,8 +182,9 @@ def _provenance(cfg):
 
 
 def _given(args, **fields):
-    """args.method's given flags, each under its dest or the config field `fields` names."""
-    return {fields.get(f, f): getattr(args, f) for f in TRAINERS[args.method].flags
+    """Given flags of args' method or kind, each under its dest or the name `fields` gives."""
+    key, table = TABLES[args.command]
+    return {fields.get(f, f): getattr(args, f) for f in table[getattr(args, key)].flags
             if getattr(args, f) is not None}
 
 
@@ -244,24 +234,32 @@ def _train_fnn(args, tr, va, ds):
     return train_fnn(tr, va, hidden, cfg), {"hidden": hidden, **_provenance(cfg)}
 
 
-# method -> fit(args, fit rows, validation rows, full dataset) -> (model, provenance
-# config), and the flags (dests) some setting of the method reads. fit calls its learner
-# through this module's global name at call time, so perfbench's tracer sees the call.
-Trainer = NamedTuple("Trainer", [("fit", Callable), ("flags", tuple)])
+# fit does the command's work; flags are the dests (argparse) some setting of it reads.
+Entry = NamedTuple("Entry", [("fit", Callable), ("flags", tuple)])
+# method -> fit(args, fit rows, validation rows, full dataset) -> (model, provenance config);
+# fit calls its learner through this module's global name, so perfbench's tracer sees it.
 TRAINERS = {
-    "ecnn": Trainer(_train_ecnn, ("learning_rate", "epochs", "restarts", "threshold")),
-    "gmdh-layered": Trainer(_train_gmdh, ("kind", "fit_method", "survivors", "max_layers",
-                                          "learning_rate", "epochs", "restarts")),
-    "gmdh-roulette": Trainer(_train_gmdh, ("kind", "fit_method", "attempts",
-                                           "learning_rate", "epochs", "restarts")),
-    "lm": Trainer(_train_lm, ("epochs", "c", "no_ratchet", "correction")),
-    "pairwise-dt": Trainer(_train_pairwise, ("c", "no_ratchet", "correction", "test_epochs",
-                                             "pair_trainer", "max_features", "attempts",
-                                             "report")),
-    "ruletree": Trainer(_train_ruletree, ()),
-    "fnn": Trainer(_train_fnn, ("learning_rate", "epochs", "restarts", "hidden", "patience")),
+    "ecnn": Entry(_train_ecnn, ("learning_rate", "epochs", "restarts", "threshold")),
+    "gmdh-layered": Entry(_train_gmdh, ("kind", "fit_method", "survivors", "max_layers",
+                                        "learning_rate", "epochs", "restarts")),
+    "gmdh-roulette": Entry(_train_gmdh, ("kind", "fit_method", "attempts",
+                                         "learning_rate", "epochs", "restarts")),
+    "lm": Entry(_train_lm, ("epochs", "c", "no_ratchet", "correction")),
+    "pairwise-dt": Entry(_train_pairwise, ("c", "no_ratchet", "correction", "test_epochs",
+                                           "pair_trainer", "max_features", "attempts",
+                                           "report")),
+    "ruletree": Entry(_train_ruletree, ()),
+    "fnn": Entry(_train_fnn, ("learning_rate", "epochs", "restarts", "hidden", "patience")),
 }
-METHOD_FLAGS = {f for trainer in TRAINERS.values() for f in trainer.flags}
+# kind -> fit(n, seed=, **given flags) -> a Dataset, or (Dataset, informative columns)
+GENERATORS = {
+    "xor": Entry(gen_xor, ()),
+    "blobs": Entry(gen_blobs, ("classes", "spread", "radius")),
+    "surrogate-eeg": Entry(gen_surrogate_eeg, ("relevant", "irrelevant", "classes",
+                                               "separation")),
+}
+# command -> (the argument that picks the entry, the table)
+TABLES = {"train": ("method", TRAINERS), "generate": ("kind", GENERATORS)}
 
 
 def cmd_train(args):
@@ -446,11 +444,13 @@ def main(argv=None):
             raise UsageError("a command is required")
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise DataError("seed must be non-negative")
-        if args.command == "train":   # refuse a flag the method does not read
-            for flag in sorted(METHOD_FLAGS - set(TRAINERS[args.method].flags)):
+        if args.command in TABLES:   # refuse a flag the method or kind does not read
+            key, table = TABLES[args.command]
+            reads = table[getattr(args, key)].flags
+            for flag in sorted({f for e in table.values() for f in e.flags} - set(reads)):
                 if getattr(args, flag) is not None:
-                    raise UsageError(f"--{flag.replace('_', '-')} is not read by method "
-                                     f"'{args.method}'")
+                    raise UsageError(f"--{flag.replace('_', '-')} is not read by {key} "
+                                     f"'{getattr(args, key)}'")
         _check_outputs(args)
         handler = {
             "generate": cmd_generate,

@@ -388,8 +388,10 @@ def gen_blobs(n, classes=3, seed=0, spread=1.0, radius=3.0):
     labels = rng.permutation(np.arange(n) % classes)
     angles = 2.0 * np.pi * labels / classes
     centers = np.column_stack([radius * np.cos(angles), radius * np.sin(angles)])
-    with np.errstate(over="ignore"):  # the generate command refuses what overflows
+    with np.errstate(over="ignore"):  # refused below
         X = centers + rng.normal(0.0, spread, size=(n, 2))
+    if not np.isfinite(X).all():
+        raise DataError("generated features overflow a float; use a smaller spread or radius")
     return Dataset(X, labels, ("x1", "x2"), classes)
 
 

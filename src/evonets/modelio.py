@@ -414,6 +414,9 @@ def load_model(path) -> ModelBundle:
         if len(set(doc[key])) != len(doc[key]):
             raise DataError(f"{path}: {key} repeats a name")
     feature_names = tuple(doc["feature_names"])
+    label_column = doc.get("label_column")
+    if not isinstance(label_column, str) or label_column in feature_names:
+        raise DataError(f"{path}: label_column is missing, not a string or a feature's name")
     normalization = doc.get("normalization")
     if not (isinstance(normalization, dict) and _list_of(normalization.get("mean"), (int, float))
             and _list_of(normalization.get("sd"), (int, float))):
@@ -432,5 +435,5 @@ def load_model(path) -> ModelBundle:
         model = METHODS[method].decode(doc["payload"], feature_names, label_names)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return ModelBundle(method, model, norm, feature_names, label_names,
-                       doc.get("label_column", "y"), doc.get("provenance") or {})
+    return ModelBundle(method, model, norm, feature_names, label_names, label_column,
+                       doc.get("provenance") or {})

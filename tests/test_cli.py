@@ -103,6 +103,55 @@ class TestGenerate:
         assert "data error" in capsys.readouterr().err
 
 
+class TestGeneratorTable:
+    """`generate` takes exactly the flags the kind reads (READS), refusing every
+    other kind's, and leaves each default to the kind's gen_* function."""
+
+    READS = {
+        "xor": set(),
+        "blobs": {"classes", "spread", "radius"},
+        "surrogate-eeg": {"relevant", "irrelevant", "classes", "separation"},
+    }
+    # a value each kind-specific generate flag accepts
+    VALUES = {"classes": "3", "spread": "0.5", "radius": "2.0", "relevant": "2",
+              "irrelevant": "3", "separation": "1.5"}
+    # the generate flags every kind reads
+    COMMON = {"help", "kind", "n", "seed", "out"}
+
+    def test_one_generator_per_kind(self):
+        from evonets import cli
+
+        actions = cli._build_parser()._subparsers._group_actions[0].choices["generate"]._actions
+        assert list(next(a for a in actions if a.dest == "kind").choices) == \
+            list(cli.GENERATORS)
+        # the entries name every other generate flag, and no flag the parser lacks;
+        # each defaults to None, so every generator default lives in its gen_* signature
+        kind_flags = [a for a in actions if a.dest not in self.COMMON]
+        assert {f for g in cli.GENERATORS.values() for f in g.flags} == \
+            {a.dest for a in kind_flags}
+        assert all(a.default is None for a in kind_flags)
+        assert {k: set(g.flags) for k, g in cli.GENERATORS.items()} == self.READS
+        assert set(self.VALUES) == {a.dest for a in kind_flags}
+
+    @pytest.mark.parametrize("kind", list(READS))
+    @pytest.mark.parametrize("flag", list(VALUES))
+    def test_flag_is_read_or_refused(self, kind, flag, tmp_path, capsys):
+        # a flag the kind reads generates; any other is a usage error before any
+        # work, naming the flag and the kind, with nothing written and nothing on stdout
+        out = tmp_path / "data.csv"
+        code = run("generate", kind, "--n", "40", "--out", str(out), f"--{flag}",
+                   self.VALUES[flag])
+        stdout, err = capsys.readouterr()
+        if flag in self.READS[kind]:
+            assert code == 0, err
+            assert out.exists()
+        else:
+            assert code == 1
+            assert stdout == ""
+            assert err.startswith(f"usage error: --{flag} is not read by kind '{kind}'\n")
+            assert list(tmp_path.iterdir()) == []
+
+
 class TestUnwritableOut:
     """An --out (or train's --report) that is empty or a directory, or whose
     parent is missing or a file, exits 2 with the error the write would give,
@@ -132,8 +181,10 @@ class TestUnwritableOut:
         def refuse(*args, **kwargs):
             raise AssertionError("input read before the output path was checked")
 
-        for name in ("load_csv", "load_model", "gen_surrogate_eeg"):
+        for name in ("load_csv", "load_model"):
             monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setitem(cli.GENERATORS, "surrogate-eeg",
+                            cli.GENERATORS["surrogate-eeg"]._replace(fit=refuse))
         argv = {
             "train": ("train", "--method", "ecnn", "--data", str(xor_csv), "--out"),
             "train --report": ("train", "--method", "pairwise-dt", "--data", str(xor_csv),
@@ -993,6 +1044,11 @@ MALFORMED_ENVELOPES = {
     "payload a list": lambda doc: {**doc, "payload": []},
     "feature_names repeated": lambda doc: {**doc, "feature_names": ["x1", "x1"]},
     "label_names repeated": lambda doc: {**doc, "label_names": ["0", "0"]},
+    "label_column missing": lambda doc: {k: v for k, v in doc.items() if k != "label_column"},
+    "label_column 5": lambda doc: {**doc, "label_column": 5},
+    "label_column null": lambda doc: {**doc, "label_column": None},
+    "label_column a list": lambda doc: {**doc, "label_column": ["y"]},
+    "label_column a feature's name": lambda doc: {**doc, "label_column": "x1"},
 }
 
 
@@ -1350,6 +1406,8 @@ class TestMalformedModelFile:
         assert run(*self.verb_argv(verb, bad, xor_csv, tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {bad}: ") and err.count("\n") == 1, err
+        if fault.startswith("label_column"):   # the model file is blamed, not the data
+            assert err.startswith(f"data error: {bad}: label_column "), err
 
     # extract-rules refuses a ruletree whatever its payload, so it is not a case here
     @pytest.mark.parametrize("verb", ["evaluate", "export"])

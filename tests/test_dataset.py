@@ -232,3 +232,9 @@ class TestGenerators:
         assert [np.sum(ds.labels == c) for c in range(3)] == [30, 30, 30]
         again = gen_blobs(90, classes=3, seed=5)
         np.testing.assert_array_equal(ds.features, again.features)
+
+    @pytest.mark.parametrize("spread, radius", [(1e308, 3.0), (1e305, 1.7976e308)])
+    def test_blobs_refuse_features_that_overflow(self, spread, radius):
+        with pytest.raises(DataError, match="^generated features overflow a float; use a "
+                                            "smaller spread or radius$"):
+            gen_blobs(30, seed=0, spread=spread, radius=radius)
