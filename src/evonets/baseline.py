@@ -76,15 +76,9 @@ def _targets(labels, class_count):
     return T
 
 
-def fnn_loss(hidden_w, output_w, Xa, T):
-    """Mean squared error over rows and output units, on the augmented rows Xa."""
-    O = _forward(hidden_w, output_w, Xa)
-    return float(np.mean(np.sum((O - T) ** 2, axis=1)))
-
-
 def fnn_gradients(hidden_w, output_w, Xa, T):
-    """Backpropagated gradients of fnn_loss for both weight matrices, on the
-    augmented rows Xa.
+    """Backpropagated gradients of the mean squared error over rows and output
+    units for both weight matrices, on the augmented rows Xa.
 
     The weights are one net's, or a stack of nets as for _forward, which
     gives a stack of gradients. A stacked np.matmul runs the same BLAS call

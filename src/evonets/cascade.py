@@ -48,12 +48,10 @@ class CascadeNetwork:
 
     @property
     def selected_features(self):
-        """Columns the model actually consumes, anchor first."""
-        seen = [self.anchor]
-        for f in self.accepted_features:
-            if f not in seen:
-                seen.append(f)
-        return tuple(seen)
+        """Columns the model actually consumes: the anchor, then the columns
+        the neurons bind, in the order they bind them."""
+        bound = [ref for nrn in self.neurons for kind, ref in nrn.bindings if kind == "x"]
+        return tuple(dict.fromkeys([self.anchor] + bound))
 
     def scores(self, X):
         """Network output in (0, 1) for each row of X."""

@@ -51,7 +51,7 @@ class SupportingNeuron:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise DataError(f"unknown neuron kind '{self.kind}'")
+            raise DataError(f"unknown neuron kind {self.kind!r}")
         self.inputs = tuple((str(t), int(r)) for t, r in self.inputs)
         if len(self.inputs) not in (1, 2):
             raise DataError("supporting neurons take one or two inputs")
@@ -59,7 +59,7 @@ class SupportingNeuron:
             raise DataError("bilinear neurons need exactly two inputs")
         for t, _ in self.inputs:
             if t not in ("x", "n"):
-                raise DataError(f"unknown input reference '{t}'")
+                raise DataError(f"unknown input reference {t!r}")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (self.weight_count,):

@@ -37,13 +37,98 @@ def _matrix(a):
     return [[float(v) for v in row] for row in np.asarray(a, dtype=float)]
 
 
-def _list_of(value, types):
-    return isinstance(value, list) and all(type(v) in types for v in value)
+# Field readers: each returns a field's value or raises DataError naming it, `what`.
+
+def _is_index(value, bound):
+    return type(value) is int and 0 <= value < bound
 
 
-def _finite_numbers(value):
+def _is_finite(value):
     # abs() <= max also turns away nan and integers too large for a float
-    return _list_of(value, (int, float)) and all(abs(v) <= sys.float_info.max for v in value)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _list(value, what, entries, ok, length=None):
+    """value if it is a list, of `length` entries if given, that ok takes."""
+    if not (isinstance(value, list) and length in (None, len(value)) and all(map(ok, value))):
+        count = "" if length is None else f"{length} "
+        raise DataError(f"{what} must be a list of {count}{entries}")
+    return value
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise DataError(f"{what} is missing or not a JSON object")
+    return value
+
+
+def _objects(value, what):
+    return _list(value, what, "JSON objects", lambda d: isinstance(d, dict))
+
+
+def _flag(value, what):
+    if type(value) is not bool:
+        raise DataError(f"{what} {value!r} is not true or false")
+    return value
+
+
+def _index(value, bound, what):
+    if not _is_index(value, bound):
+        raise DataError(f"{what} {value!r} is not an index below {bound}")
+    return value
+
+
+def _indices(value, bound, what, length=None):
+    return _list(value, what, f"indices below {bound}", lambda v: _is_index(v, bound), length)
+
+
+def _number(value, what, fraction=False):
+    """value as a float if it is finite, and strictly between 0 and 1 if fraction."""
+    if not (_is_finite(value) and (not fraction or 0 < value < 1)):
+        rule = "a number strictly between 0 and 1" if fraction else "a finite number"
+        raise DataError(f"{what} {value!r} is not {rule}")
+    return float(value)
+
+
+def _numbers(value, what, length=None):
+    return [float(v) for v in _list(value, what, "finite numbers", _is_finite, length)]
+
+
+def _weight_matrix(value, rows, cols, what):
+    """value as a float array of `rows` rows (if given) of `cols` finite numbers."""
+    def ok(row):
+        return isinstance(row, list) and len(row) == cols and all(map(_is_finite, row))
+    return np.array(_list(value, what, f"rows of {cols} finite numbers", ok, rows), dtype=float)
+
+
+def _units(value, tag, k, m, what):
+    """["x", feature below m] or [tag, unit below k] pairs; the neuron classes check tag."""
+    def ok(ref):
+        return (isinstance(ref, list) and len(ref) == 2
+                and _is_index(ref[1], m if ref[0] == "x" else k))
+    pairs = f'["x", feature below {m}] or ["{tag}", unit below {k}] pairs'
+    return tuple((t, r) for t, r in _list(value, what, pairs, ok))
+
+
+def _names(value, what):
+    names = tuple(_list(value, what, "strings", lambda s: type(s) is str))
+    if len(set(names)) != len(names):
+        raise DataError(f"{what} repeats a name")
+    return names
+
+
+def _classes(value, r, what):
+    if type(value) is not int or value != r or r < 2:
+        raise DataError(f"{what} {value!r} does not match the {r} label_names")
+    return value
+
+
+def _build(what, make, *args):
+    """make(*args), with what before the message of a DataError it raises."""
+    try:
+        return make(*args)
+    except DataError as exc:
+        raise DataError(f"{what}: {exc}") from None
 
 
 @dataclass(eq=False)
@@ -79,47 +164,29 @@ def _encode_rule_node(node: RuleNode):
     }
 
 
-def _decode_rule_node(d, n_features):
-    """A test node whose 'low' and 'high' sides are test nodes or
-    {"class": 0|1} leaves; anything else raises DataError."""
-    if not isinstance(d, dict):
-        raise DataError("ruletree node is missing or not a JSON object")
-    feature, threshold, high_is_one = d.get("feature"), d.get("threshold"), d.get("high_is_one")
-    if type(feature) is not int or not 0 <= feature < n_features:
-        raise DataError(f"ruletree node feature {feature!r} is not a column index below "
-                        f"{n_features}")
-    # abs() <= max also turns away nan and integers too large for a float
-    if type(threshold) not in (int, float) or not abs(threshold) <= sys.float_info.max:
-        raise DataError(f"ruletree node threshold {threshold!r} is not a finite number")
-    if type(high_is_one) is not bool:
-        raise DataError(f"ruletree node high_is_one {high_is_one!r} is not true or false")
-    node = RuleNode(feature, float(threshold), high_is_one)
+def _decode_rule_node(d, m):
+    """A test node whose sides are test nodes or {"class": 0|1} leaves."""
+    d = _object(d, "ruletree node")
+    node = RuleNode(_index(d.get("feature"), m, "ruletree node feature"),
+                    _number(d.get("threshold"), "ruletree node threshold"),
+                    _flag(d.get("high_is_one"), "ruletree node high_is_one"))
     for side in ("low", "high"):
         child = d.get(side)
         if isinstance(child, dict) and "class" in child:
-            label = child["class"]
-            if type(label) is not int or label not in (0, 1):
-                raise DataError(f"ruletree leaf class {label!r} is not 0 or 1")
-            setattr(node, f"{side}_label", label)
+            setattr(node, f"{side}_label", _index(child["class"], 2, "ruletree leaf class"))
         else:
-            setattr(node, f"{side}_child", _decode_rule_node(child, n_features))
+            setattr(node, f"{side}_child", _decode_rule_node(child, m))
     return node
 
 
 def _decode_ruletree(payload, feature_names, label_names):
-    if len(label_names) != 2:
-        raise DataError(f"a ruletree needs exactly 2 label_names, not {len(label_names)}")
+    _classes(2, len(label_names), "ruletree classes")
     return RuleTree(_decode_rule_node(payload.get("root"), len(feature_names)))
 
 
 def _decode_lm(payload, feature_names, label_names):
-    weights = payload.get("weights")
-    rows, cols = len(label_names), len(feature_names) + 1
-    if not (rows and isinstance(weights, list) and len(weights) == rows
-            and all(_finite_numbers(row) and len(row) == cols for row in weights)):
-        raise DataError(f"lm weights must be a {rows} x {cols} matrix of finite numbers: one "
-                        f"row per label, one column per feature plus the bias")
-    return LinearMachine(np.array(weights))
+    return LinearMachine(_weight_matrix(payload.get("weights"), len(label_names),
+                                        len(feature_names) + 1, "lm weights"))
 
 
 def _encode_cascade(net):
@@ -136,68 +203,34 @@ def _encode_cascade(net):
     }
 
 
-def _decode_sigmoid_neuron(d, what, k, n_features):
-    """A neuron bound to features below n_features and to neurons below k,
-    with one finite weight per binding plus the bias."""
-    bindings = d.get("bindings") if isinstance(d, dict) else None
-    if not (isinstance(bindings, list) and bindings and all(
-            isinstance(b, list) and len(b) == 2 and b[0] in ("x", "z") and type(b[1]) is int
-            and 0 <= b[1] < (n_features if b[0] == "x" else k) for b in bindings)):
-        refs = f'["x", feature below {n_features}]' + (f' or ["z", neuron below {k}]' if k else "")
-        raise DataError(f"ecnn {what} bindings must be a non-empty list of {refs} pairs")
-    weights = d.get("weights")
-    if not (_finite_numbers(weights) and len(weights) == len(bindings) + 1):
-        raise DataError(f"ecnn {what} weights must be {len(bindings) + 1} finite numbers: "
-                        f"the bias and one per binding")
-    return SigmoidNeuron(tuple((t, r) for t, r in bindings), np.array(weights))
-
-
-def _fraction(value):
-    return type(value) in (int, float) and 0 < value < 1
+def _decode_sigmoid_neuron(d, what, k, m):
+    """A neuron bound to one or more features below m and neurons below k."""
+    bindings = _units(d.get("bindings"), "z", k, m, f"{what} bindings")
+    if not bindings:
+        raise DataError(f"{what} bindings must not be empty")
+    return _build(what, SigmoidNeuron, bindings, _numbers(d.get("weights"), f"{what} weights"))
 
 
 def _decode_cascade(payload, feature_names, label_names):
-    """Neurons whose bindings name a feature or an earlier neuron, a base
-    neuron on the anchor, and feature indices, scores and a threshold that
-    fit them; anything else raises DataError."""
-    if len(label_names) != 2:
-        raise DataError(f"an ecnn needs exactly 2 label_names, not {len(label_names)}")
+    """A base neuron on the anchor and neurons with the scores that fit them."""
+    _classes(2, len(label_names), "ecnn classes")
     m = len(feature_names)
-    anchor, docs = payload.get("anchor"), payload.get("neurons")
-    if type(anchor) is not int or not 0 <= anchor < m:
-        raise DataError(f"ecnn anchor {anchor!r} is not a feature index below {m}")
-    if not isinstance(docs, list):
-        raise DataError("ecnn neurons must be a list")
-    base = _decode_sigmoid_neuron(payload.get("base_neuron"), "base_neuron", 0, m)
+    anchor = _index(payload.get("anchor"), m, "ecnn anchor")
+    base = _decode_sigmoid_neuron(_object(payload.get("base_neuron"), "ecnn base_neuron"),
+                                  "ecnn base_neuron", 0, m)
     if base.bindings != (("x", anchor),):
-        raise DataError(f"ecnn base_neuron must be bound to the anchor alone, [[\"x\", {anchor}]]")
-    neurons = [_decode_sigmoid_neuron(d, f"neuron {k}", k, m) for k, d in enumerate(docs)]
-    order, accepted = payload.get("feature_order"), payload.get("accepted_features")
-    for key, value in (("feature_order", order), ("accepted_features", accepted)):
-        if not (_list_of(value, (int,)) and all(0 <= f < m for f in value)):
-            raise DataError(f"ecnn {key} must be a list of feature indices below {m}")
-    single, scores = payload.get("single_errors"), payload.get("accepted_scores")
-    if not (_finite_numbers(single) and len(single) == len(order)):
-        raise DataError("ecnn single_errors must be finite numbers, one per feature_order entry")
-    if not (len(accepted) == len(neurons) and _finite_numbers(scores)
-            and len(scores) == len(neurons)):
-        raise DataError("ecnn accepted_features and accepted_scores need one entry per neuron")
-    base_score, threshold = payload.get("base_score"), payload.get("threshold")
-    if not _finite_numbers([base_score]):
-        raise DataError(f"ecnn base_score {base_score!r} is not a finite number")
-    if not _fraction(threshold):
-        raise DataError(f"ecnn threshold {threshold!r} is not a number between 0 and 1")
-    return CascadeNetwork(
-        anchor=anchor,
-        feature_order=tuple(order),
-        single_errors=tuple(single),
-        base_neuron=base,
-        base_score=float(base_score),
-        neurons=neurons,
-        accepted_features=list(accepted),
-        accepted_scores=[float(s) for s in scores],
-        threshold=float(threshold),
-    )
+        raise DataError(f'ecnn base_neuron must be bound to the anchor alone, [["x", {anchor}]]')
+    neurons = [_decode_sigmoid_neuron(d, f"ecnn neuron {k}", k, m)
+               for k, d in enumerate(_objects(payload.get("neurons"), "ecnn neurons"))]
+    order = _indices(payload.get("feature_order"), m, "ecnn feature_order")
+    single = _numbers(payload.get("single_errors"), "ecnn single_errors", len(order))
+    accepted = _indices(payload.get("accepted_features"), m, "ecnn accepted_features",
+                        len(neurons))
+    scores = _numbers(payload.get("accepted_scores"), "ecnn accepted_scores", len(neurons))
+    return CascadeNetwork(anchor, tuple(order), tuple(single), base,
+                          _number(payload.get("base_score"), "ecnn base_score"), neurons,
+                          accepted, scores,
+                          _number(payload.get("threshold"), "ecnn threshold", fraction=True))
 
 
 def _encode_poly(net):
@@ -214,43 +247,21 @@ def _encode_poly(net):
     }
 
 
-def _poly_input(ref, k, n_features):
-    """Whether ref is ["x", feature index] or ["n", index of a neuron before k]."""
-    return (isinstance(ref, list) and len(ref) == 2 and ref[0] in ("x", "n")
-            and type(ref[1]) is int and 0 <= ref[1] < (n_features if ref[0] == "x" else k))
-
-
 def _decode_poly(payload, feature_names, label_names):
-    """Neurons whose inputs name a feature or an earlier neuron, with finite
-    weights, an output among them and finite layer scores; anything else
-    raises DataError."""
-    docs = payload.get("neurons")
-    if not (isinstance(docs, list) and docs and all(isinstance(d, dict) for d in docs)):
-        raise DataError("gmdh neurons must be a non-empty list of objects")
+    """Neurons, one of them the output, and layer scores; SupportingNeuron
+    checks each neuron's kind and its input and weight counts."""
     m = len(feature_names)
     neurons = []
-    for k, d in enumerate(docs):
-        inputs, weights, layer = d.get("inputs"), d.get("weights"), d.get("layer")
-        if not (isinstance(inputs, list) and all(_poly_input(r, k, m) for r in inputs)):
-            raise DataError(f"gmdh neuron {k} inputs must be [\"x\", feature below {m}] or "
-                            f"[\"n\", neuron below {k}] pairs")
-        if not _finite_numbers(weights):
-            raise DataError(f"gmdh neuron {k} weights must be a list of finite numbers")
+    for k, d in enumerate(_objects(payload.get("neurons"), "gmdh neurons")):
+        what, layer = f"gmdh neuron {k}", d.get("layer")
         if type(layer) is not int or layer < 1:
-            raise DataError(f"gmdh neuron {k} layer {layer!r} is not a positive integer")
-        if type(d.get("survivor")) is not bool:
-            raise DataError(f"gmdh neuron {k} survivor {d.get('survivor')!r} is not true or false")
-        try:
-            neurons.append(SupportingNeuron(d.get("kind"), tuple((t, r) for t, r in inputs),
-                                            np.array(weights, dtype=float), layer, d["survivor"]))
-        except DataError as exc:
-            raise DataError(f"gmdh neuron {k}: {exc}") from None
-    output, scores = payload.get("output"), payload.get("layer_scores")
-    if type(output) is not int or not 0 <= output < len(neurons):
-        raise DataError(f"gmdh output {output!r} is not a neuron index below {len(neurons)}")
-    if not _finite_numbers(scores):
-        raise DataError("gmdh layer_scores must be a list of finite numbers")
-    return PolyNetwork(neurons, output, [float(s) for s in scores])
+            raise DataError(f"{what} layer {layer!r} is not a positive integer")
+        neurons.append(_build(what, SupportingNeuron, d.get("kind"),
+                              _units(d.get("inputs"), "n", k, m, f"{what} inputs"),
+                              _numbers(d.get("weights"), f"{what} weights"), layer,
+                              _flag(d.get("survivor"), f"{what} survivor")))
+    return PolyNetwork(neurons, _index(payload.get("output"), len(neurons), "gmdh output"),
+                       _numbers(payload.get("layer_scores"), "gmdh layer_scores"))
 
 
 def _encode_pairwise(tree):
@@ -266,38 +277,23 @@ def _encode_pairwise(tree):
 
 
 def _decode_pairwise(payload, feature_names, label_names):
-    """`classes` equal to the label count and one test per class pair
-    i < j, each on unique feature indices with one finite weight per
-    feature plus the bias and a finite accuracy; anything else raises
-    DataError."""
+    """A test per class pair; LinearTest checks each test's features and
+    weights, and PairwiseTree that the pairs are each i < j once."""
     r, m = len(label_names), len(feature_names)
-    classes, docs = payload.get("classes"), payload.get("tests")
-    if type(classes) is not int or classes != r or r < 2:
-        raise DataError(f"pairwise-dt classes {classes!r} does not match the {r} label_names")
-    pairs = r * (r - 1) // 2
-    if not (isinstance(docs, list) and len(docs) == pairs
-            and all(isinstance(d, dict) for d in docs)):
-        raise DataError(f"pairwise-dt tests must be a list of {pairs} objects, one per "
-                        f"class pair")
+    classes = _classes(payload.get("classes"), r, "pairwise-dt classes")
     tlus = {}
-    for d in docs:
+    for d in _objects(payload.get("tests"), "pairwise-dt tests"):
         i, j = d.get("i"), d.get("j")
-        if not (type(i) is int and type(j) is int and 0 <= i < j < r) or (i, j) in tlus:
+        # the dict would keep only the last test of a repeated pair
+        if not (type(i) is int and type(j) is int) or (i, j) in tlus:
             raise DataError(f"pairwise-dt test pair ({i!r}, {j!r}) is not a new pair of "
-                            f"class indices i < j below {r}")
-        features, weights, accuracy = d.get("features"), d.get("weights"), d.get("accuracy")
-        if not (_list_of(features, (int,)) and features and all(0 <= f < m for f in features)
-                and len(set(features)) == len(features)):
-            raise DataError(f"pairwise-dt test {i}/{j} features must be a non-empty list of "
-                            f"unique feature indices below {m}")
-        if not (_finite_numbers(weights) and len(weights) == len(features) + 1):
-            raise DataError(f"pairwise-dt test {i}/{j} weights must be {len(features) + 1} "
-                            f"finite numbers: the bias and one per feature")
-        if not _finite_numbers([accuracy]):
-            raise DataError(f"pairwise-dt test {i}/{j} accuracy {accuracy!r} is not a finite "
-                            f"number")
-        tlus[(i, j)] = LinearTest(tuple(features), np.array(weights), float(accuracy))
-    return PairwiseTree(classes, tlus)
+                            f"class indices")
+        what = f"pairwise-dt test {i}/{j}"
+        tlus[(i, j)] = _build(what, LinearTest,
+                              _indices(d.get("features"), m, f"{what} features"),
+                              _numbers(d.get("weights"), f"{what} weights"),
+                              _number(d.get("accuracy"), f"{what} accuracy"))
+    return _build("pairwise-dt tests", PairwiseTree, classes, tlus)
 
 
 def _encode_fnn(model):
@@ -310,42 +306,27 @@ def _encode_fnn(model):
 
 
 def _decode_fnn(payload, feature_names, label_names):
-    """Hidden rows of one finite weight per feature plus the bias, output
-    rows of one per hidden unit plus the bias (one row for two classes, else
-    one per class), `classes` equal to the label count and a threshold
-    between 0 and 1; anything else raises DataError."""
+    """Hidden rows of a weight per feature and output rows (one for two
+    classes) of a weight per hidden unit, each plus the bias."""
     r = len(label_names)
-    hidden, output = payload.get("hidden_weights"), payload.get("output_weights")
-    classes, threshold = payload.get("classes"), payload.get("threshold")
-    if type(classes) is not int or classes != r or r < 2:
-        raise DataError(f"fnn classes {classes!r} does not match the {r} label_names")
-    cols = len(feature_names) + 1
-    if not (isinstance(hidden, list) and hidden
-            and all(_finite_numbers(row) and len(row) == cols for row in hidden)):
-        raise DataError(f"fnn hidden_weights must be a non-empty list of rows of {cols} finite "
-                        f"numbers: one per feature plus the bias")
-    rows, cols = 1 if r == 2 else r, len(hidden) + 1
-    if not (isinstance(output, list) and len(output) == rows
-            and all(_finite_numbers(row) and len(row) == cols for row in output)):
-        raise DataError(f"fnn output_weights must be a {rows} x {cols} matrix of finite "
-                        f"numbers: one row per output, one column per hidden unit plus the bias")
-    if not _fraction(threshold):
-        raise DataError(f"fnn threshold {threshold!r} is not a number between 0 and 1")
-    return FnnModel(np.array(hidden), np.array(output), classes, float(threshold))
+    classes = _classes(payload.get("classes"), r, "fnn classes")
+    hidden = _weight_matrix(payload.get("hidden_weights"), None, len(feature_names) + 1,
+                            "fnn hidden_weights")
+    if not len(hidden):
+        raise DataError("fnn hidden_weights must not be empty")
+    output = _weight_matrix(payload.get("output_weights"), 1 if r == 2 else r, len(hidden) + 1,
+                            "fnn output_weights")
+    return FnnModel(hidden, output, classes,
+                    _number(payload.get("threshold"), "fnn threshold", fraction=True))
 
 
 class Method(NamedTuple):
-    """Everything done with a saved model of one method.
-
-    encode maps the model to its JSON payload and decode(payload,
-    feature_names, label_names) rebuilds it, raising DataError for a payload
-    that does not fit the envelope.
-    to_text and to_dot render the model for `export`, given the envelope's
-    feature and label names; to_dot is None where the method has no graph
-    form.
-    feature_pool gives the columns a rule tree distilled from the model may
-    split on; None means every column.
-    """
+    """Everything done with a saved model of one method: encode maps the
+    model to its JSON payload and decode(payload, feature_names,
+    label_names) rebuilds it or raises DataError; to_text and to_dot (None
+    where there is no graph form) render it for `export` with the envelope's
+    names; feature_pool gives the columns `extract-rules` may split on, None
+    meaning every column."""
 
     encode: Callable
     decode: Callable
@@ -393,47 +374,37 @@ def save_model(path, bundle: ModelBundle):
 
 
 def load_model(path) -> ModelBundle:
+    """The file's model; DataError, naming the file, if it holds none."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"missing model file: {path}")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: bad UTF-8 or JSON, or an overlong integer; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
+    return _build(path, _decode_bundle, doc)
+
+
+def _decode_bundle(doc):
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: a model file holds a JSON object, not {type(doc).__name__}")
+        raise DataError(f"a model file holds a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format_version {version!r}")
+    if type(version) is not int or version != FORMAT_VERSION:   # true and 1.0 equal 1
+        raise DataError(f"unsupported format_version {version!r}")
     method = doc.get("method")
     if not isinstance(method, str) or method not in METHODS:
-        raise DataError(f"{path}: unknown method '{method}'")
-    for key in ("feature_names", "label_names"):
-        if not _list_of(doc.get(key), (str,)):
-            raise DataError(f"{path}: {key} is missing or not a list of strings")
-        if len(set(doc[key])) != len(doc[key]):
-            raise DataError(f"{path}: {key} repeats a name")
-    feature_names = tuple(doc["feature_names"])
+        raise DataError(f"unknown method {method!r}")
+    feature_names, label_names = (_names(doc.get(k), k) for k in ("feature_names", "label_names"))
     label_column = doc.get("label_column")
     if not isinstance(label_column, str) or label_column in feature_names:
-        raise DataError(f"{path}: label_column is missing, not a string or a feature's name")
-    normalization = doc.get("normalization")
-    if not (isinstance(normalization, dict) and _list_of(normalization.get("mean"), (int, float))
-            and _list_of(normalization.get("sd"), (int, float))):
-        raise DataError(f"{path}: normalization needs 'mean' and 'sd' lists of numbers")
-    mean, sd = normalization["mean"], normalization["sd"]
-    if not len(mean) == len(sd) == len(feature_names):
-        raise DataError(f"{path}: normalization needs one mean and one sd for each of the "
-                        f"{len(feature_names)} features")
-    if not (_finite_numbers(mean) and _finite_numbers(sd) and all(v > 0 for v in sd)):
-        raise DataError(f"{path}: normalization needs finite means and finite, positive sds")
-    if not isinstance(doc.get("payload"), dict):
-        raise DataError(f"{path}: payload is missing or not a JSON object")
-    norm = NormParams(np.array(mean), np.array(sd))
-    label_names = tuple(doc["label_names"])
-    try:
-        model = METHODS[method].decode(doc["payload"], feature_names, label_names)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return ModelBundle(method, model, norm, feature_names, label_names, label_column,
-                       doc.get("provenance") or {})
+        raise DataError("label_column is missing, not a string or a feature's name")
+    normalization = _object(doc.get("normalization"), "normalization")
+    mean = _numbers(normalization.get("mean"), "normalization mean", len(feature_names))
+    sd = _numbers(normalization.get("sd"), "normalization sd", len(feature_names))
+    if not all(v > 0 for v in sd):
+        raise DataError("normalization sd must be positive")
+    model = METHODS[method].decode(_object(doc.get("payload"), "payload"), feature_names,
+                                   label_names)
+    return ModelBundle(method, model, NormParams(np.array(mean), np.array(sd)), feature_names,
+                       label_names, label_column, doc.get("provenance") or {})

@@ -90,7 +90,7 @@ class SigmoidNeuron:
         self.bindings = tuple((str(kind), int(ref)) for kind, ref in self.bindings)
         for kind, _ in self.bindings:
             if kind not in ("x", "z"):
-                raise DataError(f"unknown binding kind '{kind}'")
+                raise DataError(f"unknown binding kind {kind!r}")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (len(self.bindings) + 1,):

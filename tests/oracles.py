@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from evonets._util import augment
 from evonets.errors import TrainingError
+from evonets.neuron import sigmoid
 
 
 def classify_rule(tree, x):
@@ -21,3 +23,11 @@ def classify_rule(tree, x):
             if node.low_child is None:
                 return int(node.low_label)
             node = node.low_child
+
+
+def fnn_loss(hidden_w, output_w, Xa, T):
+    """Mean squared error over rows and output units of a one-hidden-layer
+    net on the augmented rows Xa: the finite-difference reference for
+    fnn_gradients."""
+    O = sigmoid(augment(sigmoid(Xa @ hidden_w.T)) @ output_w.T)
+    return float(np.mean(np.sum((O - T) ** 2, axis=1)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from evonets._util import augment
-from evonets.baseline import FnnConfig, fnn_gradients, fnn_loss, train_fnn
+from evonets.baseline import FnnConfig, fnn_gradients, train_fnn
 from evonets.cascade import train_ecnn
 from evonets.cli import main
 from evonets.dataset import (SplitSpec, gen_blobs, gen_surrogate_eeg, gen_xor,
@@ -24,7 +24,7 @@ from evonets.linear import (LinearMachine, LmdtConfig, combine_pairwise,
 from evonets.modelio import load_model, save_model
 from evonets.neuron import FitConfig, exterior_criterion, fit_gradient, fit_loss
 from evonets.ruletree import RuleNode, RuleTree, extract_rules, to_text
-from oracles import classify_rule
+from oracles import classify_rule, fnn_loss
 
 
 def report(name, detail=""):

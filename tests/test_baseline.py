@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from evonets._util import augment
-from evonets.baseline import FnnConfig, FnnModel, fnn_gradients, fnn_loss, train_fnn
+from evonets.baseline import FnnConfig, FnnModel, fnn_gradients, train_fnn
 from evonets.dataset import SplitSpec, gen_blobs, gen_xor, split
 from evonets.errors import DataError
+from oracles import fnn_loss
 
 
 class TestGradients:

@@ -156,6 +156,15 @@ class TestTraining:
         # neuron t has exactly t + 2 bindings
         for t, nrn in enumerate(net.neurons):
             assert len(nrn.bindings) == t + 2
+        # the columns read off the bindings are the anchor and accepted features
+        assert net.selected_features == tuple(dict.fromkeys([net.anchor]
+                                                            + net.accepted_features))
+
+    def test_selected_features_come_from_the_bindings(self):
+        net = two_neuron_fixture()
+        assert net.selected_features == (0, 1, 2)
+        net.accepted_features = [2, 2]   # a record the bindings do not follow
+        assert net.selected_features == (0, 1, 2)
 
     def test_selects_informative_features(self):
         ds, informative = gen_surrogate_eeg(1500, relevant=4, irrelevant=20, seed=6)

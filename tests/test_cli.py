@@ -999,12 +999,14 @@ class TestCsvInput:
 
 
 class TestModelFile:
-    def test_unknown_format_version_rejected(self, xor_csv, tmp_path):
+    # true and 1.0 compare equal to 1 in Python, but are not format_version 1
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+    def test_unknown_format_version_rejected(self, version, xor_csv, tmp_path):
         model = tmp_path / "m.json"
         run("train", "--method", "gmdh-layered", "--data", str(xor_csv),
             "--out", str(model), "--seed", "2")
         doc = json.loads(model.read_text())
-        doc["format_version"] = 99
+        doc["format_version"] = version
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run("evaluate", "--model", str(bad), "--data", str(xor_csv)) == 2
@@ -1252,6 +1254,18 @@ MALFORMED_FNN = {
 }
 
 
+# Each sets a name that the error message repeats to one holding a newline:
+# case -> (model fixture, data fixture, edit).
+NEWLINE_NAMES = {
+    "method": ("model", "xor_csv", lambda doc: {**doc, "method": "lm\nx"}),
+    "gmdh kind": ("gmdh", "xor_csv", lambda doc: _set_neuron(doc, 0, kind="cubic\nx")),
+    "gmdh input kind": ("gmdh", "xor_csv", lambda doc: _set_neuron(
+        doc, 2, inputs=[["n\nx", 1], ["n", 0]])),
+    "ecnn binding kind": ("ecnn", "eeg_csv", lambda doc: _set_neuron(
+        doc, 1, bindings=[["x", 2], ["x", 3], ["z\nx", 0]])),
+}
+
+
 def _paths(node, prefix=()):
     """Key or index path of every value inside a JSON document."""
     items = node.items() if isinstance(node, dict) else \
@@ -1291,6 +1305,17 @@ def mutated_documents(draw, doc):
         else:
             parent[path[-1]] = copy.deepcopy(draw(FUZZ_VALUES))
     return doc
+
+
+def nested_ruletree(depth):
+    """The text of a 2-feature ruletree model file whose nodes nest `depth`
+    deep through their low sides; json.dumps cannot write so deep a
+    document."""
+    node = '{"feature": 0, "threshold": 0.5, "high_is_one": true, "high": {"class": 1}, "low": '
+    return ('{"format_version": 1, "method": "ruletree", "feature_names": ["x1", "x2"], '
+            '"label_names": ["0", "1"], "label_column": "y", "provenance": {}, '
+            '"normalization": {"mean": [0.0, 0.0], "sd": [1.0, 1.0]}, '
+            '"payload": {"root": ' + node * depth + '{"class": 0}' + "}" * depth + "}}")
 
 
 # method -> (fixture of a trained model file, fixture of data it evaluates)
@@ -1458,6 +1483,53 @@ class TestMalformedModelFile:
         bad = tmp_path / "bad.json"
         run(*self.verb_argv("evaluate", bad, xor_csv, tmp_path))
         assert "fnn hidden_weights must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(NEWLINE_NAMES))
+    def test_name_with_a_newline_is_quoted(self, case, request, tmp_path, capsys):
+        fixture, data, edit = NEWLINE_NAMES[case]
+        doc = edit(json.loads(request.getfixturevalue(fixture).read_text()))
+        self.assert_rejected("evaluate", doc, request.getfixturevalue(data), tmp_path, capsys)
+
+    def test_nested_ruletree_text_is_a_model(self, xor_csv, tmp_path, capsys):
+        model = tmp_path / "nested.json"
+        model.write_text(nested_ruletree(40))
+        assert load_model(model).model.root.low_child.low_child.feature == 0
+        assert run(*self.verb_argv("evaluate", model, xor_csv, tmp_path)) == 0
+
+    # nesting this deep exceeds the interpreter's recursion limit while parsing
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    @pytest.mark.parametrize("depth", [995, 5000])
+    def test_deeply_nested_model_exits_2(self, depth, verb, xor_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(nested_ruletree(depth))
+        assert run(*self.verb_argv(verb, bad, xor_csv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: not valid JSON (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["evaluate", "export", "extract-rules"])
+    def test_integer_too_long_to_convert_exits_2(self, verb, model, xor_csv, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(model.read_text().replace('"provenance": {',
+                                                 '"provenance": {"n": ' + "1" * 5000 + ", "))
+        assert run(*self.verb_argv(verb, bad, xor_csv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: not valid JSON (") and err.count("\n") == 1
+
+    def test_ecnn_feature_pool_comes_from_the_bindings(self, ecnn, eeg_csv, tmp_path):
+        """extract-rules splits on the columns the neurons bind (x2, x0 and
+        x3 here), whatever the file's accepted_features record says."""
+        doc = json.loads(ecnn.read_text())
+        assert doc["payload"]["accepted_features"] == [0, 3]
+        doc["payload"]["accepted_features"] = [3, 3]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        pools = []
+        for model in (ecnn, edited):
+            rules = tmp_path / "rules.json"
+            assert run(*self.verb_argv("extract-rules", model, eeg_csv, tmp_path)) == 0
+            pools.append(json.loads(rules.read_text())["provenance"]["feature_pool"])
+        assert pools == [[2, 0, 3], [2, 0, 3]]
 
     @pytest.mark.parametrize("method", list(FUZZED_MODELS))
     def test_mutated_model_files_exit_0_or_2(self, method, request, tmp_path, capsys):

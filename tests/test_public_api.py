@@ -13,7 +13,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(evonets.__path__))
 
 # names deleted from the library, by the module that defined them
 REMOVED = {
-    "baseline": ["TrainingCurve", "PcaTransform", "pca_fit", "predict_fnn"],
+    "baseline": ["TrainingCurve", "PcaTransform", "pca_fit", "predict_fnn", "fnn_loss"],
     "neuron": ["classification_error", "sigmoid_out", "CandidateScore", "SCORE_KINDS",
                "descend", "replace_weights"],
     "dataset": ["xor_label"],
