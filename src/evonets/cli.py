@@ -334,8 +334,11 @@ def _load_for_model(model, bundle, path, group_by=None):
 
     label_index = {s: k for k, s in enumerate(bundle.label_names)}
     _, X, labels, groups = read_table(path, locate, label_index)
+    # in place on the reader's fresh matrix: the ufuncs of NormParams.apply,
+    # without its two matrix-sized temporaries
     with np.errstate(over="ignore"):
-        X = bundle.norm.apply(X)
+        X -= bundle.norm.mean
+        X /= bundle.norm.sd
     if not np.isfinite(X).all():
         raise DataError(f"{model}: its normalization overflows on {path}")
     ds = Dataset(X, np.array(labels), bundle.feature_names,

@@ -4,7 +4,6 @@ splits, and synthetic generators used throughout the package and its tests."""
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -113,33 +112,26 @@ class SplitSpec:
             raise DataError("split fractions must sum to 1")
 
 
-def _decode(path):
-    """Text of a UTF-8 file with its line ends as they are; a leading
-    byte-order mark is dropped, so it never joins the first name."""
-    if not Path(path).exists():
-        raise DataError(f"missing file: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}: "
-                        f"{exc.reason}); save the file as UTF-8") from None
-
+# characters of text the reader takes from a file at a time: besides what it
+# keeps, it holds about one block
+_BLOCK = 1 << 20
 
 # characters that loadtxt strips around a number and float() does not
 _FLOAT_BLANKS = "\x1c\x1d\x1e\x1f"
 
 
-def _plain_lines(text):
-    """The records csv reads from a text without quotes or _FLOAT_BLANKS: its
-    lines, split at \\r\\n, \\r or \\n as a file opened with newline="" splits
-    them, without their ends. None for any other text."""
-    if any(c in text for c in '"' + _FLOAT_BLANKS):
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    return lines if lines[-1] else lines[:-1]
+def _is_plain(path, fh):
+    """Whether the text of the open file fh, decoded to its end in blocks,
+    holds neither a quote nor any of _FLOAT_BLANKS. A UTF-8 fault anywhere
+    in the file is raised here, before any other fault can be."""
+    plain = True
+    try:
+        for block in iter(lambda: fh.read(_BLOCK), ""):
+            plain = plain and not any(c in block for c in '"' + _FLOAT_BLANKS)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}: "
+                        f"{exc.reason}); save the file as UTF-8") from None
+    return plain
 
 
 def _next_row(path, records):
@@ -201,20 +193,22 @@ def _first_seen(codes):
     return lambda cell: codes.setdefault(cell.strip(), len(codes))
 
 
-def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
-    """What parse_rows gives for the data `lines` of a file without quotes or
-    _FLOAT_BLANKS, from one loadtxt parse of every cell; None where the
-    parse raises or warns or a guard fails, and for a group column that is
-    also the label or a feature (its cell would need two readings).
+def _bulk_parse(fh, width, columns, label_at, group_at, label_index):
+    """What parse_rows gives for the data lines the open file fh has left, in
+    a file without quotes or _FLOAT_BLANKS, from loadtxt parses of every cell
+    a block of lines at a time; None where a parse raises or warns or a guard
+    fails, and for a group column that is also the label or a feature (its
+    cell would need two readings).
 
     Converters code the label cell (through `label_index`, which raises on
     a label it lacks, or by first sight) and the group cell as loadtxt
-    reads them, so the whole table is one float array. loadtxt refuses a
-    row whose cell count differs from the first row's and reads an
-    overflowing number as inf, where parse_rows rejects both. The guards:
-    the array has one row per non-blank line and one column per header
-    cell, and every feature is finite. Codes by first sight go back to
-    their text, so no order of converter calls reaches the caller.
+    reads them, so each block is one float array, of which only the feature
+    columns and the codes are kept. loadtxt refuses a row whose cell count
+    differs from its block's first row's and reads an overflowing number as
+    inf, where parse_rows rejects both. The guards: each block's array has
+    one row per non-blank line and one column per header cell, and every
+    feature is finite. Codes by first sight go back to their text, so no
+    order of converter calls reaches the caller.
     """
     if group_at is not None and (group_at == label_at or group_at in columns):
         return None
@@ -223,29 +217,46 @@ def _bulk_parse(lines, width, columns, label_at, group_at, label_index):
                   else lambda cell: label_index[cell.strip()]}
     if group_at is not None:
         converters[group_at] = _first_seen(group_codes)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # encoding=None hands converters str also on numpy 1.x, whose
-            # default hands them bytes
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                               converters=converters, encoding=None)
-    except (ValueError, UserWarning):
-        return None
-    if table.shape != (len(lines) - lines.count(""), width):
-        return None
-    X = table[:, columns]
-    if not np.isfinite(X).all():
+    X, labels, groups = [], [], []
+    for text in iter(lambda: fh.read(_BLOCK), ""):
+        # whole lines only, so the rest of the block's last line joins it,
+        # and a \r that ends the block joins the \n of a \r\n
+        text += fh.readline()
+        # the lines csv reads, split at \r\n, \r or \n, without their ends
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        rows = len(lines) - lines.count("")
+        if not rows:   # loadtxt warns on a block of blank lines
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                # encoding=None hands converters str also on numpy 1.x, whose
+                # default hands them bytes
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                   converters=converters, encoding=None)
+        except (ValueError, UserWarning):
+            return None
+        if table.shape != (rows, width):
+            return None
+        X.append(table[:, columns])
+        if not np.isfinite(X[-1]).all():
+            return None
+        labels.append(table[:, label_at].astype(int))
+        if group_at is not None:
+            groups.append(table[:, group_at].astype(int))
+    if not X:
         return None
 
-    def cells(at, codes):
+    def cells(parts, codes):
         texts = list(codes)
-        return [texts[k] for k in table[:, at].astype(int).tolist()]
+        return [texts[k] for k in np.concatenate(parts).tolist()]
 
-    labels = table[:, label_at].astype(int).tolist() if label_index is not None \
-        else cells(label_at, label_codes)
-    groups = [] if group_at is None else cells(group_at, group_codes)
-    return X, labels, groups
+    labels = np.concatenate(labels).tolist() if label_index is not None \
+        else cells(labels, label_codes)
+    groups = [] if group_at is None else cells(groups, group_codes)
+    return np.concatenate(X), labels, groups
 
 
 def read_table(path, locate, label_index=None):
@@ -255,28 +266,38 @@ def read_table(path, locate, label_index=None):
     caller's checks to it and returns the feature columns (in the order
     wanted), the label column and the group column (None for no groups).
     Labels and groups are stripped cell text; labels map through
-    `label_index` where one is given. A file without quotes or
-    _FLOAT_BLANKS is parsed in bulk first (_bulk_parse); any other file, and
-    any file the bulk parse declines, goes through parse_rows, which alone
+    `label_index` where one is given.
+
+    The file is read through one handle, a block at a time. A first pass
+    decodes it to its end; a file without quotes or _FLOAT_BLANKS is then
+    parsed in bulk (_bulk_parse). Any other file, and any file the bulk
+    parse declines, is read again from its start by parse_rows, which alone
     words the errors.
     """
-    lines = _plain_lines(_decode(path))
-    # a quoted cell may span lines: csv reads the text as a stream. The text
-    # is decoded again rather than kept, so no copy of it lives through the
-    # bulk parse.
-    records = csv.reader(lines if lines is not None else io.StringIO(_decode(path), newline=""))
-    first = _next_row(path, records)
-    if first is None:
-        raise DataError(f"{path}: empty file, no header row")
-    header = [h.strip() for h in first]
-    for k, h in enumerate(header):
-        if h in header[:k]:
-            raise DataError(f"{path}: column '{h}' appears more than once in the header")
-    columns, label_at, group_at = locate(header)
-    parsed = None if lines is None else \
-        _bulk_parse(lines[1:], len(header), columns, label_at, group_at, label_index)
-    if parsed is None:
-        parsed = parse_rows(path, header, records, columns, label_at, group_at, label_index)
+    if not Path(path).exists():
+        raise DataError(f"missing file: {path}")
+    # newline="" leaves the line ends to csv; a leading byte-order mark is
+    # dropped, so it never joins the first name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        plain = _is_plain(path, fh)
+        fh.seek(0)
+        records = csv.reader(fh)
+        first = _next_row(path, records)
+        if first is None:
+            raise DataError(f"{path}: empty file, no header row")
+        header = [h.strip() for h in first]
+        for k, h in enumerate(header):
+            if h in header[:k]:
+                raise DataError(f"{path}: column '{h}' appears more than once in the header")
+        columns, label_at, group_at = locate(header)
+        parsed = _bulk_parse(fh, len(header), columns, label_at, group_at, label_index) \
+            if plain else None
+        if parsed is None:
+            fh.seek(0)
+            records = csv.reader(fh)
+            next(records)   # the header, read above
+            parsed = parse_rows(path, header, records, columns, label_at, group_at,
+                                label_index)
     return (header,) + parsed
 
 

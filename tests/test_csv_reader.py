@@ -1,8 +1,8 @@
 """The bulk CSV reader against the row-at-a-time loops it replaced.
 
-The bulk reader parses a clean file with one loadtxt call over every cell,
-coding the label and group cells as it goes; `parse_rows` reads any other
-file and words every error. `oracle_load_csv` and `oracle_load_for_model`
+The bulk reader parses a clean file with loadtxt a block of lines at a
+time, coding the label and group cells as it goes; `parse_rows` reads any
+other file and words every error. `oracle_load_csv` and `oracle_load_for_model`
 are the former bodies of `dataset.load_csv` and `cli._load_for_model`, kept
 verbatim as the reference (less `load_csv`'s stored-label-order branch,
 which `_load_for_model` took over): on every generated file the production
@@ -11,6 +11,7 @@ the same first error message.
 """
 
 import csv
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import evonets.dataset as dataset
-from evonets.cli import _load_for_model
+from evonets.cli import _load_for_model, main
 from evonets.dataset import Dataset, NormParams, gen_surrogate_eeg, load_csv, save_csv
 from evonets.errors import DataError
 
@@ -161,6 +162,34 @@ STORED_LABELS = ("0", "1")
 # z-scoring by mean 0 and sd 1 keeps every value's bits, so the evaluation
 # reader, which applies a model's normalization, reads as the oracle does
 IDENTITY = NormParams(0.0, 1.0)
+
+
+# Rows that loadtxt reads otherwise than csv and float() do
+LOADTXT_FORMS = [
+    "a,y\n1,0,9\n2,1\n",            # an extra or a missing cell on the first
+    "a,y\n1\n2,1\n",                # row, where loadtxt takes its width from,
+    "a,y\n1,0,9\n2,1,9\n",          # or on every row
+    "a,y\n1\n2\n",
+    "a,y\n1,0,\n2,1\n",             # a trailing comma
+    "y,a\n0,1#2\n1,2\n",            # "#", a comment unless comments=None
+    "a,y\n1,0#\n2,1\n",
+    "a,y\n1\x1c,0\n2,1\n",          # stripped by loadtxt, not by float()
+    "y,a\n0,\x1f2\n1,2\n",
+    "a,y\n1e400,0\n2,1\n",          # inf to loadtxt
+    "a,y\n1,0\n \n2,1\n",           # a whitespace-only line
+    "a,y\n1,0\x00\n2,1\n",          # a label's trailing NUL
+    "a,y\r1,0\r\x0c\r2,1\r",
+    "a,y\r\n1,0\r\n2,1\r\n3\r\n",    # a missing cell after \r\n line ends
+]
+# Forms at the edge of what loadtxt reads
+EDGE_FORMS = [
+    '"a",b,y\n1,2,0\n3,4,1\n',       # a quote anywhere
+    'a,b,y\n"1",2,0\n3,4,1\n',
+    "a,b,y\n1_0,2,0\n3,4,1\n",       # float() reads 1_0, loadtxt does not
+    "a,b,y\r1,2, 0\r\r3,4,1 \r",    # lone \r line ends, a blank line
+    "a,b,y\n1,2,0\n3,4,1",           # no final line end
+    "a,b,y\r\n1,2,0\r\n\r\n3,4,1\r\n",  # \r\n line ends, a blank line
+]
 
 
 @st.composite
@@ -309,21 +338,7 @@ class TestMatchesOracle:
         probe()
         assert {("ok", "bulk"), ("error", "parse_rows")} <= seen
 
-    @pytest.mark.parametrize("text", [
-        "a,y\n1,0,9\n2,1\n",            # an extra or a missing cell on the first
-        "a,y\n1\n2,1\n",                # row, where loadtxt takes its width from,
-        "a,y\n1,0,9\n2,1,9\n",          # or on every row
-        "a,y\n1\n2\n",
-        "a,y\n1,0,\n2,1\n",             # a trailing comma
-        "y,a\n0,1#2\n1,2\n",            # "#", a comment unless comments=None
-        "a,y\n1,0#\n2,1\n",
-        "a,y\n1\x1c,0\n2,1\n",          # stripped by loadtxt, not by float()
-        "y,a\n0,\x1f2\n1,2\n",
-        "a,y\n1e400,0\n2,1\n",          # inf to loadtxt
-        "a,y\n1,0\n \n2,1\n",           # a whitespace-only line
-        "a,y\n1,0\x00\n2,1\n",          # a label's trailing NUL
-        "a,y\r1,0\r\x0c\r2,1\r",
-    ])
+    @pytest.mark.parametrize("text", LOADTXT_FORMS)
     def test_forms_loadtxt_reads_are_rejected(self, csv_path, text):
         """Rows that loadtxt reads otherwise than csv and float() do give the
         oracle's result: under the stored mapping its error, under a free
@@ -367,13 +382,7 @@ class TestMatchesOracle:
         assert read[0] == "error"
         assert read == outcome(lambda: oracle_load_for_model(csv_path, bundle))
 
-    @pytest.mark.parametrize("text", [
-        '"a",b,y\n1,2,0\n3,4,1\n',       # a quote anywhere
-        'a,b,y\n"1",2,0\n3,4,1\n',
-        "a,b,y\n1_0,2,0\n3,4,1\n",       # float() reads 1_0, loadtxt does not
-        "a,b,y\r1,2, 0\r\r3,4,1 \r",    # lone \r line ends, a blank line
-        "a,b,y\n1,2,0\n3,4,1",           # no final line end
-    ])
+    @pytest.mark.parametrize("text", EDGE_FORMS)
     def test_edge_forms_read_as_the_oracle(self, csv_path, monkeypatch, text):
         """Forms at the edge of what loadtxt reads come out as the oracle reads
         them; only those with a quote or an underscore need parse_rows."""
@@ -464,3 +473,136 @@ class TestBulkPath:
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
         assert load_csv(path, "y").features[:, [0, 1, 3]].tobytes() == X.tobytes()
         self.check(path, ["c", "a", "b"], ("0", "1"), group_by="g")
+
+
+def past_the_first_block(text, rows=200):
+    """text with `rows` rows of zeros after its header, in the text's own line
+    ends, so that its own rows lie past the first block of SMALL_BLOCK."""
+    newline = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
+    header, rest = text.split(newline, 1)
+    zeros = ",".join(["0"] * (header.count(",") + 1))
+    return newline.join([header] + [zeros] * rows) + newline + rest
+
+
+SMALL_BLOCK = 300
+
+
+class TestBlocks:
+    """The reader takes a file a block of text at a time. With the block cut
+    to a few hundred characters, rows, faults, quotes and line ends past the
+    first block read as the oracles read them."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_BLOCK", SMALL_BLOCK)
+
+    @staticmethod
+    def bundle(text):
+        header = next(csv.reader([text.splitlines()[0]]))
+        return SimpleNamespace(norm=IDENTITY, label_column="y",
+                               feature_names=tuple(h for h in header if h != "y"),
+                               label_names=STORED_LABELS)
+
+    @pytest.mark.parametrize("text", LOADTXT_FORMS)
+    def test_loadtxt_forms_past_the_first_block(self, csv_path, text):
+        text = past_the_first_block(text)
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(lambda: load_csv(csv_path, "y")) == \
+            outcome(lambda: oracle_load_csv(csv_path, "y"))
+        bundle = self.bundle(text)
+        read = outcome(lambda: _load_for_model("m.json", bundle, csv_path))
+        assert read[0] == "error"
+        assert read == outcome(lambda: oracle_load_for_model(csv_path, bundle))
+
+    @pytest.mark.parametrize("text", EDGE_FORMS)
+    def test_edge_forms_past_the_first_block(self, csv_path, monkeypatch, text):
+        """Only a quote or an underscore past the first block sends the file
+        to parse_rows."""
+        calls = []
+        fallback = dataset.parse_rows
+        monkeypatch.setattr(dataset, "parse_rows",
+                            lambda *args: calls.append(1) or fallback(*args))
+        text = past_the_first_block(text)
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        loaded = outcome(lambda: load_csv(csv_path, "y"))
+        assert loaded[0] == "ok"
+        assert loaded == outcome(lambda: oracle_load_csv(csv_path, "y"))
+        bundle = self.bundle(text)
+        assert outcome(lambda: _load_for_model("m.json", bundle, csv_path)) == \
+            outcome(lambda: oracle_load_for_model(csv_path, bundle))
+        assert bool(calls) == ('"' in text or "_" in text)
+
+    def test_clean_file_is_parsed_a_block_at_a_time(self, tmp_path, monkeypatch):
+        ds, _ = gen_surrogate_eeg(200, relevant=2, irrelevant=3, seed=2)
+        path = tmp_path / "eeg.csv"
+        save_csv(ds, path)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs:
+                            calls.append(1) or loadtxt(*args, **kwargs))
+        monkeypatch.setattr(dataset, "parse_rows", None)   # a clean file never calls it
+        assert load_csv(path, "y").features.tobytes() == ds.features.tobytes()
+        assert len(calls) >= path.stat().st_size // (2 * SMALL_BLOCK)
+        bundle = SimpleNamespace(norm=IDENTITY, label_column="y",
+                                 feature_names=ds.feature_names[::-1],
+                                 label_names=ds.label_names)
+        assert outcome(lambda: _load_for_model("m.json", bundle, path)) == \
+            outcome(lambda: oracle_load_for_model(path, bundle))
+
+    def test_generated_files_in_any_block_size(self, csv_path):
+        """Blocks of 1 to 40 characters cut the generated files everywhere,
+        also between the \\r and \\n of a line end."""
+        @given(data=csv_files(group_allowed=True), block=st.integers(1, 40))
+        @settings(max_examples=200, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def probe(data, block):
+            text, names, group = data
+            csv_path.write_text(text, encoding="utf-8", newline="")
+            bundle = SimpleNamespace(norm=IDENTITY, label_column="y", feature_names=tuple(names),
+                                     label_names=STORED_LABELS)
+            group_by = "g" if group else None
+            expected = (outcome(lambda: oracle_load_csv(csv_path, "y")),
+                        outcome(lambda: oracle_load_for_model(csv_path, bundle, group_by)))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dataset, "_BLOCK", block)
+                assert (outcome(lambda: load_csv(csv_path, "y")),
+                        outcome(lambda: _load_for_model("m.json", bundle, csv_path,
+                                                        group_by))) == expected
+
+        probe()
+
+    @pytest.mark.parametrize("block", [SMALL_BLOCK, 1 << 20])
+    def test_utf8_fault_wins_over_an_earlier_bad_cell(self, tmp_path, monkeypatch, capsys,
+                                                      block):
+        """A bad cell on line 3 and an undecodable byte on line 4000: the
+        whole file is decoded before any row is read."""
+        monkeypatch.setattr(dataset, "_BLOCK", block)
+        lines = ["x1,x2,y", "0.5,0.25,1", "oops,0.25,0"] + ["0.1,0.2,1"] * 3997
+        lines[3999] = "0.1,0.2,caf\xe9"
+        path = tmp_path / "late.csv"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        assert main(["train", "--method", "lm", "--data", str(path),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "late.csv: not valid UTF-8 (byte 0xe9" in err, err
+
+
+def test_peak_memory_is_bounded_by_the_feature_matrix(tmp_path):
+    """Reading a 12000 x 73 table (72 features and the label) holds at most
+    2.5 times its float matrix at its peak: the matrix's blocks, the matrix
+    they are joined into, and one block of text."""
+    ds, _ = gen_surrogate_eeg(12000, relevant=4, irrelevant=68, seed=3)
+    path = tmp_path / "eeg.csv"
+    save_csv(ds, path)
+
+    def locate(header):
+        return [i for i, h in enumerate(header) if h != "y"], header.index("y"), None
+
+    tracemalloc.start()
+    try:
+        _, X, _, _ = dataset.read_table(path, locate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.tobytes() == ds.features.tobytes()
+    assert peak <= 2.5 * X.nbytes, (peak, X.nbytes)

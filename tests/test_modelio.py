@@ -118,6 +118,33 @@ class TestValidation:
         with pytest.raises(DataError, match="format_version"):
             load_model(p)
 
+    @pytest.mark.parametrize("keys, value, field", [
+        (("payload", "root", "threshold"), 10**400, "ruletree node threshold"),
+        (("payload", "root", "threshold"), 10**3999, "ruletree node threshold"),
+        (("payload", "root", "feature"), 10**3999, "ruletree node feature"),
+        (("payload", "root", "low", "class"), -10**3999, "ruletree leaf class"),
+        (("format_version",), 10**3999, "unsupported format_version"),
+    ], ids=["threshold 10**400", "threshold of 4000 digits", "feature of 4000 digits",
+            "leaf class of 4000 digits", "format_version of 4000 digits"])
+    def test_huge_value_is_cut_in_the_error(self, tmp_path, monkeypatch, keys, value, field):
+        """A value far beyond its field's range (4000 digits stay under
+        Python's integer conversion limit) gives a one-line error of under
+        200 characters that still names the field."""
+        monkeypatch.chdir(tmp_path)
+        tree = RuleTree(RuleNode(0, -0.75, True, low_label=0, high_label=1))
+        save_model("m.json", ModelBundle("ruletree", tree, NORM2, ("a", "b"), ("0", "1")))
+        doc = json.loads((tmp_path / "m.json").read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError) as info:
+            load_model("m.json")
+        message = str(info.value)
+        assert message.startswith(f"m.json: {field} ") and "\n" not in message
+        assert len(message) < 200, message
+
     def test_weights_survive_with_full_precision(self, tmp_path):
         w = [[0.1 + 1e-17, -2.0 / 3.0, np.pi], [1e-300, -1e300, 0.1234567890123456789]]
         lm = LinearMachine(np.array(w))
