@@ -1,5 +1,6 @@
 """Small shared helpers: deterministic seed derivation, input augmentation,
-the restart pick, the chunking of descent stacks and DOT name quoting."""
+the restart pick, the chunking of descent stacks, DOT name quoting and the
+bounded repr that error messages echo."""
 
 import numpy as np
 
@@ -51,6 +52,13 @@ def stack_chunks(count, per_element):
     one)."""
     step = max(1, STACK_ELEMENTS // max(1, per_element))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def shown(value):
+    """repr(value) cut to 40 characters, so a huge value keeps its error one
+    short line."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def dot_escape(name):

@@ -11,12 +11,12 @@ doubles as a readable feature-importance listing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import derive_seed, dot_escape
-from .errors import DataError
+from ._util import STACK_ELEMENTS, derive_seed, dot_escape
+from .errors import DataError, TrainingError
 from .neuron import FitConfig, SigmoidNeuron, fit_data, fit_neuron, fit_neurons, sigmoid
 
 __all__ = [
@@ -78,12 +78,12 @@ def _fit_single_features(train, val, cfg):
     validation error, ties to the lower index. Returns (feature order,
     errors in that order, per-column (validation error, fitted neuron)).
 
-    Column j's neuron is the one fit_neuron gives with seed
-    derive_seed(cfg.seed, 0, j); fit_neurons fits all columns together.
+    Column j's neuron is the one fit_neuron gives for that column alone with
+    seed derive_seed(cfg.seed, 0, j); fit_neurons fits all columns together.
     """
     m = train.n_features
-    # the checks the per-column fit_neuron calls made, in their order: column 0
-    # goes through all of them, and a later column can only add non-finite values
+    # fit_data's checks on each column in turn: column 0 goes through all of
+    # them, and a later column can only add non-finite values
     fit_data(train.features[:, :1], train.labels, 1)
     X, y = fit_data(train.features, train.labels, m)
     W = fit_neurons(np.ascontiguousarray(X.T)[:, :, None], y,
@@ -99,8 +99,11 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
     """Grow a cascade network while validation error strictly decreases.
 
     Walks the ranked feature pool once; each candidate neuron sees the
-    anchor, the next-ranked feature, and all previously accepted outputs.
-    Deterministic for a fixed cfg.seed.
+    anchor, the next-ranked feature, and all previously accepted outputs,
+    and the first that strictly lowers the validation error is accepted.
+    Candidates are fitted in chunks, and the network is, bit for bit, the
+    one a walk fitting one candidate at a time grows. Deterministic for a
+    fixed cfg.seed.
     """
     if train.class_count != 2:
         raise DataError("cascade training requires binary labels")
@@ -118,25 +121,51 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
         base_neuron=base_neuron, base_score=base_err, threshold=cfg.decision_threshold,
     )
 
+    # The walk fits the next ranked candidates as one stack and accepts the
+    # first strict improver; the fits behind it are dropped, and those
+    # candidates start the next chunk, seeing the new neuron's output. A chunk
+    # starts at one candidate, doubles after a chunk that accepts nothing,
+    # falls back to one after an accept, and is at most one fit_neurons stack.
+    # A chunk of several candidates that fails, or meets an overflow or an
+    # invalid value, is retried one candidate at a time: a one-candidate step
+    # is the sequential walk's step, so an error is raised, and a warning
+    # shown, only for a fit that walk makes.
     Xtr, Xva = train.features, val.features
     ztr, zva = [], []
     incumbent = base_err
-    for h in range(1, len(order)):
-        feat = order[h]
-        bindings = [("x", anchor), ("x", feat)] + [("z", t) for t in range(len(net.neurons))]
-        U_tr = np.column_stack([Xtr[:, anchor], Xtr[:, feat]] + ztr)
-        candidate = fit_neuron(SigmoidNeuron(tuple(bindings)), U_tr, train.labels,
-                               replace(cfg, seed=derive_seed(cfg.seed, 1, h)))
-        U_va = np.column_stack([Xva[:, anchor], Xva[:, feat]] + zva)
-        out_va = sigmoid(candidate.weights[0] + U_va @ candidate.weights[1:])
-        c1 = float(np.mean((out_va >= cfg.decision_threshold).astype(int) != val.labels))
-        if c1 < incumbent:   # only a strict improvement is accepted
-            net.neurons.append(candidate)
-            net.accepted_features.append(feat)
-            net.accepted_scores.append(c1)
-            ztr.append(sigmoid(candidate.weights[0] + U_tr @ candidate.weights[1:]))
-            zva.append(out_va)
-            incumbent = c1
+    cap = max(1, STACK_ELEMENTS // (train.n_rows * cfg.restarts))
+    h, size = 1, 1
+    while h < len(order):
+        feats = order[h:h + min(size, cap)]
+        zs = tuple(("z", t) for t in range(len(net.neurons)))
+        U_tr = [np.column_stack([Xtr[:, anchor], Xtr[:, feat]] + ztr) for feat in feats]
+        strict = {"over": "raise", "invalid": "raise"} if len(feats) > 1 else {}
+        try:
+            with np.errstate(**strict):
+                fitted = fit_neuron([SigmoidNeuron((("x", anchor), ("x", feat)) + zs)
+                                     for feat in feats], U_tr, train.labels,
+                                    [derive_seed(cfg.seed, 1, h + i) for i in range(len(feats))],
+                                    cfg)
+        except (DataError, TrainingError, FloatingPointError):
+            if len(feats) == 1:
+                raise
+            size = 1
+            continue
+        size *= 2
+        for i, (feat, candidate) in enumerate(zip(feats, fitted)):
+            U_va = np.column_stack([Xva[:, anchor], Xva[:, feat]] + zva)
+            out_va = sigmoid(candidate.weights[0] + U_va @ candidate.weights[1:])
+            c1 = float(np.mean((out_va >= cfg.decision_threshold).astype(int) != val.labels))
+            if c1 < incumbent:   # only a strict improvement is accepted
+                net.neurons.append(candidate)
+                net.accepted_features.append(feat)
+                net.accepted_scores.append(c1)
+                ztr.append(sigmoid(candidate.weights[0] + U_tr[i] @ candidate.weights[1:]))
+                zva.append(out_va)
+                incumbent = c1
+                size = 1
+                break
+        h += i + 1
     return net
 
 

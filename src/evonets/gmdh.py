@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import derive_seed, dot_escape, first_lowest, stack_chunks
+from ._util import derive_seed, dot_escape, first_lowest, shown, stack_chunks
 from .errors import DataError, TrainingError
 from .neuron import check_descent, exterior_criterion, least_squares_fit
 
@@ -51,7 +51,7 @@ class SupportingNeuron:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise DataError(f"unknown neuron kind {self.kind!r}")
+            raise DataError(f"unknown neuron kind {shown(self.kind)}")
         self.inputs = tuple((str(t), int(r)) for t, r in self.inputs)
         if len(self.inputs) not in (1, 2):
             raise DataError("supporting neurons take one or two inputs")
@@ -59,7 +59,7 @@ class SupportingNeuron:
             raise DataError("bilinear neurons need exactly two inputs")
         for t, _ in self.inputs:
             if t not in ("x", "n"):
-                raise DataError(f"unknown input reference {t!r}")
+                raise DataError(f"unknown input reference {shown(t)}")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (self.weight_count,):

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import augment, derive_seed, dot_escape
+from ._util import augment, derive_seed, dot_escape, shown
 from .dataset import Dataset
 from .errors import DataError, ScoreOverflow, TrainingError
 
@@ -454,8 +454,8 @@ def _class_pairs(keys, class_count):
     pairs = list(combinations(range(class_count), 2))
     missing, extra = sorted(set(pairs) - set(keys)), sorted(set(keys) - set(pairs))
     if missing or extra:
-        raise DataError(f"need one pairwise unit per class pair; missing {missing}, "
-                        f"extra {extra}")
+        raise DataError(f"need one pairwise unit per class pair; missing {shown(missing)}, "
+                        f"extra {shown(extra)}")
     return pairs
 
 

@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._util import shown
 from .baseline import FnnModel, describe_fnn
 from .cascade import CascadeNetwork, cascade_to_dot, describe_cascade
 from .dataset import NormParams
@@ -38,13 +39,6 @@ def _matrix(a):
 
 
 # Field readers: each returns a field's value or raises DataError naming it, `what`.
-
-def _shown(value):
-    """repr(value) cut to 40 characters, so a huge value keeps its error one
-    short line."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "..."
-
 
 def _is_index(value, bound):
     return type(value) is int and 0 <= value < bound
@@ -75,13 +69,13 @@ def _objects(value, what):
 
 def _flag(value, what):
     if type(value) is not bool:
-        raise DataError(f"{what} {_shown(value)} is not true or false")
+        raise DataError(f"{what} {shown(value)} is not true or false")
     return value
 
 
 def _index(value, bound, what):
     if not _is_index(value, bound):
-        raise DataError(f"{what} {_shown(value)} is not an index below {bound}")
+        raise DataError(f"{what} {shown(value)} is not an index below {bound}")
     return value
 
 
@@ -93,7 +87,7 @@ def _number(value, what, fraction=False):
     """value as a float if it is finite, and strictly between 0 and 1 if fraction."""
     if not (_is_finite(value) and (not fraction or 0 < value < 1)):
         rule = "a number strictly between 0 and 1" if fraction else "a finite number"
-        raise DataError(f"{what} {_shown(value)} is not {rule}")
+        raise DataError(f"{what} {shown(value)} is not {rule}")
     return float(value)
 
 
@@ -126,7 +120,7 @@ def _names(value, what):
 
 def _classes(value, r, what):
     if type(value) is not int or value != r or r < 2:
-        raise DataError(f"{what} {_shown(value)} does not match the {r} label_names")
+        raise DataError(f"{what} {shown(value)} does not match the {r} label_names")
     return value
 
 
@@ -262,7 +256,7 @@ def _decode_poly(payload, feature_names, label_names):
     for k, d in enumerate(_objects(payload.get("neurons"), "gmdh neurons")):
         what, layer = f"gmdh neuron {k}", d.get("layer")
         if type(layer) is not int or layer < 1:
-            raise DataError(f"{what} layer {_shown(layer)} is not a positive integer")
+            raise DataError(f"{what} layer {shown(layer)} is not a positive integer")
         neurons.append(_build(what, SupportingNeuron, d.get("kind"),
                               _units(d.get("inputs"), "n", k, m, f"{what} inputs"),
                               _numbers(d.get("weights"), f"{what} weights"), layer,
@@ -293,9 +287,9 @@ def _decode_pairwise(payload, feature_names, label_names):
         i, j = d.get("i"), d.get("j")
         # the dict would keep only the last test of a repeated pair
         if not (type(i) is int and type(j) is int) or (i, j) in tlus:
-            raise DataError(f"pairwise-dt test pair ({_shown(i)}, {_shown(j)}) is not a new "
+            raise DataError(f"pairwise-dt test pair ({shown(i)}, {shown(j)}) is not a new "
                             f"pair of class indices")
-        what = f"pairwise-dt test {i}/{j}"
+        what = f"pairwise-dt test {shown(i)}/{shown(j)}"
         tlus[(i, j)] = _build(what, LinearTest,
                               _indices(d.get("features"), m, f"{what} features"),
                               _numbers(d.get("weights"), f"{what} weights"),
@@ -398,10 +392,10 @@ def _decode_bundle(doc):
         raise DataError(f"a model file holds a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:   # true and 1.0 equal 1
-        raise DataError(f"unsupported format_version {_shown(version)}")
+        raise DataError(f"unsupported format_version {shown(version)}")
     method = doc.get("method")
     if not isinstance(method, str) or method not in METHODS:
-        raise DataError(f"unknown method {_shown(method)}")
+        raise DataError(f"unknown method {shown(method)}")
     feature_names, label_names = (_names(doc.get(k), k) for k in ("feature_names", "label_names"))
     label_column = doc.get("label_column")
     if not isinstance(label_column, str) or label_column in feature_names:

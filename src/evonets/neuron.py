@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import first_lowest, stack_chunks
+from ._util import first_lowest, shown, stack_chunks
 from .errors import DataError, TrainingError
 
 SIGMOID_CLAMP = 1e-12
@@ -90,7 +90,7 @@ class SigmoidNeuron:
         self.bindings = tuple((str(kind), int(ref)) for kind, ref in self.bindings)
         for kind, _ in self.bindings:
             if kind not in ("x", "z"):
-                raise DataError(f"unknown binding kind {kind!r}")
+                raise DataError(f"unknown binding kind {shown(kind)}")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != (len(self.bindings) + 1,):
@@ -145,9 +145,11 @@ def _outputs(weights, inputs):
 
 
 def fit_data(inputs, targets, p):
-    """fit_neuron's checks on its training data, in their order; returns the
-    inputs as an (n, p) float matrix and the targets as floats."""
-    U = np.atleast_2d(np.asarray(inputs, dtype=float))
+    """The checks on one neuron's training data, in their order; returns the
+    inputs as a C-contiguous (n, p) float matrix, so that a fit's bits do not
+    depend on how its inputs lie in memory, and the targets as floats.
+    fit_neuron runs them on each candidate it fits."""
+    U = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)))
     y = np.asarray(targets, dtype=float)
     if U.shape[1] != p:
         raise DataError(f"expected {p} input columns, got {U.shape[1]}")
@@ -188,11 +190,21 @@ def fit_neurons(inputs, targets, seeds, cfg: FitConfig):
     return W.reshape(k, r, p + 1)[np.arange(k), [first_lowest(e) for e in sse.reshape(k, r)]]
 
 
-def fit_neuron(neuron: SigmoidNeuron, inputs, targets, cfg: FitConfig) -> SigmoidNeuron:
-    """Fit the neuron's weights by batch gradient descent: fit_neurons' one
-    neuron, seeded by cfg.seed, on the inputs and targets fit_data accepts."""
-    U, y = fit_data(inputs, targets, neuron.p)
-    return SigmoidNeuron(neuron.bindings, fit_neurons(U, y, [cfg.seed], cfg)[0])
+def fit_neuron(neurons, inputs, targets, seeds, cfg: FitConfig):
+    """Fit candidate neurons by batch gradient descent, neuron i on inputs[i]
+    with seed seeds[i], and return one fitted SigmoidNeuron per candidate.
+
+    fit_data checks each candidate's data in turn; then one fit_neurons call
+    descends them all as one stack, so each candidate gets the weights a call
+    with it alone gives. The candidates must bind the same number of inputs.
+    """
+    if not len(neurons) == len(inputs) == len(seeds) > 0 \
+            or len({nrn.p for nrn in neurons}) > 1:
+        raise DataError("need one input matrix and one seed per candidate, "
+                        "and candidates that bind the same number of inputs")
+    checked = [fit_data(U, targets, nrn.p) for nrn, U in zip(neurons, inputs)]
+    W = fit_neurons(np.stack([U for U, _ in checked]), checked[0][1], seeds, cfg)
+    return [SigmoidNeuron(nrn.bindings, w) for nrn, w in zip(neurons, W)]
 
 
 def least_squares_fit(design, targets):

@@ -31,3 +31,21 @@ def fnn_loss(hidden_w, output_w, Xa, T):
     fnn_gradients."""
     O = sigmoid(augment(sigmoid(Xa @ hidden_w.T)) @ output_w.T)
     return float(np.mean(np.sum((O - T) ** 2, axis=1)))
+
+
+def walk_chunks(order, accepted, cap):
+    """The chunks a cascade walk fitted, read off the model it grew from its
+    feature order and accepted features: one (candidates fitted, position of
+    the accepted one or None) per chunk. A chunk starts at one candidate,
+    doubles after a chunk that accepts nothing, falls back to one after an
+    accept and holds at most cap candidates; this holds for a walk in which
+    no fit failed."""
+    chunks, h, size = [], 1, 1
+    accepted = set(accepted)
+    while h < len(order):
+        feats = order[h:h + min(size, cap)]
+        pos = next((i for i, feat in enumerate(feats) if feat in accepted), None)
+        chunks.append((len(feats), pos))
+        h += len(feats) if pos is None else pos + 1
+        size = size * 2 if pos is None else 1
+    return chunks

@@ -90,8 +90,8 @@ class TestRelevance:
         assert 0.0 < base.base_score < 0.5
         w = base.base_neuron.weights
 
-        def fixed(neuron, inputs, targets, cfg):
-            return SigmoidNeuron(neuron.bindings, weights_of(w, neuron.p))
+        def fixed(neurons, inputs, targets, seeds, cfg):
+            return [SigmoidNeuron(nrn.bindings, weights_of(w, nrn.p)) for nrn in neurons]
 
         monkeypatch.setattr(cascade, "fit_neuron", fixed)
         return train_ecnn(tr, va, CFG)

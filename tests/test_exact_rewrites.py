@@ -4,7 +4,7 @@
 `oracle_search_threshold`, `oracle_predict_classes`,
 `oracle_train_gmdh_layered`, `oracle_train_gmdh_roulette`, `oracle_pruned`,
 `oracle_fit_loss`, `oracle_fit_gradient`, `oracle_fit_neuron`,
-`oracle_fit_single_features`, `oracle_fit_weights`,
+`oracle_fit_single_features`, `oracle_train_ecnn`, `oracle_fit_weights`,
 `oracle_least_squares_fit`, `oracle_fnn_forward`,
 `oracle_fnn_predict_classes`, `oracle_fnn_gradients` and `oracle_train_fnn`
 are the former bodies of `linear.train_pocket_ratchet`, `_util.augment`,
@@ -12,7 +12,7 @@ are the former bodies of `linear.train_pocket_ratchet`, `_util.augment`,
 `ruletree.RuleTree.predict_classes`, `gmdh.train_gmdh_layered`,
 `gmdh.train_gmdh_roulette`, `gmdh._pruned`, `neuron.fit_loss`,
 `neuron.fit_gradient`, `neuron.fit_neuron`, `cascade._fit_single_features`,
-`gmdh._fit_weights`, `neuron.least_squares_fit`, `FnnModel.forward`,
+`cascade.train_ecnn`, `gmdh._fit_weights`, `neuron.least_squares_fit`, `FnnModel.forward`,
 `FnnModel.predict_classes`, `baseline.fnn_gradients` and
 `baseline.train_fnn`, kept verbatim as the reference (apart from their
 names, the oracles they call, and a parameter that swaps in one part: the
@@ -20,7 +20,9 @@ GMDH trainers' weight fitter, the threshold search's midpoint rule). The
 oracles call no library function that a rewrite here replaced.
 `ThermalSchedule` is the former `linear.ThermalSchedule` the pocket oracle
 anneals with. The rewrites only drop repeated or unused work or
-repeated code, or fit independent problems as one stack, so they must give
+repeated code, or fit independent problems as one stack (the cascade walk
+fits ranked candidates in chunks and drops the fits behind the one it
+accepts, `TestChunkedWalk`), so they must give
 bit-identical results: the same pocketed weights and traces, the same sigmoid bytes, nan
 and signed zero included, the same threshold bytes, polarity and error count,
 the same rule-tree labels, the same fitted weights, feature rankings and
@@ -51,6 +53,7 @@ from hypothesis import strategies as st
 from evonets import baseline, cascade, gmdh, neuron
 from evonets._util import STACK_ELEMENTS, derive_seed, stack_chunks
 from evonets.baseline import FnnConfig, FnnModel, _targets, train_fnn
+from evonets.cascade import CascadeNetwork
 from evonets.dataset import (Dataset, NormParams, SplitSpec, gen_blobs, gen_surrogate_eeg,
                              split)
 from evonets.errors import DataError, TrainingError
@@ -63,7 +66,7 @@ from evonets.neuron import (SIGMOID_CLAMP, FitConfig, SigmoidNeuron, exterior_cr
                             fit_gradient, fit_loss, fit_neuron, fit_neurons,
                             least_squares_fit, sigmoid)
 from evonets.ruletree import RuleNode, RuleTree, extract_rules, search_threshold
-from oracles import classify_rule
+from oracles import classify_rule, walk_chunks
 
 
 @dataclass
@@ -926,6 +929,56 @@ def oracle_fit_single_features(train, val, cfg):
     return order, tuple(singles[j][0] for j in order), singles
 
 
+def oracle_train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
+    """Grow a cascade network while validation error strictly decreases.
+
+    Walks the ranked feature pool once; each candidate neuron sees the
+    anchor, the next-ranked feature, and all previously accepted outputs.
+    Deterministic for a fixed cfg.seed.
+    """
+    if train.class_count != 2:
+        raise DataError("cascade training requires binary labels")
+    if train.n_features < 2:
+        raise DataError("need at least 2 features")
+    if val.n_rows == 0:
+        raise DataError("empty validation set")
+
+    order, errors, singles = oracle_fit_single_features(train, val, cfg)
+    anchor = order[0]
+    base_err, base_neuron = singles[anchor]
+
+    net = CascadeNetwork(
+        anchor=anchor, feature_order=order, single_errors=errors,
+        base_neuron=base_neuron, base_score=base_err, threshold=cfg.decision_threshold,
+    )
+
+    Xtr, Xva = train.features, val.features
+    ztr, zva = [], []
+    incumbent = base_err
+    for h in range(1, len(order)):
+        feat = order[h]
+        bindings = [("x", anchor), ("x", feat)] + [("z", t) for t in range(len(net.neurons))]
+        U_tr = np.column_stack([Xtr[:, anchor], Xtr[:, feat]] + ztr)
+        candidate = oracle_fit_neuron(SigmoidNeuron(tuple(bindings)), U_tr, train.labels,
+                                      replace(cfg, seed=derive_seed(cfg.seed, 1, h)))
+        U_va = np.column_stack([Xva[:, anchor], Xva[:, feat]] + zva)
+        out_va = oracle_sigmoid(candidate.weights[0] + U_va @ candidate.weights[1:])
+        c1 = float(np.mean((out_va >= cfg.decision_threshold).astype(int) != val.labels))
+        if c1 < incumbent:   # only a strict improvement is accepted
+            net.neurons.append(candidate)
+            net.accepted_features.append(feat)
+            net.accepted_scores.append(c1)
+            ztr.append(oracle_sigmoid(candidate.weights[0] + U_tr @ candidate.weights[1:]))
+            zva.append(out_va)
+            incumbent = c1
+    return net
+
+
+def fit_one(nrn, inputs, targets, cfg):
+    """fit_neuron's fit of the one candidate nrn, seeded by cfg.seed."""
+    return fit_neuron([nrn], [inputs], targets, [cfg.seed], cfg)[0]
+
+
 def outcome(fn, *args):
     """What a call gives: ("ok", value) or ("raised", exception type, text)."""
     try:
@@ -966,7 +1019,7 @@ class TestStackedDescentOracle:
         U, y = descent_problem(data_seed, n, p, scale)
         cfg = FitConfig(learning_rate=rate, epochs=epochs, restarts=restarts, seed=seed)
         nrn = SigmoidNeuron(tuple(("x", j) for j in range(p)))
-        got = outcome(fit_neuron, nrn, U, y, cfg)
+        got = outcome(fit_one, nrn, U, y, cfg)
         want = outcome(oracle_fit_neuron, nrn, U, y, cfg)
         if want[0] == "ok":
             assert got[0] == "ok" and neuron_key(got[1]) == neuron_key(want[1])
@@ -994,9 +1047,47 @@ class TestStackedDescentOracle:
         rate = 1e30 if case == "diverges" else 0.1
         cfg = FitConfig(learning_rate=rate, epochs=5, restarts=restarts, seed=1)
         nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
-        got = outcome(fit_neuron, nrn, U, y, cfg)
+        got = outcome(fit_one, nrn, U, y, cfg)
         assert got == outcome(oracle_fit_neuron, nrn, U, y, cfg)
         assert got[1:] == ((DataError if case == "one_row" else TrainingError), error)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_fit_neuron_fits_each_candidate_as_alone(self, restarts):
+        # the inputs are column slices of one matrix; the oracle's bits follow
+        # the layout of its inputs, fit_neuron's do not: it descends on a
+        # C-contiguous copy
+        U, y = descent_problem(15, 31, 9, 1.0)
+        nrns = [SigmoidNeuron(tuple(("x", j) for j in range(3 * i, 3 * i + 3)))
+                for i in range(3)]
+        inputs = [U[:, 3 * i:3 * i + 3] for i in range(3)]
+        seeds = [derive_seed(2, 1, h) for h in range(3)]
+        cfg = FitConfig(learning_rate=2.0, epochs=10, restarts=restarts)
+        got = [neuron_key(g) for g in fit_neuron(nrns, inputs, y, seeds, cfg)]
+        assert got == [neuron_key(fit_one(nrn, U_i, y, replace(cfg, seed=seed)))
+                       for nrn, U_i, seed in zip(nrns, inputs, seeds)]
+        assert got == [neuron_key(oracle_fit_neuron(nrn, np.ascontiguousarray(U_i), y,
+                                                    replace(cfg, seed=seed)))
+                       for nrn, U_i, seed in zip(nrns, inputs, seeds)]
+
+    @pytest.mark.parametrize("faults, error", [
+        (("nan", "columns"), (TrainingError, "non-finite values in training data")),
+        (("columns", "nan"), (DataError, "expected 3 input columns, got 2")),
+    ])
+    def test_fit_neuron_checks_the_candidates_in_order(self, faults, error):
+        U, y = descent_problem(16, 31, 3, 1.0)
+        bad = {"nan": np.where(np.arange(3) == 1, np.nan, U), "columns": U[:, :2]}
+        nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
+        cfg = FitConfig(epochs=5, restarts=2)
+        got = outcome(fit_neuron, [nrn] * 3, [U] + [bad[f] for f in faults], y, [1, 2, 3], cfg)
+        assert got[1:] == error
+
+    @pytest.mark.parametrize("p, seeds", [((3, 2), [1, 2]), ((3, 3), [1]), ((), [])])
+    def test_fit_neuron_needs_one_input_count_and_one_seed_per_candidate(self, p, seeds):
+        U, y = descent_problem(16, 31, 3, 1.0)
+        nrns = [SigmoidNeuron(tuple(("x", j) for j in range(k))) for k in p]
+        got = outcome(fit_neuron, nrns, [U[:, :k] for k in p], y, seeds, FitConfig())
+        assert got[:2] == ("raised", DataError)
+        assert "one seed per candidate" in got[2]
 
     def test_gradient_and_loss_stack_matches_oracle(self):
         U, y = descent_problem(9, 801, 4, 1.0)
@@ -1148,13 +1239,11 @@ class TestStackedModels:
     trained through the per-fit oracles."""
 
     @pytest.mark.parametrize("restarts", [1, 2, 5])
-    def test_ecnn(self, restarts, tmp_path, monkeypatch):
+    def test_ecnn(self, restarts, tmp_path):
         train, val = gmdh_data(3, n=160, features=6)
         cfg = FitConfig(learning_rate=2.0, epochs=40, restarts=restarts, seed=3)
         got = cascade_bytes(cascade.train_ecnn(train, val, cfg), tmp_path)
-        monkeypatch.setattr(cascade, "_fit_single_features", oracle_fit_single_features)
-        monkeypatch.setattr(cascade, "fit_neuron", oracle_fit_neuron)
-        want_net = cascade.train_ecnn(train, val, cfg)
+        want_net = oracle_train_ecnn(train, val, cfg)
         assert want_net.neurons   # the walk accepted a neuron, so it is covered too
         assert got == cascade_bytes(want_net, tmp_path)
 
@@ -1173,6 +1262,141 @@ class TestStackedModels:
         grown = grow_both(monkeypatch, train_gmdh_roulette, oracle_train_gmdh_roulette,
                               train, val, cfg)
         assert_same_growth(grown, tmp_path, MODEL_RTOL)
+
+
+def walk_data(seed, n, noise, big=None):
+    """Fitting and validation halves of a table whose column 0 predicts the
+    labels and whose column 1 is column 0's noise: useless alone, decisive
+    next to it, so the walk accepts its candidate wherever it ranks among
+    the noise columns that follow. With `big`, column 2 is noise too, save
+    one fitting row of label 0 that holds `big`."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    e = rng.normal(0.0, 1.0, n)
+    cols = [y + e, e + rng.normal(0.0, 0.3, n)]
+    if big is not None:
+        cols.append(rng.normal(size=n))
+        cols[-1][0], y[0] = big, 0
+    X = np.column_stack(cols + [rng.normal(size=(n, noise))])
+    names = tuple(f"f{j}" for j in range(X.shape[1]))
+    half = n // 2
+    return (Dataset(X[:half], y[:half], names, 2), Dataset(X[half:], y[half:], names, 2))
+
+
+class Chunk(NamedTuple):
+    neurons: list
+    inputs: list
+    seeds: list
+    error: Exception | None
+
+
+def record_chunks(monkeypatch):
+    """Log each call the walk makes to fit_neuron as a Chunk."""
+    log, fit = [], cascade.fit_neuron
+
+    def logged(neurons, inputs, targets, seeds, cfg):
+        try:
+            fitted = fit(neurons, inputs, targets, seeds, cfg)
+        except (DataError, TrainingError, FloatingPointError) as exc:
+            log.append(Chunk(neurons, inputs, seeds, exc))
+            raise
+        log.append(Chunk(neurons, inputs, seeds, None))
+        return fitted
+
+    monkeypatch.setattr(cascade, "fit_neuron", logged)
+    return log
+
+
+def walk_cap(train, cfg):
+    return STACK_ELEMENTS // (train.n_rows * cfg.restarts)
+
+
+# Column 2 of walk_data(seed, 80, 8, big=1e300) at a learning rate of 1e23:
+# a start that weighs the column positively misclassifies its 1e300 row by so
+# much that the first step sends the weight to -inf, and the fit diverges; a
+# negative start only overflows on that row. A fitting chunk that holds
+# column 2's candidate then fails, and the walk retries it one at a time.
+BIG = dict(n=80, noise=8, big=1e300)
+BIG_RATE = 1e23
+
+
+class TestChunkedWalk:
+    """The chunked cascade walk against oracle_train_ecnn, the walk that fits
+    one candidate at a time: the same model file, or the same error at the
+    same candidate, wherever the accepted candidate sits in its chunk and
+    whatever becomes of the fits dropped behind it."""
+
+    @pytest.mark.parametrize("data_seed, size, position", [
+        (0, 1, 0), (24, 2, 0), (8, 2, 1), (7, 4, 0), (54, 4, 1), (39, 4, 2), (4, 4, 3)])
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_accept_at_every_position_of_a_chunk(self, data_seed, size, position, restarts,
+                                                 tmp_path, monkeypatch):
+        train, val = walk_data(data_seed, 160, 10)
+        cfg = FitConfig(learning_rate=2.0, epochs=40, restarts=restarts, seed=data_seed)
+        log = record_chunks(monkeypatch)
+        net = cascade.train_ecnn(train, val, cfg)
+        assert cascade_bytes(net, tmp_path) == \
+            cascade_bytes(oracle_train_ecnn(train, val, cfg), tmp_path)
+        chunks = walk_chunks(net.feature_order, net.accepted_features, walk_cap(train, cfg))
+        assert (size, position) in chunks
+        assert [len(c.neurons) for c in log] == [k for k, _ in chunks]
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_capped_chunks(self, cap, restarts, tmp_path, monkeypatch):
+        train, val = walk_data(4, 160, 10)
+        cfg = FitConfig(learning_rate=2.0, epochs=40, restarts=restarts, seed=4)
+        monkeypatch.setattr(cascade, "STACK_ELEMENTS", cap * train.n_rows * restarts)
+        log = record_chunks(monkeypatch)
+        net = cascade.train_ecnn(train, val, cfg)
+        assert cascade_bytes(net, tmp_path) == \
+            cascade_bytes(oracle_train_ecnn(train, val, cfg), tmp_path)
+        chunks = walk_chunks(net.feature_order, net.accepted_features, cap)
+        assert [len(c.neurons) for c in log] == [k for k, _ in chunks]
+        assert max(k for k, _ in chunks) == cap
+
+    @pytest.mark.parametrize("restarts, data_seed", [(1, 137), (2, 266), (5, 2886)])
+    def test_a_fit_failing_behind_the_accepted_one_is_dropped(self, restarts, data_seed,
+                                                              tmp_path, monkeypatch):
+        train, val = walk_data(data_seed, **BIG)
+        cfg = FitConfig(learning_rate=BIG_RATE, epochs=20, restarts=restarts, seed=data_seed)
+        log = record_chunks(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            net = cascade.train_ecnn(train, val, cfg)
+            want = oracle_train_ecnn(train, val, cfg)
+        assert cascade_bytes(net, tmp_path) == cascade_bytes(want, tmp_path)
+        # a chunk failed where column 2's candidate sat behind the accepted one
+        failed = [c for c in log if c.error is not None]
+        feats = [[nrn.bindings[1][1] for nrn in c.neurons] for c in failed]
+        k = next(k for k, f in enumerate(feats)
+                 if 2 in f and set(f[:f.index(2)]) & set(net.accepted_features))
+        i = feats[k].index(2)
+        alone = outcome(oracle_fit_neuron, failed[k].neurons[i], failed[k].inputs[i],
+                        train.labels, replace(cfg, seed=failed[k].seeds[i]))
+        # with one restart column 2's start weight is the same in every chunk,
+        # and here negative, so its dropped fit only overflows
+        assert alone[0] == ("ok" if restarts == 1 else "raised")
+
+    @pytest.mark.parametrize("restarts, data_seed", [(1, 2), (2, 7), (5, 194)])
+    def test_a_diverging_candidate_the_walk_reaches_raises_the_oracles_error(
+            self, restarts, data_seed, monkeypatch):
+        train, val = walk_data(data_seed, **BIG)
+        cfg = FitConfig(learning_rate=BIG_RATE, epochs=20, restarts=restarts, seed=data_seed)
+        fit, calls = oracle_fit_neuron, []
+
+        def logged_oracle(nrn, inputs, targets, cfg):
+            calls.append((nrn.bindings, cfg.seed))
+            return fit(nrn, inputs, targets, cfg)
+
+        monkeypatch.setitem(globals(), "oracle_fit_neuron", logged_oracle)
+        log = record_chunks(monkeypatch)
+        got = outcome(cascade.train_ecnn, train, val, cfg)
+        assert got == outcome(oracle_train_ecnn, train, val, cfg)
+        assert got[1:] == (TrainingError, "weights diverged to non-finite values")
+        last = log[-1]
+        assert len(last.neurons) == 1 and last.neurons[0].bindings[1] == ("x", 2)
+        assert (last.neurons[0].bindings, last.seeds[0]) == calls[-1]
+        assert any(len(c.neurons) > 1 and c.error is not None for c in log)
 
 
 class TestLayerBatchedGmdh:
@@ -1474,7 +1698,7 @@ class TestStackChunks:
         nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
         want = outcome(oracle_fit_neuron, nrn, U, y, cfg)
         monkeypatch.setattr(neuron, "stack_chunks", chunks_of(k))
-        got = outcome(fit_neuron, nrn, U, y, cfg)
+        got = outcome(fit_one, nrn, U, y, cfg)
         if want[0] == "ok":
             assert got[0] == "ok" and neuron_key(got[1]) == neuron_key(want[1])
         else:

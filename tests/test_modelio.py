@@ -145,6 +145,54 @@ class TestValidation:
         assert message.startswith(f"m.json: {field} ") and "\n" not in message
         assert len(message) < 200, message
 
+    @staticmethod
+    def cascade_bundle():
+        base = SigmoidNeuron((("x", 0),), [0.1, 1.3])
+        n1 = SigmoidNeuron((("x", 0), ("x", 1)), [0.5, -2.0, 1.7])
+        n2 = SigmoidNeuron((("x", 0), ("x", 1), ("z", 0)), [0.0, 0.3, -0.6, 2.2])
+        net = CascadeNetwork(0, (0, 1), (0.3, 0.4), base, 0.3, [n1, n2], [1, 1], [0.2, 0.1])
+        return ModelBundle("ecnn", net, NORM2, ("a", "b"), ("0", "1"))
+
+    @staticmethod
+    def gmdh_bundle():
+        net = PolyNetwork([SupportingNeuron("linear", (("x", 1),), [0.2, -0.9])], 0, [])
+        return ModelBundle("gmdh-roulette", net, NORM2, ("a", "b"), ("0", "1"))
+
+    @staticmethod
+    def pairwise_bundle():
+        tlus = {(0, 1): LinearTest((0,), [0.5, 1.0], 0.9),
+                (0, 2): LinearTest((1,), [-0.5, 2.0], 0.8),
+                (1, 2): LinearTest((0, 1), [0.0, 1.0, -1.0], 0.7)}
+        return ModelBundle("pairwise-dt", PairwiseTree(3, tlus), NORM2, ("a", "b"),
+                           ("p", "q", "r"))
+
+    @pytest.mark.parametrize("make, keys, value, field", [
+        ("gmdh_bundle", ("payload", "neurons", 0, "kind"), "k" * 5000,
+         "gmdh neuron 0: unknown neuron kind"),
+        ("cascade_bundle", ("payload", "neurons", 1, "bindings", 2, 0), "k" * 5000,
+         "ecnn neuron 1: unknown binding kind"),
+        ("pairwise_bundle", ("payload", "tests", 0, "i"), 10**3999,
+         "pairwise-dt tests: need one pairwise unit per class pair"),
+    ], ids=["gmdh kind of 5000 characters", "binding kind of 5000 characters",
+            "pair index of 4000 digits"])
+    def test_huge_value_is_cut_in_a_model_class_error(self, tmp_path, monkeypatch, make, keys,
+                                                      value, field):
+        """The model classes' own checks echo a value as the field readers do:
+        cut, in one line of under 200 characters that names the field."""
+        monkeypatch.chdir(tmp_path)
+        save_model("m.json", getattr(self, make)())
+        doc = json.loads((tmp_path / "m.json").read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError) as info:
+            load_model("m.json")
+        message = str(info.value)
+        assert message.startswith(f"m.json: {field}") and "\n" not in message, message
+        assert len(message) < 200, message
+
     def test_weights_survive_with_full_precision(self, tmp_path):
         w = [[0.1 + 1e-17, -2.0 / 3.0, np.pi], [1e-300, -1e300, 0.1234567890123456789]]
         lm = LinearMachine(np.array(w))

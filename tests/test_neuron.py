@@ -89,28 +89,28 @@ class TestFitNeuron:
         x1 = rng.uniform(0.25, 2, size=30)
         U = np.concatenate([x0, x1])[:, None]
         y = np.concatenate([np.zeros(30), np.ones(30)])
-        fitted = fit_neuron(make_neuron(1), U, y, FitConfig(seed=3))
+        fitted, = fit_neuron([make_neuron(1)], [U], y, [3], FitConfig())
         out = sigmoid(fitted.weights[0] + U[:, 0] * fitted.weights[1])
         assert np.array_equal((out >= 0.5).astype(int), y.astype(int))
 
     def test_single_class_targets_rejected(self):
         U = np.arange(10, dtype=float)[:, None]
         with pytest.raises(TrainingError):
-            fit_neuron(make_neuron(1), U, np.ones(10), FitConfig())
+            fit_neuron([make_neuron(1)], [U], np.ones(10), [0], FitConfig())
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(2)
         U = rng.normal(size=(40, 2))
         y = (U[:, 0] + U[:, 1] > 0).astype(float)
         cfg = FitConfig(restarts=1, seed=123)
-        a = fit_neuron(make_neuron(2), U, y, cfg)
-        b = fit_neuron(make_neuron(2), U, y, cfg)
+        a, = fit_neuron([make_neuron(2)], [U], y, [cfg.seed], cfg)
+        b, = fit_neuron([make_neuron(2)], [U], y, [cfg.seed], cfg)
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_non_finite_inputs_rejected(self):
         U = np.array([[1.0], [np.nan]])
         with pytest.raises(TrainingError):
-            fit_neuron(make_neuron(1), U, np.array([0.0, 1.0]), FitConfig())
+            fit_neuron([make_neuron(1)], [U], np.array([0.0, 1.0]), [0], FitConfig())
 
 
 class TestLeastSquares:

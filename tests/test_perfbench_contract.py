@@ -88,14 +88,26 @@ def test_every_heavy_growth_layer_is_recorded(tmp_path):
     assert unrecorded == [], f"heavy eeg-grow layers never recorded: {unrecorded}"
 
 
-def test_work_counts_match_the_work_done(tmp_path):
+def test_work_counts_match_the_work_done(tmp_path, monkeypatch):
     # A batched kernel can change how often a wrapped function runs without
-    # any layer reading 0. Pin the counts to the work: ecnn walks one
-    # candidate per feature after the anchor, and descends once for the
-    # ranking and once per candidate, one fit_gradient call per epoch each
+    # any layer reading 0. Pin the counts to the work: ecnn's walk fits its
+    # ranked candidates in chunks, one fit_neuron call each, whose sizes follow
+    # from the model's feature order and accepted features. It descends once
+    # for the ranking and once per chunk, one fit_gradient call per epoch each
     # (every stack here is one chunk); fnn calls fnn_gradients once per
     # epoch for all its restarts, and with patience past the last epoch it
     # runs them all.
+    from evonets import cascade
+    from evonets.modelio import load_model
+    from oracles import walk_chunks
+
+    sizes, fit = [], cascade.fit_neuron
+
+    def counted(neurons, *args):
+        sizes.append(len(neurons))
+        return fit(neurons, *args)
+
+    monkeypatch.setattr(cascade, "fit_neuron", counted)
     data = eeg_csv(tmp_path)
     features, epochs, fnn_epochs = 6, 60, 30
     runs = {
@@ -105,8 +117,15 @@ def test_work_counts_match_the_work_done(tmp_path):
                 "--patience", str(fnn_epochs + 1)),
     }
     _, metrics = traced_train(tmp_path, data, runs)
-    assert metrics["cascade.candidates"] == features - 1
-    assert metrics["neuron.gradient_steps"] == epochs * (1 + (features - 1))
+    net = load_model(tmp_path / "ecnn.json").model
+    chunks = walk_chunks(net.feature_order, net.accepted_features, features)
+    dropped = sum(k - pos - 1 for k, pos in chunks if pos is not None)
+    # every candidate after the anchor is fitted once where it is scored, and
+    # once more for each chunk that dropped its fit behind an accepted one
+    assert sizes == [k for k, _ in chunks]
+    assert sum(sizes) == (features - 1) + dropped
+    assert metrics["cascade.candidates"] == len(chunks)
+    assert metrics["neuron.gradient_steps"] == epochs * (1 + len(chunks))
     assert metrics["baseline.fnn_gradients.calls"] == fnn_epochs
 
 
