@@ -38,7 +38,7 @@ def first_lowest(values):
     return best
 
 
-# Every stack of independent descents (fit_neurons' neurons and restarts, GMDH
+# Every stack of independent descents (fit_neuron's neurons and restarts, GMDH
 # candidates, FNN restarts) is descended in chunks whose per-row
 # temporaries hold at most this many float64 elements (256 KiB each), so
 # memory does not grow with --restarts. The elements are independent, so the

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import STACK_ELEMENTS, derive_seed, dot_escape
 from .errors import DataError, TrainingError
-from .neuron import FitConfig, SigmoidNeuron, fit_data, fit_neuron, fit_neurons, sigmoid
+from .neuron import FitConfig, SigmoidNeuron, fit_neuron, sigmoid  # noqa: F401 (perfbench wraps it)
 
 __all__ = [
     "CascadeNetwork", "train_ecnn", "describe_cascade", "cascade_to_dot",
@@ -60,37 +60,29 @@ class CascadeNetwork:
         if X.shape[1] <= needed:
             raise DataError(f"input must provide at least {needed + 1} feature values")
         zs = []
-        for nrn in self.neurons:
-            cols = [X[:, ref] if kind == "x" else zs[ref] for kind, ref in nrn.bindings]
-            U = np.column_stack(cols)
-            zs.append(sigmoid(nrn.weights[0] + U @ nrn.weights[1:]))
-        if zs:
-            return zs[-1]
-        w = self.base_neuron.weights
-        return sigmoid(w[0] + X[:, self.anchor] * w[1])
+        for nrn in self.neurons or [self.base_neuron]:
+            zs.append(nrn.outputs(X, zs))
+        return zs[-1]
 
     def predict_classes(self, X):
         return (self.scores(X) >= self.threshold).astype(int)
 
 
-def _fit_single_features(train, val, cfg):
-    """Fit a one-input neuron on every column and rank the columns by its
-    validation error, ties to the lower index. Returns (feature order,
-    errors in that order, per-column (validation error, fitted neuron)).
+def _error(outputs, val, cfg):
+    """Validation error of a neuron's outputs on the rows of val."""
+    return float(np.mean((outputs >= cfg.decision_threshold).astype(int) != val.labels))
 
-    Column j's neuron is the one fit_neuron gives for that column alone with
-    seed derive_seed(cfg.seed, 0, j); fit_neurons fits all columns together.
-    """
+
+def _fit_single_features(train, val, cfg):
+    """Fit a one-input neuron on every column, column j's with seed
+    derive_seed(cfg.seed, 0, j), and rank the columns by its validation
+    error, ties to the lower index. Returns (feature order, errors in that
+    order, per-column (validation error, fitted neuron))."""
     m = train.n_features
-    # fit_data's checks on each column in turn: column 0 goes through all of
-    # them, and a later column can only add non-finite values
-    fit_data(train.features[:, :1], train.labels, 1)
-    X, y = fit_data(train.features, train.labels, m)
-    W = fit_neurons(np.ascontiguousarray(X.T)[:, :, None], y,
-                    [derive_seed(cfg.seed, 0, j) for j in range(m)], cfg)
-    sv = sigmoid(W[:, :1] + val.features.T * W[:, 1:])
-    errs = np.mean((sv >= cfg.decision_threshold).astype(int) != val.labels, axis=1)
-    singles = [(float(errs[j]), SigmoidNeuron((("x", j),), W[j])) for j in range(m)]
+    neurons = [SigmoidNeuron((("x", j),)) for j in range(m)]
+    fitted = fit_neuron(neurons, [nrn.inputs(train.features) for nrn in neurons],
+                        train.labels, [derive_seed(cfg.seed, 0, j) for j in range(m)], cfg)
+    singles = [(_error(nrn.outputs(val.features), val, cfg), nrn) for nrn in fitted]
     order = tuple(sorted(range(m), key=lambda j: (singles[j][0], j)))
     return order, tuple(singles[j][0] for j in order), singles
 
@@ -125,7 +117,7 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
     # first strict improver; the fits behind it are dropped, and those
     # candidates start the next chunk, seeing the new neuron's output. A chunk
     # starts at one candidate, doubles after a chunk that accepts nothing,
-    # falls back to one after an accept, and is at most one fit_neurons stack.
+    # falls back to one after an accept, and is at most one descent stack.
     # A chunk of several candidates that fails, or meets an overflow or an
     # invalid value, is retried one candidate at a time: a one-candidate step
     # is the sequential walk's step, so an error is raised, and a warning
@@ -138,12 +130,12 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
     while h < len(order):
         feats = order[h:h + min(size, cap)]
         zs = tuple(("z", t) for t in range(len(net.neurons)))
-        U_tr = [np.column_stack([Xtr[:, anchor], Xtr[:, feat]] + ztr) for feat in feats]
+        candidates = [SigmoidNeuron((("x", anchor), ("x", feat)) + zs) for feat in feats]
         strict = {"over": "raise", "invalid": "raise"} if len(feats) > 1 else {}
         try:
             with np.errstate(**strict):
-                fitted = fit_neuron([SigmoidNeuron((("x", anchor), ("x", feat)) + zs)
-                                     for feat in feats], U_tr, train.labels,
+                fitted = fit_neuron(candidates, [nrn.inputs(Xtr, ztr) for nrn in candidates],
+                                    train.labels,
                                     [derive_seed(cfg.seed, 1, h + i) for i in range(len(feats))],
                                     cfg)
         except (DataError, TrainingError, FloatingPointError):
@@ -153,14 +145,13 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
             continue
         size *= 2
         for i, (feat, candidate) in enumerate(zip(feats, fitted)):
-            U_va = np.column_stack([Xva[:, anchor], Xva[:, feat]] + zva)
-            out_va = sigmoid(candidate.weights[0] + U_va @ candidate.weights[1:])
-            c1 = float(np.mean((out_va >= cfg.decision_threshold).astype(int) != val.labels))
+            out_va = candidate.outputs(Xva, zva)
+            c1 = _error(out_va, val, cfg)
             if c1 < incumbent:   # only a strict improvement is accepted
                 net.neurons.append(candidate)
                 net.accepted_features.append(feat)
                 net.accepted_scores.append(c1)
-                ztr.append(sigmoid(candidate.weights[0] + U_tr[i] @ candidate.weights[1:]))
+                ztr.append(candidate.outputs(Xtr, ztr))
                 zva.append(out_va)
                 incumbent = c1
                 size = 1
@@ -204,7 +195,7 @@ def cascade_to_dot(net: CascadeNetwork, feature_names, label_names) -> str:
     lines = ["digraph cascade {", "  rankdir=LR;"]
     for f in net.selected_features:
         lines.append(f'  "x{f}" [label="{dot_escape(feature_names[f])}", shape=box];')
-    neurons = net.neurons if net.neurons else [net.base_neuron]
+    neurons = net.neurons or [net.base_neuron]
     for t, nrn in enumerate(neurons):
         mark = ", peripheries=2" if t == len(neurons) - 1 else ""
         lines.append(f'  "z{t + 1}" [label="z{t + 1}", style=filled, fillcolor=gray80{mark}];')

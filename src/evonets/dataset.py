@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,7 +115,7 @@ class SplitSpec:
 
 # characters of text the reader takes from a file at a time: besides what it
 # keeps, it holds about one block
-_BLOCK = 1 << 20
+_BLOCK = 1 << 16
 
 # characters that loadtxt strips around a number and float() does not
 _FLOAT_BLANKS = "\x1c\x1d\x1e\x1f"
@@ -153,9 +154,10 @@ def parse_rows(path, header, records, columns, label_at, group_at, label_index):
 
     Each row is checked as it is read: its cell count, then its cells in
     order, then its label. The error names the physical line of the file on
-    which the first bad row starts.
+    which the first bad row starts. The cells are kept as packed floats, so
+    the reader holds about twice the feature matrix at its peak.
     """
-    flat, labels, groups = [], [], []
+    flat, labels, groups = array("d"), [], []
     end = records.line_num
     for row in iter(lambda: _next_row(path, records), None):
         lineno, end = end + 1, records.line_num
@@ -184,7 +186,7 @@ def parse_rows(path, header, records, columns, label_at, group_at, label_index):
             groups.append(row[group_at].strip())
     if not labels:
         raise DataError(f"{path}: no data rows")
-    return np.array(flat, dtype=float).reshape(len(labels), len(columns)), labels, groups
+    return np.array(flat).reshape(len(labels), len(columns)), labels, groups
 
 
 def _first_seen(codes):

@@ -100,6 +100,15 @@ class SigmoidNeuron:
     def p(self):
         return len(self.bindings)
 
+    def inputs(self, X, zs=()):
+        """(n, p) input matrix: binding i's column of X, or output in zs."""
+        return np.column_stack([X[:, ref] if kind == "x" else zs[ref]
+                                for kind, ref in self.bindings])
+
+    def outputs(self, X, zs=()):
+        """Sigmoid output on each row of X, as fit_loss scores it."""
+        return _outputs(self.weights, self.inputs(X, zs))
+
 
 def fit_loss(weights, inputs, targets):
     """Mean squared error of the sigmoid output over the rows of `inputs`.
@@ -144,67 +153,54 @@ def _outputs(weights, inputs):
     return sigmoid(s)
 
 
-def fit_data(inputs, targets, p):
-    """The checks on one neuron's training data, in their order; returns the
-    inputs as a C-contiguous (n, p) float matrix, so that a fit's bits do not
-    depend on how its inputs lie in memory, and the targets as floats.
-    fit_neuron runs them on each candidate it fits."""
-    U = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)))
-    y = np.asarray(targets, dtype=float)
-    if U.shape[1] != p:
-        raise DataError(f"expected {p} input columns, got {U.shape[1]}")
-    if U.shape[0] != y.shape[0]:
-        raise DataError("inputs and targets disagree on row count")
-    if U.shape[0] < 2:
-        raise DataError("need at least 2 training rows")
-    if not (np.isfinite(U).all() and np.isfinite(y).all()):
-        raise TrainingError("non-finite values in training data")
-    if np.unique(y).size < 2:
-        raise TrainingError("targets are single-class; nothing to separate")
-    return U, y
-
-
-def fit_neurons(inputs, targets, seeds, cfg: FitConfig):
-    """Fit one neuron per seed by batch gradient descent and return their
-    (len(seeds), p+1) weights. inputs is (n, p), shared by all, or
-    (len(seeds), n, p), one matrix each: float arrays fit_data has checked.
-    Each seed draws its neuron's cfg.restarts starts uniformly in [-0.5, 0.5],
-    and all (neuron, restart) elements descend as one stack, in chunks of at
-    most STACK_ELEMENTS per-row elements, each bit-identical to a descent of
-    its own; any diverged element raises. Each neuron keeps its first restart
-    with the strictly lowest training sum-squared error."""
-    k, r, p = len(seeds), cfg.restarts, inputs.shape[-1]
-    W = np.concatenate([np.random.default_rng(seed).uniform(-0.5, 0.5, size=(r, p + 1))
-                        for seed in seeds])
-    sse = np.empty(k * r)
-    for s in stack_chunks(k * r, targets.shape[0]):   # element e fits neuron e // r
-        w = W[s]
-        U = inputs if inputs.ndim == 2 else inputs[np.arange(s.start, s.stop) // r]
-        for _ in range(cfg.epochs):
-            g = fit_gradient(w, U, targets)
-            g *= cfg.learning_rate
-            w -= g
-        if not np.isfinite(w).all():
-            raise TrainingError("weights diverged to non-finite values")
-        sse[s] = fit_loss(w, U, targets) * targets.shape[0]
-    return W.reshape(k, r, p + 1)[np.arange(k), [first_lowest(e) for e in sse.reshape(k, r)]]
-
-
 def fit_neuron(neurons, inputs, targets, seeds, cfg: FitConfig):
-    """Fit candidate neurons by batch gradient descent, neuron i on inputs[i]
-    with seed seeds[i], and return one fitted SigmoidNeuron per candidate.
+    """Fit candidate neurons, which bind the same number of inputs, by batch
+    gradient descent: neuron i on inputs[i] with seed seeds[i]. Returns one
+    fitted SigmoidNeuron per candidate.
 
-    fit_data checks each candidate's data in turn; then one fit_neurons call
-    descends them all as one stack, so each candidate gets the weights a call
-    with it alone gives. The candidates must bind the same number of inputs.
+    Each candidate's data is checked in turn. Each seed draws cfg.restarts
+    starts uniformly in [-0.5, 0.5]; all (neuron, restart) elements descend
+    as one stack, in chunks of at most STACK_ELEMENTS per-row elements, on
+    C-contiguous copies of the inputs, so each candidate gets the bits a call
+    with it alone gives. Any diverged element raises. Each neuron keeps its
+    first restart with the strictly lowest training sum-squared error.
     """
     if not len(neurons) == len(inputs) == len(seeds) > 0 \
             or len({nrn.p for nrn in neurons}) > 1:
         raise DataError("need one input matrix and one seed per candidate, "
                         "and candidates that bind the same number of inputs")
-    checked = [fit_data(U, targets, nrn.p) for nrn, U in zip(neurons, inputs)]
-    W = fit_neurons(np.stack([U for U, _ in checked]), checked[0][1], seeds, cfg)
-    return [SigmoidNeuron(nrn.bindings, w) for nrn, w in zip(neurons, W)]
+    y = np.asarray(targets, dtype=float)
+    stack = []
+    for nrn, U in zip(neurons, inputs):
+        U = np.ascontiguousarray(np.atleast_2d(np.asarray(U, dtype=float)))
+        if U.shape[1] != nrn.p:
+            raise DataError(f"expected {nrn.p} input columns, got {U.shape[1]}")
+        if U.shape[0] != y.shape[0]:
+            raise DataError("inputs and targets disagree on row count")
+        if U.shape[0] < 2:
+            raise DataError("need at least 2 training rows")
+        if not (np.isfinite(U).all() and np.isfinite(y).all()):
+            raise TrainingError("non-finite values in training data")
+        if np.unique(y).size < 2:
+            raise TrainingError("targets are single-class; nothing to separate")
+        stack.append(U)
+    stack = np.stack(stack)
+    k, r, p = len(seeds), cfg.restarts, neurons[0].p
+    W = np.concatenate([np.random.default_rng(seed).uniform(-0.5, 0.5, size=(r, p + 1))
+                        for seed in seeds])
+    sse = np.empty(k * r)
+    for s in stack_chunks(k * r, y.shape[0]):   # element e fits neuron e // r
+        w = W[s]
+        U = stack[np.arange(s.start, s.stop) // r]
+        for _ in range(cfg.epochs):
+            g = fit_gradient(w, U, y)
+            g *= cfg.learning_rate
+            w -= g
+        if not np.isfinite(w).all():
+            raise TrainingError("weights diverged to non-finite values")
+        sse[s] = fit_loss(w, U, y) * y.shape[0]
+    best = W.reshape(k, r, p + 1)[np.arange(k), [first_lowest(e) for e in sse.reshape(k, r)]]
+    return [SigmoidNeuron(nrn.bindings, w) for nrn, w in zip(neurons, best)]
 
 
 def least_squares_fit(design, targets):

@@ -587,13 +587,23 @@ class TestBlocks:
         assert err.count("\n") == 1 and "late.csv: not valid UTF-8 (byte 0xe9" in err, err
 
 
-def test_peak_memory_is_bounded_by_the_feature_matrix(tmp_path):
+@pytest.mark.parametrize("quoted", [False, True])
+def test_peak_memory_is_bounded_by_the_feature_matrix(tmp_path, monkeypatch, quoted):
     """Reading a 12000 x 73 table (72 features and the label) holds at most
-    2.5 times its float matrix at its peak: the matrix's blocks, the matrix
-    they are joined into, and one block of text."""
+    2.5 times its float matrix at its peak: on a clean file the matrix's
+    blocks, the matrix they are joined into, and one block of text; with
+    quoted labels parse_rows' packed cells and the matrix made of them."""
     ds, _ = gen_surrogate_eeg(12000, relevant=4, irrelevant=68, seed=3)
     path = tmp_path / "eeg.csv"
     save_csv(ds, path)
+    if quoted:   # the label is each line's last cell
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:1] + [f'{head},"{label}"' for head, _, label in
+                                               (line.rpartition(",") for line in lines[1:])])
+                        + "\n", encoding="utf-8")
+    calls = []
+    fallback = dataset.parse_rows
+    monkeypatch.setattr(dataset, "parse_rows", lambda *args: calls.append(1) or fallback(*args))
 
     def locate(header):
         return [i for i, h in enumerate(header) if h != "y"], header.index("y"), None
@@ -605,4 +615,5 @@ def test_peak_memory_is_bounded_by_the_feature_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert X.tobytes() == ds.features.tobytes()
+    assert bool(calls) == quoted
     assert peak <= 2.5 * X.nbytes, (peak, X.nbytes)

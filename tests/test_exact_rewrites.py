@@ -42,7 +42,7 @@ to inf, and matches the oracle everywhere else.
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -63,8 +63,8 @@ from evonets.gmdh import (KINDS, GmdhConfig, PolyNetwork, SupportingNeuron, _bas
 from evonets.linear import LinearMachine, PocketState, train_pocket_ratchet
 from evonets.modelio import ModelBundle, save_model
 from evonets.neuron import (SIGMOID_CLAMP, FitConfig, SigmoidNeuron, exterior_criterion,
-                            fit_gradient, fit_loss, fit_neuron, fit_neurons,
-                            least_squares_fit, sigmoid)
+                            fit_gradient, fit_loss, fit_neuron, least_squares_fit,
+                            sigmoid)
 from evonets.ruletree import RuleNode, RuleTree, extract_rules, search_threshold
 from oracles import classify_rule, walk_chunks
 
@@ -1234,6 +1234,28 @@ def cascade_bytes(net, tmp_path):
     return path.read_bytes()
 
 
+class TestBaseNeuronScores:
+    """A cascade without accepted neurons scores through its base neuron's
+    SigmoidNeuron.outputs, a matmul with an inner dimension of 1, where it
+    once took sigmoid(w[0] + X[:, anchor] * w[1]). The two sums can differ
+    only in the sign of a zero, and the sigmoid maps either zero to 0.5."""
+
+    def test_signed_zeros(self):
+        column = np.array([0.0, -0.0, 1.5, -2.0, 5e-324, -1e300, np.inf])
+        X = np.column_stack([np.full(column.size, 7.0), column])
+        signs_differ = False
+        for w in product([0.0, -0.0, 0.75, -3.0], repeat=2):
+            w = np.array(w)
+            net = CascadeNetwork(anchor=1, feature_order=(1, 0), single_errors=(0.1, 0.2),
+                                 base_neuron=SigmoidNeuron((("x", 1),), w), base_score=0.1)
+            with np.errstate(invalid="ignore"):
+                former = w[0] + X[:, 1] * w[1]
+                now = w[0] + X[:, [1]] @ w[1:]
+                assert net.scores(X).tobytes() == oracle_sigmoid(former).tobytes()
+            signs_differ |= (np.signbit(former) != np.signbit(now)).any()
+        assert signs_differ   # some zero sum does carry another sign
+
+
 class TestStackedModels:
     """Whole models trained through the stacked fits against the same models
     trained through the per-fit oracles."""
@@ -1291,10 +1313,13 @@ class Chunk(NamedTuple):
 
 
 def record_chunks(monkeypatch):
-    """Log each call the walk makes to fit_neuron as a Chunk."""
+    """Log each call the walk makes to fit_neuron as a Chunk; the ranking's
+    call, which fits one-input neurons, is left out."""
     log, fit = [], cascade.fit_neuron
 
     def logged(neurons, inputs, targets, seeds, cfg):
+        if neurons[0].p == 1:
+            return fit(neurons, inputs, targets, seeds, cfg)
         try:
             fitted = fit(neurons, inputs, targets, seeds, cfg)
         except (DataError, TrainingError, FloatingPointError) as exc:
@@ -1706,21 +1731,21 @@ class TestStackChunks:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("scale, rate", [(1.0, 2.0), (1e300, 1e30)])
-    def test_fit_neurons_one_input_matrix_each(self, k, scale, rate, monkeypatch):
+    def test_fit_neuron_one_input_matrix_each(self, k, scale, rate, monkeypatch):
         # three neurons of three inputs each, as a chunked cascade walk would
         # fit its candidates: each matches its own oracle fit
         U, y = descent_problem(14, 31, 9, scale)
-        inputs = np.stack([U[:, 3 * i:3 * i + 3] for i in range(3)])
+        inputs = [U[:, 3 * i:3 * i + 3] for i in range(3)]
         seeds = [derive_seed(6, 1, h) for h in range(3)]
         cfg = FitConfig(learning_rate=rate, epochs=10, restarts=3, seed=6)
         nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
-        want = [outcome(oracle_fit_neuron, nrn, inputs[i], y, replace(cfg, seed=seed))
-                for i, seed in enumerate(seeds)]
+        want = [outcome(oracle_fit_neuron, nrn, np.ascontiguousarray(inputs[i]), y,
+                        replace(cfg, seed=seed)) for i, seed in enumerate(seeds)]
         monkeypatch.setattr(neuron, "stack_chunks", chunks_of(k))
-        got = outcome(fit_neurons, inputs, y, seeds, cfg)
+        got = outcome(fit_neuron, [nrn] * 3, inputs, y, seeds, cfg)
         if all(w[0] == "ok" for w in want):
             assert got[0] == "ok"
-            assert got[1].tobytes() == np.stack([w[1].weights for w in want]).tobytes()
+            assert [neuron_key(g) for g in got[1]] == [neuron_key(w[1]) for w in want]
         else:
             assert got == next(w for w in want if w[0] != "ok")
 

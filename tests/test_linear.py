@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evonets import linear
 from evonets._util import derive_seed
 from evonets.dataset import Dataset, SplitSpec, gen_blobs, split
 from evonets.errors import DataError
@@ -268,6 +269,70 @@ class TestInduceDt:
         ds = informative_pair_dataset(8, n=150, noise=6)
         test = induce_dt(ds, ds, replace(QUICK, max_features=2, attempts=6, seed=10))
         assert len(test.features) <= 2
+
+    @staticmethod
+    def coins(monkeypatch, ds, cfg):
+        """Run induce_dt and return the coins its generator drew, and one
+        (attempt, rank, coins drawn so far, accuracy) per candidate it fitted."""
+        drawn, fits = [0], []
+        make, coin_seed = np.random.default_rng, derive_seed(cfg.seed, 1)
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self):
+                drawn[0] += 1
+                return self.rng.random()
+
+        keys = {derive_seed(cfg.seed, 2, a, r): (a, r)
+                for a in range(cfg.attempts) for r in range(ds.n_features)}
+        fit = linear._fit_test
+
+        def logged(train, val, feats, cfg, seed):
+            cand = fit(train, val, feats, cfg, seed)
+            if seed in keys:   # not a single-feature test
+                fits.append(keys[seed] + (drawn[0], cand.accuracy))
+            return cand
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: (
+            Counted(make(seed)) if seed == coin_seed else make(seed)))
+        monkeypatch.setattr(linear, "_fit_test", logged)
+        induce_dt(ds, ds, cfg)
+        return drawn[0], fits
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("attempts", [1, 3, 6])
+    def test_every_attempt_draws_one_coin_per_feature(self, monkeypatch, seed, attempts):
+        # without a feature cap no scan stops early: attempt a draws coins
+        # a*m .. (a+1)*m - 1, the one for rank r when it reaches r
+        ds = informative_pair_dataset(seed, n=120, noise=4)
+        m = ds.n_features
+        drawn, fits = self.coins(monkeypatch, ds, replace(QUICK, attempts=attempts, seed=seed))
+        assert drawn == attempts * m
+        assert fits and all(so_far == a * m + r + 1 for a, r, so_far, _ in fits)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_feature_cap_makes_the_coins_depend_on_accepts(self, monkeypatch, seed):
+        # with a cap of two features, a scan stops after its second accepted
+        # candidate, so each attempt draws up to that candidate's coin
+        rng = np.random.default_rng(seed)   # noise: the accepts fall anywhere
+        ds = Dataset(rng.normal(size=(120, 6)), rng.integers(0, 2, 120),
+                     tuple(f"f{j}" for j in range(6)), 2)
+        m, attempts, cap = ds.n_features, 6, 2
+        drawn, fits = self.coins(monkeypatch, ds,
+                                 replace(QUICK, attempts=attempts, max_features=cap, seed=seed))
+        stops = []
+        for a in range(attempts):
+            accepted, best, stop = 0, 0.0, m
+            for r, acc in [(r, acc) for a_, r, _, acc in fits if a_ == a]:
+                if acc > best:
+                    accepted, best = accepted + 1, acc
+                    if accepted == cap:
+                        stop = r + 1
+                        break
+            stops.append(stop)
+        assert drawn == sum(stops) < attempts * m
 
 
 class TestPairwiseTree:

@@ -90,10 +90,11 @@ def test_every_heavy_growth_layer_is_recorded(tmp_path):
 
 def test_work_counts_match_the_work_done(tmp_path, monkeypatch):
     # A batched kernel can change how often a wrapped function runs without
-    # any layer reading 0. Pin the counts to the work: ecnn's walk fits its
-    # ranked candidates in chunks, one fit_neuron call each, whose sizes follow
-    # from the model's feature order and accepted features. It descends once
-    # for the ranking and once per chunk, one fit_gradient call per epoch each
+    # any layer reading 0. Pin the counts to the work: ecnn ranks the features
+    # with one fit_neuron call of one neuron per feature, then its walk fits
+    # the ranked candidates in chunks, one fit_neuron call each, whose sizes
+    # follow from the model's feature order and accepted features. It descends
+    # once for the ranking and once per chunk, one fit_gradient call per epoch each
     # (every stack here is one chunk); fnn calls fnn_gradients once per
     # epoch for all its restarts, and with patience past the last epoch it
     # runs them all.
@@ -122,8 +123,8 @@ def test_work_counts_match_the_work_done(tmp_path, monkeypatch):
     dropped = sum(k - pos - 1 for k, pos in chunks if pos is not None)
     # every candidate after the anchor is fitted once where it is scored, and
     # once more for each chunk that dropped its fit behind an accepted one
-    assert sizes == [k for k, _ in chunks]
-    assert sum(sizes) == (features - 1) + dropped
+    assert sizes == [features] + [k for k, _ in chunks]
+    assert sum(sizes[1:]) == (features - 1) + dropped
     assert metrics["cascade.candidates"] == len(chunks)
     assert metrics["neuron.gradient_steps"] == epochs * (1 + len(chunks))
     assert metrics["baseline.fnn_gradients.calls"] == fnn_epochs

@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(evonets.__path__))
 REMOVED = {
     "baseline": ["TrainingCurve", "PcaTransform", "pca_fit", "predict_fnn", "fnn_loss"],
     "neuron": ["classification_error", "sigmoid_out", "CandidateScore", "SCORE_KINDS",
-               "descend", "replace_weights"],
+               "descend", "replace_weights", "fit_neurons", "fit_data"],
     "dataset": ["xor_label"],
     "cascade": ["predict_cascade", "rank_single_features", "relevance_check"],
     "gmdh": ["predict_poly", "eval_supporting_neuron"],
@@ -40,6 +42,25 @@ def test_removed_name_is_not_importable(module, name):
     assert not hasattr(importlib.import_module(f"evonets.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from evonets import {name}", {})
+
+
+# every `module.name` in README.md whose module is an evonets module
+README_NAMES = sorted({ref for ref in re.findall(
+    r"`(\w+\.[\w.]+)`", (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"))
+    if ref.split(".")[0] in MODULES})
+
+
+@pytest.mark.parametrize("ref", README_NAMES)
+def test_readme_names_resolve(ref):
+    module, *path = ref.split(".")
+    owner = importlib.import_module(f"evonets.{module}")
+    for name in path:
+        assert hasattr(owner, name), f"README.md names {ref}, which does not exist"
+        owner = getattr(owner, name)
+
+
+def test_readme_names_are_found():
+    assert len(README_NAMES) >= 10 and "neuron.fit_neuron" in README_NAMES
 
 
 @pytest.mark.parametrize("cls,name", REMOVED_METHODS)
