@@ -1,8 +1,13 @@
 """Small shared helpers: deterministic seed derivation, input augmentation,
-the restart pick, the chunking of descent stacks, DOT name quoting and the
-bounded repr that error messages echo."""
+the restart pick, the chunking of descent stacks, the in-order rule of a
+stacked fit, DOT name quoting and the bounded repr that error messages
+echo."""
+
+from contextlib import suppress
 
 import numpy as np
+
+from .errors import DataError, TrainingError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -52,6 +57,28 @@ def stack_chunks(count, per_element):
     one)."""
     step = max(1, STACK_ELEMENTS // max(1, per_element))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def in_order(fit, count):
+    """Yield the results of fit(range(count)) in order, as a loop fitting one
+    item at a time gives them, errors and warnings included.
+
+    fit(ks) fits the items ks as one stack and returns a list of their
+    results in the order of ks, each the result of fitting that item alone.
+    A stack of more than one item is fitted with floating-point overflow and
+    invalid values raised. When it fails that way, or with a DataError or
+    TrainingError, each item is fitted alone, as it is reached, under the
+    caller's floating-point settings: an error is raised, and a warning
+    shown, only for an item the one-at-a-time loop fits, after every earlier
+    item has been yielded, and no item after the consumer stops is fitted.
+    """
+    stack = None
+    if count > 1:
+        with suppress(DataError, TrainingError, FloatingPointError), \
+                np.errstate(over="raise", invalid="raise"):
+            stack = fit(range(count))
+    for k in range(count):
+        yield from fit(range(k, k + 1)) if stack is None else stack[k:k + 1]
 
 
 def shown(value):

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import STACK_ELEMENTS, derive_seed, dot_escape
-from .errors import DataError, TrainingError
+from ._util import STACK_ELEMENTS, derive_seed, dot_escape, in_order
+from .errors import DataError
 from .neuron import FitConfig, SigmoidNeuron, fit_neuron, sigmoid  # noqa: F401 (perfbench wraps it)
 
 __all__ = [
@@ -79,10 +79,13 @@ def _fit_single_features(train, val, cfg):
     error, ties to the lower index. Returns (feature order, errors in that
     order, per-column (validation error, fitted neuron))."""
     m = train.n_features
-    neurons = [SigmoidNeuron((("x", j),)) for j in range(m)]
-    fitted = fit_neuron(neurons, [nrn.inputs(train.features) for nrn in neurons],
-                        train.labels, [derive_seed(cfg.seed, 0, j) for j in range(m)], cfg)
-    singles = [(_error(nrn.outputs(val.features), val, cfg), nrn) for nrn in fitted]
+
+    def fit(ks):
+        neurons = [SigmoidNeuron((("x", j),)) for j in ks]
+        return fit_neuron(neurons, [nrn.inputs(train.features) for nrn in neurons], train.labels,
+                          [derive_seed(cfg.seed, 0, j) for j in ks], cfg)
+
+    singles = [(_error(nrn.outputs(val.features), val, cfg), nrn) for nrn in in_order(fit, m)]
     order = tuple(sorted(range(m), key=lambda j: (singles[j][0], j)))
     return order, tuple(singles[j][0] for j in order), singles
 
@@ -113,15 +116,12 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
         base_neuron=base_neuron, base_score=base_err, threshold=cfg.decision_threshold,
     )
 
-    # The walk fits the next ranked candidates as one stack and accepts the
-    # first strict improver; the fits behind it are dropped, and those
-    # candidates start the next chunk, seeing the new neuron's output. A chunk
-    # starts at one candidate, doubles after a chunk that accepts nothing,
-    # falls back to one after an accept, and is at most one descent stack.
-    # A chunk of several candidates that fails, or meets an overflow or an
-    # invalid value, is retried one candidate at a time: a one-candidate step
-    # is the sequential walk's step, so an error is raised, and a warning
-    # shown, only for a fit that walk makes.
+    # The walk fits the next ranked candidates as one stack, in order
+    # (_util.in_order), and accepts the first strict improver; the fits behind
+    # it are dropped, and those candidates start the next chunk, seeing the
+    # new neuron's output. A chunk starts at one candidate, doubles after a
+    # chunk that accepts nothing, falls back to one after an accept, and is at
+    # most one descent stack.
     Xtr, Xva = train.features, val.features
     ztr, zva = [], []
     incumbent = base_err
@@ -130,21 +130,14 @@ def train_ecnn(train, val, cfg: FitConfig = FitConfig()) -> CascadeNetwork:
     while h < len(order):
         feats = order[h:h + min(size, cap)]
         zs = tuple(("z", t) for t in range(len(net.neurons)))
-        candidates = [SigmoidNeuron((("x", anchor), ("x", feat)) + zs) for feat in feats]
-        strict = {"over": "raise", "invalid": "raise"} if len(feats) > 1 else {}
-        try:
-            with np.errstate(**strict):
-                fitted = fit_neuron(candidates, [nrn.inputs(Xtr, ztr) for nrn in candidates],
-                                    train.labels,
-                                    [derive_seed(cfg.seed, 1, h + i) for i in range(len(feats))],
-                                    cfg)
-        except (DataError, TrainingError, FloatingPointError):
-            if len(feats) == 1:
-                raise
-            size = 1
-            continue
+
+        def fit(ks):
+            candidates = [SigmoidNeuron((("x", anchor), ("x", feats[i])) + zs) for i in ks]
+            return fit_neuron(candidates, [nrn.inputs(Xtr, ztr) for nrn in candidates],
+                              train.labels, [derive_seed(cfg.seed, 1, h + i) for i in ks], cfg)
+
         size *= 2
-        for i, (feat, candidate) in enumerate(zip(feats, fitted)):
+        for i, (feat, candidate) in enumerate(zip(feats, in_order(fit, len(feats)))):
             out_va = candidate.outputs(Xva, zva)
             c1 = _error(out_va, val, cfg)
             if c1 < incumbent:   # only a strict improvement is accepted
@@ -182,11 +175,10 @@ def describe_cascade(net: CascadeNetwork, feature_names, label_names) -> str:
         mark = " (= y)" if is_output else ""
         return f"{tag}{mark}: {inputs} -> {acc:.4f}  [{strengths}]"
 
-    if not net.neurons:
-        return fmt("z1", net.base_neuron, 1.0 - net.base_score, True)
-    lines = [fmt(f"z{t + 1}", nrn, 1.0 - err, t == len(net.neurons) - 1)
-             for t, (nrn, err) in enumerate(zip(net.neurons, net.accepted_scores))]
-    return "\n".join(lines)
+    neurons = net.neurons or [net.base_neuron]
+    scores = net.accepted_scores or [net.base_score]
+    return "\n".join(fmt(f"z{t + 1}", nrn, 1.0 - err, t == len(neurons) - 1)
+                     for t, (nrn, err) in enumerate(zip(neurons, scores)))
 
 
 def cascade_to_dot(net: CascadeNetwork, feature_names, label_names) -> str:

@@ -268,8 +268,11 @@ def cmd_train(args):
     tr_raw, va_raw = split(ds, SplitSpec(fractions, seed=args.seed, stratified=not args.no_stratify))
 
     tr, norm = normalize_zscore(tr_raw)
-    va = norm.apply_dataset(va_raw)
-    full = norm.apply_dataset(ds)
+    with np.errstate(over="ignore"):
+        va = norm.apply_dataset(va_raw)
+        full = norm.apply_dataset(ds)
+    if not np.isfinite(full.features).all():
+        raise DataError(f"{args.data}: its normalization overflows on some rows")
 
     model, config = TRAINERS[args.method].fit(args, tr, va, ds)
     pair_lines = [(i, j, 1.0 - t.accuracy, len(t.features))

@@ -341,12 +341,17 @@ def normalize_zscore(ds: Dataset):
 
     Returns the transformed dataset and the NormParams needed to apply the
     same transform to unseen data. Uses the population (divide-by-n)
-    standard deviation.
+    standard deviation. A column whose mean or standard deviation overflows
+    a float is refused, naming it.
     """
     if ds.n_rows < 2:
         raise DataError("normalization needs at least 2 rows")
-    mean = ds.features.mean(axis=0)
-    sd = ds.features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ds.features.mean(axis=0)
+        sd = ds.features.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    if bad.size:
+        raise DataError(f"column '{ds.feature_names[bad[0]]}': its mean or sd overflows a float")
     sd = np.where(sd > 0, sd, 1.0)
     params = NormParams(mean, sd)
     return params.apply_dataset(ds), params

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._util import derive_seed, dot_escape, first_lowest, shown, stack_chunks
+from ._util import derive_seed, dot_escape, first_lowest, in_order, shown, stack_chunks
 from .errors import DataError, TrainingError
 from .neuron import check_descent, exterior_criterion, least_squares_fit
 
@@ -227,26 +227,17 @@ CHUNK = 128
 
 def _candidates(kind, refs, keys, layer, XA, XB, outsA, outsB, yA, cfg):
     """Fit one neuron per entry of refs on the fitting subset A, keyed as
-    for _fit_weights, all as one stack; yields each (neuron, its output on
-    A, its output on B) in order. outsA/outsB hold the outputs of the
-    neurons "n" refers to.
+    for _fit_weights, as one stack; yields each (neuron, its output on B) in
+    the order of refs, and raises a failed fit where fitting one candidate at
+    a time would (_util.in_order). outsA/outsB hold the outputs of the
+    neurons "n" refers to."""
+    def fit(ks):
+        rs = [refs[k] for k in ks]
+        W = _fit_weights(_basis(kind, _columns(rs, XA, outsA)), yA, cfg, [keys[k] for k in ks])
+        OB = (_basis(kind, _columns(rs, XB, outsB)) @ W[..., None])[..., 0]
+        return [(SupportingNeuron(kind, r, w, layer=layer), outB) for r, w, outB in zip(rs, W, OB)]
 
-    A failed fit is raised where fitting one candidate at a time would raise
-    it: after every earlier candidate has been yielded.
-    """
-    BA = _basis(kind, _columns(refs, XA, outsA))
-    try:
-        W = _fit_weights(BA, yA, cfg, keys)
-    except (DataError, TrainingError):
-        if len(refs) == 1:
-            raise
-        for r, key in zip(refs, keys):
-            yield from _candidates(kind, [r], [key], layer, XA, XB, outsA, outsB, yA, cfg)
-        return
-    OA = (BA @ W[..., None])[..., 0]
-    OB = (_basis(kind, _columns(refs, XB, outsB)) @ W[..., None])[..., 0]
-    for r, w, outA, outB in zip(refs, W, OA, OB):
-        yield SupportingNeuron(kind, r, w, layer=layer), outA, outB
+    return in_order(fit, len(refs))
 
 
 def _subsets(train, val):
@@ -293,7 +284,7 @@ def train_gmdh_layered(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwor
             ids = range(start, min(start + CHUNK, len(pairs)))
             fitted = _candidates(cfg.kind, pairs[start:ids.stop], [(layer, ci) for ci in ids],
                                  layer, XA, XB, outsA, outsB, yA, cfg)
-            for ci, (nrn, _, outB) in zip(ids, fitted):
+            for ci, (nrn, outB) in zip(ids, fitted):
                 nrn.criterion = exterior_criterion(outB, yB)
                 candidates.append((ci, nrn))
 
@@ -331,22 +322,22 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
     pool = []  # accuracy per pool member; member k is neurons[k], and
     #            members below m stand in for the raw features themselves
 
-    def offer(nrn, outA, outB, to_beat):
-        """Add a fitted candidate to the pool if its accuracy beats to_beat."""
+    def offer(nrn, outB, to_beat):
+        """Add a fitted candidate, given its output on B, to the pool if its
+        accuracy beats to_beat."""
         acc = float(np.mean((outB >= 0.5).astype(int) == val.labels))
         if acc > to_beat:
             nrn.accuracy = acc
             neurons.append(nrn)
-            outsA.append(outA)
+            outsA.append(_output(nrn, XA, outsA))
             outsB.append(outB)
             pool.append(acc)
 
     # one-input neurons on every feature, fitted as one stack; every accuracy
     # beats -1, so each feature joins the pool
-    for nrn, outA, outB in _candidates("linear", [(("x", i),) for i in range(m)],
-                                       [(0, i) for i in range(m)], 1,
-                                       XA, XB, outsA, outsB, yA, cfg):
-        offer(nrn, outA, outB, -1.0)
+    for nrn, outB in _candidates("linear", [(("x", i),) for i in range(m)],
+                                 [(0, i) for i in range(m)], 1, XA, XB, outsA, outsB, yA, cfg):
+        offer(nrn, outB, -1.0)
 
     rng = np.random.default_rng(derive_seed(cfg.seed, 1))
 
@@ -357,12 +348,12 @@ def train_gmdh_roulette(train, val, cfg: GmdhConfig = GmdhConfig()) -> PolyNetwo
             i = int(rng.choice(len(pool), p=probs))
             j = int(rng.choice(len(pool), p=probs))
             if i != j:
-                nrn, outA, outB = next(_candidates(
+                nrn, outB = next(_candidates(
                     cfg.kind, [tuple(("x", p) if p < m else ("n", p) for p in (i, j))],
                     [(2, attempt)], 1 + max(neurons[i].layer, neurons[j].layer),
                     XA, XB, outsA, outsB, yA, cfg))
                 nrn.survivor = True
-                offer(nrn, outA, outB, max(pool[i], pool[j]))
+                offer(nrn, outB, max(pool[i], pool[j]))
                 break
 
     output = int(np.argmax(pool))

@@ -240,6 +240,20 @@ class TestDescription:
         assert "0.8500" in describe_cascade(net, NAMES, LABELS).splitlines()[0]
         assert "0.9000" in describe_cascade(net, NAMES, LABELS).splitlines()[1]
 
+    def test_texts(self):
+        # a base-only cascade prints its base neuron as the output, the way a
+        # grown one prints its last neuron
+        net = two_neuron_fixture()
+        base_only = replace(net, neurons=[], accepted_features=[], accepted_scores=[],
+                            base_neuron=SigmoidNeuron((("x", 0),), [-0.25, 1.5]))
+        assert describe_cascade(base_only, NAMES, LABELS) == \
+            "z1 (= y): AbsPowBeta2 -> 0.8000  [bias=-0.2500, AbsPowBeta2=1.5000]"
+        assert describe_cascade(net, NAMES, LABELS) == (
+            "z1: AbsPowBeta2 & AbsPowAlphaC4 -> 0.8500  "
+            "[bias=0.0000, AbsPowBeta2=2.0000, AbsPowAlphaC4=1.0000]\n"
+            "z2 (= y): z1 & AbsPowBeta2 & AbsPowDeltaC3 -> 0.9000  "
+            "[bias=0.1000, z1=3.0000, AbsPowBeta2=-1.0000, AbsPowDeltaC3=0.5000]")
+
     def test_dot_contains_all_nodes(self):
         net = two_neuron_fixture()
         dot = cascade_to_dot(net, NAMES, LABELS)

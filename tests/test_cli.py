@@ -633,6 +633,45 @@ class TestDescentDivergence:
         assert not out.exists()
 
 
+def zscore_overflow_csv(path, shape):
+    """A 60-row table of columns a, b and c whose z-scoring overflows: with
+    shape "column", c alternates +-1.7e308, so its fit rows' mean and sd
+    overflow; with shape "cell", c is small save one 1.7e308 cell in a row
+    that the default split makes a validation row, where its z-score is inf."""
+    rng = np.random.default_rng(5)
+    y = np.arange(60) % 2
+    X = np.column_stack([y + rng.normal(0, 0.5, 60), rng.normal(0, 1, 60),
+                         rng.uniform(-0.05, 0.05, 60)])
+    if shape == "column":
+        X[:, 2] = np.where(np.arange(60) % 3, 1.7e308, -1.7e308)
+    else:
+        ds = Dataset(X, y, ("a", "b", "c"), 2)
+        _, va = split(ds, SplitSpec((2 / 3, 1 / 3), stratified=True))
+        X[int(np.flatnonzero((X == va.features[0]).all(axis=1))[0]), 2] = 1.7e308
+    save_csv(Dataset(X, y, ("a", "b", "c"), 2), path)
+    return path
+
+
+class TestZscoreOverflowOnTrain:
+    """Data whose z-scoring overflows is refused before any method trains: exit
+    2, one line, no model file, and no numpy warning."""
+
+    @pytest.mark.parametrize("method", ["ecnn", "gmdh-layered", "gmdh-roulette", "lm",
+                                        "pairwise-dt", "ruletree", "fnn"])
+    @pytest.mark.parametrize("shape", ["column", "cell"])
+    def test_refused(self, method, shape, tmp_path, capsys):
+        data = zscore_overflow_csv(tmp_path / "big.csv", shape)
+        out = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("train", "--method", method, "--data", str(data),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", (
+            "data error: column 'c': its mean or sd overflows a float\n" if shape == "column"
+            else f"data error: {data}: its normalization overflows on some rows\n"))
+        assert not out.exists()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("method,extra", [
         ("ecnn", ("--epochs", "60", "--restarts", "1")),

@@ -1,5 +1,6 @@
 """Dataset container, CSV ingestion, normalization, splits, and generators."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,6 +132,16 @@ class TestNormalize:
             out, _ = normalize_zscore(ds)
             assert np.abs(out.features.mean(axis=0)).max() < 1e-9
             assert np.abs(out.features.std(axis=0) - 1).max() < 1e-9
+
+    @pytest.mark.parametrize("column", [[1.7e308, -1.7e308, 1.7e308],
+                                        [1.7e308, 1.7e308, 1.7e308],
+                                        [1.7e308, 0.0, -1.7e308]])
+    def test_overflowing_column_refused_by_name(self, column):
+        ds = Dataset(np.column_stack([[1.0, 2.0, 3.0], column]), [0, 1, 0], ("a", "b"), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^column 'b': its mean or sd overflows a float$"):
+                normalize_zscore(ds)
 
     def test_too_few_rows(self):
         ds = Dataset(np.array([[1.0]]), [0], ("a",), 2)

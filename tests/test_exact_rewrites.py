@@ -51,7 +51,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evonets import baseline, cascade, gmdh, neuron
-from evonets._util import STACK_ELEMENTS, derive_seed, stack_chunks
+from evonets._util import STACK_ELEMENTS, derive_seed, in_order, stack_chunks
 from evonets.baseline import FnnConfig, FnnModel, _targets, train_fnn
 from evonets.cascade import CascadeNetwork
 from evonets.dataset import (Dataset, NormParams, SplitSpec, gen_blobs, gen_surrogate_eeg,
@@ -1336,6 +1336,71 @@ def walk_cap(train, cfg):
     return STACK_ELEMENTS // (train.n_rows * cfg.restarts)
 
 
+def logged_fit(fails):
+    """A fit for in_order that logs the items of each call and gives item k
+    as 10 * k; a stack holding an item of `fails` fails as it says, and so
+    does such an item fitted alone, unless its failure is "overflow", which
+    only overflows."""
+    calls = []
+
+    def fit(ks):
+        calls.append(list(ks))
+        for k in ks:
+            if fails.get(k) == "error":
+                raise TrainingError(f"item {k} failed")
+            if fails.get(k) == "overflow":
+                np.float64(1e308) * 10.0
+        return [10 * k for k in ks]
+
+    return fit, calls
+
+
+class TestInOrder:
+    """`_util.in_order`, the rule every stacked fit follows: the results and
+    the errors of fitting one item at a time, in order."""
+
+    def test_a_stack_that_fits_is_fitted_once(self):
+        fit, calls = logged_fit({})
+        assert list(in_order(fit, 4)) == [0, 10, 20, 30]
+        assert calls == [[0, 1, 2, 3]]
+
+    def test_earlier_items_are_yielded_then_the_failing_one_raises(self):
+        fit, calls = logged_fit({2: "error", 3: "error"})
+        got = []
+        with pytest.raises(TrainingError, match="item 2 failed"):
+            for result in in_order(fit, 4):
+                got.append(result)
+        assert got == [0, 10]
+        assert calls == [[0, 1, 2, 3], [0], [1], [2]]
+
+    def test_a_floating_point_error_in_the_stack_falls_back_to_single_fits(self):
+        fit, calls = logged_fit({1: "overflow"})
+        with np.errstate(over="ignore"):
+            assert list(in_order(fit, 3)) == [0, 10, 20]
+        assert calls == [[0, 1, 2], [0], [1], [2]]
+
+    def test_a_single_fit_keeps_the_callers_settings(self):
+        fit, calls = logged_fit({0: "overflow"})
+        with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+            assert list(in_order(fit, 1)) == [0]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            list(in_order(fit, 1))
+        assert calls == [[0], [0]]
+
+    def test_the_consumer_keeps_its_own_settings(self):
+        fit, _ = logged_fit({})
+        with np.errstate(over="ignore"):
+            for _ in in_order(fit, 2):
+                np.float64(1e308) * 10.0   # overflows, and nothing is raised
+
+    def test_items_after_the_consumer_stops_are_never_fitted(self):
+        fit, calls = logged_fit({3: "error"})
+        for result in in_order(fit, 5):
+            if result == 10:
+                break
+        assert calls == [[0, 1, 2, 3, 4], [0], [1]]
+
+
 # Column 2 of walk_data(seed, 80, 8, big=1e300) at a learning rate of 1e23:
 # a start that weighs the column positively misclassifies its 1e300 row by so
 # much that the first step sends the weight to -inf, and the fit diverges; a
@@ -1424,6 +1489,22 @@ class TestChunkedWalk:
         assert any(len(c.neurons) > 1 and c.error is not None for c in log)
 
 
+    @pytest.mark.parametrize("restarts, data_seed", [(1, 0), (2, 1), (5, 3)])
+    def test_the_ranking_raises_the_first_failing_columns_error(self, restarts, data_seed):
+        # Column 1's fit diverges on its 1e300 row of label 0; column 3 holds
+        # an inf, which the data check refuses. Fitting one column at a time
+        # meets column 1 first.
+        train, val = walk_data(data_seed, 80, 8)
+        X, y = train.features.copy(), train.labels.copy()
+        X[np.flatnonzero(y == 0)[0], 1] = 1e300
+        X[5, 3] = np.inf
+        train = Dataset(X, y, train.feature_names, 2)
+        cfg = FitConfig(learning_rate=BIG_RATE, epochs=20, restarts=restarts, seed=data_seed)
+        got = outcome(cascade.train_ecnn, train, val, cfg)
+        assert got == outcome(oracle_train_ecnn, train, val, cfg)
+        assert got[1:] == (TrainingError, "weights diverged to non-finite values")
+
+
 class TestLayerBatchedGmdh:
     """Growth that fits a layer's candidates as one stack (and roulette's
     pool seeding as one, its attempts one by one) against gram_fit_weights
@@ -1456,28 +1537,32 @@ class TestLayerBatchedGmdh:
         assert_same_growth(grown, tmp_path)
 
     @pytest.mark.parametrize("chunk", [1, 3, gmdh.CHUNK])
-    @pytest.mark.parametrize("first", ["criterion", "fit"])
-    def test_first_failure_raised_in_candidate_order(self, first, chunk, monkeypatch):
+    @pytest.mark.parametrize("first", ["criterion", "fit", "least_squares"])
+    def test_first_failure_raised_in_candidate_order(self, first, chunk, monkeypatch, capfd):
         # Candidate 0 pairs columns 0 and 1, candidate 2 columns 0 and 3. A
         # huge value in one validation row of a column makes its candidate's
         # criterion overflow; a column of huge fitting values makes its
-        # candidate's descent diverge.
+        # candidate's descent diverge, or, scaled by 1e200, overflows its
+        # least-squares normal equations, where LAPACK prints to stdout. Only
+        # the candidate fitted first may make itself heard.
         train, val = gmdh_data(4, features=4)
         XA, XB = train.features.copy(), val.features.copy()
-        late, early = (3, 1) if first == "criterion" else (1, 3)
-        XA[:, late] *= 1e6
+        late, early = (1, 3) if first == "fit" else (3, 1)
+        XA[:, late] *= 1e200 if first == "least_squares" else 1e6
         XB[0, early] = 1e300
         train = Dataset(XA, train.labels, train.feature_names, 2)
         val = Dataset(XB, val.labels, val.feature_names, 2)
-        cfg = GmdhConfig(epochs=40, restarts=2, seed=4)
+        cfg = GmdhConfig(epochs=40, restarts=2, seed=4,
+                         method="least_squares" if first == "least_squares" else "gradient")
         monkeypatch.setattr(gmdh, "CHUNK", chunk)
         got = outcome(train_gmdh_layered, train, val, cfg)
         assert got == outcome(oracle_train_gmdh_layered, train, val, cfg)
         assert got == outcome(lambda: oracle_train_gmdh_layered(
             train, val, cfg, fit_weights=gram_fit_weights))
-        assert got[1:] == (TrainingError, "held-out error of a fitted neuron is not finite; "
-                           "lower the learning rate" if first == "criterion"
-                           else "polynomial weights diverged; lower the learning rate")
+        assert got[1:] == (TrainingError, "polynomial weights diverged; lower the learning rate"
+                           if first == "fit" else "held-out error of a fitted neuron is not "
+                           "finite; lower the learning rate")
+        assert capfd.readouterr() == ("", "")
 
 
 def least_squares_stack(data_seed, n, q, elements):

@@ -130,6 +130,44 @@ def test_work_counts_match_the_work_done(tmp_path, monkeypatch):
     assert metrics["baseline.fnn_gradients.calls"] == fnn_epochs
 
 
+def test_gmdh_stack_counts_match_the_work_done(tmp_path, monkeypatch):
+    # Layered growth fits each layer's candidates in stacks of CHUNK, one
+    # _fit_weights call each, and with least squares one least_squares_fit
+    # call each. A stack that fell back to fitting its candidates one at a
+    # time would grow the same model and only take longer, so pin the count:
+    # layer 1 pairs the 6 features, each later layer pairs the 6 survivors
+    # (0.4 of the 15 first-layer pairs), and growth tries one layer past the
+    # last one it keeps.
+    from math import comb
+
+    from evonets import gmdh
+    from evonets.modelio import load_model
+
+    stacks, fit = [], gmdh._fit_weights
+
+    def counted(B, y, cfg, keys):
+        stacks.append((cfg.method, list(keys)))
+        return fit(B, y, cfg, keys)
+
+    monkeypatch.setattr(gmdh, "_fit_weights", counted)
+    monkeypatch.setattr(gmdh, "CHUNK", 4)
+    data = eeg_csv(tmp_path)
+    runs = {
+        "gradient": ("--method", "gmdh-layered", "--epochs", "20", "--restarts", "2"),
+        "least_squares": ("--method", "gmdh-layered", "--fit-method", "least-squares"),
+    }
+    _, metrics = traced_train(tmp_path, data, runs)
+    for method in runs:
+        layers = len(load_model(tmp_path / f"{method}.json").model.layer_scores) + 1
+        per_layer = [comb(6, 2)] * layers
+        assert [keys for m, keys in stacks if m == method] == \
+            [[(layer, ci) for ci in range(start, min(start + 4, n))]
+             for layer, n in enumerate(per_layer, 1) for start in range(0, n, 4)]
+    assert metrics["neuron.least_squares_fit.calls"] == \
+        sum(1 for m, _ in stacks if m == "least_squares")
+    assert metrics["gmdh.layered.candidates"] == sum(len(keys) for _, keys in stacks)
+
+
 def blobs_csv(tmp_path):
     """A 2-feature, 3-class blobs table of 150 rows."""
     from evonets import cli
