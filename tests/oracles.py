@@ -4,7 +4,7 @@ import numpy as np
 
 from evonets._util import augment
 from evonets.errors import TrainingError
-from evonets.neuron import sigmoid
+from evonets.neuron import fit_gradient, sigmoid
 
 
 def classify_rule(tree, x):
@@ -49,3 +49,18 @@ def walk_chunks(order, accepted, cap):
         h += len(feats) if pos is None else pos + 1
         size = size * 2 if pos is None else 1
     return chunks
+
+
+def fixed_point_epochs(w, inputs, targets, cfg, stride):
+    """The epochs fit_neuron descends one stack element from the start w.
+    The element is replayed alone, one epoch at a time, and stops at the
+    first stride-th epoch that leaves its weights bit for bit unchanged, or
+    after cfg.epochs. Each step is fit_gradient's on the element alone, which
+    test_exact_rewrites pins bit for bit to the former gradient."""
+    w = np.array(w, dtype=float)
+    for epoch in range(1, cfg.epochs + 1):
+        last = w.tobytes()
+        w -= cfg.learning_rate * fit_gradient(w, inputs, targets)
+        if epoch % stride == 0 and w.tobytes() == last:
+            return epoch
+    return cfg.epochs

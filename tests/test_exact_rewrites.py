@@ -19,9 +19,11 @@ names, the oracles they call, and a parameter that swaps in one part: the
 GMDH trainers' weight fitter, the threshold search's midpoint rule). The
 oracles call no library function that a rewrite here replaced.
 `ThermalSchedule` is the former `linear.ThermalSchedule` the pocket oracle
-anneals with. The rewrites only drop repeated or unused work or
-repeated code, or fit independent problems as one stack (the cascade walk
-fits ranked candidates in chunks and drops the fits behind the one it
+anneals with. The rewrites only drop repeated or unused work (`fit_neuron`
+stops descending an element whose weights an epoch left bit for bit
+unchanged, as every later epoch would too) or repeated code, or fit
+independent problems as one stack (the cascade walk fits ranked candidates
+in chunks and drops the fits behind the one it
 accepts, `TestChunkedWalk`), so they must give
 bit-identical results: the same pocketed weights and traces, the same sigmoid bytes, nan
 and signed zero included, the same threshold bytes, polarity and error count,
@@ -299,6 +301,20 @@ NANS = [np.frombuffer(bytes.fromhex(h), dtype=float)[0]
         for h in ("010000000000f87f", "010000000000f8ff")]
 
 
+def clamp_skip_edge():
+    """The least z > 0 at which 1 + exp(-z) falls below 1 + 2e-12, by
+    bisection on the bit patterns of positive doubles, which order as the
+    doubles do."""
+    lo, hi = (int(np.float64(z).view(np.int64)) for z in (20.0, 30.0))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if 1.0 + np.exp(-np.int64(mid).view(np.float64)) >= 1.0 + 2e-12:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(hi).view(np.float64))
+
+
 class TestSigmoidOracle:
     def test_grid(self):
         z = np.linspace(-800.0, 800.0, 160001)
@@ -324,6 +340,34 @@ class TestSigmoidOracle:
     def test_scalar_and_list_inputs(self):
         assert sigmoid(0) == oracle_sigmoid(0) == 0.5
         assert sigmoid([-2.0, 3]).tobytes() == oracle_sigmoid([-2.0, 3]).tobytes()
+        assert sigmoid(np.empty((0, 3))).shape == oracle_sigmoid(np.empty((0, 3))).shape
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ulp_steps_where_the_clamp_skip_ends(self, sign):
+        # sigmoid skips its clamp while every 1 + exp(-|z|) is at least
+        # 1 + 2e-12, which ends near |z| = 26.94; step across that point
+        edge = clamp_skip_edge()
+        z = sign * np.array([ulp_step(edge, k) for k in range(-40, 41)])
+        skips = 1.0 + np.exp(-np.abs(z)) >= 1.0 + 2e-12
+        assert skips.any() and not skips.all()
+        assert abs(edge - 26.94) < 0.01
+        assert sigmoid(z).tobytes() == oracle_sigmoid(z).tobytes()
+        for one in z:
+            assert sigmoid(one) == oracle_sigmoid(one)
+            assert sigmoid(np.array([one])).tobytes() == oracle_sigmoid(np.array([one])).tobytes()
+
+    @pytest.mark.parametrize("value", [27.7, -27.7, 40.0, -40.0, 800.0, -800.0,
+                                       np.inf, -np.inf, np.nan] + NANS)
+    @pytest.mark.parametrize("position", [0, 36, 594])
+    def test_one_clamped_element_among_unclamped_ones(self, value, position):
+        # values in [-20, 20] skip the clamp; the one special element must
+        # send the whole array through it
+        z = np.random.default_rng(position).uniform(-20.0, 20.0, 600)
+        z[position] = value
+        grid = z.reshape(20, 30)
+        for part in (z, z[::3], grid, grid[:, ::2], grid.T):
+            assert (part.view(np.int64) == np.float64(value).view(np.int64)).any()
+            assert sigmoid(part).tobytes() == oracle_sigmoid(part).tobytes()
 
 
 def oracle_search_threshold(values0, values1, midpoints=lambda lo, hi: (lo + hi) / 2.0):
@@ -1009,6 +1053,89 @@ def descent_problem(data_seed, n, p, scale, single_class=False):
     return U, y
 
 
+FIT_ERRORS = [
+    ("single_class", "targets are single-class; nothing to separate"),
+    ("nan_input", "non-finite values in training data"),
+    ("inf_input", "non-finite values in training data"),
+    ("diverges", "weights diverged to non-finite values"),
+    ("one_row", "need at least 2 training rows"),
+]
+
+
+def error_problem(case):
+    """Inputs, targets and learning rate of a FIT_ERRORS case; "fits" is the
+    same problem without a fault."""
+    U, y = descent_problem(4, 30, 3, 1.0, single_class=case == "single_class")
+    if case == "nan_input":
+        U[5, 1] = np.nan
+    if case == "inf_input":
+        U[7, 0] = -np.inf
+    if case == "one_row":
+        U, y = U[:1], y[:1]
+    if case == "diverges":
+        U *= 1e300
+    return U, y, 1e30 if case == "diverges" else 0.1
+
+
+def warned_outcome(fn, *args):
+    """What a call gives under numpy's own floating-point settings: ("ok",
+    weight bytes), ("raised", exception type, text), or ("warned", text)
+    when a RuntimeWarning is raised as an error."""
+    try:
+        return "ok", fn(*args).weights.tobytes()
+    except RuntimeWarning as warning:
+        return "warned", str(warning)
+    except (DataError, TrainingError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def one_input_columns(data_seed, n, signal=3):
+    """n rows of labels, `signal` columns that predict them at falling noise
+    levels and four noise columns."""
+    rng = np.random.default_rng(data_seed)
+    y = rng.integers(0, 2, n).astype(float)
+    cols = [y + rng.normal(0.0, 0.5 * (i + 1), n) for i in range(signal)]
+    return np.column_stack(cols + [rng.normal(size=(n, 4))]), y
+
+
+def oracle_restarts(inputs, targets, cfg):
+    """Every restart's final weights, stacked, as oracle_fit_neuron
+    descends them."""
+    rng = np.random.default_rng(cfg.seed)
+    finals = []
+    for _ in range(cfg.restarts):
+        w = rng.uniform(-0.5, 0.5, size=inputs.shape[1] + 1)
+        for _ in range(cfg.epochs):
+            w -= cfg.learning_rate * oracle_fit_gradient(w, inputs, targets)
+        finals.append(w)
+    return np.stack(finals)
+
+
+def log_stack_sizes(monkeypatch):
+    """Log the stack size of each fit_gradient call fit_neuron makes."""
+    sizes, step = [], neuron.fit_gradient
+
+    def logged(weights, inputs, targets):
+        sizes.append(len(weights))
+        return step(weights, inputs, targets)
+
+    monkeypatch.setattr(neuron, "fit_gradient", logged)
+    return sizes
+
+
+def log_final_weights(monkeypatch):
+    """Log a copy of the weights of each fit_loss call fit_neuron makes: a
+    chunk's every element, as its descent ended."""
+    finals, loss = [], neuron.fit_loss
+
+    def logged(weights, inputs, targets):
+        finals.append(np.array(weights))
+        return loss(weights, inputs, targets)
+
+    monkeypatch.setattr(neuron, "fit_loss", logged)
+    return finals
+
+
 class TestStackedDescentOracle:
     @settings(max_examples=80, deadline=None)
     @given(data_seed=st.integers(0, 2**32 - 1), n=ROWS, p=st.integers(1, 8),
@@ -1026,30 +1153,102 @@ class TestStackedDescentOracle:
         else:
             assert got == want
 
-    @pytest.mark.parametrize("case, error", [
-        ("single_class", "targets are single-class; nothing to separate"),
-        ("nan_input", "non-finite values in training data"),
-        ("inf_input", "non-finite values in training data"),
-        ("diverges", "weights diverged to non-finite values"),
-        ("one_row", "need at least 2 training rows"),
-    ])
+    @pytest.mark.parametrize("case, error", FIT_ERRORS)
     @pytest.mark.parametrize("restarts", [1, 2, 5])
     def test_fit_neuron_errors_match_oracle(self, case, error, restarts):
-        U, y = descent_problem(4, 30, 3, 1.0, single_class=case == "single_class")
-        if case == "nan_input":
-            U[5, 1] = np.nan
-        if case == "inf_input":
-            U[7, 0] = -np.inf
-        if case == "one_row":
-            U, y = U[:1], y[:1]
-        if case == "diverges":
-            U *= 1e300
-        rate = 1e30 if case == "diverges" else 0.1
-        cfg = FitConfig(learning_rate=rate, epochs=5, restarts=restarts, seed=1)
+        U, y, rate = error_problem(case)
         nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
+        for epochs in (5, 300):
+            cfg = FitConfig(learning_rate=rate, epochs=epochs, restarts=restarts, seed=1)
+            got = outcome(fit_one, nrn, U, y, cfg)
+            assert got == outcome(oracle_fit_neuron, nrn, U, y, cfg)
+            assert got[1:] == ((DataError if case == "one_row" else TrainingError), error)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", [case for case, _ in FIT_ERRORS] + ["fits"])
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_fit_neuron_warns_as_the_oracle_over_300_epochs(self, case, restarts):
+        # with every RuntimeWarning an error, a fit ends at its first warning:
+        # the early exit may neither add one nor skip the oracle's
+        U, y, rate = error_problem(case)
+        cfg = FitConfig(learning_rate=rate, epochs=300, restarts=restarts, seed=1)
+        nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
+        got = warned_outcome(fit_one, nrn, U, y, cfg)
+        assert got == warned_outcome(oracle_fit_neuron, nrn, U, y, cfg)
+        assert got[0] == {"diverges": "warned", "fits": "ok"}.get(case, "raised")
+
+    def test_a_diverged_element_stops_and_still_raises(self, monkeypatch):
+        # the diverging descent reaches nan weights that the next step leaves
+        # bit for bit alone, so it leaves the stack at the first check and
+        # ends in the oracle's error
+        U, y, rate = error_problem("diverges")
+        cfg = FitConfig(learning_rate=rate, epochs=300, restarts=2, seed=1)
+        nrn = SigmoidNeuron((("x", 0), ("x", 1), ("x", 2)))
+        sizes = log_stack_sizes(monkeypatch)
         got = outcome(fit_one, nrn, U, y, cfg)
         assert got == outcome(oracle_fit_neuron, nrn, U, y, cfg)
-        assert got[1:] == ((DataError if case == "one_row" else TrainingError), error)
+        assert got[2] == "weights diverged to non-finite values"
+        assert sizes == [2] * neuron._FREEZE_STRIDE
+
+    def test_a_step_moves_unless_every_bit_stays(self):
+        nan = NANS[0]
+        old = np.array([[-0.0, 1.0], [0.0, 1.0], [nan, 1.0], [nan, 1.0], [np.nan, np.inf]])
+        new = np.array([[0.0, 1.0], [0.0, 1.0], [nan, 1.0], [np.nan, 1.0], [np.nan, np.inf]])
+        assert neuron._unmoved(new, old).tolist() == [False, True, True, False, True]
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    @pytest.mark.parametrize("data_seed", [0, 2, 4])
+    def test_long_one_input_stack_matches_oracle(self, restarts, data_seed, monkeypatch):
+        # noise columns reach a fixed point well before epoch 300, signal
+        # columns may not; every element's final weights are the oracle's
+        U, y = one_input_columns(data_seed, 200)
+        m = U.shape[1]
+        cfg = FitConfig(learning_rate=2.0, epochs=300, restarts=restarts)
+        sizes, finals = log_stack_sizes(monkeypatch), log_final_weights(monkeypatch)
+        nrns = [SigmoidNeuron((("x", j),)) for j in range(m)]
+        seeds = [derive_seed(data_seed, 0, j) for j in range(m)]
+        got = fit_neuron(nrns, [U[:, [j]] for j in range(m)], y, seeds, cfg)
+        assert [neuron_key(g) for g in got] == [
+            neuron_key(oracle_fit_neuron(nrn, U[:, [j]], y, replace(cfg, seed=seed)))
+            for j, (nrn, seed) in enumerate(zip(nrns, seeds))]
+        assert finals[0].tobytes() == np.concatenate([
+            oracle_restarts(U[:, [j]], y, replace(cfg, seed=seed))
+            for j, seed in enumerate(seeds)]).tobytes()
+        assert sizes[0] == m * restarts > min(sizes)   # some elements stopped early
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    def test_a_stack_that_freezes_whole_stops_early(self, restarts, monkeypatch):
+        U, y = one_input_columns(0, 200, signal=0)
+        m = U.shape[1]
+        cfg = FitConfig(learning_rate=2.0, epochs=300, restarts=restarts)
+        sizes, finals = log_stack_sizes(monkeypatch), log_final_weights(monkeypatch)
+        seeds = [derive_seed(5, 0, j) for j in range(m)]
+        fit_neuron([SigmoidNeuron((("x", j),)) for j in range(m)],
+                   [U[:, [j]] for j in range(m)], y, seeds, cfg)
+        assert finals[0].tobytes() == np.concatenate([
+            oracle_restarts(U[:, [j]], y, replace(cfg, seed=seed))
+            for j, seed in enumerate(seeds)]).tobytes()
+        assert len(sizes) < cfg.epochs and len(sizes) % neuron._FREEZE_STRIDE == 0
+
+    def test_one_input_product_matches_the_matmul_on_signed_zeros(self):
+        # the one-input weighted sum is a product, where the oracle's is a
+        # matmul; the sums may differ in the sign of a zero, and nothing else
+        U = np.array([0.0, -0.0, 1.5, -2.0, 5e-324, -0.0, 3.0, 0.0])[:, None]
+        y = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        W = np.array(list(product([0.0, -0.0, 0.75, -3.0], repeat=2)))
+        G, L = fit_gradient(W, U, y), fit_loss(W, U, y)
+        for k, w in enumerate(W):
+            assert G[k].tobytes() == oracle_fit_gradient(w.copy(), U, y).tobytes()
+            assert L[k] == oracle_fit_loss(w.copy(), U, y)
+            assert fit_gradient(w, U, y).tobytes() == G[k].tobytes()
+        stacked = np.ascontiguousarray(np.broadcast_to(U, (len(W),) + U.shape))
+        assert fit_gradient(W, stacked, y).tobytes() == G.tobytes()
+        matmul = np.stack([w[0] + U @ w[1:] for w in W])
+        assert (np.signbit(matmul) != np.signbit(U[:, 0] * W[:, 1:] + W[:, :1])).any()
+        cfg = FitConfig(learning_rate=2.0, epochs=40, restarts=2, seed=3)
+        nrn = SigmoidNeuron((("x", 0),))
+        assert neuron_key(fit_one(nrn, U, y, cfg)) == \
+            neuron_key(oracle_fit_neuron(nrn, U, y, cfg))
 
     @pytest.mark.parametrize("restarts", [1, 2, 5])
     def test_fit_neuron_fits_each_candidate_as_alone(self, restarts):

@@ -9,6 +9,8 @@ by path and checks that every one of those names still resolves.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import evonets.cli  # noqa: F401  (the tracer wraps names in every module, cli included)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -128,6 +130,43 @@ def test_work_counts_match_the_work_done(tmp_path, monkeypatch):
     assert metrics["cascade.candidates"] == len(chunks)
     assert metrics["neuron.gradient_steps"] == epochs * (1 + len(chunks))
     assert metrics["baseline.fnn_gradients.calls"] == fnn_epochs
+
+
+def test_ranking_steps_only_the_elements_still_moving(monkeypatch):
+    # fit_neuron drops a stack element once an epoch leaves its weights bit
+    # for bit unchanged, which it checks every neuron._FREEZE_STRIDE-th
+    # epoch. A rewrite that kept stepping such elements would grow the same
+    # model and only take longer, so pin the saving: in one ecnn ranking,
+    # where the noise columns stop early and the others do not, each
+    # fit_gradient call steps the elements that, replayed alone epoch by
+    # epoch, have not stopped yet.
+    from evonets import cascade, neuron
+    from evonets._util import derive_seed
+    from evonets.dataset import Dataset, gen_surrogate_eeg
+    from evonets.neuron import FitConfig
+    from oracles import fixed_point_epochs
+
+    ds = gen_surrogate_eeg(240, relevant=3, irrelevant=3, separation=1.5, seed=4)[0]
+    X = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
+    train, val = (Dataset(X[rows], ds.labels[rows], ds.feature_names, 2)
+                  for rows in (slice(0, 160), slice(160, None)))
+    cfg = FitConfig(learning_rate=2.0, epochs=300, restarts=2, seed=4)
+    runs = [fixed_point_epochs(w, X[:160, [j]], train.labels.astype(float), cfg,
+                               neuron._FREEZE_STRIDE)
+            for j in range(X.shape[1])
+            for w in np.random.default_rng(derive_seed(cfg.seed, 0, j)).uniform(
+                -0.5, 0.5, size=(cfg.restarts, 2))]
+    sizes, step = [], neuron.fit_gradient
+
+    def logged(weights, inputs, targets):
+        sizes.append(len(weights))
+        return step(weights, inputs, targets)
+
+    monkeypatch.setattr(neuron, "fit_gradient", logged)
+    cascade._fit_single_features(train, val, cfg)
+    assert sizes == [sum(run >= epoch for run in runs) for epoch in range(1, max(runs) + 1)]
+    assert sum(sizes) == sum(runs) < cfg.epochs * len(runs) == cfg.epochs * sizes[0]
+    assert max(runs) == cfg.epochs
 
 
 def test_gmdh_stack_counts_match_the_work_done(tmp_path, monkeypatch):
