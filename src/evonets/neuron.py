@@ -166,7 +166,7 @@ def _outputs(weights, inputs):
 
 
 # fit_neuron looks for stack elements at a fixed point every _FREEZE_STRIDE-th
-# epoch: looking every epoch made a one-candidate 300-epoch fit about 13%
+# epoch: looking every epoch made a one-candidate 300-epoch fit about 14%
 # slower. An element found later takes at most seven more steps, each of which
 # returns its weights unchanged, so the stride changes no bit.
 _FREEZE_STRIDE = 8

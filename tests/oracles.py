@@ -1,7 +1,9 @@
-"""Reference implementations that tests compare the library against."""
+"""Reference implementations that tests compare the library against, and
+the work loggers they share."""
 
 import numpy as np
 
+from evonets import neuron
 from evonets._util import augment
 from evonets.errors import TrainingError
 from evonets.neuron import fit_gradient, sigmoid
@@ -64,3 +66,15 @@ def fixed_point_epochs(w, inputs, targets, cfg, stride):
         if epoch % stride == 0 and w.tobytes() == last:
             return epoch
     return cfg.epochs
+
+
+def log_stack_sizes(monkeypatch):
+    """Log the stack size of each fit_gradient call fit_neuron makes."""
+    sizes, step = [], neuron.fit_gradient
+
+    def logged(weights, inputs, targets):
+        sizes.append(len(weights))
+        return step(weights, inputs, targets)
+
+    monkeypatch.setattr(neuron, "fit_gradient", logged)
+    return sizes

@@ -68,7 +68,7 @@ from evonets.neuron import (SIGMOID_CLAMP, FitConfig, SigmoidNeuron, exterior_cr
                             fit_gradient, fit_loss, fit_neuron, least_squares_fit,
                             sigmoid)
 from evonets.ruletree import RuleNode, RuleTree, extract_rules, search_threshold
-from oracles import classify_rule, walk_chunks
+from oracles import classify_rule, log_stack_sizes, walk_chunks
 
 
 @dataclass
@@ -1109,18 +1109,6 @@ def oracle_restarts(inputs, targets, cfg):
             w -= cfg.learning_rate * oracle_fit_gradient(w, inputs, targets)
         finals.append(w)
     return np.stack(finals)
-
-
-def log_stack_sizes(monkeypatch):
-    """Log the stack size of each fit_gradient call fit_neuron makes."""
-    sizes, step = [], neuron.fit_gradient
-
-    def logged(weights, inputs, targets):
-        sizes.append(len(weights))
-        return step(weights, inputs, targets)
-
-    monkeypatch.setattr(neuron, "fit_gradient", logged)
-    return sizes
 
 
 def log_final_weights(monkeypatch):

@@ -144,7 +144,7 @@ def test_ranking_steps_only_the_elements_still_moving(monkeypatch):
     from evonets._util import derive_seed
     from evonets.dataset import Dataset, gen_surrogate_eeg
     from evonets.neuron import FitConfig
-    from oracles import fixed_point_epochs
+    from oracles import fixed_point_epochs, log_stack_sizes
 
     ds = gen_surrogate_eeg(240, relevant=3, irrelevant=3, separation=1.5, seed=4)[0]
     X = (ds.features - ds.features.mean(axis=0)) / ds.features.std(axis=0)
@@ -156,13 +156,7 @@ def test_ranking_steps_only_the_elements_still_moving(monkeypatch):
             for j in range(X.shape[1])
             for w in np.random.default_rng(derive_seed(cfg.seed, 0, j)).uniform(
                 -0.5, 0.5, size=(cfg.restarts, 2))]
-    sizes, step = [], neuron.fit_gradient
-
-    def logged(weights, inputs, targets):
-        sizes.append(len(weights))
-        return step(weights, inputs, targets)
-
-    monkeypatch.setattr(neuron, "fit_gradient", logged)
+    sizes = log_stack_sizes(monkeypatch)
     cascade._fit_single_features(train, val, cfg)
     assert sizes == [sum(run >= epoch for run in runs) for epoch in range(1, max(runs) + 1)]
     assert sum(sizes) == sum(runs) < cfg.epochs * len(runs) == cfg.epochs * sizes[0]
