@@ -476,6 +476,9 @@ def main(argv=None):
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:   # numpy's refusal names the allocation; a bare one is empty
+        print(f"data error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
+        return 2
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 3

@@ -103,6 +103,30 @@ class TestGenerate:
         assert "data error" in capsys.readouterr().err
 
 
+class TestMemoryError:
+    """Memory exhaustion exits 2 with one line and no traceback."""
+
+    def test_refused_allocation(self, tmp_path, capsys):
+        """numpy refuses the 7.28 TiB of a trillion labels at once, so this
+        allocates nothing."""
+        out = tmp_path / "x.csv"
+        assert run("generate", "surrogate-eeg", "--n", "1000000000000",
+                   "--out", str(out)) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("data error: out of memory (Unable to allocate 7.28 TiB")
+        assert not out.exists()
+
+    def test_learner_out_of_memory(self, xor_csv, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("evonets.cli.train_ecnn", exhausted)
+        assert run("train", "--method", "ecnn", "--data", str(xor_csv),
+                   "--out", str(tmp_path / "m.json")) == 2
+        assert capsys.readouterr() == ("", "data error: out of memory\n")
+
+
 class TestGeneratorTable:
     """`generate` takes exactly the flags the kind reads (READS), refusing every
     other kind's, and leaves each default to the kind's gen_* function."""

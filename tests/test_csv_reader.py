@@ -1,16 +1,23 @@
 """The bulk CSV reader against the row-at-a-time loops it replaced.
 
 The bulk reader parses a clean file with loadtxt a block of lines at a
-time, coding the label and group cells as it goes; `parse_rows` reads any
-other file and words every error. `oracle_load_csv` and `oracle_load_for_model`
-are the former bodies of `dataset.load_csv` and `cli._load_for_model`, kept
-verbatim as the reference (less `load_csv`'s stored-label-order branch,
-which `_load_for_model` took over): on every generated file the production
-readers must give bit-identical features, the same labels and groups, or
-the same first error message.
+time, coding the label and group cells as it goes; a large clean file is
+split at line starts among forked processes, each parsing its part in
+bulk; `parse_rows` reads any other file and words every error.
+`oracle_load_csv` and `oracle_load_for_model` are the former bodies of
+`dataset.load_csv` and `cli._load_for_model`, kept verbatim as the reference
+(less `load_csv`'s stored-label-order branch, which `_load_for_model` took
+over): on every generated file the production readers must give
+bit-identical features, the same labels and groups, or the same first error
+message.
 """
 
 import csv
+import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -249,15 +256,18 @@ def csv_files(draw, group_allowed):
     return newline.join([header] + lines) + end, names, with_group
 
 
-def outcome(read):
-    """What a reader produced: its arrays as bytes, or its error text."""
+def outcome(read, layout=False):
+    """What a reader produced: its arrays as bytes, or its error text; with
+    layout, also whether its feature matrix is in row and in column order,
+    which the oracles, made by np.array, need not share."""
     try:
         result = read()
     except DataError as exc:
         return ("error", str(exc))
     ds, groups = result if isinstance(result, tuple) else (result, None)
     return ("ok", ds.features.tobytes(), ds.features.shape, ds.labels.tolist(),
-            ds.feature_names, ds.label_names, ds.class_count, groups)
+            ds.feature_names, ds.label_names, ds.class_count, groups) + \
+        ((ds.features.flags.c_contiguous, ds.features.flags.f_contiguous) if layout else ())
 
 
 @pytest.fixture(scope="module")
@@ -475,13 +485,18 @@ class TestBulkPath:
         self.check(path, ["c", "a", "b"], ("0", "1"), group_by="g")
 
 
-def past_the_first_block(text, rows=200):
+def past_the_first_block(text, rows=200, after=0):
     """text with `rows` rows of zeros after its header, in the text's own line
-    ends, so that its own rows lie past the first block of SMALL_BLOCK."""
+    ends, so that its own rows lie past the first block of SMALL_BLOCK, and
+    `after` rows of zeros after its own rows."""
     newline = "\r\n" if "\r\n" in text else "\r" if "\r" in text else "\n"
     header, rest = text.split(newline, 1)
     zeros = ",".join(["0"] * (header.count(",") + 1))
-    return newline.join([header] + [zeros] * rows) + newline + rest
+    text = newline.join([header] + [zeros] * rows) + newline + rest
+    if after:
+        text += ("" if text.endswith(newline) else newline) + \
+            newline.join([zeros] * after) + newline
+    return text
 
 
 SMALL_BLOCK = 300
@@ -585,6 +600,267 @@ class TestBlocks:
                      "--out", str(tmp_path / "m.json")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "late.csv: not valid UTF-8 (byte 0xe9" in err, err
+
+
+def one_process(read):
+    """read() with the file parsed by one process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "SPLIT_BYTES", math.inf)
+        return read()
+
+
+def model_bundle(names):
+    return SimpleNamespace(norm=IDENTITY, label_column="y", feature_names=tuple(names),
+                           label_names=STORED_LABELS)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the form's own rows first, in the middle and last among 90 rows of zeros
+PLACES = [(0, 90), (45, 45), (90, 0)]
+
+
+class TestSplit:
+    """With SPLIT_BYTES cut to one byte and two or three CPUs, a plain file is
+    split at line starts into two or three parts, the first parsed by the
+    parent and each other by a forked worker. Rows, faults and line ends
+    placed in each part read as the oracles read them, and the matrix keeps
+    the layout one process gives it."""
+
+    @pytest.fixture(autouse=True, params=[2, 3])
+    def forks(self, request, monkeypatch):
+        monkeypatch.setattr(dataset, "SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @staticmethod
+    def reads(path, bundle, group_by=None):
+        return (lambda: load_csv(path, "y"),
+                lambda: _load_for_model("m.json", bundle, path, group_by))
+
+    def check(self, path, bundle, group_by=None):
+        """Both readers give the oracles' outcomes, and one process's layout."""
+        expected = (outcome(lambda: oracle_load_csv(path, "y")),
+                    outcome(lambda: oracle_load_for_model(path, bundle, group_by)))
+        reads = self.reads(path, bundle, group_by)
+        assert tuple(outcome(read) for read in reads) == expected
+        assert [outcome(read, layout=True) for read in reads] == \
+            [one_process(lambda: outcome(read, layout=True)) for read in reads]
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("text", LOADTXT_FORMS)
+    def test_loadtxt_forms_in_each_part(self, csv_path, forks, text, place):
+        text = past_the_first_block(text, *place)
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        self.check(csv_path, TestBlocks.bundle(text))
+        assert bool(forks) == (not any(c in text for c in '"' + dataset._FLOAT_BLANKS))
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("text", EDGE_FORMS)
+    def test_edge_forms_in_each_part(self, csv_path, monkeypatch, forks, text, place):
+        """Only a quote or an underscore sends the file to parse_rows, and
+        only a quote keeps it from being split."""
+        calls = []
+        fallback = dataset.parse_rows
+        monkeypatch.setattr(dataset, "parse_rows",
+                            lambda *args: calls.append(1) or fallback(*args))
+        text = past_the_first_block(text, *place)
+        csv_path.write_text(text, encoding="utf-8", newline="")
+        self.check(csv_path, TestBlocks.bundle(text))
+        assert outcome(lambda: load_csv(csv_path, "y"))[0] == "ok"
+        assert bool(calls) == ('"' in text or "_" in text)
+        assert bool(forks) == ('"' not in text)
+
+    def test_generated_files(self, csv_path, forks):
+        """Generated files, split among processes and read in blocks of 1 to
+        40 characters."""
+        @given(data=csv_files(group_allowed=True), block=st.integers(1, 40))
+        @settings(max_examples=150, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        def probe(data, block):
+            text, names, group = data
+            csv_path.write_text(text, encoding="utf-8", newline="")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dataset, "_BLOCK", block)
+                self.check(csv_path, model_bundle(names), "g" if group else None)
+
+        probe()
+        assert forks
+
+    def test_a_part_of_blank_lines(self, csv_path, monkeypatch, forks):
+        """A part holding only blank lines adds no rows; the file is still
+        read in bulk."""
+        monkeypatch.setattr(dataset, "parse_rows", None)
+        csv_path.write_text("a,y\n1,0\n" + "\n" * 300 + "2,1\n", encoding="utf-8")
+        self.check(csv_path, model_bundle("a"))
+        assert forks
+
+    @pytest.fixture
+    def eeg_csv(self, tmp_path):
+        ds, _ = gen_surrogate_eeg(300, relevant=2, irrelevant=3, seed=5)
+        path = tmp_path / "eeg.csv"
+        save_csv(ds, path)
+        return path
+
+    @staticmethod
+    def parent_parses(monkeypatch, worker=lambda parsed: parsed):
+        """The calls of _bulk_parse in this process; in a worker, what it
+        returns goes through worker()."""
+        parent, calls = os.getpid(), []
+        bulk = dataset._bulk_parse
+
+        def counted(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+                return bulk(*args)
+            return worker(bulk(*args))
+
+        monkeypatch.setattr(dataset, "_bulk_parse", counted)
+        return calls
+
+    def test_worker_matrices_arrive_through_pipes(self, eeg_csv, monkeypatch, forks):
+        calls = self.parent_parses(monkeypatch)
+        read = self.reads(eeg_csv, None)[0]
+        split = outcome(read, layout=True)
+        assert len(calls) == 1 and len(forks) == len(os.sched_getaffinity(0)) - 1
+        assert split == one_process(lambda: outcome(read, layout=True))
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_a_worker_leaves_by_os_exit(self, eeg_csv, tmp_path, monkeypatch, raises):
+        """A worker neither returns into its caller's code, even when it
+        raises SystemExit, nor flushes a buffer it inherited."""
+        def exit(parsed):
+            raise SystemExit(0)
+
+        self.parent_parses(monkeypatch, exit if raises else None)
+        parent = os.getpid()
+        escaped = tmp_path / "escaped"
+        with open(tmp_path / "buffered.txt", "w") as buffered:
+            buffered.write("x")   # not yet flushed
+            try:
+                read = outcome(lambda: load_csv(eeg_csv, "y"), layout=True)
+            finally:
+                if os.getpid() != parent:   # a worker in this test's code
+                    escaped.touch()
+                    os._exit(0)
+        assert not escaped.exists()
+        assert (tmp_path / "buffered.txt").read_text() == "x"
+        assert read == one_process(lambda: outcome(lambda: load_csv(eeg_csv, "y"), layout=True))
+
+    @pytest.mark.parametrize("failure", ["raises", "out of memory", "exits", "is killed",
+                                         "ends inside its matrix"])
+    def test_a_failed_worker_part_is_parsed_in_the_parent(self, eeg_csv, monkeypatch,
+                                                          failure):
+        class Short:   # a matrix of which the worker writes five values
+            T = np.arange(5.0)
+
+        def fail(parsed):
+            if failure == "raises":
+                raise ValueError
+            if failure == "out of memory":
+                raise MemoryError
+            if failure == "exits":
+                os._exit(1)
+            if failure == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return (Short(),) + parsed[1:]
+
+        calls = self.parent_parses(monkeypatch, fail)
+        read = self.reads(eeg_csv, None)[0]
+        split = outcome(read, layout=True)
+        assert len(calls) == len(os.sched_getaffinity(0))
+        assert split == one_process(lambda: outcome(read, layout=True))
+        no_child_left()
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_a_part_that_gets_no_worker_is_parsed_in_the_parent(self, eeg_csv, monkeypatch,
+                                                                call):
+        def refused():
+            raise OSError("resource temporarily unavailable")
+
+        monkeypatch.setattr(os, call, refused)
+        calls = self.parent_parses(monkeypatch)
+        read = self.reads(eeg_csv, None)[0]
+        split = outcome(read, layout=True)
+        assert len(calls) == len(os.sched_getaffinity(0))
+        assert split == one_process(lambda: outcome(read, layout=True))
+        no_child_left()
+
+    def test_workers_are_killed_and_reaped_when_the_first_part_declines(self, tmp_path,
+                                                                        monkeypatch):
+        """A value loadtxt reads as inf on the first data line: the parent's
+        part declines, and the workers, which would sleep a minute, are
+        killed and reaped at once."""
+        self.parent_parses(monkeypatch, lambda parsed: time.sleep(60))
+        path = tmp_path / "late.csv"
+        path.write_text("a,y\n1e400,0\n" + "1,1\n" * 300, encoding="utf-8")
+        start = time.monotonic()
+        read = outcome(lambda: load_csv(path, "y"))
+        assert time.monotonic() - start < 30
+        assert read[0] == "error"
+        assert read == outcome(lambda: oracle_load_csv(path, "y"))
+        no_child_left()
+
+    def test_an_interrupt_kills_and_reaps_the_workers(self, eeg_csv, monkeypatch):
+        parent, bulk = os.getpid(), dataset._bulk_parse
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(dataset, "_bulk_parse", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            load_csv(eeg_csv, "y")
+        assert time.monotonic() - start < 30
+        no_child_left()
+
+    def test_no_split_while_another_thread_runs(self, eeg_csv, forks):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            read = outcome(lambda: load_csv(eeg_csv, "y"), layout=True)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not forks
+        assert read == one_process(lambda: outcome(lambda: load_csv(eeg_csv, "y"), layout=True))
+
+    @pytest.mark.parametrize("host", ["small file", "one CPU", "no fork", "no affinity"])
+    def test_one_process_where_a_split_cannot_pay(self, eeg_csv, monkeypatch, forks, host):
+        if host == "small file":
+            monkeypatch.setattr(dataset, "SPLIT_BYTES", eeg_csv.stat().st_size + 1)
+        elif host == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "fork" if host == "no fork" else "sched_getaffinity")
+        read = load_csv(eeg_csv, "y")
+        assert not forks
+        assert outcome(lambda: read) == outcome(lambda: oracle_load_csv(eeg_csv, "y"))
+
+    def test_peak_memory_of_a_split_read(self, tmp_path):
+        """A 12000 x 73 table split between processes: the parent holds its
+        own part's blocks and the joined matrix, never a worker's copy."""
+        ds, _ = gen_surrogate_eeg(12000, relevant=4, irrelevant=68, seed=3)
+        path = tmp_path / "eeg.csv"
+        save_csv(ds, path)
+        tracemalloc.start()
+        try:
+            X = load_csv(path, "y").features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.tobytes() == ds.features.tobytes()
+        assert peak <= 2.5 * X.nbytes, (peak, X.nbytes)
 
 
 @pytest.mark.parametrize("quoted", [False, True])
