@@ -319,22 +319,19 @@ def _part_blocks(fd, start, end):
 
 def _fork(fd, part, args):
     """The pid of a worker that parses the byte range `part` and the read end
-    of its pipe, or (None, None) where no worker could be forked. The worker
+    of its pipe; OSError where no pipe or no worker could be made. The worker
     writes the length of its pickled (labels, groups), or of None where the
     parse declines, then that pickle, then its feature matrix a column at a
     time. It leaves by os._exit, so it never returns into the caller's code or
     flushes a buffer it inherited, and its error or death reaches the parent
     as a pipe that ends early."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None, None
+    read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return None, None
+        raise
     if pid:
         os.close(write_end)
         return pid, read_end
@@ -366,7 +363,7 @@ def _head(fd):
     """What a worker wrote before its matrix; False where it failed or died
     before it had written that."""
     length = bytearray(8)
-    if fd is None or not _fill(fd, length):
+    if not _fill(fd, length):
         return False
     head = bytearray(int.from_bytes(length, "little"))
     return _fill(fd, head) and pickle.loads(head)
@@ -375,44 +372,40 @@ def _head(fd):
 def _split_parse(fd, parts, args, width):
     """What _bulk_parse gives for the byte ranges `parts` of the file at fd,
     joined in order: the parent parses the first while forked workers parse
-    the others. None where any part declines. A worker that fails or dies has
-    its part parsed in the parent. Each worker's matrix is read from its pipe
-    a column at a time straight into the joined matrix, of `width` columns
-    in column order. Every worker is killed, if it still runs, and reaped
-    before this returns or raises."""
+    the others. None where any part declines; False where a worker could not
+    be forked, or failed or died before it had written its whole matrix.
+    Each worker's matrix is read from its pipe a column at a time straight
+    into the joined matrix, of `width` columns in column order. Every worker
+    is killed, if it still runs, and reaped before this returns or raises."""
     workers = []
     try:
-        for part in parts[1:]:
-            workers.append(_fork(fd, part, args))
-        pieces = []
-        for part, (_, source) in zip(parts, [(None, None)] + workers):
-            head = _head(source)
-            if head is False:   # the parent's own part, or a failed worker's
-                parsed = _bulk_parse(_part_blocks(fd, *part), *args)
-                if parsed is None:
-                    return None
-                source, head = parsed[0], parsed[1:]
-            if head is None:
-                return None
-            pieces.append((source,) + head)
-        X = np.empty((sum(len(labels) for _, labels, _ in pieces), width), order="F")
-        at = 0
-        for part, (source, labels, _) in zip(parts, pieces):
-            rows = X[at:at + len(labels)]
-            if isinstance(source, np.ndarray):
-                rows[...] = source
-            elif not all(_fill(source, rows[:, j].view(np.uint8)) for j in range(width)):
-                # the worker died as it wrote
-                rows[...] = _bulk_parse(_part_blocks(fd, *part), *args)[0]
-            at += len(labels)
+        try:
+            for part in parts[1:]:
+                workers.append(_fork(fd, part, args))
+        except OSError:
+            return False
+        own = _bulk_parse(_part_blocks(fd, *parts[0]), *args)
+        if own is None:
+            return None
+        pieces = [own]
+        for _, pipe in workers:
+            head = _head(pipe)
+            if not head:   # False where the worker failed, None where it declined
+                return head
+            pieces.append((pipe,) + head)
+        ends = np.cumsum([0] + [len(labels) for _, labels, _ in pieces])
+        X = np.empty((ends[-1], width), order="F")
+        X[:ends[1]] = own[0]
+        for (pipe, _, _), start, end in zip(pieces[1:], ends[1:], ends[2:]):
+            if not all(_fill(pipe, X[start:end, j].view(np.uint8)) for j in range(width)):
+                return False   # the worker died as it wrote
         return (X, [s for piece in pieces for s in piece[1]],
                 [s for piece in pieces for s in piece[2]])
     finally:
         for pid, pipe in workers:
-            if pid is not None:
-                os.close(pipe)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            os.close(pipe)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def read_table(path, locate, label_index=None):
@@ -427,8 +420,9 @@ def read_table(path, locate, label_index=None):
     The file is read through one handle, a block at a time. A first pass
     decodes it to its end; a file without quotes or _FLOAT_BLANKS is then
     parsed in bulk (_bulk_parse), split among processes where _parts splits
-    it. Any other file, and any file the bulk parse declines, is read again
-    from its start by parse_rows, which alone words the errors.
+    it, and by this process alone where it does not or a split fails. Any
+    other file, and any file the bulk parse declines, is read again from its
+    start by parse_rows, which alone words the errors.
     """
     if not Path(path).exists():
         raise DataError(f"missing file: {path}")
@@ -452,9 +446,10 @@ def read_table(path, locate, label_index=None):
         # whole lines only: the rest of a block's last line joins it, and a \r
         # that ends the block joins the \n of a \r\n
         blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), "")
-        parsed = _split_parse(fh.fileno(), parts, args, len(columns)) if parts else \
-            _bulk_parse(blocks, *args) if plain else None
-        if parsed is None or not parsed[1]:   # parse_rows words "no data rows"
+        parsed = _split_parse(fh.fileno(), parts, args, len(columns)) if parts else False
+        if parsed is False and plain:   # not split, or a split that failed
+            parsed = _bulk_parse(blocks, *args)
+        if not parsed or not parsed[1]:   # parse_rows words "no data rows"
             fh.seek(0)
             records = csv.reader(fh)
             next(records)   # the header, read above

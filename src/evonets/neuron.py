@@ -246,50 +246,37 @@ def least_squares_fit(design, targets):
 
     The caller supplies the full design matrix (constant column included):
     (n, q) for one fit, giving (q,), or a stack (k, n, q) of designs sharing
-    the targets, giving (k, q). A ridge jitter of 1e-10 is added to the
-    diagonal of a system that is singular or badly conditioned; if that
-    still fails, the fit errors out. A stack is solved in one batched call
-    (the stacked products and LAPACK calls run the same kernels on each
-    element), and again element by element when some element is singular,
-    so every element is bit-identical to its own call.
+    the targets, giving (k, q); a 2-D design is a stack of one. The stack is
+    solved in one batched call, whose stacked products and LAPACK calls run
+    the same kernels on each system as on that system alone. A ridge jitter
+    of 1e-10 is added to the diagonal of a system whose condition number
+    exceeds 1e12; one system is also jittered where that number or its
+    unjittered solve fails, and if the jittered solve fails too, the fit
+    errors out. A stack of several that fails any of these ways raises a
+    TrainingError, and _util.in_order refits its systems one at a time.
     """
     B = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.asarray(targets, dtype=float)
     q = B.shape[-1]
     if B.shape[-2] < q:
         raise DataError(f"need at least {q} rows to fit {q} basis terms")
-    Bt = np.swapaxes(B, -1, -2)
-    A = Bt @ B
-    b = Bt @ y
-    if A.ndim == 2:
-        return _solve_normal(A, b)
+    S = B.reshape(-1, *B.shape[-2:])
+    St = np.swapaxes(S, -1, -2)
+    A, b = St @ S, (St @ y)[..., None]
+    jittered = A + 1e-10 * np.eye(q)
     try:
-        jitter = np.linalg.cond(A) > 1e12
-        jittered = np.where(jitter[:, None, None], A + 1e-10 * np.eye(q), A) \
-            if jitter.any() else A
-        w = np.linalg.solve(jittered, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.stack([_solve_normal(a, v) for a, v in zip(A, b)])
-    if not np.isfinite(w).all():
-        raise TrainingError("least-squares weights are not finite")
-    return w
-
-
-def _solve_normal(A, b):
-    """One system of least_squares_fit's normal equations, jittered as it says."""
-    try:
-        if np.linalg.cond(A) > 1e12:
-            raise np.linalg.LinAlgError("ill-conditioned")
-        w = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        A = A + 1e-10 * np.eye(A.shape[0])
+        w = np.linalg.solve(np.where(np.linalg.cond(A)[:, None, None] > 1e12, jittered, A), b)
+    except np.linalg.LinAlgError as exc:
+        if len(A) > 1:
+            raise TrainingError("a least-squares system of the stack failed") from exc
         try:
-            w = np.linalg.solve(A, b)
+            w = np.linalg.solve(jittered, b)
         except np.linalg.LinAlgError as exc:
-            raise TrainingError("design matrix is rank-deficient beyond jitter recovery") from exc
+            raise TrainingError("design matrix is rank-deficient beyond jitter recovery") \
+                from exc
     if not np.isfinite(w).all():
         raise TrainingError("least-squares weights are not finite")
-    return w
+    return w.reshape(B.shape[:-2] + (q,))
 
 
 def exterior_criterion(outputs, targets) -> float:

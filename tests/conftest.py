@@ -1,14 +1,15 @@
-"""Checks that span the whole test session."""
+"""Checks that run around every test."""
 
 import os
 
 import pytest
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(autouse=True)
 def no_child_process_left():
-    """At the end of the session the test process has no child left: every
-    process a test started, such as the CSV reader's workers, was reaped."""
+    """After each test the test process has no child left: every process the
+    test started, such as the CSV reader's workers, was reaped. A leaked
+    process is reported against the test that started it."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

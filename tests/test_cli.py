@@ -3,7 +3,10 @@
 import copy
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import evonets
 from evonets.cli import _load_for_model, main
 from evonets.dataset import (Dataset, NormParams, SplitSpec, load_csv, normalize_zscore,
                              save_csv, split)
@@ -125,6 +129,39 @@ class TestMemoryError:
         assert run("train", "--method", "ecnn", "--data", str(xor_csv),
                    "--out", str(tmp_path / "m.json")) == 2
         assert capsys.readouterr() == ("", "data error: out of memory\n")
+
+    # The child gets at most 1 GiB of address space before it imports numpy,
+    # so the allocation a flag sizes is refused there instead of being
+    # granted and then taking the host's memory.
+    LIMITED = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "from evonets.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.parametrize("flags", [("--method", "ecnn", "--restarts", "100000000"),
+                                       ("--method", "gmdh-layered", "--restarts", "100000000",
+                                        "--max-layers", "1"),
+                                       ("--method", "fnn", "--hidden", "100000000")])
+    def test_a_flag_sized_allocation_under_an_address_space_limit(self, tmp_path, flags):
+        """A learner whose --restarts or --hidden asks for more memory than
+        the process may have exits 2 with one line, on a 300-row, 72-feature
+        file. (fnn's --restarts is left out: its chunks keep memory bounded,
+        so it only runs long.)"""
+        pytest.importorskip("resource")
+        data = tmp_path / "eeg.csv"
+        assert run("generate", "surrogate-eeg", "--n", "300", "--relevant", "4",
+                   "--irrelevant", "68", "--seed", "0", "--out", str(data)) == 0
+        src = str(Path(evonets.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(
+                       os.pathsep)))
+        child = subprocess.run([sys.executable, "-c", self.LIMITED, "train", "--data", str(data),
+                                "--out", str(tmp_path / "m.json"), *flags],
+                               capture_output=True, text=True, env=env, timeout=300)
+        assert (child.returncode, child.stdout) == (2, ""), child.stderr
+        assert child.stderr.count("\n") == 1, child.stderr
+        assert child.stderr.startswith("data error: out of memory ("), child.stderr
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestGeneratorTable:

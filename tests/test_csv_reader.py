@@ -710,15 +710,17 @@ class TestSplit:
 
     @staticmethod
     def parent_parses(monkeypatch, worker=lambda parsed: parsed):
-        """The calls of _bulk_parse in this process; in a worker, what it
-        returns goes through worker()."""
+        """The row count each call of _bulk_parse in this process gives (None
+        where it declines); in a worker, what it returns goes through
+        worker()."""
         parent, calls = os.getpid(), []
         bulk = dataset._bulk_parse
 
         def counted(*args):
             if os.getpid() == parent:
-                calls.append(1)
-                return bulk(*args)
+                parsed = bulk(*args)
+                calls.append(parsed and len(parsed[1]))
+                return parsed
             return worker(bulk(*args))
 
         monkeypatch.setattr(dataset, "_bulk_parse", counted)
@@ -755,8 +757,11 @@ class TestSplit:
 
     @pytest.mark.parametrize("failure", ["raises", "out of memory", "exits", "is killed",
                                          "ends inside its matrix"])
-    def test_a_failed_worker_part_is_parsed_in_the_parent(self, eeg_csv, monkeypatch,
-                                                          failure):
+    def test_a_failed_worker_sends_the_whole_file_to_one_process(self, eeg_csv, monkeypatch,
+                                                                 failure):
+        """The parent parses its own part, then, as a worker failed, the
+        whole file in one process: the read gives that process's outcome and
+        layout, and no worker is left."""
         class Short:   # a matrix of which the worker writes five values
             T = np.arange(5.0)
 
@@ -774,13 +779,15 @@ class TestSplit:
         calls = self.parent_parses(monkeypatch, fail)
         read = self.reads(eeg_csv, None)[0]
         split = outcome(read, layout=True)
-        assert len(calls) == len(os.sched_getaffinity(0))
+        assert len(calls) == 2 and 0 < calls[0] < 300 and calls[1] == 300
         assert split == one_process(lambda: outcome(read, layout=True))
         no_child_left()
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
-    def test_a_part_that_gets_no_worker_is_parsed_in_the_parent(self, eeg_csv, monkeypatch,
-                                                                call):
+    def test_a_refused_pipe_or_fork_sends_the_whole_file_to_one_process(self, eeg_csv,
+                                                                        monkeypatch, call):
+        """No worker can be started, so the parent parses no part of its own
+        and reads the whole file in one process."""
         def refused():
             raise OSError("resource temporarily unavailable")
 
@@ -788,7 +795,7 @@ class TestSplit:
         calls = self.parent_parses(monkeypatch)
         read = self.reads(eeg_csv, None)[0]
         split = outcome(read, layout=True)
-        assert len(calls) == len(os.sched_getaffinity(0))
+        assert calls == [300]
         assert split == one_process(lambda: outcome(read, layout=True))
         no_child_left()
 

@@ -1755,7 +1755,8 @@ class TestLayerBatchedGmdh:
 def least_squares_stack(data_seed, n, q, elements):
     """Designs (len(elements), n, q) with a constant first column; each
     element is regular, has twin columns (singular), nearly twin columns
-    (ill-conditioned), a zero column, a nan, an inf or values near 1e200."""
+    (ill-conditioned), a zero column, a nan, a zero column before one holding
+    a nan (its unjittered solve fails), an inf or values near 1e200."""
     rng = np.random.default_rng(data_seed)
     B = rng.normal(size=(len(elements), n, q))
     B[..., 0] = 1.0
@@ -1766,7 +1767,9 @@ def least_squares_stack(data_seed, n, q, elements):
             b[:, -1] = b[:, 1] * (1 + 1e-9)
         if element == "zero":
             b[:, -1] = 0.0
-        if element == "nan":
+        if element == "zero_nan":
+            b[:, 1] = 0.0
+        if element in ("nan", "zero_nan"):
             b[n // 2, -1] = np.nan
         if element == "inf":
             b[0, 1] = np.inf
@@ -1775,21 +1778,83 @@ def least_squares_stack(data_seed, n, q, elements):
     return B, (rng.random(n) > 0.5).astype(float)
 
 
+def solved(fn, *args):
+    """outcome(), with the bytes of the weights it gives."""
+    got = outcome(fn, *args)
+    return ("ok", got[1].tobytes()) if got[0] == "ok" else got
+
+
+def fitted_in_order(results):
+    """The weights' bytes that `results` yields, up to its first error, and
+    that error's outcome (None where it ends without one)."""
+    got = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in results:
+                got.append(w.tobytes())
+    except (DataError, TrainingError) as exc:
+        return got, ("raised", type(exc), str(exc))
+    return got, None
+
+
+ELEMENTS = st.sampled_from(["regular", "regular", "twin", "near_twin", "zero", "nan",
+                            "zero_nan", "inf", "huge"])
+LS_ROWS = st.sampled_from([2, 3, 4, 7, 600, 601, 1333])
+
+
 class TestStackedLeastSquares:
+    """least_squares_fit solves a stack in one batched call. A stack that
+    solves gives every system the oracle's bytes; a stack of several that
+    fails raises, and _util.in_order refits its systems one at a time."""
+
     @settings(max_examples=120, deadline=None)
-    @given(data_seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 7, 600, 601, 1333]),
-           q=st.integers(2, 4),
-           elements=st.lists(st.sampled_from(["regular", "regular", "twin", "near_twin",
-                                               "zero", "nan", "inf", "huge"]),
-                             min_size=1, max_size=6))
-    def test_matches_oracle_element_by_element(self, data_seed, n, q, elements):
+    @given(data_seed=st.integers(0, 2**32 - 1), n=LS_ROWS, q=st.integers(2, 4),
+           elements=st.lists(ELEMENTS, min_size=1, max_size=6))
+    def test_a_stack_that_solves_equals_the_oracle_system_by_system(self, data_seed, n, q,
+                                                                    elements):
         B, y = least_squares_stack(data_seed, n, q, elements)
         got = outcome(least_squares_fit, B, y)
-        want = outcome(lambda: np.stack([oracle_least_squares_fit(b, y) for b in B]))
-        if want[0] == "ok":
-            assert got[0] == "ok" and got[1].tobytes() == want[1].tobytes()
-        else:
-            assert got == want
+        want = [solved(oracle_least_squares_fit, b, y) for b in B]
+        if got[0] == "ok":
+            assert [("ok", w.tobytes()) for w in got[1]] == want
+        elif len(B) == 1:
+            assert got == want[0]
+        else:   # it fails only for a system that fails alone
+            assert any(w[0] == "raised" for w in want)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=LS_ROWS, q=st.integers(2, 4),
+           elements=st.lists(ELEMENTS, min_size=1, max_size=6))
+    def test_in_order_equals_the_oracle_loop(self, data_seed, n, q, elements):
+        B, y = least_squares_stack(data_seed, n, q, elements)
+        got = fitted_in_order(in_order(lambda ks: list(least_squares_fit(B[list(ks)], y)),
+                                       len(B)))
+        assert got == fitted_in_order(oracle_least_squares_fit(b, y) for b in B)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1), n=LS_ROWS, q=st.integers(2, 4),
+           element=ELEMENTS)
+    def test_a_2d_design_equals_the_oracle(self, data_seed, n, q, element):
+        (b,), y = least_squares_stack(data_seed, n, q, [element])
+        assert solved(least_squares_fit, b, y) == solved(oracle_least_squares_fit, b, y)
+
+    @pytest.mark.parametrize("n", [7, 600])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("nan", ["nan", "zero_nan"])
+    def test_a_nan_system_is_jittered_then_not_finite(self, n, q, nan):
+        """np.linalg.cond raises on a nan system, where the oracle jitters
+        the system and then finds its weights not finite."""
+        B, y = least_squares_stack(n, n, q, ["regular", nan, "regular"])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cond(B[1].T @ B[1])
+        refused = ("raised", TrainingError, "least-squares weights are not finite")
+        assert solved(oracle_least_squares_fit, B[1], y) == refused
+        assert solved(least_squares_fit, B[1], y) == refused
+        assert solved(least_squares_fit, B[1:2], y) == refused
+        assert outcome(least_squares_fit, B, y)[0] == "raised"
+        assert fitted_in_order(in_order(lambda ks: list(least_squares_fit(B[list(ks)], y)),
+                                        len(B))) == \
+            ([oracle_least_squares_fit(B[0], y).tobytes()], refused)
 
     @pytest.mark.parametrize("n", [7, 600, 601, 1333])
     def test_singular_element_takes_the_jitter_branch_alone(self, n):
