@@ -152,9 +152,7 @@ class TestMemoryError:
         assert run("generate", "surrogate-eeg", "--n", "300", "--relevant", "4",
                    "--irrelevant", "68", "--seed", "0", "--out", str(data)) == 0
         src = str(Path(evonets.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(
-                       os.pathsep)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
         child = subprocess.run([sys.executable, "-c", self.LIMITED, "train", "--data", str(data),
                                 "--out", str(tmp_path / "m.json"), *flags],
                                capture_output=True, text=True, env=env, timeout=300)

@@ -1784,6 +1784,11 @@ def solved(fn, *args):
     return ("ok", got[1].tobytes()) if got[0] == "ok" else got
 
 
+def stacked_in_order(B, y):
+    """least_squares_fit over the stack B as _util.in_order runs it."""
+    return in_order(lambda ks: list(least_squares_fit(B[list(ks)], y)), len(B))
+
+
 def fitted_in_order(results):
     """The weights' bytes that `results` yields, up to its first error, and
     that error's outcome (None where it ends without one)."""
@@ -1827,9 +1832,8 @@ class TestStackedLeastSquares:
            elements=st.lists(ELEMENTS, min_size=1, max_size=6))
     def test_in_order_equals_the_oracle_loop(self, data_seed, n, q, elements):
         B, y = least_squares_stack(data_seed, n, q, elements)
-        got = fitted_in_order(in_order(lambda ks: list(least_squares_fit(B[list(ks)], y)),
-                                       len(B)))
-        assert got == fitted_in_order(oracle_least_squares_fit(b, y) for b in B)
+        assert fitted_in_order(stacked_in_order(B, y)) == \
+            fitted_in_order(oracle_least_squares_fit(b, y) for b in B)
 
     @settings(max_examples=120, deadline=None)
     @given(data_seed=st.integers(0, 2**32 - 1), n=LS_ROWS, q=st.integers(2, 4),
@@ -1852,8 +1856,7 @@ class TestStackedLeastSquares:
         assert solved(least_squares_fit, B[1], y) == refused
         assert solved(least_squares_fit, B[1:2], y) == refused
         assert outcome(least_squares_fit, B, y)[0] == "raised"
-        assert fitted_in_order(in_order(lambda ks: list(least_squares_fit(B[list(ks)], y)),
-                                        len(B))) == \
+        assert fitted_in_order(stacked_in_order(B, y)) == \
             ([oracle_least_squares_fit(B[0], y).tobytes()], refused)
 
     @pytest.mark.parametrize("n", [7, 600, 601, 1333])
